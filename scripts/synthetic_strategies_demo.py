@@ -57,9 +57,10 @@ def main() -> None:
     write_observations(out_dir / "observations.csv", obs)
 
     # response histograms for the first few pairs, one CSV each
-    for entry in truth.dataset.sorted_entries()[:3]:
-        bins = histogram(obs.values_for(entry.key), bin_width=0.5)
-        name = f"histogram_{entry.key.user_id}_{entry.key.item_id}.csv"
+    for i in range(3):
+        bins = histogram(obs.value[obs.pair == i], bin_width=0.5)
+        key = obs.keys.key(i)
+        name = f"histogram_{key.user_id}_{key.item_id}.csv"
         write_histogram(out_dir / name, bins)
 
     fitted = fit_uncertainty(obs)

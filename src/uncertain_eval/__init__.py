@@ -26,6 +26,7 @@ from .errors import InputError, UnavailableError
 from .feedback import (
     FeedbackDataset,
     FeedbackKey,
+    KeyTable,
     ObservationSet,
     PredictionSet,
     RatingObservation,
@@ -74,6 +75,7 @@ __all__ = [
     "UnavailableError",
     "RatingScale",
     "FeedbackKey",
+    "KeyTable",
     "RatingObservation",
     "ObservationSet",
     "UncertainFeedback",

@@ -99,7 +99,7 @@ def barrier_distribution(data: FeedbackDataset) -> BarrierDistribution:
     All-zero spreads yield the degenerate Gaussian (0, 0), which downstream
     tests treat as classical point comparison.
     """
-    sigmas = data.sigmas()
+    sigmas = data.sigma
     n = data.N
     sum_sq = float(np.sum(sigmas**2))
     sum_quad = float(np.sum(sigmas**4))

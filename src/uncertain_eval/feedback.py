@@ -5,7 +5,8 @@ tendency. We model the response for each (user, item) pair as a Gaussian
 with mean ``mu`` and standard deviation ``sigma``; ``sigma`` is the pair's
 intrinsic rating spread and the quantity every downstream computation
 consumes. This module holds the domain types and the estimator that fits
-(mu, sigma) from repeated-trial observations.
+(mu, sigma) from repeated-trial observations. Data sets are numpy columns
+over one ``KeyTable``; the per-pair objects are built from them on demand.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,9 +51,6 @@ class RatingScale:
     def span(self) -> float:
         return self.max_value - self.min_value
 
-    def contains(self, value: float) -> bool:
-        return self.min_value <= value <= self.max_value
-
 
 @dataclass(frozen=True, order=True, slots=True)
 class FeedbackKey:
@@ -59,6 +58,94 @@ class FeedbackKey:
 
     user_id: str
     item_id: str
+
+
+def _codes(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct names, and the position of each name among them."""
+    distinct = sorted(dict.fromkeys(names))
+    position = {name: i for i, name in enumerate(distinct)}
+    codes = np.fromiter(map(position.__getitem__, names), dtype=np.intp, count=len(names))
+    return np.array(distinct, dtype=object), codes
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class KeyTable:
+    """The distinct (user, item) pairs of a data set, in canonical order.
+
+    Pairs are sorted like ``FeedbackKey``: by user id, then by item id, both
+    by code point. Columns aligned to the table hold the value of pair ``i``
+    at position ``i``; row-form columns carry a ``pair`` array of positions.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+
+    @classmethod
+    def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:
+        """Table of the distinct pairs among the rows, and each row's position."""
+        user_names, user_codes = _codes(users)
+        item_names, item_codes = _codes(items)
+        width = max(len(item_names), 1)
+        pair_codes, pair = np.unique(user_codes * width + item_codes, return_inverse=True)
+        table = cls(user_names[pair_codes // width], item_names[pair_codes % width])
+        return table, pair
+
+    @classmethod
+    def of(cls, keys: Iterable[FeedbackKey]) -> tuple["KeyTable", np.ndarray]:
+        """``intern`` of the users and items of ``keys``."""
+        keys = list(keys)
+        return cls.intern([k.user_id for k in keys], [k.item_id for k in keys])
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self) -> Iterator[FeedbackKey]:
+        return map(FeedbackKey, self.users.tolist(), self.items.tolist())
+
+    def key(self, i: int) -> FeedbackKey:
+        return FeedbackKey(self.users[i], self.items[i])
+
+    def locate(self, other: "KeyTable") -> np.ndarray:
+        """Position in ``other`` of each pair of this table, -1 where absent."""
+        if np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items):
+            return np.arange(len(self))
+        table, pair = KeyTable.intern(
+            np.concatenate((self.users, other.users)),
+            np.concatenate((self.items, other.items)),
+        )
+        where = np.full(len(table), -1)
+        where[pair[len(self) :]] = np.arange(len(other))
+        return where[pair[: len(self)]]
+
+
+class _Columnar:
+    """A data set held as columns.
+
+    ``from_columns`` takes the arguments of the subclass's ``_load``, which
+    validates them like the public constructor does its objects.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_columns(cls, *columns):
+        """The data set of row-form columns in any order, with ``pair`` indexing ``keys``."""
+        data = cls.__new__(cls)
+        data._load(*columns)
+        return data
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
+    """Read-only column of ``n`` pairs holding row ``j`` at position ``pair[j]``."""
+    rows = np.asarray(rows)
+    column = np.empty(n, dtype=rows.dtype)
+    column[pair] = rows
+    return _frozen(column)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,51 +157,86 @@ class RatingObservation:
     value: float
 
     def __post_init__(self) -> None:
-        if self.trial < 0:
-            raise InputError(f"trial index must be non-negative, got {self.trial}")
-        if not math.isfinite(self.value):
-            raise InputError(f"rating value must be finite, got {self.value}")
+        self.check(self.trial, self.value)
+
+    @staticmethod
+    def check(trial: int, value: float) -> None:
+        if trial < 0:
+            raise InputError(f"trial index must be non-negative, got {trial}")
+        if not math.isfinite(value):
+            raise InputError(f"rating value must be finite, got {value}")
 
 
-@dataclass(frozen=True, slots=True)
-class ObservationSet:
+class ObservationSet(_Columnar):
     """Raw repeated-trial ratings plus the scale they were collected on.
 
-    The scale records the nominal instrument range. Continuous synthetic
-    draws are intentionally not clamped to it (clamping is opt-in at
-    simulation time), so values slightly outside the range are legal here.
+    Held as the columns ``pair`` (position in ``keys``), ``trial`` and
+    ``value``, sorted by (pair, trial). The scale records the nominal
+    instrument range. Continuous synthetic draws are intentionally not
+    clamped to it (clamping is opt-in at simulation time), so values
+    slightly outside the range are legal here.
     """
 
-    scale: RatingScale
-    observations: tuple[RatingObservation, ...]
+    __slots__ = ("scale", "keys", "pair", "trial", "value")
 
-    def __post_init__(self) -> None:
-        seen: set[tuple[FeedbackKey, int]] = set()
-        for obs in self.observations:
-            slot = (obs.key, obs.trial)
-            if slot in seen:
-                raise InputError(
-                    f"duplicate observation for {obs.key.user_id}/{obs.key.item_id} "
-                    f"trial {obs.trial}"
-                )
-            seen.add(slot)
+    def __init__(self, scale: RatingScale, observations: Sequence[RatingObservation]) -> None:
+        keys, pair = KeyTable.of(o.key for o in observations)
+        trial = [o.trial for o in observations]
+        self._load(scale, keys, pair, trial, [o.value for o in observations])
+
+    def _load(self, scale, keys, pair, trial, value) -> None:
+        pair = np.asarray(pair, dtype=np.intp)
+        trial = np.asarray(trial, dtype=np.int64)
+        value = np.asarray(value, dtype=float)
+        bad = (trial < 0) | ~np.isfinite(value)
+        if bad.any():
+            i = int(np.argmax(bad))
+            RatingObservation.check(int(trial[i]), float(value[i]))
+        order = np.lexsort((trial, pair))
+        sorted_pair, sorted_trial = pair[order], trial[order]
+        repeats = (sorted_pair[1:] == sorted_pair[:-1]) & (sorted_trial[1:] == sorted_trial[:-1])
+        if repeats.any():
+            # the stable sort keeps the first occurrence of each slot first
+            i = int(order[1:][repeats].min())
+            raise InputError(
+                f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
+                f"trial {trial[i]}"
+            )
+        self.scale = scale
+        self.keys = keys
+        self.pair = _frozen(sorted_pair)
+        self.trial = _frozen(sorted_trial)
+        self.value = _frozen(value[order])
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.value)
+
+    def counts(self) -> np.ndarray:
+        """Number of trials of each pair of ``keys``."""
+        return np.bincount(self.pair, minlength=len(self.keys))
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Pairs grouped by trial count k, with the (pairs x k) matrix of their rows."""
+        counts = self.counts()
+        starts = np.cumsum(counts) - counts
+        for k in np.unique(counts):
+            pairs = np.flatnonzero(counts == k)
+            yield pairs, starts[pairs, None] + np.arange(k)
+
+    @property
+    def observations(self) -> tuple[RatingObservation, ...]:
+        keys = list(self.keys)
+        pairs = [keys[p] for p in self.pair.tolist()]
+        return tuple(map(RatingObservation, pairs, self.trial.tolist(), self.value.tolist()))
 
     def grouped(self) -> dict[FeedbackKey, tuple[RatingObservation, ...]]:
         """Observations per pair, keys and trials in canonical order."""
-        buckets: dict[FeedbackKey, list[RatingObservation]] = {}
-        for obs in self.observations:
-            buckets.setdefault(obs.key, []).append(obs)
+        observations = self.observations
+        counts = self.counts().tolist()
         return {
-            key: tuple(sorted(buckets[key], key=lambda o: o.trial))
-            for key in sorted(buckets)
+            key: observations[end - n : end]
+            for key, n, end in zip(self.keys, counts, accumulate(counts))
         }
-
-    def values_for(self, key: FeedbackKey) -> np.ndarray:
-        values = [o.value for o in self.observations if o.key == key]
-        return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,72 +254,114 @@ class UncertainFeedback:
     n_trials: int | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise InputError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise InputError(f"sigma must be finite and >= 0, got {self.sigma}")
+        self.check(self.mu, self.sigma)
+
+    @staticmethod
+    def check(mu: float, sigma: float) -> None:
+        if not math.isfinite(mu):
+            raise InputError(f"mu must be finite, got {mu}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise InputError(f"sigma must be finite and >= 0, got {sigma}")
 
 
-@dataclass(frozen=True, slots=True)
-class FeedbackDataset:
-    """Collection of per-pair response models with unique keys."""
+class FeedbackDataset(_Columnar):
+    """Collection of per-pair response models with unique keys.
 
-    scale: RatingScale
-    entries: tuple[UncertainFeedback, ...]
+    Held as the columns ``mu``, ``sigma`` and ``n_trials`` (0 where unknown),
+    aligned to ``keys``; ``entries`` rebuilds the per-pair models in key
+    order.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    __slots__ = ("scale", "keys", "mu", "sigma", "n_trials")
+
+    def __init__(self, scale: RatingScale, entries: Sequence[UncertainFeedback]) -> None:
+        keys, pair = KeyTable.of(e.key for e in entries)
+        mu = [e.mu for e in entries]
+        sigma = [e.sigma for e in entries]
+        self._load(scale, keys, pair, mu, sigma, [e.n_trials or 0 for e in entries])
+
+    def _load(self, scale, keys, pair, mu, sigma, n_trials) -> None:
+        if not len(pair):
             raise InputError("feedback dataset must contain at least one entry")
-        keys = {e.key for e in self.entries}
-        if len(keys) != len(self.entries):
+        mu = np.asarray(mu, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma >= 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            UncertainFeedback.check(float(mu[i]), float(sigma[i]))
+        if len(keys) != len(pair):
             raise InputError("feedback dataset keys must be unique")
+        self.scale = scale
+        self.keys = keys
+        self.mu, self.sigma, self.n_trials = (
+            _scatter(pair, rows, len(keys)) for rows in (mu, sigma, n_trials)
+        )
 
     @property
     def N(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
-    def __iter__(self) -> Iterator[UncertainFeedback]:
-        return iter(self.entries)
-
-    def sorted_entries(self) -> tuple[UncertainFeedback, ...]:
-        return tuple(sorted(self.entries, key=lambda e: e.key))
+    @property
+    def entries(self) -> tuple[UncertainFeedback, ...]:
+        mu, sigma = self.mu.tolist(), self.sigma.tolist()
+        n_trials = [n or None for n in self.n_trials.tolist()]
+        return tuple(map(UncertainFeedback, self.keys, mu, sigma, n_trials))
 
     def by_key(self) -> dict[FeedbackKey, UncertainFeedback]:
         return {e.key: e for e in self.entries}
 
-    def sigmas(self) -> np.ndarray:
-        return np.asarray([e.sigma for e in self.entries], dtype=float)
 
-    def mus(self) -> np.ndarray:
-        return np.asarray([e.mu for e in self.entries], dtype=float)
+def rating_columns(
+    ratings: Mapping[FeedbackKey, float] | FeedbackDataset,
+) -> tuple[KeyTable, np.ndarray]:
+    """Key table and aligned values of per-pair point ratings.
+
+    A dataset stands for its central tendencies ``mu``.
+    """
+    if isinstance(ratings, FeedbackDataset):
+        return ratings.keys, ratings.mu
+    keys, pair = KeyTable.of(ratings)
+    return keys, _scatter(pair, np.fromiter(ratings.values(), dtype=float), len(keys))
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionSet:
-    """Model-based prediction per pair."""
+class PredictionSet(_Columnar):
+    """Model-based prediction per pair, as ``values`` aligned to ``keys``."""
 
-    entries: Mapping[FeedbackKey, float]
+    __slots__ = ("keys", "values")
 
-    def __post_init__(self) -> None:
-        for key, value in self.entries.items():
-            if not math.isfinite(value):
-                raise InputError(
-                    f"prediction for {key.user_id}/{key.item_id} must be finite"
-                )
+    def __init__(self, entries: Mapping[FeedbackKey, float]) -> None:
+        keys, pair = KeyTable.of(entries)
+        self._load(keys, pair, np.fromiter(entries.values(), dtype=float))
+
+    def _load(self, keys: KeyTable, pair, values) -> None:
+        values = np.asarray(values, dtype=float)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = pair[int(np.argmax(bad))]
+            raise InputError(
+                f"prediction for {keys.users[i]}/{keys.items[i]} must be finite"
+            )
+        self.keys = keys
+        self.values = _scatter(pair, values, len(keys))
+
+    @property
+    def entries(self) -> dict[FeedbackKey, float]:
+        return dict(zip(self.keys, self.values.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: FeedbackKey) -> bool:
-        return key in self.entries
+        return len(self.keys)
 
     def __getitem__(self, key: FeedbackKey) -> float:
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise InputError(
-                f"missing prediction for {key.user_id}/{key.item_id}"
-            ) from None
+        return float(self.aligned(KeyTable.of([key])[0])[0])
+
+    def aligned(self, keys: KeyTable) -> np.ndarray:
+        """Prediction of each pair of ``keys``, in table order."""
+        where = keys.locate(self.keys)
+        missing = where < 0
+        if missing.any():
+            key = keys.key(int(np.argmax(missing)))
+            raise InputError(f"missing prediction for {key.user_id}/{key.item_id}")
+        return self.values[where]
 
 
 class SigmaFallbackPolicy(enum.Enum):
@@ -263,54 +427,47 @@ def fit_uncertainty(
     mu is the sample mean and sigma the sample standard deviation with the
     n-1 correction. Pairs observed only once receive sigma from ``fallback``;
     the pooled policy fails when the data contains no multi-trial pair to
-    pool from.
+    pool from. Pairs with k trials are fitted together as the rows of one
+    (pairs x k) matrix, which sums each pair's values in the same order as
+    numpy does for that pair alone.
     """
-    if not obs.observations:
+    if not len(obs):
         raise InputError("cannot fit an empty observation set")
 
-    groups = obs.grouped()
-    stats: list[tuple[FeedbackKey, float, float | None, int]] = []
-    multi_sigma_sq: list[float] = []
-    for key, group in groups.items():
-        values = np.asarray([o.value for o in group], dtype=float)
-        mu = float(np.mean(values))
-        if len(values) >= 2:
-            sigma = float(np.std(values, ddof=1))
-            multi_sigma_sq.append(sigma * sigma)
-            stats.append((key, mu, sigma, len(values)))
-        else:
-            stats.append((key, mu, None, 1))
+    n = len(obs.keys)
+    mu = np.empty(n)
+    sigma = np.empty(n)
+    n_trials = obs.counts()
+    for pairs, rows in obs.blocks():
+        block = obs.value[rows]
+        mu[pairs] = block.mean(axis=1)
+        if rows.shape[1] >= 2:
+            sigma[pairs] = block.std(axis=1, ddof=1)
 
-    fallback_sigma: float | None = None
-    if any(sigma is None for _, _, sigma, _ in stats):
+    single = n_trials == 1
+    if single.any():
         if fallback.policy is SigmaFallbackPolicy.ZERO:
-            fallback_sigma = 0.0
+            sigma[single] = 0.0
         elif fallback.policy is SigmaFallbackPolicy.FIXED:
-            fallback_sigma = float(fallback.value)  # type: ignore[arg-type]
+            sigma[single] = float(fallback.value)  # type: ignore[arg-type]
+        elif single.all():
+            raise UnavailableError(
+                "pooled sigma fallback needs at least one pair with >= 2 trials"
+            )
         else:
-            if not multi_sigma_sq:
-                raise UnavailableError(
-                    "pooled sigma fallback needs at least one pair with >= 2 trials"
-                )
-            fallback_sigma = math.sqrt(float(np.mean(multi_sigma_sq)))
+            sigma[single] = _root_mean_square(sigma[~single])
+    return FeedbackDataset.from_columns(obs.scale, obs.keys, np.arange(n), mu, sigma, n_trials)
 
-    entries = tuple(
-        UncertainFeedback(
-            key=key,
-            mu=mu,
-            sigma=sigma if sigma is not None else fallback_sigma,  # type: ignore[arg-type]
-            n_trials=n,
-        )
-        for key, mu, sigma, n in stats
-    )
-    return FeedbackDataset(scale=obs.scale, entries=entries)
+
+def _root_mean_square(sigma: np.ndarray) -> float:
+    return math.sqrt(float(np.mean(sigma * sigma)))
 
 
 def pooled_sigma(data: FeedbackDataset) -> float:
     """Root mean square of sigma over entries fitted from >= 2 trials."""
-    pooled = [e.sigma * e.sigma for e in data.entries if (e.n_trials or 0) >= 2]
-    if not pooled:
+    multi = data.n_trials >= 2
+    if not multi.any():
         raise UnavailableError(
             "pooled sigma is unavailable: no entries fitted from >= 2 trials"
         )
-    return math.sqrt(float(np.mean(pooled)))
+    return _root_mean_square(data.sigma[multi])

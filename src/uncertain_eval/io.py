@@ -17,16 +17,18 @@ on ingestion a continuous scale is inferred from the observed value range
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .feedback import (
     FeedbackDataset,
-    FeedbackKey,
+    KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
     RatingScale,
     UncertainFeedback,
 )
@@ -38,31 +40,42 @@ PREDICTION_HEADER = ["user_id", "item_id", "prediction"]
 HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "count"]
 SAMPLE_DUMP_HEADER = ["sample_index", "score"]
 
+# Trial indices are stored as 64-bit integers.
+_TRIAL_LIMIT = 2**63
 
-def _read_rows(path: str | Path, header: Sequence[str]) -> list[list[str]]:
-    path = Path(path)
+
+def _read_rows(
+    path: Path, header: Sequence[str]
+) -> tuple[list[int], Iterator[tuple[int, list[str]]]]:
+    """Position of each ``header`` column, and the data rows with their line numbers."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    reader = csv.reader(text.splitlines())
+    got = next(reader, None)
+    if got is None:
         raise InputError(f"{path}: empty file, expected header {','.join(header)}")
-    got = rows[0]
     for column in header:
         if column not in got:
             raise InputError(f"{path}: missing column {column!r} in header")
     for column in got:
         if column not in header:
             raise InputError(f"{path}: unexpected column {column!r} in header")
-    if len(rows) == 1:
-        raise InputError(f"{path}: no data rows")
-    return rows
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        line = 1
+        for line, row in enumerate(reader, start=2):
+            yield line, row
+        if line == 1:
+            raise InputError(f"{path}: no data rows")
+
+    return [got.index(column) for column in header], rows()
 
 
-def _cell(row: list[str], columns: list[str], name: str, path: Path, line: int) -> str:
+def _cell(row: list[str], index: int, path: Path, line: int) -> str:
     try:
-        return row[columns.index(name)]
+        return row[index]
     except IndexError:
         raise InputError(f"{path}:{line}: row has too few fields") from None
 
@@ -75,9 +88,8 @@ def _parse_float(text: str, name: str, path: Path, line: int) -> float:
     return value
 
 
-def _infer_scale(values: Iterable[float]) -> RatingScale:
-    values = list(values)
-    lo, hi = min(values), max(values)
+def _infer_scale(values: np.ndarray) -> RatingScale:
+    lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         hi = lo + 1.0
     return RatingScale(min_value=lo, max_value=hi)
@@ -87,121 +99,110 @@ def read_observations(
     path: str | Path, scale: RatingScale | None = None
 ) -> ObservationSet:
     path = Path(path)
-    rows = _read_rows(path, OBSERVATION_HEADER)
-    columns = rows[0]
-    observations = []
-    for line, row in enumerate(rows[1:], start=2):
-        user = _cell(row, columns, "user_id", path, line)
-        item = _cell(row, columns, "item_id", path, line)
-        trial_text = _cell(row, columns, "trial", path, line)
+    (u, i, t, r), rows = _read_rows(path, OBSERVATION_HEADER)
+    users, items, trials, values = [], [], [], []
+    for line, row in rows:
+        users.append(_cell(row, u, path, line))
+        items.append(_cell(row, i, path, line))
+        trial_text = _cell(row, t, path, line)
         try:
             trial = int(trial_text)
         except ValueError:
             raise InputError(f"{path}:{line}: bad trial value {trial_text!r}") from None
         if trial < 0:
             raise InputError(f"{path}:{line}: trial must be non-negative, got {trial}")
-        value = _parse_float(
-            _cell(row, columns, "rating", path, line), "rating", path, line
-        )
-        try:
-            observations.append(
-                RatingObservation(
-                    key=FeedbackKey(user_id=user, item_id=item),
-                    trial=trial,
-                    value=value,
-                )
-            )
-        except InputError as exc:
-            raise InputError(f"{path}:{line}: {exc}") from None
+        if trial >= _TRIAL_LIMIT:
+            raise InputError(f"{path}:{line}: trial must be below 2**63, got {trial}")
+        trials.append(trial)
+        value = _parse_float(_cell(row, r, path, line), "rating", path, line)
+        if not math.isfinite(value):
+            raise InputError(f"{path}:{line}: rating value must be finite, got {value}")
+        values.append(value)
+    keys, pair = KeyTable.intern(users, items)
+    value_column = np.array(values)
     if scale is None:
-        scale = _infer_scale(o.value for o in observations)
-    return ObservationSet(scale=scale, observations=tuple(observations))
+        scale = _infer_scale(value_column)
+    return ObservationSet.from_columns(scale, keys, pair, trials, value_column)
 
 
 def write_observations(path: str | Path, obs: ObservationSet) -> None:
-    rows = sorted(obs.observations, key=lambda o: (o.key, o.trial))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(OBSERVATION_HEADER)
-        for o in rows:
-            writer.writerow([o.key.user_id, o.key.item_id, o.trial, repr(o.value)])
+    keys = obs.keys
+    rows = zip(
+        keys.users[obs.pair].tolist(),
+        keys.items[obs.pair].tolist(),
+        obs.trial.tolist(),
+        obs.value.tolist(),
+    )
+    _write_rows(path, OBSERVATION_HEADER, rows)
 
 
 def read_feedback(
     path: str | Path, scale: RatingScale | None = None
 ) -> FeedbackDataset:
     path = Path(path)
-    rows = _read_rows(path, FEEDBACK_HEADER)
-    columns = rows[0]
-    entries = []
-    for line, row in enumerate(rows[1:], start=2):
-        user = _cell(row, columns, "user_id", path, line)
-        item = _cell(row, columns, "item_id", path, line)
-        mu = _parse_float(_cell(row, columns, "mu", path, line), "mu", path, line)
-        sigma = _parse_float(
-            _cell(row, columns, "sigma", path, line), "sigma", path, line
-        )
+    (u, i, m, s), rows = _read_rows(path, FEEDBACK_HEADER)
+    users, items, mus, sigmas = [], [], [], []
+    for line, row in rows:
+        users.append(_cell(row, u, path, line))
+        items.append(_cell(row, i, path, line))
+        mu = _parse_float(_cell(row, m, path, line), "mu", path, line)
+        sigma = _parse_float(_cell(row, s, path, line), "sigma", path, line)
         try:
-            entries.append(
-                UncertainFeedback(
-                    key=FeedbackKey(user_id=user, item_id=item), mu=mu, sigma=sigma
-                )
-            )
+            UncertainFeedback.check(mu, sigma)
         except InputError as exc:
             raise InputError(f"{path}:{line}: {exc}") from None
+        mus.append(mu)
+        sigmas.append(sigma)
+    keys, pair = KeyTable.intern(users, items)
+    mu_column = np.array(mus)
     if scale is None:
-        scale = _infer_scale(e.mu for e in entries)
-    entries.sort(key=lambda e: e.key)
-    return FeedbackDataset(scale=scale, entries=tuple(entries))
+        scale = _infer_scale(mu_column)
+    n_trials = np.zeros(len(pair), dtype=np.int64)
+    return FeedbackDataset.from_columns(scale, keys, pair, mu_column, sigmas, n_trials)
 
 
 def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FEEDBACK_HEADER)
-        for e in data.sorted_entries():
-            writer.writerow([e.key.user_id, e.key.item_id, repr(e.mu), repr(e.sigma)])
+    keys = data.keys
+    rows = zip(keys.users.tolist(), keys.items.tolist(), data.mu.tolist(), data.sigma.tolist())
+    _write_rows(path, FEEDBACK_HEADER, rows)
 
 
 def read_predictions(path: str | Path) -> PredictionSet:
     path = Path(path)
-    rows = _read_rows(path, PREDICTION_HEADER)
-    columns = rows[0]
-    entries: dict[FeedbackKey, float] = {}
-    for line, row in enumerate(rows[1:], start=2):
-        key = FeedbackKey(
-            user_id=_cell(row, columns, "user_id", path, line),
-            item_id=_cell(row, columns, "item_id", path, line),
+    (u, i, p), rows = _read_rows(path, PREDICTION_HEADER)
+    users, items, values = [], [], []
+    seen: set[tuple[str, str]] = set()
+    for line, row in rows:
+        user, item = _cell(row, u, path, line), _cell(row, i, path, line)
+        if (user, item) in seen:
+            raise InputError(f"{path}:{line}: duplicate prediction for {user}/{item}")
+        seen.add((user, item))
+        users.append(user)
+        items.append(item)
+        values.append(
+            _parse_float(_cell(row, p, path, line), "prediction", path, line)
         )
-        if key in entries:
-            raise InputError(
-                f"{path}:{line}: duplicate prediction for {key.user_id}/{key.item_id}"
-            )
-        entries[key] = _parse_float(
-            _cell(row, columns, "prediction", path, line), "prediction", path, line
-        )
-    return PredictionSet(entries)
+    keys, pair = KeyTable.intern(users, items)
+    return PredictionSet.from_columns(keys, pair, values)
 
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PREDICTION_HEADER)
-        for key in sorted(predictions.entries):
-            writer.writerow([key.user_id, key.item_id, repr(predictions.entries[key])])
+    keys = predictions.keys
+    rows = zip(keys.users.tolist(), keys.items.tolist(), predictions.values.tolist())
+    _write_rows(path, PREDICTION_HEADER, rows)
 
 
 def write_histogram(path: str | Path, bins: Sequence[HistogramBin]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HISTOGRAM_HEADER)
-        for b in bins:
-            writer.writerow([repr(b.bin_lo), repr(b.bin_hi), b.count])
+    _write_rows(path, HISTOGRAM_HEADER, ((b.bin_lo, b.bin_hi, b.count) for b in bins))
 
 
 def write_sample_dump(path: str | Path, samples: Iterable[float]) -> None:
+    _write_rows(path, SAMPLE_DUMP_HEADER, enumerate(map(float, samples)))
+
+
+def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
+    """CSV with ``header``; floats are written as their shortest round-trip repr."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SAMPLE_DUMP_HEADER)
-        for i, score in enumerate(samples):
-            writer.writerow([i, repr(float(score))])
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .barrier import barrier_distribution
 from .errors import InputError
-from .feedback import FeedbackDataset, FeedbackKey, PredictionSet
+from .feedback import FeedbackDataset, FeedbackKey, PredictionSet, rating_columns
 from .rng import child_rng, validate_seed
 
 CHUNK_SIZE = 1024
@@ -99,26 +99,21 @@ def resolve_thread_count() -> int:
     return value if value > 0 else (os.cpu_count() or 1)
 
 
-def rmse(predictions: PredictionSet, ratings: Mapping[FeedbackKey, float]) -> float:
-    """Root mean squared deviation between ratings and their predictions."""
-    if not ratings:
+def rmse(
+    predictions: PredictionSet,
+    ratings: Mapping[FeedbackKey, float] | FeedbackDataset,
+) -> float:
+    """Root mean squared deviation between ratings and their predictions.
+
+    ``ratings`` maps pairs to point ratings; a dataset stands for its
+    central tendencies mu. Squared deviations are summed left to right in
+    key order.
+    """
+    keys, values = rating_columns(ratings)
+    if not len(keys):
         raise InputError("cannot compute RMSE over an empty rating set")
-    total = 0.0
-    for key in sorted(ratings):
-        d = ratings[key] - predictions[key]
-        total += d * d
-    return math.sqrt(total / len(ratings))
-
-
-def _aligned_arrays(
-    data: FeedbackDataset, predictions: PredictionSet
-) -> tuple[list[FeedbackKey], np.ndarray, np.ndarray, np.ndarray]:
-    entries = data.sorted_entries()
-    keys = [e.key for e in entries]
-    mu = np.asarray([e.mu for e in entries], dtype=float)
-    sigma = np.asarray([e.sigma for e in entries], dtype=float)
-    pi = np.asarray([predictions[k] for k in keys], dtype=float)
-    return keys, mu, sigma, pi
+    d = values - predictions.aligned(keys)
+    return math.sqrt(float(np.cumsum(d * d)[-1]) / len(keys))
 
 
 def _sample_chunk(
@@ -153,8 +148,7 @@ def rmse_distribution(
     (and, with ``predictor_tau`` set, one prediction per pair from
     N(pi, tau^2)), then scores the rating-minus-prediction deviations.
     """
-    _, mu, sigma, pi = _aligned_arrays(data, predictions)
-    base = mu - pi
+    base = data.mu - predictions.aligned(data.keys)
 
     n_chunks = -(-cfg.sample_count // CHUNK_SIZE)
     sizes = [
@@ -162,7 +156,7 @@ def rmse_distribution(
     ]
 
     def run(i: int) -> np.ndarray:
-        return _sample_chunk(i, sizes[i], base, sigma, cfg.predictor_tau, cfg.seed)
+        return _sample_chunk(i, sizes[i], base, data.sigma, cfg.predictor_tau, cfg.seed)
 
     workers = min(resolve_thread_count(), n_chunks)
     if workers > 1:
@@ -185,6 +179,6 @@ def variance_match_check(data: FeedbackDataset, cfg: McConfig) -> float:
     floor = barrier_distribution(data).gaussian.variance
     if floor == 0.0:
         raise InputError("variance match is undefined for an all-zero-sigma dataset")
-    predictions = PredictionSet({e.key: e.mu for e in data.entries})
+    predictions = PredictionSet.from_columns(data.keys, np.arange(data.N), data.mu)
     mc = rmse_distribution(data, predictions, cfg)
     return abs(mc.variance - floor) / floor

@@ -19,12 +19,10 @@ import numpy as np
 from .errors import InputError
 from .feedback import (
     FeedbackDataset,
-    FeedbackKey,
+    KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
     RatingScale,
-    UncertainFeedback,
     fit_uncertainty,
 )
 from .rng import child_rng, validate_seed
@@ -32,6 +30,9 @@ from .rng import child_rng, validate_seed
 # Stream keys so population parameters and trial draws never share bits.
 _POPULATION_STREAM = 0
 _TRIAL_STREAM = 1
+
+# Largest histogram a call may allocate.
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,22 +126,13 @@ def generate_population(spec: PopulationSpec) -> GroundTruth:
     sigma = rng.uniform(spec.sigma_lo, spec.sigma_hi, n_pairs)
     bias = rng.uniform(spec.bias_lo, spec.bias_hi, n_pairs)
 
-    users = _pair_ids(spec.n_users, "u")
-    items = _pair_ids(spec.n_items, "i")
-    keys = [
-        FeedbackKey(user_id=users[idx // spec.n_items], item_id=items[idx % spec.n_items])
-        for idx in chosen
-    ]
-    entries = tuple(
-        UncertainFeedback(key=k, mu=float(m), sigma=float(s))
-        for k, m, s in zip(keys, mu, sigma)
-    )
-    predictions = PredictionSet(
-        {k: float(m + b) for k, m, b in zip(keys, mu, bias)}
-    )
+    users = np.array(_pair_ids(spec.n_users, "u"), dtype=object)
+    items = np.array(_pair_ids(spec.n_items, "i"), dtype=object)
+    keys, pair = KeyTable.intern(users[chosen // spec.n_items], items[chosen % spec.n_items])
+    no_counts = np.zeros(n_pairs, dtype=np.int64)
     return GroundTruth(
-        dataset=FeedbackDataset(scale=spec.scale, entries=entries),
-        predictions=predictions,
+        dataset=FeedbackDataset.from_columns(spec.scale, keys, pair, mu, sigma, no_counts),
+        predictions=PredictionSet.from_columns(keys, pair, mu + bias),
     )
 
 
@@ -161,22 +153,17 @@ def draw_trials(
     if discretise and scale.discrete_step is None:
         raise InputError("discretise requires a scale with a discrete_step")
 
-    entries = truth.dataset.sorted_entries()
+    data = truth.dataset
     rng = child_rng(seed, _TRIAL_STREAM)
-    mu = np.asarray([e.mu for e in entries], dtype=float)
-    sigma = np.asarray([e.sigma for e in entries], dtype=float)
-    values = mu[:, None] + sigma[:, None] * rng.standard_normal((len(entries), k))
+    values = data.mu[:, None] + data.sigma[:, None] * rng.standard_normal((data.N, k))
     if discretise:
         step = scale.discrete_step
         values = scale.min_value + np.round((values - scale.min_value) / step) * step
         values = np.clip(values, scale.min_value, scale.max_value)
 
-    observations = tuple(
-        RatingObservation(key=e.key, trial=t, value=float(values[i, t]))
-        for i, e in enumerate(entries)
-        for t in range(k)
-    )
-    return ObservationSet(scale=scale, observations=observations)
+    pair = np.repeat(np.arange(data.N), k)
+    trial = np.tile(np.arange(k), data.N)
+    return ObservationSet.from_columns(scale, data.keys, pair, trial, values.ravel())
 
 
 def histogram(values: Iterable[float], bin_width: float) -> list[HistogramBin]:
@@ -196,6 +183,9 @@ def histogram(values: Iterable[float], bin_width: float) -> list[HistogramBin]:
 
     lo = float(np.min(arr))
     hi = float(np.max(arr))
+    # compared before flooring, so an infinite bin count is caught too
+    if not (hi - lo) / bin_width < MAX_HISTOGRAM_BINS:
+        raise InputError(f"histogram would need more than {MAX_HISTOGRAM_BINS} bins")
     n_bins = int(math.floor((hi - lo) / bin_width)) + 1
     idx = np.floor((arr - lo) / bin_width).astype(int)
     idx = np.clip(idx, 0, n_bins - 1)
@@ -225,12 +215,10 @@ def fit_roundtrip_check(
     obs = draw_trials(truth, k=k, discretise=False, seed=spec.seed)
     fitted = fit_uncertainty(obs)
 
-    true_by_key = truth.dataset.by_key()
-    worst = 0.0
-    for entry in fitted.entries:
-        sigma_true = true_by_key[entry.key].sigma
-        if sigma_true >= 0.1:
-            worst = max(worst, abs(entry.sigma - sigma_true) / sigma_true)
+    sigma_true = truth.dataset.sigma[fitted.keys.locate(truth.dataset.keys)]
+    compared = sigma_true >= 0.1
+    errors = np.abs(fitted.sigma[compared] - sigma_true[compared]) / sigma_true[compared]
+    worst = float(errors.max()) if errors.size else 0.0
     return FitRoundtripResult(
         max_relative_error=worst, tolerance=tolerance, passed=worst < tolerance
     )

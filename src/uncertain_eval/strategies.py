@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,10 +37,10 @@ from .feedback import (
     FeedbackKey,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
     SigmaFallback,
     UncertainFeedback,
     fit_uncertainty,
+    rating_columns,
 )
 from .metrics import rmse
 from .rng import child_rng, validate_seed
@@ -136,19 +135,15 @@ class StrategyReport:
         }
 
 
-def _spread(values: list[float]) -> float:
-    return max(values) - min(values)
+def _spread(block: np.ndarray) -> np.ndarray:
+    return block.max(axis=1) - block.min(axis=1)
 
 
-def _farthest_index(values: list[float]) -> tuple[int, float]:
-    """Index of the value farthest from the group median (ties: first)."""
-    med = statistics.median(values)
-    best_i, best_d = 0, -1.0
-    for i, v in enumerate(values):
-        d = abs(v - med)
-        if d > best_d:
-            best_i, best_d = i, d
-    return best_i, med
+def _median(block: np.ndarray) -> np.ndarray:
+    """Row medians as ``statistics.median`` takes them, down to the sign of a zero."""
+    ordered = np.sort(block, axis=1, kind="stable")
+    mid = block.shape[1] // 2
+    return ordered[:, mid] if block.shape[1] % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2
 
 
 def denoise_preprocess(
@@ -158,64 +153,68 @@ def denoise_preprocess(
 ) -> DenoiseResult:
     """Recursively replace repeated ratings that scatter beyond a threshold.
 
-    Group sizes, keys and trial indices never change, only values. The
-    redraw policy resamples the removed slot from the pair's generating
+    Group sizes, keys and trial indices never change, only values. Groups
+    of k trials are treated together as the rows of one (groups x k)
+    matrix, each pass touching only the rows still beyond the threshold.
+    The redraw policy resamples the removed slot from the pair's generating
     model N(mu, sigma^2) until the draw sits within ``cfg.threshold`` of
     every retained value; when its attempts run out the slot falls back to
     the median and the group is flagged.
     """
-    if cfg.resampler is Resampler.REDRAW_FROM_MODEL and truth is None:
-        raise InputError("redraw-from-model resampling needs the generating model")
-    model = truth.by_key() if truth is not None else {}
+    redraw = cfg.resampler is Resampler.REDRAW_FROM_MODEL
+    if redraw:
+        if truth is None:
+            raise InputError("redraw-from-model resampling needs the generating model")
+        model = obs.keys.locate(truth.keys)
+        if (model < 0).any():
+            key = obs.keys.key(int(np.argmax(model < 0)))
+            raise InputError(f"no generating model for {key.user_id}/{key.item_id}")
 
-    new_observations: list[RatingObservation] = []
-    unconverged: set[FeedbackKey] = set()
-
-    for group_index, (key, group) in enumerate(obs.grouped().items()):
-        values = [o.value for o in group]
-        rng = None
-        if cfg.resampler is Resampler.REDRAW_FROM_MODEL:
-            if key not in model:
-                raise InputError(
-                    f"no generating model for {key.user_id}/{key.item_id}"
-                )
-            rng = child_rng(cfg.seed, group_index)
-
-        converged = False
+    values = obs.value.copy()
+    unconverged: set[int] = set()
+    rngs: dict[int, np.random.Generator] = {}
+    for groups, rows in obs.blocks():
+        block = values[rows]
+        active = np.arange(len(groups))
         for _ in range(cfg.max_iterations):
-            if _spread(values) <= cfg.threshold:
-                converged = True
+            active = active[_spread(block[active]) > cfg.threshold]
+            if not active.size:
                 break
-            idx, med = _farthest_index(values)
-            if cfg.resampler is Resampler.REPLACE_WITH_MEDIAN:
-                values[idx] = med
-            else:
-                entry = model[key]
-                retained = values[:idx] + values[idx + 1 :]
-                replacement = None
-                for _ in range(cfg.max_iterations):
-                    draw = float(rng.normal(entry.mu, entry.sigma))
-                    if all(abs(draw - r) <= cfg.threshold for r in retained):
-                        replacement = draw
-                        break
-                if replacement is None:
-                    unconverged.add(key)
-                    replacement = med
-                values[idx] = replacement
-        if not converged and _spread(values) > cfg.threshold:
-            unconverged.add(key)
-
-        new_observations.extend(
-            RatingObservation(key=o.key, trial=o.trial, value=v)
-            for o, v in zip(group, values)
-        )
+            treated = block[active]
+            med = _median(treated)
+            far = np.argmax(np.abs(treated - med[:, None]), axis=1)
+            if redraw:
+                for j, g in enumerate(groups[active].tolist()):
+                    if g not in rngs:
+                        rngs[g] = child_rng(cfg.seed, g)
+                    retained = np.delete(treated[j], far[j])
+                    m = model[g]
+                    draw = _redraw(rngs[g], truth.mu[m], truth.sigma[m], retained, cfg)
+                    if draw is None:
+                        unconverged.add(g)
+                    else:
+                        med[j] = draw
+            block[active, far] = med
+        else:
+            active = active[_spread(block[active]) > cfg.threshold]
+        unconverged.update(groups[active].tolist())
+        values[rows] = block
 
     return DenoiseResult(
-        observations=ObservationSet(
-            scale=obs.scale, observations=tuple(new_observations)
+        observations=ObservationSet.from_columns(
+            obs.scale, obs.keys, obs.pair, obs.trial, values
         ),
-        unconverged_keys=frozenset(unconverged),
+        unconverged_keys=frozenset(map(obs.keys.key, sorted(unconverged))),
     )
+
+
+def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, cfg: DenoiseConfig):
+    """A draw from N(mu, sigma^2) within the threshold of every retained value."""
+    for _ in range(cfg.max_iterations):
+        draw = float(rng.normal(mu, sigma))
+        if np.all(np.abs(draw - retained) <= cfg.threshold):
+            return draw
+    return None
 
 
 def predictor_noise_deviation(
@@ -238,7 +237,7 @@ def predictor_noise_deviation(
 def omit_insignificant(
     data: FeedbackDataset,
     predictions: PredictionSet,
-    point_ratings: Mapping[FeedbackKey, float],
+    point_ratings: Mapping[FeedbackKey, float] | FeedbackDataset,
     cfg: OmissionConfig = OmissionConfig(),
 ) -> OmissionResult:
     """Keep only deviations the pair's spread cannot explain.
@@ -246,20 +245,23 @@ def omit_insignificant(
     Per pair, d = rating - prediction is z-tested two-sided against
     N(0, sigma^2); pairs with p < alpha are retained and scored. Pairs with
     sigma = 0 are retained for any nonzero deviation (p = 0). With nothing
-    retained the filtered score is None, never 0.
+    retained the filtered score is None, never 0. A dataset passed as
+    ``point_ratings`` stands for its central tendencies mu.
     """
-    if not point_ratings:
+    keys, ratings = rating_columns(point_ratings)
+    if not len(keys):
         raise InputError("no point ratings to test")
-    by_key = data.by_key()
-    keys = sorted(point_ratings)
-    d = np.empty(len(keys), dtype=float)
-    sigma = np.empty(len(keys), dtype=float)
-    for i, key in enumerate(keys):
-        entry = by_key.get(key)
-        if entry is None:
+    entry = keys.locate(data.keys)
+    prediction = keys.locate(predictions.keys)
+    missing = (entry < 0) | (prediction < 0)
+    if missing.any():
+        i = int(np.argmax(missing))
+        key = keys.key(i)
+        if entry[i] < 0:
             raise InputError(f"no feedback entry for {key.user_id}/{key.item_id}")
-        d[i] = point_ratings[key] - predictions[key]
-        sigma[i] = entry.sigma
+        raise InputError(f"missing prediction for {key.user_id}/{key.item_id}")
+    d = ratings - predictions.values[prediction]
+    sigma = data.sigma[entry]
 
     p = np.ones(len(keys), dtype=float)
     positive = sigma > 0
@@ -272,7 +274,7 @@ def omit_insignificant(
     else:
         filtered = None
     return OmissionResult(
-        retained_keys=frozenset(k for k, keep in zip(keys, retained) if keep),
+        retained_keys=frozenset(map(keys.key, np.flatnonzero(retained).tolist())),
         filtered_rmse=filtered,
         retained_fraction=float(np.mean(retained)),
     )
@@ -310,8 +312,7 @@ def run_strategy_comparison(
         data = fit_uncertainty(observations, fallback)
 
     floor = barrier_distribution(data)
-    point_ratings = {e.key: e.mu for e in data.entries}
-    score_point = rmse(predictions, point_ratings)
+    score_point = rmse(predictions, data)
 
     reports: list[StrategyReport] = []
 
@@ -320,7 +321,7 @@ def run_strategy_comparison(
             raise InputError("de-noising needs raw repeated-trial observations")
         result = denoise_preprocess(observations, truth, denoise)
         refit = fit_uncertainty(result.observations, fallback)
-        score_after = rmse(predictions, {e.key: e.mu for e in refit.entries})
+        score_after = rmse(predictions, refit)
         reports.append(
             StrategyReport(
                 strategy="denoise",
@@ -334,9 +335,8 @@ def run_strategy_comparison(
     if predictor_tau is not None:
         if not (math.isfinite(predictor_tau) and predictor_tau >= 0):
             raise InputError(f"tau must be finite and >= 0, got {predictor_tau}")
-        entries = data.sorted_entries()
-        d = np.asarray([e.mu - predictions[e.key] for e in entries], dtype=float)
-        sigma = np.asarray([e.sigma for e in entries], dtype=float)
+        d = data.mu - predictions.aligned(data.keys)
+        sigma = data.sigma
         before = _expected_rmse(d, sigma, 0.0)
         after = _expected_rmse(d, sigma, predictor_tau)
         reports.append(
@@ -353,7 +353,7 @@ def run_strategy_comparison(
         )
 
     if omission is not None:
-        result = omit_insignificant(data, predictions, point_ratings, omission)
+        result = omit_insignificant(data, predictions, data, omission)
         verdict = (
             distinguishability_test(score_point, result.filtered_rmse, floor)
             if result.filtered_rmse is not None

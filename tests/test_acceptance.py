@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -297,8 +298,13 @@ def test_criterion_10_fit_roundtrip(capsys):
     )
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _run_cli(args, threads, cwd):
-    env = dict(os.environ, UNCERTAIN_EVAL_THREADS=str(threads))
+    # the child runs in cwd, where a relative PYTHONPATH=src no longer resolves
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, UNCERTAIN_EVAL_THREADS=str(threads), PYTHONPATH=pythonpath)
     proc = subprocess.run(
         [sys.executable, "-m", "uncertain_eval.cli", *args],
         capture_output=True,

@@ -406,3 +406,78 @@ class TestSimulate:
         )
         assert code == 2
         assert "sigma_lo" in stderr
+
+
+OBS_HEADER = "user_id,item_id,trial,rating\n"
+FEEDBACK_HEADER = "user_id,item_id,mu,sigma\n"
+PRED_HEADER = "user_id,item_id,prediction\n"
+
+
+class TestMalformedInput:
+    """Each malformed input exits 2 with one line naming the file line or pair."""
+
+    def _fit(self, capsys, tmp_path, body):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(OBS_HEADER + body, encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "fit", "--obs", str(obs), "--out", str(tmp_path / "out.csv")
+        )
+        return code, stderr.replace(str(obs), "OBS")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_rating(self, capsys, tmp_path, text):
+        code, stderr = self._fit(capsys, tmp_path, f"u,i,0,3.0\nu,i,1,{text}\n")
+        assert code == 2
+        assert stderr == f"error: OBS:3: rating value must be finite, got {text}\n"
+
+    def test_negative_trial(self, capsys, tmp_path):
+        code, stderr = self._fit(capsys, tmp_path, "u,i,0,3.0\nu,i,-1,3.0\n")
+        assert code == 2
+        assert stderr == "error: OBS:3: trial must be non-negative, got -1\n"
+
+    def test_trial_beyond_64_bits(self, capsys, tmp_path):
+        code, stderr = self._fit(capsys, tmp_path, f"u,i,{2**63},3.0\n")
+        assert code == 2
+        assert stderr == f"error: OBS:2: trial must be below 2**63, got {2**63}\n"
+
+    def test_first_row_error_wins(self, capsys, tmp_path):
+        # line 3 is short and has a bad trial: cells are read in column order,
+        # so the trial is reported, and line 4 is never reached
+        code, stderr = self._fit(capsys, tmp_path, "u,i,0,3.0\nu,i,x\nu,i,1,nan\n")
+        assert code == 2
+        assert stderr == "error: OBS:3: bad trial value 'x'\n"
+
+    def test_duplicate_trial_reports_first_repeat_in_input_order(self, capsys, tmp_path):
+        body = "u2,i,0,1.0\nu1,i,0,1.0\nu2,i,0,2.0\nu1,i,0,2.0\n"
+        code, stderr = self._fit(capsys, tmp_path, body)
+        assert code == 2
+        assert stderr == "error: duplicate observation for u2/i trial 0\n"
+
+    def test_non_finite_mu_in_feedback(self, capsys, tmp_path):
+        feedback = tmp_path / "feedback.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u,i,3.0,0.5\nv,i,nan,0.5\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "distinguish", "--feedback", str(feedback), "--s1", "1", "--s2", "2"
+        )
+        assert code == 2
+        assert stderr == f"error: {feedback}:3: mu must be finite, got nan\n"
+
+    def _strategies(self, capsys, tmp_path, pred_body):
+        feedback = tmp_path / "feedback.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u,a,3.0,0.5\nu,b,3.0,0.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(PRED_HEADER + pred_body, encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "strategies", "--feedback", str(feedback), "--pred", str(pred), "--tau", "1"
+        )
+        return code, stderr.replace(str(pred), "PRED")
+
+    def test_duplicate_prediction(self, capsys, tmp_path):
+        code, stderr = self._strategies(capsys, tmp_path, "u,a,3.0\nu,b,3.0\nu,a,4.0\n")
+        assert code == 2
+        assert stderr == "error: PRED:4: duplicate prediction for u/a\n"
+
+    def test_missing_prediction_names_pair(self, capsys, tmp_path):
+        code, stderr = self._strategies(capsys, tmp_path, "u,b,3.0\nu,c,3.0\n")
+        assert code == 2
+        assert stderr == "error: missing prediction for u/a\n"

@@ -1,0 +1,267 @@
+"""The columnar core against plain per-group references.
+
+Each reference walks one pair at a time over Python lists, the way the
+per-row implementation did, and the columnar result must match it bit for
+bit: same keys in the same order, same floats (compared by ``float.hex``,
+so even the sign of a zero counts).
+"""
+
+import random
+import statistics
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uncertain_eval import (
+    DenoiseConfig,
+    FeedbackDataset,
+    FeedbackKey,
+    ObservationSet,
+    RatingObservation,
+    RatingScale,
+    Resampler,
+    SigmaFallback,
+    UnavailableError,
+    UncertainFeedback,
+    denoise_preprocess,
+    fit_uncertainty,
+)
+from uncertain_eval.rng import child_rng
+
+WIDE = RatingScale(-1000.0, 1000.0)
+
+# Ids from a small alphabet with a non-ASCII letter, an upper-case letter
+# and the empty id, so key order is exercised beyond zero-padded numbers.
+ids = st.text(alphabet="abZé", max_size=3)
+finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
+# Values from a small grid make median ties and even-size ties common.
+grid = st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+@st.composite
+def observation_groups(draw, values=st.one_of(finite, grid)):
+    """{key: [(trial, value), ...]} with 1-12 distinct trials per key."""
+    keys = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=8, unique=True))
+    groups = {}
+    for user, item in keys:
+        trials = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+        groups[FeedbackKey(user, item)] = [(t, draw(values)) for t in trials]
+    return groups
+
+
+def shuffled_set(groups, rnd) -> ObservationSet:
+    rows = [RatingObservation(key, t, v) for key, group in groups.items() for t, v in group]
+    rnd.shuffle(rows)
+    return ObservationSet(scale=WIDE, observations=tuple(rows))
+
+
+def in_trial_order(group) -> list[float]:
+    return [v for _, v in sorted(group)]
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def reference_fit(groups, fallback: SigmaFallback):
+    """(keys, mu, sigma, n_trials) per pair, one group at a time."""
+    keys = sorted(groups)
+    mu, sigma, n_trials = [], [], []
+    for key in keys:
+        values = np.asarray(in_trial_order(groups[key]))
+        mu.append(float(np.mean(values)))
+        sigma.append(float(np.std(values, ddof=1)) if values.size >= 2 else None)
+        n_trials.append(values.size)
+    multi = [s * s for s in sigma if s is not None]
+    if fallback.policy.value == "zero":
+        single = 0.0
+    elif fallback.policy.value == "fixed":
+        single = fallback.value
+    elif multi:
+        single = float(np.sqrt(np.mean(multi)))
+    else:
+        single = None
+    if single is None and None in sigma:
+        raise UnavailableError("no multi-trial pair to pool from")
+    sigma = [single if s is None else s for s in sigma]
+    return keys, mu, sigma, n_trials
+
+
+def reference_median_rule(groups, threshold: float, max_iterations: int):
+    """Median-rule de-noising of each group on Python lists."""
+    out, unconverged = {}, set()
+    for key in sorted(groups):
+        values = in_trial_order(groups[key])
+        converged = False
+        for _ in range(max_iterations):
+            if max(values) - min(values) <= threshold:
+                converged = True
+                break
+            med = statistics.median(values)
+            # max() keeps the first of equal distances: the lowest trial wins
+            far = max(range(len(values)), key=lambda i: abs(values[i] - med))
+            values[far] = med
+        if not converged and max(values) - min(values) > threshold:
+            unconverged.add(key)
+        out[key] = values
+    return out, unconverged
+
+
+def reference_redraw(groups, model, threshold: float, max_iterations: int, seed: int):
+    """Redraw de-noising with one generator per group, seeded by its key-order index."""
+    out, unconverged = {}, set()
+    for index, key in enumerate(sorted(groups)):
+        values = in_trial_order(groups[key])
+        rng = child_rng(seed, index)
+        mu, sigma = model[key]
+        converged = False
+        for _ in range(max_iterations):
+            if max(values) - min(values) <= threshold:
+                converged = True
+                break
+            med = statistics.median(values)
+            far = max(range(len(values)), key=lambda i: abs(values[i] - med))
+            retained = values[:far] + values[far + 1 :]
+            for _ in range(max_iterations):
+                draw = float(rng.normal(mu, sigma))
+                if all(abs(draw - r) <= threshold for r in retained):
+                    values[far] = draw
+                    break
+            else:
+                unconverged.add(key)
+                values[far] = med
+        if not converged and max(values) - min(values) > threshold:
+            unconverged.add(key)
+        out[key] = values
+    return out, unconverged
+
+
+def denoised_values(result) -> dict:
+    return {k: [o.value for o in g] for k, g in result.observations.grouped().items()}
+
+
+fallbacks = st.sampled_from(
+    [SigmaFallback.zero(), SigmaFallback.pooled(), SigmaFallback.fixed(0.5)]
+)
+
+
+class TestFitMatchesReference:
+    @given(observation_groups(), fallbacks, st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_bit_identical_in_key_order(self, groups, fallback, rnd):
+        obs = shuffled_set(groups, rnd)
+        try:
+            keys, mu, sigma, n_trials = reference_fit(groups, fallback)
+        except UnavailableError:
+            with pytest.raises(UnavailableError):
+                fit_uncertainty(obs, fallback)
+            return
+        data = fit_uncertainty(obs, fallback)
+        assert [e.key for e in data.entries] == keys
+        assert hexes(data.mu) == hexes(mu)
+        assert hexes(data.sigma) == hexes(sigma)
+        assert [e.n_trials for e in data.entries] == n_trials
+
+    def test_long_groups_sum_like_numpy(self):
+        # beyond 8 and 128 values numpy sums in blocks; the fit must follow
+        rng = np.random.default_rng(5)
+        groups = {
+            FeedbackKey(f"u{k:04d}", "i"): list(enumerate(rng.normal(3.0, 2.0, k).tolist()))
+            for k in (2, 7, 8, 9, 16, 127, 128, 129, 300, 1000)
+        }
+        obs = shuffled_set(groups, random.Random(0))
+        keys, mu, sigma, _ = reference_fit(groups, SigmaFallback.pooled())
+        data = fit_uncertainty(obs)
+        assert hexes(data.mu) == hexes(mu)
+        assert hexes(data.sigma) == hexes(sigma)
+
+
+class TestMedianRuleMatchesReference:
+    @given(
+        observation_groups(),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.sampled_from([1, 2, 25]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150)
+    def test_values_and_unconverged_keys(self, groups, threshold, iterations, rnd):
+        cfg = DenoiseConfig(threshold=threshold, max_iterations=iterations)
+        result = denoise_preprocess(shuffled_set(groups, rnd), None, cfg)
+        values, unconverged = reference_median_rule(groups, threshold, iterations)
+        got = denoised_values(result)
+        assert list(got) == list(values)
+        assert {k: hexes(v) for k, v in got.items()} == {k: hexes(v) for k, v in values.items()}
+        assert result.unconverged_keys == unconverged
+
+    def test_single_pass_exhaustion_flags_group(self):
+        # even size: the median is 5.0, and 1.0 and 9.0 tie at distance 4;
+        # the lower trial goes, and one pass leaves the group too wide
+        groups = {FeedbackKey("u", "i"): [(0, 1.0), (1, 9.0), (2, 4.0), (3, 6.0)]}
+        cfg = DenoiseConfig(threshold=1.0, max_iterations=1)
+        result = denoise_preprocess(shuffled_set(groups, random.Random(1)), None, cfg)
+        assert denoised_values(result) == {FeedbackKey("u", "i"): [5.0, 9.0, 4.0, 6.0]}
+        assert result.unconverged_keys == {FeedbackKey("u", "i")}
+
+
+class TestRedrawMatchesReference:
+    @given(
+        observation_groups(values=grid),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 3, 25]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60)
+    def test_same_draws_for_fixed_seed(self, groups, seed, iterations, rnd):
+        model = {key: (3.0, 0.3 + 0.1 * i) for i, key in enumerate(sorted(groups))}
+        truth = FeedbackDataset(
+            scale=WIDE,
+            entries=tuple(UncertainFeedback(k, m, s) for k, (m, s) in model.items()),
+        )
+        cfg = DenoiseConfig(
+            threshold=1.0,
+            max_iterations=iterations,
+            resampler=Resampler.REDRAW_FROM_MODEL,
+            seed=seed,
+        )
+        result = denoise_preprocess(shuffled_set(groups, rnd), truth, cfg)
+        values, unconverged = reference_redraw(groups, model, 1.0, iterations, seed)
+        got = denoised_values(result)
+        assert {k: hexes(v) for k, v in got.items()} == {k: hexes(v) for k, v in values.items()}
+        assert result.unconverged_keys == unconverged
+
+    def test_pinned_values(self):
+        # values of the per-row implementation this core replaced, for seed 11
+        groups = {
+            "u1": [1.0, 5.0, 3.0, 2.5],
+            "u2": [0.0, 6.0, 3.0],
+            "u3": [3.0, 3.1],
+            "u4": [9.0, 1.0, 5.0, 4.0, 4.5],
+        }
+        model = {"u1": (3.0, 0.8), "u2": (3.0, 0.5), "u3": (3.0, 0.1), "u4": (500.0, 0.01)}
+        obs = ObservationSet(
+            scale=WIDE,
+            observations=tuple(
+                RatingObservation(FeedbackKey(u, "i1"), t, v)
+                for u, vs in groups.items()
+                for t, v in enumerate(vs)
+            ),
+        )
+        truth = FeedbackDataset(
+            scale=WIDE,
+            entries=tuple(
+                UncertainFeedback(FeedbackKey(u, "i1"), m, s) for u, (m, s) in model.items()
+            ),
+        )
+        cfg = DenoiseConfig(
+            threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=11, max_iterations=6
+        )
+        result = denoise_preprocess(obs, truth, cfg)
+        assert {k.user_id: v for k, v in denoised_values(result).items()} == {
+            "u1": [3.2458679345174057, 2.4766405576076815, 3.0, 2.5],
+            "u2": [3.0, 2.3478847538608787, 3.0],
+            "u3": [3.0, 3.1],
+            "u4": [4.5, 4.5, 5.0, 4.0, 4.5],
+        }
+        assert sorted(k.user_id for k in result.unconverged_keys) == ["u2", "u4"]

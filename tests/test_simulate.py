@@ -44,7 +44,7 @@ class TestGeneratePopulation:
 
     def test_zero_sigma_prior(self):
         truth = generate_population(spec(sigma_lo=0.0, sigma_hi=0.0))
-        assert np.all(truth.dataset.sigmas() == 0.0)
+        assert np.all(truth.dataset.sigma == 0.0)
 
     def test_deterministic(self):
         a = generate_population(spec())
@@ -54,7 +54,7 @@ class TestGeneratePopulation:
 
     def test_mu_within_scale(self):
         truth = generate_population(spec(n_users=30, n_items=30))
-        mus = truth.dataset.mus()
+        mus = truth.dataset.mu
         assert np.all(mus >= SCALE.min_value) and np.all(mus <= SCALE.max_value)
 
     def test_prediction_bias_prior(self):
@@ -171,6 +171,14 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             histogram([], 1.0)
+
+    def test_bin_count_is_bounded(self):
+        # 1e15 bins would be needed; rejected before anything is allocated
+        with pytest.raises(InputError, match="bins"):
+            histogram([0.0, 1e12], 1e-3)
+        # a span that overflows to inf is rejected the same way
+        with pytest.raises(InputError, match="bins"):
+            histogram([-1e308, 1e308], 1.0)
 
     def test_bad_width_rejected(self):
         with pytest.raises(InputError):
