@@ -23,21 +23,30 @@ distinguishability threshold on |s1 - s2| is 2 * 1.959964 * std, while the
 relation test flips at 1.644854 * sqrt(2) * std, a factor of about 1.68
 lower. Every distinguishable pair therefore also satisfies the relation
 test in the ordered direction, but not vice versa.
+
+The standard normal law comes from the standard library: the cdf is
+``0.5 * math.erfc(-z / sqrt(2))``, which keeps its relative accuracy in
+the far left tail where ``NormalDist().cdf`` cancels, and quantiles come
+from ``statistics.NormalDist().inv_cdf``. The 95% quantile is pinned to
+the correctly rounded double (scipy's ``norm.ppf(0.975)``) because
+``inv_cdf(0.975)`` lands one ulp lower and would move the interval bounds
+that ``distinguish`` reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import InputError
 from .feedback import FeedbackDataset
 
-# Exact two-sided 95% normal quantile (1.959964 to six decimals, not 1.96).
-Z_TWO_SIDED_95 = float(norm.ppf(0.975))
+# Exact two-sided 95% normal quantile (1.959964 to six decimals, not 1.96),
+# pinned; see the module docstring.
+Z_TWO_SIDED_95 = 1.959963984540054
 
 RELATION_ALPHA = 0.05
 
@@ -115,10 +124,17 @@ def barrier_distribution(data: FeedbackDataset) -> BarrierDistribution:
 def confidence_interval(
     g: GaussianDistribution, level: float = 0.95
 ) -> tuple[float, float]:
-    """Two-sided interval ``mean +- z * std`` at the given coverage level."""
+    """Two-sided interval ``mean +- z * std`` at the given coverage level.
+
+    At level 0.95 ``z`` is ``Z_TWO_SIDED_95``, the quantile the
+    distinguishability verdict uses, so interval and verdict agree.
+    """
     if not (0.0 < level < 1.0):
         raise InputError(f"confidence level must lie in (0, 1), got {level}")
-    z = float(norm.ppf(0.5 + level / 2.0))
+    if level == 0.95:
+        z = Z_TWO_SIDED_95
+    else:
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
     margin = z * g.std
     return (g.mean - margin, g.mean + margin)
 
@@ -172,7 +188,7 @@ def relation_test(
         else:
             p_opposite = 0.0 if diff < 0 else 1.0
     else:
-        p_opposite = float(norm.cdf(diff / math.sqrt(variance)))
+        p_opposite = 0.5 * math.erfc(-diff / math.sqrt(variance) * math.sqrt(0.5))
     return RelationResult(p_opposite=p_opposite, holds=p_opposite < RELATION_ALPHA)
 
 

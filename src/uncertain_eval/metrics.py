@@ -5,7 +5,7 @@ chunk i draws from a child generator derived from (seed, i) and chunks are
 assembled in index order. Results are therefore bit-identical for a given
 seed regardless of how many worker threads run the chunks. The environment
 variable ``UNCERTAIN_EVAL_THREADS`` caps the worker count (0 or unset =
-auto).
+auto, at most ``MAX_THREADS``).
 
 Sampled ratings are deliberately not clamped to the rating scale here:
 the noise-floor algebra assumes unbounded Gaussians, and clamping would
@@ -35,6 +35,14 @@ _MAX_BLOCK_ELEMENTS = 4_000_000
 
 MIN_SAMPLE_COUNT = 100
 
+# Largest Monte Carlo run a call may allocate: the samples alone take
+# 8 bytes each, plus one array per chunk.
+MAX_SAMPLE_COUNT = 10_000_000
+
+# Largest worker cap ``UNCERTAIN_EVAL_THREADS`` may set; each worker is an
+# OS thread.
+MAX_THREADS = 256
+
 
 @dataclass(frozen=True, slots=True)
 class McConfig:
@@ -48,6 +56,10 @@ class McConfig:
         if self.sample_count < MIN_SAMPLE_COUNT:
             raise InputError(
                 f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {self.sample_count}"
+            )
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise InputError(
+                f"sample_count must be <= {MAX_SAMPLE_COUNT}, got {self.sample_count}"
             )
         validate_seed(self.seed)
         if self.predictor_tau is not None and not (
@@ -84,7 +96,10 @@ class MetricScoreDistribution:
 
 
 def resolve_thread_count() -> int:
-    """Worker cap from ``UNCERTAIN_EVAL_THREADS``; 0 or unset means auto."""
+    """Worker cap from ``UNCERTAIN_EVAL_THREADS``; 0 or unset means auto.
+
+    Values below 0 or above ``MAX_THREADS`` raise ``InputError``.
+    """
     raw = os.environ.get("UNCERTAIN_EVAL_THREADS", "").strip()
     if not raw:
         return os.cpu_count() or 1
@@ -96,6 +111,10 @@ def resolve_thread_count() -> int:
         ) from None
     if value < 0:
         raise InputError(f"UNCERTAIN_EVAL_THREADS must be >= 0, got {value}")
+    if value > MAX_THREADS:
+        raise InputError(
+            f"UNCERTAIN_EVAL_THREADS must be <= {MAX_THREADS}, got {value}"
+        )
     return value if value > 0 else (os.cpu_count() or 1)
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import norm
 
 from .barrier import (
     DistinguishabilityResult,
@@ -44,6 +43,10 @@ from .feedback import (
 )
 from .metrics import rmse
 from .rng import child_rng, validate_seed
+
+# Elementwise complementary error function (numpy has none): the two-sided
+# normal p-value of z is erfc(z / sqrt(2)).
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class Resampler(enum.Enum):
@@ -265,7 +268,7 @@ def omit_insignificant(
 
     p = np.ones(len(keys), dtype=float)
     positive = sigma > 0
-    p[positive] = 2.0 * norm.sf(np.abs(d[positive]) / sigma[positive])
+    p[positive] = _erfc(np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5))
     p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
 
     retained = p < cfg.alpha

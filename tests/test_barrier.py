@@ -95,6 +95,31 @@ class TestConfidenceInterval:
         # six-decimal quantile quoted throughout: 1.959964
         assert high == pytest.approx(1.959964, abs=1e-6)
 
+    def test_z_pinned_to_scipy(self):
+        # scipy.stats.norm.ppf(0.975); statistics.NormalDist gives one ulp less
+        assert Z_TWO_SIDED_95 == 1.959963984540054
+        # the library interval and the distinguish verdict share one quantile
+        assert confidence_interval(GaussianDistribution(0.0, 1.0), 0.95) == (
+            -Z_TWO_SIDED_95,
+            Z_TWO_SIDED_95,
+        )
+
+    # scipy.stats.norm.ppf(0.5 + level / 2)
+    @pytest.mark.parametrize(
+        "level, z",
+        [
+            (0.5, 0.6744897501960817),
+            (0.8, 1.2815515655446004),
+            (0.9, 1.6448536269514722),
+            (0.99, 2.5758293035489004),
+            (0.999, 3.2905267314919255),
+        ],
+    )
+    def test_quantile_matches_scipy(self, level, z):
+        low, high = confidence_interval(GaussianDistribution(0.0, 1.0), level)
+        assert high == pytest.approx(z, rel=1e-15, abs=0)
+        assert low == -high
+
     def test_degenerate(self):
         assert confidence_interval(GaussianDistribution(5.0, 0.0), 0.5) == (5.0, 5.0)
 
@@ -230,6 +255,24 @@ class TestRelationTest:
         )
         assert r.p_opposite == pytest.approx(0.9631808649398488, abs=1e-9)
         assert not r.holds
+
+    # scipy.stats.norm.cdf(z), down to the far left tail
+    @pytest.mark.parametrize(
+        "z, p",
+        [
+            (-8.0, 6.22096057427174e-16),
+            (-5.0, 2.866515718791933e-07),
+            (-3.0, 0.0013498980316300933),
+            (-0.25, 0.4012936743170763),
+            (1.0, 0.8413447460685429),
+            (2.5, 0.9937903346742238),
+        ],
+    )
+    def test_p_opposite_matches_scipy(self, z, p):
+        r = relation_test(
+            GaussianDistribution(z, 0.5), GaussianDistribution(0.0, 0.5)
+        )
+        assert r.p_opposite == pytest.approx(p, rel=1e-14, abs=0)
 
     def test_degenerate_pairs(self):
         point = GaussianDistribution(0.5, 0.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,23 @@ SPEC_JSON = {
     "density": 1.0,
     "seed": 77,
 }
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import uncertain_eval.cli, sys; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestFit:
@@ -214,6 +235,19 @@ class TestRmseDist:
             "--feedback", str(feedback),
             "--pred", str(pred),
             "--samples", "10",
+            "--seed", "1",
+        )
+        assert code == 2
+        assert "sample_count" in stderr
+
+    def test_sample_count_above_maximum_exits_2(self, capsys, tmp_path):
+        feedback, pred = self._write_inputs(tmp_path, n=10)
+        code, _, stderr = run_cli(
+            capsys,
+            "rmse-dist",
+            "--feedback", str(feedback),
+            "--pred", str(pred),
+            "--samples", str(10**13),
             "--seed", "1",
         )
         assert code == 2

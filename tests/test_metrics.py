@@ -15,6 +15,7 @@ from uncertain_eval import (
     rmse_distribution,
     variance_match_check,
 )
+from uncertain_eval.metrics import MAX_SAMPLE_COUNT, MAX_THREADS, resolve_thread_count
 
 SCALE = RatingScale(1.0, 5.0)
 
@@ -59,6 +60,12 @@ class TestMcConfig:
         with pytest.raises(InputError):
             McConfig(sample_count=10, seed=1)
 
+    @pytest.mark.parametrize("count", [MAX_SAMPLE_COUNT + 1, 10**13])
+    def test_rejects_sample_count_above_maximum(self, count):
+        # raised in the constructor, before any sample is allocated
+        with pytest.raises(InputError, match="sample_count"):
+            McConfig(sample_count=count, seed=1)
+
     def test_rejects_negative_tau(self):
         with pytest.raises(InputError):
             McConfig(sample_count=100, seed=1, predictor_tau=-0.1)
@@ -68,6 +75,21 @@ class TestMcConfig:
             McConfig(sample_count=100, seed=-1)
         with pytest.raises(InputError):
             McConfig(sample_count=100, seed=2**64)
+
+
+class TestResolveThreadCount:
+    @pytest.mark.parametrize(
+        "raw, expected", [("1", 1), ("8", 8), (str(MAX_THREADS), MAX_THREADS)]
+    )
+    def test_accepts_explicit_cap(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", raw)
+        assert resolve_thread_count() == expected
+
+    @pytest.mark.parametrize("raw", ["-1", str(MAX_THREADS + 1), "100000", "many"])
+    def test_rejects_invalid_or_out_of_range(self, monkeypatch, raw):
+        monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", raw)
+        with pytest.raises(InputError, match="UNCERTAIN_EVAL_THREADS"):
+            resolve_thread_count()
 
 
 class TestRmseDistribution:

@@ -268,6 +268,48 @@ class TestOmission:
         loose = omit_insignificant(data, predictions, ratings, OmissionConfig(0.10))
         assert tight.retained_keys <= loose.retained_keys
 
+    # |d| / sigma just either side of the two-sided critical value, which
+    # scipy.stats.norm.isf(alpha / 2) puts at 1.959964, 4.891638 and
+    # 0.674490; scipy's 2 * norm.sf gives p = 0.0500075 / 0.0499841,
+    # 1.0002e-06 / 9.9969e-07 and 0.500057 / 0.499930
+    @pytest.mark.parametrize(
+        "alpha, below, above",
+        [(0.05, 1.9599, 1.9601), (1e-6, 4.8916, 4.8917), (0.5, 0.6744, 0.6746)],
+    )
+    def test_retained_set_pinned_to_scipy(self, alpha, below, above):
+        sigmas = [0.5, 0.5, 2.0, 2.0]
+        deviations = [0.5 * below, 0.5 * above, -2.0 * below, -2.0 * above]
+        data, predictions, ratings = omission_fixture(sigmas, deviations)
+        result = omit_insignificant(data, predictions, ratings, OmissionConfig(alpha))
+        assert {k.user_id for k in result.retained_keys} == {"u00001", "u00003"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+                st.floats(min_value=-10.0, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(min_value=1e-9, max_value=0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_retained_set_matches_per_pair_erfc(self, rows, alpha):
+        sigmas, deviations = zip(*rows)
+        data, predictions, ratings = omission_fixture(sigmas, deviations)
+        result = omit_insignificant(data, predictions, ratings, OmissionConfig(alpha))
+        expected = set()
+        for entry in data.entries:
+            d = ratings[entry.key] - predictions[entry.key]
+            if entry.sigma > 0:
+                p = math.erfc(abs(d) / entry.sigma * math.sqrt(0.5))
+            else:
+                p = 0.0 if d != 0.0 else 1.0
+            if p < alpha:
+                expected.add(entry.key)
+        assert result.retained_keys == expected
+
     def test_bad_alpha_rejected(self):
         with pytest.raises(InputError):
             OmissionConfig(alpha=0.0)
