@@ -4,7 +4,8 @@ JSON results go to standard output, CSVs to files, diagnostics to standard
 error. Exit codes: 0 success, 2 input/config error, 1 internal error; test
 verdicts never affect exit codes. Every file-writing command records a run
 manifest next to its outputs; re-running with the manifest's settings
-reproduces the outputs byte for byte.
+reproduces the outputs byte for byte. A population spec is parsed and
+recorded by the fields of the ``PopulationSpec`` dataclass.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import argparse
 import json
 import secrets
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -23,13 +25,7 @@ from .barrier import (
     distinguishability_test,
 )
 from .errors import InputError, UnavailableError
-from .feedback import (
-    FeedbackDataset,
-    RatingScale,
-    SigmaFallback,
-    fit_uncertainty,
-    pooled_sigma,
-)
+from .feedback import SigmaFallback, fit_uncertainty, pooled_sigma
 from .io import (
     read_feedback,
     read_observations,
@@ -61,15 +57,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "config": self.config,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
 def _print_json(obj) -> None:
@@ -149,12 +137,6 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     if args.obs is None and args.feedback is None:
         raise InputError("need --obs and/or --feedback")
 
-    observations = read_observations(args.obs) if args.obs is not None else None
-    data: FeedbackDataset | None = (
-        read_feedback(args.feedback) if args.feedback is not None else None
-    )
-    predictions = read_predictions(args.pred)
-
     denoise = None
     if args.denoise_threshold is not None:
         denoise = DenoiseConfig(
@@ -166,17 +148,18 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
 
     omission = OmissionConfig(alpha=args.omit_alpha) if args.omit_alpha is not None else None
 
-    # The redraw policy needs a generating model; an explicit feedback file
-    # plays that role, otherwise the fit of the observations stands in.
-    truth = data
-    if truth is None and denoise is not None and denoise.resampler is Resampler.REDRAW_FROM_MODEL:
-        truth = fit_uncertainty(observations)
+    observations = read_observations(args.obs) if args.obs is not None else None
+    feedback = read_feedback(args.feedback) if args.feedback is not None else None
+    predictions = read_predictions(args.pred)
+    # The scored dataset is also the redraw policy's generating model: the
+    # feedback file when given, otherwise the fit of the observations.
+    data = feedback if feedback is not None else fit_uncertainty(observations)
 
     reports = run_strategy_comparison(
         predictions,
         observations=observations,
         data=data,
-        truth=truth,
+        truth=data,
         denoise=denoise,
         predictor_tau=args.tau,
         omission=omission,
@@ -185,25 +168,42 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     return 0
 
 
-_SPEC_FIELDS = {
-    "n_users",
-    "n_items",
-    "scale",
-    "sigma_lo",
-    "sigma_hi",
-    "density",
-    "seed",
-    "bias_lo",
-    "bias_hi",
-}
-_SCALE_FIELDS = {"min_value", "max_value", "discrete_step"}
+def _from_json(cls, raw: dict, name: str):
+    """Build the dataclass ``cls`` from the JSON object ``raw`` by its declared fields.
+
+    Fields without a default are required; a dataclass field is a nested object.
+    """
+    declared = fields(cls)
+    types = typing.get_type_hints(cls)
+    names = [f.name for f in declared]
+    for key in raw:
+        if key not in names:
+            raise InputError(f"unknown {name} field {key!r}")
+    for f in declared:
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise InputError(f"{name} is missing required field {f.name!r}")
+    values = {}
+    for key in (key for key in names if key in raw):
+        value, kind = raw[key], types[key]
+        if is_dataclass(kind):
+            if not isinstance(value, dict):
+                raise InputError(f"{name} field {key!r} must be a JSON object")
+            values[key] = _from_json(kind, value, key)
+        elif value is None and type(None) in typing.get_args(kind):
+            values[key] = None
+        else:
+            try:
+                # ``float | None`` converts with its first member
+                values[key] = (typing.get_args(kind) or (kind,))[0](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"bad spec value: {exc}") from exc
+    return cls(**values)
 
 
-def _load_population_spec(text: str) -> tuple[PopulationSpec, bool]:
+def _load_population_spec(text: str) -> PopulationSpec:
     """Parse a population spec from inline JSON or a JSON file path.
 
-    Returns the spec and whether its seed came from the input (as opposed
-    to being generated here).
+    An omitted seed is generated here, so the spec always records one.
     """
     candidate = Path(text)
     if not text.lstrip().startswith("{"):
@@ -216,71 +216,12 @@ def _load_population_spec(text: str) -> tuple[PopulationSpec, bool]:
         raise InputError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("spec must be a JSON object")
-
-    for name in raw:
-        if name not in _SPEC_FIELDS:
-            raise InputError(f"unknown spec field {name!r}")
-    for name in ("n_users", "n_items", "scale", "sigma_lo", "sigma_hi"):
-        if name not in raw:
-            raise InputError(f"spec is missing required field {name!r}")
-    scale_raw = raw["scale"]
-    if not isinstance(scale_raw, dict):
-        raise InputError("spec field 'scale' must be a JSON object")
-    for name in scale_raw:
-        if name not in _SCALE_FIELDS:
-            raise InputError(f"unknown scale field {name!r}")
-    for name in ("min_value", "max_value"):
-        if name not in scale_raw:
-            raise InputError(f"scale is missing required field {name!r}")
-
-    seed_given = "seed" in raw
-    try:
-        scale = RatingScale(
-            min_value=float(scale_raw["min_value"]),
-            max_value=float(scale_raw["max_value"]),
-            discrete_step=(
-                float(scale_raw["discrete_step"])
-                if scale_raw.get("discrete_step") is not None
-                else None
-            ),
-        )
-        spec = PopulationSpec(
-            n_users=int(raw["n_users"]),
-            n_items=int(raw["n_items"]),
-            scale=scale,
-            sigma_lo=float(raw["sigma_lo"]),
-            sigma_hi=float(raw["sigma_hi"]),
-            density=float(raw.get("density", 1.0)),
-            seed=int(raw["seed"]) if seed_given else _generate_seed(),
-            bias_lo=float(raw.get("bias_lo", 0.0)),
-            bias_hi=float(raw.get("bias_hi", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"bad spec value: {exc}") from exc
-    return spec, seed_given
-
-
-def _spec_to_config(spec: PopulationSpec) -> dict:
-    return {
-        "n_users": spec.n_users,
-        "n_items": spec.n_items,
-        "scale": {
-            "min_value": spec.scale.min_value,
-            "max_value": spec.scale.max_value,
-            "discrete_step": spec.scale.discrete_step,
-        },
-        "sigma_lo": spec.sigma_lo,
-        "sigma_hi": spec.sigma_hi,
-        "density": spec.density,
-        "bias_lo": spec.bias_lo,
-        "bias_hi": spec.bias_hi,
-    }
+    raw.setdefault("seed", _generate_seed())
+    return _from_json(PopulationSpec, raw, "spec")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec, _ = _load_population_spec(args.spec)
+    spec = _load_population_spec(args.spec)
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
 
@@ -299,9 +240,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     manifest = RunManifest(
         command="simulate",
-        inputs={},
         config={
-            "spec": _spec_to_config(spec),
+            # the seed is recorded once, at the manifest's top level
+            "spec": {k: v for k, v in asdict(spec).items() if k != "seed"},
             "trials": args.trials,
             "discretise": args.discretise,
         },

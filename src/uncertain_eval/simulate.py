@@ -34,6 +34,11 @@ _TRIAL_STREAM = 1
 # Largest histogram a call may allocate.
 MAX_HISTOGRAM_BINS = 1_000_000
 
+# Largest population (n_users * n_items) and trial draw (pairs * trials) a
+# call may allocate: a few numpy columns per pair or row, two ids per pair.
+MAX_POPULATION_PAIRS = 10_000_000
+MAX_OBSERVATION_ROWS = 50_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class PopulationSpec:
@@ -60,6 +65,11 @@ class PopulationSpec:
             raise InputError(f"n_users must be >= 1, got {self.n_users}")
         if self.n_items < 1:
             raise InputError(f"n_items must be >= 1, got {self.n_items}")
+        if self.n_users * self.n_items > MAX_POPULATION_PAIRS:
+            raise InputError(
+                f"n_users * n_items must be <= {MAX_POPULATION_PAIRS}, got "
+                f"{self.n_users} * {self.n_items}"
+            )
         if not (
             math.isfinite(self.sigma_lo)
             and math.isfinite(self.sigma_hi)
@@ -148,6 +158,11 @@ def draw_trials(
     """
     if k < 1:
         raise InputError(f"trials per pair must be >= 1, got {k}")
+    if truth.dataset.N * k > MAX_OBSERVATION_ROWS:
+        raise InputError(
+            f"{truth.dataset.N} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} "
+            f"observation rows"
+        )
     validate_seed(seed)
     scale = truth.dataset.scale
     if discretise and scale.discrete_step is None:

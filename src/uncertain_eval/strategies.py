@@ -220,6 +220,11 @@ def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, cfg: DenoiseConf
     return None
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InputError(f"tau must be finite and >= 0, got {tau}")
+
+
 def predictor_noise_deviation(
     fb: UncertainFeedback, prediction: float, tau: float
 ) -> GaussianDistribution:
@@ -230,8 +235,7 @@ def predictor_noise_deviation(
     """
     if not math.isfinite(prediction):
         raise InputError(f"prediction must be finite, got {prediction}")
-    if not (math.isfinite(tau) and tau >= 0):
-        raise InputError(f"tau must be finite and >= 0, got {tau}")
+    _check_tau(tau)
     return GaussianDistribution(
         mean=fb.mu - prediction, variance=fb.sigma**2 + tau**2
     )
@@ -307,6 +311,8 @@ def run_strategy_comparison(
     before/after are the expected metric at tau = 0 and tau, so that the
     tau = 0 limit is an exact identity.
     """
+    if predictor_tau is not None:
+        _check_tau(predictor_tau)
     if denoise is None and predictor_tau is None and omission is None:
         raise InputError("no strategy requested")
     if data is None:
@@ -336,8 +342,6 @@ def run_strategy_comparison(
         )
 
     if predictor_tau is not None:
-        if not (math.isfinite(predictor_tau) and predictor_tau >= 0):
-            raise InputError(f"tau must be finite and >= 0, got {predictor_tau}")
         d = data.mu - predictions.aligned(data.keys)
         sigma = data.sigma
         before = _expected_rmse(d, sigma, 0.0)

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uncertain_eval.cli import main
+from uncertain_eval import PopulationSpec, RatingScale
+from uncertain_eval.cli import _load_population_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +363,17 @@ class TestStrategies:
         assert report["strategy"] == "predictor_noise"
         assert report["mean_deviation_variance"] == pytest.approx(1.0)
 
+    def test_bad_alpha_exits_2_before_reading(self, capsys, tmp_path):
+        code, _, stderr = run_cli(
+            capsys,
+            "strategies",
+            "--obs", str(tmp_path / "missing_obs.csv"),
+            "--pred", str(tmp_path / "missing_pred.csv"),
+            "--omit-alpha", "2",
+        )
+        assert code == 2
+        assert stderr == "error: alpha must lie in (0, 1), got 2.0\n"
+
     def test_requires_some_input(self, capsys, tmp_path):
         pred = tmp_path / "pred.csv"
         pred.write_text("user_id,item_id,prediction\nu,i,3.0\n", encoding="utf-8")
@@ -440,6 +453,158 @@ class TestSimulate:
         )
         assert code == 2
         assert "sigma_lo" in stderr
+
+
+def test_readme_spec_example_matches_schema():
+    # the README's population-spec example loads and names every field
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A population spec looks like:", 1)[1]
+    block = block.split("```json\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    spec = _load_population_spec(block)
+    assert list(raw) == [f.name for f in fields(PopulationSpec)]
+    assert list(raw["scale"]) == [f.name for f in fields(RatingScale)]
+    assert asdict(spec) == raw
+
+
+def _without(mapping, name):
+    return {k: v for k, v in mapping.items() if k != name}
+
+
+def _with_scale(**changes):
+    return dict(SPEC_JSON, scale=dict(SPEC_JSON["scale"], **changes))
+
+
+SPEC_FAULTS = [
+    ("not_an_object", [1, 2], "spec must be a JSON object"),
+    ("unknown_field", dict(SPEC_JSON, typo_field=1), "unknown spec field 'typo_field'"),
+    *[
+        (f"missing_{name}", _without(SPEC_JSON, name),
+         f"spec is missing required field {name!r}")
+        for name in ("n_users", "n_items", "scale", "sigma_lo", "sigma_hi")
+    ],
+    ("scale_not_an_object", dict(SPEC_JSON, scale=5),
+     "spec field 'scale' must be a JSON object"),
+    ("unknown_scale_field", _with_scale(step=1), "unknown scale field 'step'"),
+    *[
+        (f"missing_{name}", dict(SPEC_JSON, scale=_without(SPEC_JSON["scale"], name)),
+         f"scale is missing required field {name!r}")
+        for name in ("min_value", "max_value")
+    ],
+    ("non_numeric_int", dict(SPEC_JSON, n_users="two"),
+     "bad spec value: invalid literal for int() with base 10: 'two'"),
+    ("non_numeric_float", dict(SPEC_JSON, sigma_lo="low"),
+     "bad spec value: could not convert string to float: 'low'"),
+    ("non_numeric_scale", _with_scale(max_value="top"),
+     "bad spec value: could not convert string to float: 'top'"),
+    ("null_float", dict(SPEC_JSON, density=None),
+     "bad spec value: float() argument must be a string or a real number, not 'NoneType'"),
+    ("scale_value_error", _with_scale(min_value=5.0, max_value=1.0),
+     "rating scale needs min_value < max_value, got [5.0, 1.0]"),
+]
+
+
+class TestPopulationSpec:
+    """The spec loader: each single fault exits 2 with one line naming it."""
+
+    def _simulate(self, capsys, tmp_path, spec, *extra):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        return run_cli(
+            capsys, "simulate", "--spec", str(spec_path), "--out-dir", str(tmp_path / "run"),
+            *extra,
+        )
+
+    @pytest.mark.parametrize(
+        "spec, message", [f[1:] for f in SPEC_FAULTS], ids=[f[0] for f in SPEC_FAULTS]
+    )
+    def test_single_fault_exits_2(self, capsys, tmp_path, spec, message):
+        code, stdout, stderr = self._simulate(capsys, tmp_path, spec)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (dict(SPEC_JSON, n_users=1e400), "cannot convert float infinity to integer"),
+            (dict(SPEC_JSON, sigma_hi=10**400), "int too large to convert to float"),
+        ],
+        ids=["infinite_int", "huge_float"],
+    )
+    def test_overflowing_value_exits_2(self, capsys, tmp_path, spec, message):
+        code, _, stderr = self._simulate(capsys, tmp_path, spec)
+        assert code == 2
+        assert stderr == f"error: bad spec value: {message}\n"
+
+    def test_population_above_bound_exits_2(self, capsys, tmp_path):
+        code, _, stderr = self._simulate(
+            capsys, tmp_path, dict(SPEC_JSON, n_users=10**6, n_items=10**6)
+        )
+        assert code == 2
+        assert stderr.startswith("error: n_users * n_items must be <= ")
+
+    def test_trials_above_bound_exits_2(self, capsys, tmp_path):
+        code, _, stderr = self._simulate(capsys, tmp_path, SPEC_JSON, "--trials", str(10**12))
+        assert code == 2
+        assert stderr.startswith(f"error: 4 pairs x {10**12} trials exceed ")
+        assert not (tmp_path / "run").exists()
+
+    def test_null_discrete_step_is_continuous(self, capsys, tmp_path):
+        code, _, _ = self._simulate(capsys, tmp_path, _with_scale(discrete_step=None))
+        assert code == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["spec"]["scale"]["discrete_step"] is None
+
+    def test_omitted_seed_is_generated_and_recorded(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("uncertain_eval.cli._generate_seed", lambda: 123456789)
+        code, _, _ = self._simulate(capsys, tmp_path, _without(SPEC_JSON, "seed"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["seed"] == 123456789
+        assert "seed" not in manifest["config"]["spec"]
+
+    def test_manifest_bytes(self, capsys, tmp_path, monkeypatch):
+        from uncertain_eval import __version__
+
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--spec", json.dumps(SPEC_JSON), "--trials", "3",
+            "--discretise", "--out-dir", "run",
+        )
+        assert code == 0
+        assert (tmp_path / "run" / "manifest.json").read_text(encoding="utf-8") == (
+            "{\n"
+            '  "command": "simulate",\n'
+            '  "inputs": {},\n'
+            '  "config": {\n'
+            '    "spec": {\n'
+            '      "n_users": 2,\n'
+            '      "n_items": 2,\n'
+            '      "scale": {\n'
+            '        "min_value": 1.0,\n'
+            '        "max_value": 5.0,\n'
+            '        "discrete_step": 1.0\n'
+            "      },\n"
+            '      "sigma_lo": 0.3,\n'
+            '      "sigma_hi": 0.8,\n'
+            '      "density": 1.0,\n'
+            '      "bias_lo": 0.0,\n'
+            '      "bias_hi": 0.0\n'
+            "    },\n"
+            '    "trials": 3,\n'
+            '    "discretise": true\n'
+            "  },\n"
+            '  "seed": 77,\n'
+            f'  "tool_version": "{__version__}",\n'
+            '  "outputs": [\n'
+            '    "run/observations.csv",\n'
+            '    "run/feedback.csv",\n'
+            '    "run/predictions.csv"\n'
+            "  ]\n"
+            "}\n"
+        )
 
 
 OBS_HEADER = "user_id,item_id,trial,rating\n"

@@ -15,6 +15,7 @@ from uncertain_eval import (
     generate_population,
     histogram,
 )
+from uncertain_eval.simulate import MAX_OBSERVATION_ROWS, MAX_POPULATION_PAIRS
 
 SCALE = RatingScale(1.0, 5.0, discrete_step=1.0)
 
@@ -74,6 +75,15 @@ class TestGeneratePopulation:
         with pytest.raises(InputError, match="sigma"):
             spec(sigma_lo=0.9, sigma_hi=0.2)
 
+    def test_pair_count_is_bounded(self):
+        # the bound holds at least 100x the benchmark's 90k pairs
+        assert MAX_POPULATION_PAIRS >= 100 * 90_000
+        spec(n_users=MAX_POPULATION_PAIRS, n_items=1)
+        # constructor only: nothing is generated
+        for n_users, n_items in [(MAX_POPULATION_PAIRS + 1, 1), (10**6, 10**6)]:
+            with pytest.raises(InputError, match=r"n_users \* n_items"):
+                spec(n_users=n_users, n_items=n_items)
+
 
 class TestDrawTrials:
     def test_zero_sigma_gives_constant_trials(self):
@@ -123,6 +133,15 @@ class TestDrawTrials:
         values = np.asarray([o.value for o in obs.observations])
         assert np.all(values <= 5.0)
         assert float(np.mean(values)) < 5.0
+
+    def test_row_count_is_bounded(self):
+        # the bound holds at least 100x the benchmark's 450k rows; one pair
+        # with too many trials is rejected before anything is drawn
+        assert MAX_OBSERVATION_ROWS >= 100 * 450_000
+        truth = generate_population(spec(n_users=1, n_items=1))
+        for k in (MAX_OBSERVATION_ROWS + 1, 10**15):
+            with pytest.raises(InputError, match=f"1 pairs x {k} trials"):
+                draw_trials(truth, k=k)
 
     def test_discretise_requires_step(self):
         truth = generate_population(spec(scale=RatingScale(1.0, 5.0)))

@@ -413,6 +413,21 @@ class TestStrategyComparison:
         with pytest.raises(InputError):
             run_strategy_comparison(predictions, data=None, observations=None)
 
+    def test_bad_tau_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking tau")
+
+        monkeypatch.setattr("uncertain_eval.strategies.fit_uncertainty", no_fit)
+        obs = obs_from_groups({"a": [2.0, 2.4], "b": [4.0, 3.6]})
+        predictions = PredictionSet({FeedbackKey("a", "i1"): 2.0, FeedbackKey("b", "i1"): 4.0})
+        with pytest.raises(InputError, match="tau must be finite and >= 0, got -1.0"):
+            run_strategy_comparison(
+                predictions,
+                observations=obs,
+                denoise=DenoiseConfig(threshold=1.0),
+                predictor_tau=-1.0,
+            )
+
     def test_report_json_schema(self):
         entries = (UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.5),)
         data = FeedbackDataset(scale=SCALE, entries=entries)
