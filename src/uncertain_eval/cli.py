@@ -41,6 +41,7 @@ from .strategies import (
     DenoiseConfig,
     OmissionConfig,
     Resampler,
+    check_strategy_request,
     run_strategy_comparison,
 )
 
@@ -147,6 +148,7 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
         )
 
     omission = OmissionConfig(alpha=args.omit_alpha) if args.omit_alpha is not None else None
+    check_strategy_request(denoise, args.tau, omission)
 
     observations = read_observations(args.obs) if args.obs is not None else None
     feedback = read_feedback(args.feedback) if args.feedback is not None else None

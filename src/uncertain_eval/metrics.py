@@ -7,6 +7,11 @@ seed regardless of how many worker threads run the chunks. The environment
 variable ``UNCERTAIN_EVAL_THREADS`` caps the worker count (0 or unset =
 auto, at most ``MAX_THREADS``).
 
+A sample draws one standard normal per pair, scaled by sigma, or by
+hypot(sigma, tau) with prediction noise tau: a rating N(mu, sigma^2) minus
+an independent prediction N(pi, tau^2) is N(mu - pi, sigma^2 + tau^2). The
+draws of a chunk land in one buffer that is reused block after block.
+
 Sampled ratings are deliberately not clamped to the rating scale here:
 the noise-floor algebra assumes unbounded Gaussians, and clamping would
 bias the variance comparison. Clamping exists only in the simulation
@@ -30,8 +35,8 @@ from .rng import child_rng, validate_seed
 
 CHUNK_SIZE = 1024
 
-# Bound on elements per draw block, to keep per-thread memory modest.
-_MAX_BLOCK_ELEMENTS = 4_000_000
+# Bound on elements per draw block: one reused 2 MiB buffer per thread.
+_MAX_BLOCK_ELEMENTS = 262_144
 
 MIN_SAMPLE_COUNT = 100
 
@@ -139,21 +144,23 @@ def _sample_chunk(
     chunk_index: int,
     n_samples: int,
     base: np.ndarray,
-    sigma: np.ndarray,
-    tau: float | None,
+    scale: np.ndarray,
     seed: int,
 ) -> np.ndarray:
     rng = child_rng(seed, chunk_index)
     n_pairs = base.size
     out = np.empty(n_samples, dtype=float)
-    max_rows = max(1, _MAX_BLOCK_ELEMENTS // max(n_pairs, 1))
+    max_rows = max(1, min(n_samples, _MAX_BLOCK_ELEMENTS // max(n_pairs, 1)))
+    buf = np.empty((max_rows, n_pairs), dtype=float)
     pos = 0
     while pos < n_samples:
         rows = min(max_rows, n_samples - pos)
-        dev = base[None, :] + sigma[None, :] * rng.standard_normal((rows, n_pairs))
-        if tau is not None:
-            dev = dev - tau * rng.standard_normal((rows, n_pairs))
-        out[pos : pos + rows] = np.sqrt(np.mean(dev * dev, axis=1))
+        dev = buf[:rows]
+        rng.standard_normal(out=dev)
+        dev *= scale
+        dev += base
+        np.multiply(dev, dev, out=dev)
+        out[pos : pos + rows] = np.sqrt(np.mean(dev, axis=1))
         pos += rows
     return out
 
@@ -166,8 +173,12 @@ def rmse_distribution(
     Each Monte Carlo sample draws one rating per pair from N(mu, sigma^2)
     (and, with ``predictor_tau`` set, one prediction per pair from
     N(pi, tau^2)), then scores the rating-minus-prediction deviations.
+    The deviation of a pair is N(mu - pi, sigma^2 + tau^2), so it is drawn
+    as one standard normal scaled by hypot(sigma, tau).
     """
     base = data.mu - predictions.aligned(data.keys)
+    tau = cfg.predictor_tau
+    scale = data.sigma if tau is None else np.hypot(data.sigma, tau)
 
     n_chunks = -(-cfg.sample_count // CHUNK_SIZE)
     sizes = [
@@ -175,7 +186,7 @@ def rmse_distribution(
     ]
 
     def run(i: int) -> np.ndarray:
-        return _sample_chunk(i, sizes[i], base, data.sigma, cfg.predictor_tau, cfg.seed)
+        return _sample_chunk(i, sizes[i], base, scale, cfg.seed)
 
     workers = min(resolve_thread_count(), n_chunks)
     if workers > 1:

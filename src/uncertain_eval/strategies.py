@@ -287,6 +287,18 @@ def omit_insignificant(
     )
 
 
+def check_strategy_request(
+    denoise: DenoiseConfig | None,
+    predictor_tau: float | None,
+    omission: OmissionConfig | None,
+) -> None:
+    """Reject a comparison with no strategy or a bad tau, before any data is read."""
+    if predictor_tau is not None:
+        _check_tau(predictor_tau)
+    if denoise is None and predictor_tau is None and omission is None:
+        raise InputError("no strategy requested")
+
+
 def _expected_rmse(d: np.ndarray, sigma: np.ndarray, tau: float) -> float:
     # sqrt of the expected squared metric; exact for the Gaussian deviation law
     return float(np.sqrt(np.mean(d * d + sigma * sigma) + tau * tau))
@@ -311,10 +323,7 @@ def run_strategy_comparison(
     before/after are the expected metric at tau = 0 and tau, so that the
     tau = 0 limit is an exact identity.
     """
-    if predictor_tau is not None:
-        _check_tau(predictor_tau)
-    if denoise is None and predictor_tau is None and omission is None:
-        raise InputError("no strategy requested")
+    check_strategy_request(denoise, predictor_tau, omission)
     if data is None:
         if observations is None:
             raise InputError("need observations or a fitted dataset")

@@ -374,6 +374,27 @@ class TestStrategies:
         assert code == 2
         assert stderr == "error: alpha must lie in (0, 1), got 2.0\n"
 
+    def test_bad_tau_exits_2_before_reading(self, capsys, tmp_path):
+        code, _, stderr = run_cli(
+            capsys,
+            "strategies",
+            "--obs", str(tmp_path / "missing_obs.csv"),
+            "--pred", str(tmp_path / "missing_pred.csv"),
+            "--tau", "-1",
+        )
+        assert code == 2
+        assert stderr == "error: tau must be finite and >= 0, got -1.0\n"
+
+    def test_no_strategy_exits_2_before_reading(self, capsys, tmp_path):
+        code, _, stderr = run_cli(
+            capsys,
+            "strategies",
+            "--obs", str(tmp_path / "missing_obs.csv"),
+            "--pred", str(tmp_path / "missing_pred.csv"),
+        )
+        assert code == 2
+        assert stderr == "error: no strategy requested\n"
+
     def test_requires_some_input(self, capsys, tmp_path):
         pred = tmp_path / "pred.csv"
         pred.write_text("user_id,item_id,prediction\nu,i,3.0\n", encoding="utf-8")

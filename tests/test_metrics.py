@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from uncertain_eval import (
     rmse_distribution,
     variance_match_check,
 )
+from uncertain_eval import metrics
 from uncertain_eval.metrics import MAX_SAMPLE_COUNT, MAX_THREADS, resolve_thread_count
 
 SCALE = RatingScale(1.0, 5.0)
@@ -30,6 +33,21 @@ def make_dataset(rows) -> FeedbackDataset:
 
 def perfect_predictions(data: FeedbackDataset) -> PredictionSet:
     return PredictionSet({e.key: e.mu for e in data.entries})
+
+
+def biased_pairs(n: int, seed: int = 2024):
+    """``n`` pairs with spread sigma and predictions off mu by a bias b."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(1.0, 5.0, n)
+    sigma = rng.uniform(0.1, 1.5, n)
+    bias = rng.normal(0.0, 0.8, n)
+    data = make_dataset(
+        [(f"u{i:05d}", float(mu[i]), float(sigma[i])) for i in range(n)]
+    )
+    predictions = PredictionSet(
+        {FeedbackKey(f"u{i:05d}", "i1"): float(mu[i] + bias[i]) for i in range(n)}
+    )
+    return data, predictions
 
 
 class TestPointRmse:
@@ -162,9 +180,10 @@ class TestRmseDistribution:
         assert dist.mean >= 0.0
         assert dist.variance >= 0.0
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
+    @staticmethod
+    def _assert_thread_count_independent(monkeypatch, tau):
         data = make_dataset([(f"u{i}", 3.0, 0.7) for i in range(50)])
-        cfg = McConfig(4096, seed=123)
+        cfg = McConfig(4096, seed=123, predictor_tau=tau)
         monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", "1")
         serial = rmse_distribution(data, perfect_predictions(data), cfg)
         monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", "4")
@@ -173,11 +192,88 @@ class TestRmseDistribution:
         assert serial.mean == threaded.mean
         assert serial.variance == threaded.variance
 
+    def test_deterministic_across_thread_counts(self, monkeypatch):
+        self._assert_thread_count_independent(monkeypatch, None)
+
+    def test_deterministic_across_thread_counts_with_tau(self, monkeypatch):
+        self._assert_thread_count_independent(monkeypatch, 1.0)
+
     def test_missing_prediction_key(self):
         data = make_dataset([("u1", 3.0, 0.5), ("u2", 3.0, 0.5)])
         predictions = PredictionSet({FeedbackKey("u1", "i1"): 3.0})
         with pytest.raises(InputError, match="u2"):
             rmse_distribution(data, predictions, McConfig(200, seed=1))
+
+
+class TestSampler:
+    """The bytes and the law of the Monte Carlo samples."""
+
+    def test_samples_without_tau_are_pinned(self):
+        data, predictions = biased_pairs(50)
+        dist = rmse_distribution(data, predictions, McConfig(3000, seed=77))
+        assert hashlib.sha256(dist.samples.tobytes()).hexdigest() == (
+            "5eef4fa2e74d07d2df76195c0844aa590a79b94b8da8f99cada14ba8fa9d38b3"
+        )
+
+    # at tau = 0 the widened dataset is the dataset itself: tau 0 is no tau
+    @pytest.mark.parametrize("tau", [1.0, 0.35, 0.0])
+    def test_tau_is_one_draw_of_scale_hypot_sigma_tau(self, tau):
+        data, predictions = biased_pairs(50)
+        widened = FeedbackDataset.from_columns(
+            SCALE, data.keys, np.arange(data.N), data.mu,
+            np.hypot(data.sigma, tau), data.n_trials,
+        )
+        noisy = rmse_distribution(
+            data, predictions, McConfig(3000, seed=77, predictor_tau=tau)
+        )
+        plain = rmse_distribution(widened, predictions, McConfig(3000, seed=77))
+        assert noisy.samples.tobytes() == plain.samples.tobytes()
+
+    @pytest.mark.parametrize("tau", [None, 1.0])
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch, tau):
+        data, predictions = biased_pairs(50)
+        cfg = McConfig(3000, seed=77, predictor_tau=tau)
+        reference = rmse_distribution(data, predictions, cfg).samples.tobytes()
+        for block in (1, data.N, 7 * data.N + 3):
+            monkeypatch.setattr(metrics, "_MAX_BLOCK_ELEMENTS", block)
+            samples = rmse_distribution(data, predictions, cfg).samples
+            assert samples.tobytes() == reference, block
+
+    def test_delta_law_oracle_with_tau(self):
+        data, predictions = biased_pairs(500)
+        tau = 1.0
+        n = 20000
+        dist = rmse_distribution(
+            data, predictions, McConfig(n, seed=2017, predictor_tau=tau)
+        )
+        b2 = (data.mu - predictions.aligned(data.keys)) ** 2
+        s2 = data.sigma**2 + tau**2
+        total = float(np.sum(b2 + s2))
+        mean = math.sqrt(total / data.N)
+        variance = float(np.sum(2 * s2**2 + 4 * b2 * s2)) / (4 * data.N * total)
+
+        centred = dist.samples - dist.mean
+        mean_se = math.sqrt(dist.variance / n)
+        variance_se = math.sqrt(
+            (float(np.mean(centred**4)) - dist.variance**2) / n
+        )
+        assert abs(dist.mean - mean) < 6 * mean_se
+        assert abs(dist.variance - variance) < 6 * variance_se
+
+    def test_peak_memory_is_bounded_with_tau(self, monkeypatch):
+        # 20k pairs x 2048 samples: all draws at once would take 312 MiB
+        monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", "1")
+        n = 20000
+        data = make_dataset([(f"u{i:05d}", 3.0, 0.8) for i in range(n)])
+        predictions = PredictionSet.from_columns(data.keys, np.arange(n), np.full(n, 3.5))
+        cfg = McConfig(2048, seed=5, predictor_tau=1.0)
+        tracemalloc.start()
+        try:
+            rmse_distribution(data, predictions, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestVarianceMatch:
