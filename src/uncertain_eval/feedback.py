@@ -60,12 +60,41 @@ class FeedbackKey:
     item_id: str
 
 
-def _codes(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct names, and the position of each name among them."""
-    distinct = sorted(dict.fromkeys(names))
-    position = {name: i for i, name in enumerate(distinct)}
-    codes = np.fromiter(map(position.__getitem__, names), dtype=np.intp, count=len(names))
-    return np.array(distinct, dtype=object), codes
+class Interner:
+    """Codes of names fed in chunks, ranked by code point once all are in.
+
+    ``add`` gives each new name the next code, in first-seen order;
+    ``ranked`` maps those codes to the names' sorted positions.
+    """
+
+    __slots__ = ("_code", "_chunks")
+
+    def __init__(self) -> None:
+        self._code: dict[str, int] = {}
+        self._chunks: list[np.ndarray] = []
+
+    def add(self, names: Sequence[str]) -> None:
+        code = self._code
+        for name in dict.fromkeys(names):
+            code.setdefault(name, len(code))
+        codes = np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=len(names))
+        self._chunks.append(codes)
+
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct names, and the position of each fed name among them."""
+        names = list(self._code)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[order] = np.arange(len(names))
+        codes = np.concatenate(self._chunks) if self._chunks else np.empty(0, dtype=np.intp)
+        return np.array([names[i] for i in order], dtype=object), rank[codes]
+
+    @classmethod
+    def of(cls, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``ranked`` of ``names`` fed as one chunk."""
+        interner = cls()
+        interner.add(names)
+        return interner.ranked()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -83,8 +112,14 @@ class KeyTable:
     @classmethod
     def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:
         """Table of the distinct pairs among the rows, and each row's position."""
-        user_names, user_codes = _codes(users)
-        item_names, item_codes = _codes(items)
+        return cls.from_codes(Interner.of(users), Interner.of(items))
+
+    @classmethod
+    def from_codes(
+        cls, users: tuple[np.ndarray, np.ndarray], items: tuple[np.ndarray, np.ndarray]
+    ) -> tuple["KeyTable", np.ndarray]:
+        """``intern`` of rows given as ``Interner.ranked`` users and items."""
+        (user_names, user_codes), (item_names, item_codes) = users, items
         width = max(len(item_names), 1)
         pair_codes, pair = np.unique(user_codes * width + item_codes, return_inverse=True)
         table = cls(user_names[pair_codes // width], item_names[pair_codes % width])
@@ -341,6 +376,8 @@ class PredictionSet(_Columnar):
             raise InputError(
                 f"prediction for {keys.users[i]}/{keys.items[i]} must be finite"
             )
+        if len(keys) != len(pair):
+            raise InputError("prediction keys must be unique")
         self.keys = keys
         self.values = _scatter(pair, values, len(keys))
 

@@ -1,13 +1,22 @@
 """CSV formats for observations, feedback parameters and predictions.
 
-All files are UTF-8 with LF line endings and a ``.`` decimal separator.
-Headers are fixed:
+All files are UTF-8 with a ``.`` decimal separator. Records end in LF (the
+writers) or CRLF, and fields follow RFC 4180 quoting, so an id may hold any
+character but ``\r``, which the writers leave unquoted. Headers are fixed,
+in any column order, and a repeated column is rejected:
 
     observations: user_id,item_id,trial,rating
     feedback:     user_id,item_id,mu,sigma
     predictions:  user_id,item_id,prediction
     histogram:    bin_lo,bin_hi,count
     sample dump:  sample_index,score
+
+Reading turns a file into numpy columns in chunks: text without ``"`` and
+``\r`` is cut at line ends into pieces of about 256 KiB and split with
+``str.split``, any other text goes through ``csv.reader``. The columns go to
+the data set's ``from_columns``, which checks them vectorised. Only when a
+conversion or a check fails does a second pass walk the rows through
+``csv.reader`` to name the first bad one as ``path:line``.
 
 Neither the observation nor the feedback format persists a rating scale;
 on ingestion a continuous scale is inferred from the observed value range
@@ -18,14 +27,17 @@ from __future__ import annotations
 
 import csv
 import math
+from io import StringIO
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .feedback import (
     FeedbackDataset,
+    Interner,
     KeyTable,
     ObservationSet,
     PredictionSet,
@@ -43,17 +55,21 @@ SAMPLE_DUMP_HEADER = ["sample_index", "score"]
 # Trial indices are stored as 64-bit integers.
 _TRIAL_LIMIT = 2**63
 
+# Characters per piece of plain text, and rows per piece of other text:
+# pieces bound the field strings alive at once.
+_CHUNK_CHARS = 1 << 18
+_CHUNK_ROWS = 1 << 16
 
-def _read_rows(
-    path: Path, header: Sequence[str]
-) -> tuple[list[int], Iterator[tuple[int, list[str]]]]:
-    """Position of each ``header`` column, and the data rows with their line numbers."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    got = next(reader, None)
+# What a failed conversion or check raises on the vectorised path.
+_FAULTS = (InputError, ValueError, OverflowError, csv.Error)
+
+
+def _records(text: str) -> Iterator[list[str]]:
+    return csv.reader(StringIO(text, newline=""))
+
+
+def _positions(path: Path, header: Sequence[str], got: list[str] | None) -> list[int]:
+    """Position of each ``header`` column in the file's header ``got``."""
     if got is None:
         raise InputError(f"{path}: empty file, expected header {','.join(header)}")
     for column in header:
@@ -62,67 +78,162 @@ def _read_rows(
     for column in got:
         if column not in header:
             raise InputError(f"{path}: unexpected column {column!r} in header")
+    for column in header:
+        if got.count(column) > 1:
+            raise InputError(f"{path}: duplicate column {column!r} in header")
+    return [got.index(column) for column in header]
 
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        line = 1
-        for line, row in enumerate(reader, start=2):
-            yield line, row
-        if line == 1:
+
+def _split_pieces(text: str, start: int, width: int) -> Iterator[list[str]]:
+    """Fields of the lines of plain ``text[start:]``, piece by piece."""
+    stop = len(text) - text.endswith("\n")
+    while start < stop:
+        end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop)
+        end = stop if end < 0 else end
+        piece = text[start:end]
+        start = end + 1
+        if set(map(str.count, piece.split("\n"), repeat(","))) != {width - 1}:
+            raise ValueError("a row has the wrong number of fields")
+        yield piece.replace("\n", ",").split(",")
+
+
+def _csv_pieces(rows: Iterator[list[str]], width: int) -> Iterator[list[str]]:
+    """Fields of the ``csv.reader`` rows, piece by piece."""
+    while piece := list(islice(rows, _CHUNK_ROWS)):
+        if set(map(len, piece)) != {width}:
+            raise ValueError("a row has the wrong number of fields")
+        yield list(chain.from_iterable(piece))
+
+
+def _columns(pieces: Iterable[list[str]], index: Sequence[int], kinds: Sequence[type]):
+    """Key table, each row's pair and the numeric columns of the pieces' fields.
+
+    ``index`` holds the position of the user, the item and each numeric
+    column in a row; ``kinds`` converts each numeric field (int or float).
+    """
+    width = len(index)
+    users, items = Interner(), Interner()
+    numbers: list[list[np.ndarray]] = [[] for _ in kinds]
+    for flat in pieces:
+        users.add(flat[index[0] :: width])
+        items.add(flat[index[1] :: width])
+        for parts, j, kind in zip(numbers, index[2:], kinds):
+            column = flat[j::width]
+            dtype = np.int64 if kind is int else float
+            parts.append(np.fromiter(map(kind, column), dtype=dtype, count=len(column)))
+    keys, pair = KeyTable.from_codes(users.ranked(), items.ranked())
+    return keys, pair, [np.concatenate(parts) for parts in numbers] if len(pair) else []
+
+
+def _read(
+    path: str | Path,
+    header: Sequence[str],
+    kinds: Sequence[type],
+    build: Callable,
+    check_row: Callable[[list[str], Sequence[int], set], None],
+):
+    """``build(keys, pair, *numeric columns)`` of the CSV at ``path``.
+
+    ``check_row`` states the per-row rules of the format; it runs only when
+    reading or ``build`` fails, to name the first row that breaks them.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if '"' in text or "\r" in text:
+        rows = _records(text)
+        index = _positions(path, header, next(rows, None))
+        pieces = _csv_pieces(rows, len(header))
+    else:
+        end = text.find("\n") + 1 or len(text)
+        index = _positions(path, header, text[:end].rstrip("\n").split(",") if text else None)
+        pieces = _split_pieces(text, end, len(header))
+    try:
+        keys, pair, columns = _columns(pieces, index, kinds)
+        if not len(pair):
             raise InputError(f"{path}: no data rows")
+        return build(keys, pair, *columns)
+    except _FAULTS:
+        _diagnose(path, text, index, check_row)
+        raise
 
-    return [got.index(column) for column in header], rows()
+
+def _diagnose(path: Path, text: str, index: Sequence[int], check_row) -> None:
+    """Raise the ``path:line`` error of the first row that breaks ``check_row``."""
+    rows = _records(text)
+    seen: set = set()
+    try:
+        next(rows)
+        for row in rows:
+            check_row(row, index, seen)
+            if len(row) > len(index):
+                raise InputError("row has too many fields")
+    except (InputError, csv.Error) as exc:
+        raise InputError(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def _cell(row: list[str], index: int, path: Path, line: int) -> str:
+def _cell(row: list[str], index: int) -> str:
     try:
         return row[index]
     except IndexError:
-        raise InputError(f"{path}:{line}: row has too few fields") from None
+        raise InputError("row has too few fields") from None
 
 
-def _parse_float(text: str, name: str, path: Path, line: int) -> float:
+def _parse_float(text: str, name: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        raise InputError(f"{path}:{line}: bad {name} value {text!r}") from None
-    return value
+        raise InputError(f"bad {name} value {text!r}") from None
+
+
+def _first(seen: set, key: tuple[str, str], what: str) -> None:
+    if key in seen:
+        raise InputError(f"duplicate {what} for {key[0]}/{key[1]}")
+    seen.add(key)
 
 
 def _infer_scale(values: np.ndarray) -> RatingScale:
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
-        hi = lo + 1.0
+        # one unit up; one float towards zero where a unit is below float spacing
+        if lo + 1.0 > lo:
+            hi = lo + 1.0
+        elif lo < 0:
+            hi = math.nextafter(lo, 0.0)
+        else:
+            lo = math.nextafter(lo, 0.0)
     return RatingScale(min_value=lo, max_value=hi)
+
+
+def _observation_row(row: list[str], index: Sequence[int], seen: set) -> None:
+    u, i, t, r = index
+    _cell(row, u)
+    _cell(row, i)
+    trial_text = _cell(row, t)
+    try:
+        trial = int(trial_text)
+    except ValueError:
+        raise InputError(f"bad trial value {trial_text!r}") from None
+    if trial < 0:
+        raise InputError(f"trial must be non-negative, got {trial}")
+    if trial >= _TRIAL_LIMIT:
+        raise InputError(f"trial must be below 2**63, got {trial}")
+    value = _parse_float(_cell(row, r), "rating")
+    if not math.isfinite(value):
+        raise InputError(f"rating value must be finite, got {value}")
 
 
 def read_observations(
     path: str | Path, scale: RatingScale | None = None
 ) -> ObservationSet:
-    path = Path(path)
-    (u, i, t, r), rows = _read_rows(path, OBSERVATION_HEADER)
-    users, items, trials, values = [], [], [], []
-    for line, row in rows:
-        users.append(_cell(row, u, path, line))
-        items.append(_cell(row, i, path, line))
-        trial_text = _cell(row, t, path, line)
-        try:
-            trial = int(trial_text)
-        except ValueError:
-            raise InputError(f"{path}:{line}: bad trial value {trial_text!r}") from None
-        if trial < 0:
-            raise InputError(f"{path}:{line}: trial must be non-negative, got {trial}")
-        if trial >= _TRIAL_LIMIT:
-            raise InputError(f"{path}:{line}: trial must be below 2**63, got {trial}")
-        trials.append(trial)
-        value = _parse_float(_cell(row, r, path, line), "rating", path, line)
-        if not math.isfinite(value):
-            raise InputError(f"{path}:{line}: rating value must be finite, got {value}")
-        values.append(value)
-    keys, pair = KeyTable.intern(users, items)
-    value_column = np.array(values)
-    if scale is None:
-        scale = _infer_scale(value_column)
-    return ObservationSet.from_columns(scale, keys, pair, trials, value_column)
+    def build(keys, pair, trial, value):
+        inferred = _infer_scale(value) if scale is None else scale
+        return ObservationSet.from_columns(inferred, keys, pair, trial, value)
+
+    return _read(path, OBSERVATION_HEADER, (int, float), build, _observation_row)
 
 
 def write_observations(path: str | Path, obs: ObservationSet) -> None:
@@ -136,29 +247,24 @@ def write_observations(path: str | Path, obs: ObservationSet) -> None:
     _write_rows(path, OBSERVATION_HEADER, rows)
 
 
+def _feedback_row(row: list[str], index: Sequence[int], seen: set) -> None:
+    u, i, m, s = index
+    key = _cell(row, u), _cell(row, i)
+    UncertainFeedback.check(
+        _parse_float(_cell(row, m), "mu"), _parse_float(_cell(row, s), "sigma")
+    )
+    _first(seen, key, "feedback")
+
+
 def read_feedback(
     path: str | Path, scale: RatingScale | None = None
 ) -> FeedbackDataset:
-    path = Path(path)
-    (u, i, m, s), rows = _read_rows(path, FEEDBACK_HEADER)
-    users, items, mus, sigmas = [], [], [], []
-    for line, row in rows:
-        users.append(_cell(row, u, path, line))
-        items.append(_cell(row, i, path, line))
-        mu = _parse_float(_cell(row, m, path, line), "mu", path, line)
-        sigma = _parse_float(_cell(row, s, path, line), "sigma", path, line)
-        try:
-            UncertainFeedback.check(mu, sigma)
-        except InputError as exc:
-            raise InputError(f"{path}:{line}: {exc}") from None
-        mus.append(mu)
-        sigmas.append(sigma)
-    keys, pair = KeyTable.intern(users, items)
-    mu_column = np.array(mus)
-    if scale is None:
-        scale = _infer_scale(mu_column)
-    n_trials = np.zeros(len(pair), dtype=np.int64)
-    return FeedbackDataset.from_columns(scale, keys, pair, mu_column, sigmas, n_trials)
+    def build(keys, pair, mu, sigma):
+        inferred = _infer_scale(mu) if scale is None else scale
+        n_trials = np.zeros(len(pair), dtype=np.int64)
+        return FeedbackDataset.from_columns(inferred, keys, pair, mu, sigma, n_trials)
+
+    return _read(path, FEEDBACK_HEADER, (float, float), build, _feedback_row)
 
 
 def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
@@ -167,23 +273,14 @@ def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
     _write_rows(path, FEEDBACK_HEADER, rows)
 
 
+def _prediction_row(row: list[str], index: Sequence[int], seen: set) -> None:
+    u, i, p = index
+    _first(seen, (_cell(row, u), _cell(row, i)), "prediction")
+    _parse_float(_cell(row, p), "prediction")
+
+
 def read_predictions(path: str | Path) -> PredictionSet:
-    path = Path(path)
-    (u, i, p), rows = _read_rows(path, PREDICTION_HEADER)
-    users, items, values = [], [], []
-    seen: set[tuple[str, str]] = set()
-    for line, row in rows:
-        user, item = _cell(row, u, path, line), _cell(row, i, path, line)
-        if (user, item) in seen:
-            raise InputError(f"{path}:{line}: duplicate prediction for {user}/{item}")
-        seen.add((user, item))
-        users.append(user)
-        items.append(item)
-        values.append(
-            _parse_float(_cell(row, p, path, line), "prediction", path, line)
-        )
-    keys, pair = KeyTable.intern(users, items)
-    return PredictionSet.from_columns(keys, pair, values)
+    return _read(path, PREDICTION_HEADER, (float,), PredictionSet.from_columns, _prediction_row)
 
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:

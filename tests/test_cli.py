@@ -701,3 +701,113 @@ class TestMalformedInput:
         code, stderr = self._strategies(capsys, tmp_path, "u,b,3.0\nu,c,3.0\n")
         assert code == 2
         assert stderr == "error: missing prediction for u/a\n"
+
+    def test_duplicate_feedback_names_line_and_pair(self, capsys, tmp_path):
+        feedback = tmp_path / "feedback.csv"
+        body = "u,a,3.0,0.5\nu,b,3.0,0.5\nu,a,4.0,0.5\nu,b,4.0,0.5\n"
+        feedback.write_text(FEEDBACK_HEADER + body, encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "distinguish", "--feedback", str(feedback), "--s1", "1", "--s2", "2"
+        )
+        assert code == 2
+        assert stderr == f"error: {feedback}:4: duplicate feedback for u/a\n"
+
+    @pytest.mark.parametrize(
+        "header, command",
+        [
+            ("user_id,item_id,trial,rating,rating", "fit"),
+            ("user_id,item_id,mu,sigma,user_id", "distinguish"),
+            ("prediction,user_id,item_id,prediction", "strategies"),
+        ],
+    )
+    def test_duplicate_header_column(self, capsys, tmp_path, header, command):
+        feedback = tmp_path / "feedback.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u,a,3.0,0.5\n", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        width = header.count(",") + 1
+        bad.write_text(header + "\n" + ",".join(["1"] * width) + "\n", encoding="utf-8")
+        argv = {
+            "fit": ["fit", "--obs", str(bad), "--out", str(tmp_path / "out.csv")],
+            "distinguish": ["distinguish", "--feedback", str(bad), "--s1", "1", "--s2", "2"],
+            "strategies": [
+                "strategies", "--feedback", str(feedback), "--pred", str(bad), "--tau", "1",
+            ],
+        }[command]
+        code, _, stderr = run_cli(capsys, *argv)
+        column = header.rsplit(",", 1)[1]
+        assert code == 2
+        assert stderr == f"error: {bad}: duplicate column {column!r} in header\n"
+
+    # Row faults of an observation file, each with the line reported first.
+    ROW_FAULTS = [
+        ("u,i,0,3.0\nu,i,1,nan\n", "3: rating value must be finite, got nan"),
+        ("u,i,0,3.0\nu,i,-1,3.0\n", "3: trial must be non-negative, got -1"),
+        (f"u,i,{2**63},3.0\n", f"2: trial must be below 2**63, got {2**63}"),
+        ("u,i,0,3.0\nu,i,x\nu,i,1,nan\n", "3: bad trial value 'x'"),
+        ("u,i,0,3.0\nu,i\n", "3: row has too few fields"),
+        ("u,i,0,3.0\nu,i,1,3.0,4.0\n", "3: row has too many fields"),
+        ("u,i,0,3.0\n\n", "3: row has too few fields"),
+        ("u,i,0,3.0\nu,i,1,nan", "3: rating value must be finite, got nan"),
+        ("", " no data rows"),
+    ]
+
+    @staticmethod
+    def _encode(text, tokeniser):
+        """``text`` as the plain tokeniser reads it, or quoted or with CRLF for csv.reader."""
+        if tokeniser == "quoted":
+            return "\n".join(
+                ",".join(f'"{f}"' for f in line.split(",")) if line else line
+                for line in text.split("\n")
+            )
+        return text.replace("\n", "\r\n") if tokeniser == "crlf" else text
+
+    @pytest.mark.parametrize("tokeniser", ["plain", "quoted", "crlf"])
+    @pytest.mark.parametrize("body, message", ROW_FAULTS)
+    def test_row_fault_on_each_tokeniser(self, capsys, tmp_path, body, message, tokeniser):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(self._encode(OBS_HEADER + body, tokeniser), encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "fit", "--obs", str(obs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert stderr == f"error: {obs}:{message}\n"
+
+    @pytest.mark.parametrize("tokeniser", ["plain", "crlf"])
+    def test_bad_row_beyond_the_first_piece(self, capsys, tmp_path, tokeniser):
+        # 70k rows of 16 characters fill more than 1 MiB, so the plain
+        # tokeniser cuts the file into several pieces before line 65002
+        rows = [f"u{n:05d},i,0,3.0\n" for n in range(70_000)]
+        rows[65_000] = "u65000,i,0,bad\n"
+        obs = tmp_path / "obs.csv"
+        obs.write_text(self._encode(OBS_HEADER + "".join(rows), tokeniser), encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "fit", "--obs", str(obs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert stderr == f"error: {obs}:65002: bad rating value 'bad'\n"
+
+    def test_file_without_trailing_newline(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(OBS_HEADER + "u,i,0,3.0\nu,i,1,4.0", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(out))
+        assert code == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "u,i,3.5,0.7071067811865476"
+
+    def test_id_with_carriage_return_exits_2(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(OBS_HEADER + "u,i,0,3.0\nu\rv,i,0,3.0\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "fit", "--obs", str(obs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert stderr == f"error: {obs}:3: row has too few fields\n"
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_bytes(OBS_HEADER.encode() + b"u\xff,i,0,3.0\n")
+        code, _, stderr = run_cli(
+            capsys, "fit", "--obs", str(obs), "--out", str(tmp_path / "out.csv")
+        )
+        assert code == 2
+        assert stderr.startswith(f"error: cannot read {obs}: 'utf-8' codec can't decode")
