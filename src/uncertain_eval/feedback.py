@@ -63,31 +63,31 @@ class FeedbackKey:
 class Interner:
     """Codes of names fed in chunks, ranked by code point once all are in.
 
-    ``add`` gives each new name the next code, in first-seen order;
-    ``ranked`` maps those codes to the names' sorted positions.
+    ``add`` codes each name by the row where it was first fed; ``ranked``
+    maps those codes to the names' sorted positions.
     """
 
-    __slots__ = ("_code", "_chunks")
+    __slots__ = ("_code", "_chunks", "_rows")
 
     def __init__(self) -> None:
         self._code: dict[str, int] = {}
         self._chunks: list[np.ndarray] = []
+        self._rows = 0
 
     def add(self, names: Sequence[str]) -> None:
-        code = self._code
-        for name in dict.fromkeys(names):
-            code.setdefault(name, len(code))
-        codes = np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=len(names))
-        self._chunks.append(codes)
+        n, first = len(names), self._rows
+        rows = map(self._code.setdefault, names, range(first, first + n))
+        self._chunks.append(np.fromiter(rows, dtype=np.intp, count=n))
+        self._rows += n
 
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct names, and the position of each fed name among them."""
-        names = list(self._code)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        rank = np.empty(len(names), dtype=np.intp)
-        rank[order] = np.arange(len(names))
+        names = sorted(self._code)
+        firsts = np.fromiter(map(self._code.__getitem__, names), dtype=np.intp, count=len(names))
+        rank = np.empty(self._rows, dtype=np.intp)
+        rank[firsts] = np.arange(len(names))
         codes = np.concatenate(self._chunks) if self._chunks else np.empty(0, dtype=np.intp)
-        return np.array([names[i] for i in order], dtype=object), rank[codes]
+        return np.array(names, dtype=object), rank[codes]
 
     @classmethod
     def of(cls, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -183,6 +183,27 @@ def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
     return _frozen(column)
 
 
+def _slot_order(pair: np.ndarray, trial: np.ndarray) -> np.ndarray | None:
+    """Row order by (pair, trial), or None when the rows are already in it.
+
+    Rows are sorted by one int64 slot key, ``pair * (max trial + 1) + trial``.
+    A repeated slot, or a key that would overflow, takes the stable
+    ``lexsort`` instead, which keeps the rows of a slot in input order.
+    """
+    if not len(pair):
+        return None
+    width = int(trial.max()) + 1
+    if int(pair.min()) >= 0 and (int(pair.max()) + 1) * width < 2**63:
+        slot = pair * width + trial
+        if (slot[1:] > slot[:-1]).all():
+            return None
+        order = np.argsort(slot)
+        slot = slot[order]
+        if (slot[1:] > slot[:-1]).all():
+            return order
+    return np.lexsort((trial, pair))
+
+
 @dataclass(frozen=True, slots=True)
 class RatingObservation:
     """One trial of a repeated feedback task."""
@@ -227,21 +248,25 @@ class ObservationSet(_Columnar):
         if bad.any():
             i = int(np.argmax(bad))
             RatingObservation.check(int(trial[i]), float(value[i]))
-        order = np.lexsort((trial, pair))
-        sorted_pair, sorted_trial = pair[order], trial[order]
-        repeats = (sorted_pair[1:] == sorted_pair[:-1]) & (sorted_trial[1:] == sorted_trial[:-1])
-        if repeats.any():
-            # the stable sort keeps the first occurrence of each slot first
-            i = int(order[1:][repeats].min())
-            raise InputError(
-                f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
-                f"trial {trial[i]}"
-            )
+        order = _slot_order(pair, trial)
+        if order is None:
+            # copies, so that freezing them leaves the caller's arrays writeable
+            sorted_pair, sorted_trial, sorted_value = pair.copy(), trial.copy(), value.copy()
+        else:
+            sorted_pair, sorted_trial, sorted_value = pair[order], trial[order], value[order]
+            repeats = (sorted_pair[1:] == sorted_pair[:-1]) & (sorted_trial[1:] == sorted_trial[:-1])
+            if repeats.any():
+                # the stable sort keeps the first occurrence of each slot first
+                i = int(order[1:][repeats].min())
+                raise InputError(
+                    f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
+                    f"trial {trial[i]}"
+                )
         self.scale = scale
         self.keys = keys
         self.pair = _frozen(sorted_pair)
         self.trial = _frozen(sorted_trial)
-        self.value = _frozen(value[order])
+        self.value = _frozen(sorted_value)
 
     def __len__(self) -> int:
         return len(self.value)

@@ -2,8 +2,8 @@
 
 All files are UTF-8 with a ``.`` decimal separator. Records end in LF (the
 writers) or CRLF, and fields follow RFC 4180 quoting, so an id may hold any
-character but ``\r``, which the writers leave unquoted. Headers are fixed,
-in any column order, and a repeated column is rejected:
+character; the writers quote an id that holds ``,``, ``"``, LF or CR.
+Headers are fixed, in any column order, and a repeated column is rejected:
 
     observations: user_id,item_id,trial,rating
     feedback:     user_id,item_id,mu,sigma
@@ -13,10 +13,16 @@ in any column order, and a repeated column is rejected:
 
 Reading turns a file into numpy columns in chunks: text without ``"`` and
 ``\r`` is cut at line ends into pieces of about 256 KiB and split with
-``str.split``, any other text goes through ``csv.reader``. The columns go to
-the data set's ``from_columns``, which checks them vectorised. Only when a
+``str.split``, any other text goes through ``csv.reader``. Both reject a
+field longer than ``csv.field_size_limit()``. The columns go to the data
+set's ``from_columns``, which checks them vectorised. Only when a
 conversion or a check fails does a second pass walk the rows through
 ``csv.reader`` to name the first bad one as ``path:line``.
+
+Writing goes the other way, one column at a time: each distinct id is
+quoted once, each distinct number (by bit pattern) is formatted once with
+``repr``, the shortest text that reads back to the same value, and the
+fields are joined into rows a chunk at a time.
 
 Neither the observation nor the feedback format persists a rating scale;
 on ingestion a continuous scale is inferred from the observed value range
@@ -27,8 +33,9 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from io import StringIO
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -55,10 +62,13 @@ SAMPLE_DUMP_HEADER = ["sample_index", "score"]
 # Trial indices are stored as 64-bit integers.
 _TRIAL_LIMIT = 2**63
 
-# Characters per piece of plain text, and rows per piece of other text:
-# pieces bound the field strings alive at once.
+# Characters per piece of plain text read, and rows per piece of other text
+# read or of any text written: pieces bound the field strings alive at once.
 _CHUNK_CHARS = 1 << 18
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 14
+
+# Characters that make a written id need quotes.
+_SPECIAL = re.compile('[,"\n\r]')
 
 # What a failed conversion or check raises on the vectorised path.
 _FAULTS = (InputError, ValueError, OverflowError, csv.Error)
@@ -86,14 +96,24 @@ def _positions(path: Path, header: Sequence[str], got: list[str] | None) -> list
 
 def _split_pieces(text: str, start: int, width: int) -> Iterator[list[str]]:
     """Fields of the lines of plain ``text[start:]``, piece by piece."""
+    limit = csv.field_size_limit()
     stop = len(text) - text.endswith("\n")
     while start < stop:
         end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop)
         end = stop if end < 0 else end
         piece = text[start:end]
         start = end + 1
-        if set(map(str.count, piece.split("\n"), repeat(","))) != {width - 1}:
+        data = np.frombuffer(piece.encode(), dtype=np.uint8)
+        ends = np.append(np.flatnonzero(data == ord("\n")), len(data))
+        commas = np.flatnonzero(data == ord(","))
+        if (np.diff(np.searchsorted(commas, ends), prepend=0) != width - 1).any():
             raise ValueError("a row has the wrong number of fields")
+        # a field is no longer than its line, and a character no shorter than a byte
+        for line in np.flatnonzero(np.diff(ends, prepend=-1) > limit + 1).tolist():
+            head = ends[line - 1] + 1 if line else 0
+            fields = data[head : ends[line]].tobytes().decode().split(",")
+            if max(map(len, fields)) > limit:
+                raise ValueError("a field is larger than the field limit")
         yield piece.replace("\n", ",").split(",")
 
 
@@ -119,8 +139,12 @@ def _columns(pieces: Iterable[list[str]], index: Sequence[int], kinds: Sequence[
         items.add(flat[index[1] :: width])
         for parts, j, kind in zip(numbers, index[2:], kinds):
             column = flat[j::width]
-            dtype = np.int64 if kind is int else float
-            parts.append(np.fromiter(map(kind, column), dtype=dtype, count=len(column)))
+            if kind is int:  # trials repeat: convert each distinct text once
+                number = {text: int(text) for text in dict.fromkeys(column)}
+                values, dtype = map(number.__getitem__, column), np.int64
+            else:
+                values, dtype = map(kind, column), float
+            parts.append(np.fromiter(values, dtype=dtype, count=len(column)))
     keys, pair = KeyTable.from_codes(users.ranked(), items.ranked())
     return keys, pair, [np.concatenate(parts) for parts in numbers] if len(pair) else []
 
@@ -143,14 +167,18 @@ def _read(
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if '"' in text or "\r" in text:
-        rows = _records(text)
-        index = _positions(path, header, next(rows, None))
-        pieces = _csv_pieces(rows, len(header))
-    else:
-        end = text.find("\n") + 1 or len(text)
-        index = _positions(path, header, text[:end].rstrip("\n").split(",") if text else None)
+    plain = '"' not in text and "\r" not in text
+    end = text.find("\n") + 1 or len(text)
+    rows = _records(text[:end] if plain else text)
+    try:
+        got = next(rows, None)
+    except csv.Error as exc:
+        raise InputError(f"{path}:{rows.line_num}: {exc}") from None
+    index = _positions(path, header, got)
+    if plain:
         pieces = _split_pieces(text, end, len(header))
+    else:
+        pieces = _csv_pieces(rows, len(header))
     try:
         keys, pair, columns = _columns(pieces, index, kinds)
         if not len(pair):
@@ -237,14 +265,7 @@ def read_observations(
 
 
 def write_observations(path: str | Path, obs: ObservationSet) -> None:
-    keys = obs.keys
-    rows = zip(
-        keys.users[obs.pair].tolist(),
-        keys.items[obs.pair].tolist(),
-        obs.trial.tolist(),
-        obs.value.tolist(),
-    )
-    _write_rows(path, OBSERVATION_HEADER, rows)
+    _write_columns(path, OBSERVATION_HEADER, (obs.trial, obs.value), obs.keys, obs.pair)
 
 
 def _feedback_row(row: list[str], index: Sequence[int], seen: set) -> None:
@@ -268,9 +289,7 @@ def read_feedback(
 
 
 def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
-    keys = data.keys
-    rows = zip(keys.users.tolist(), keys.items.tolist(), data.mu.tolist(), data.sigma.tolist())
-    _write_rows(path, FEEDBACK_HEADER, rows)
+    _write_columns(path, FEEDBACK_HEADER, (data.mu, data.sigma), data.keys)
 
 
 def _prediction_row(row: list[str], index: Sequence[int], seen: set) -> None:
@@ -284,22 +303,64 @@ def read_predictions(path: str | Path) -> PredictionSet:
 
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:
-    keys = predictions.keys
-    rows = zip(keys.users.tolist(), keys.items.tolist(), predictions.values.tolist())
-    _write_rows(path, PREDICTION_HEADER, rows)
+    _write_columns(path, PREDICTION_HEADER, (predictions.values,), predictions.keys)
 
 
 def write_histogram(path: str | Path, bins: Sequence[HistogramBin]) -> None:
-    _write_rows(path, HISTOGRAM_HEADER, ((b.bin_lo, b.bin_hi, b.count) for b in bins))
+    lo = np.array([b.bin_lo for b in bins], dtype=float)
+    hi = np.array([b.bin_hi for b in bins], dtype=float)
+    count = np.array([b.count for b in bins], dtype=np.int64)
+    _write_columns(path, HISTOGRAM_HEADER, (lo, hi, count))
 
 
 def write_sample_dump(path: str | Path, samples: Iterable[float]) -> None:
-    _write_rows(path, SAMPLE_DUMP_HEADER, enumerate(map(float, samples)))
+    score = np.fromiter(map(float, samples), dtype=float)
+    _write_columns(path, SAMPLE_DUMP_HEADER, (np.arange(len(score)), score))
 
 
-def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
-    """CSV with ``header``; floats are written as their shortest round-trip repr."""
+def _write_columns(
+    path: str | Path,
+    header: Sequence[str],
+    numbers: Sequence[np.ndarray],
+    keys: KeyTable | None = None,
+    pair: np.ndarray | None = None,
+) -> None:
+    """CSV with ``header``: the user and item of each row's pair, then ``numbers``.
+
+    Rows are those of ``numbers``; row ``j`` holds pair ``pair[j]`` of
+    ``keys``, or pair ``j`` when ``pair`` is None. Numbers are written as
+    the shortest repr that reads back to the same value, ids quoted only
+    where they must be. Rows are joined ``_CHUNK_ROWS`` at a time.
+    """
+    ids = () if keys is None else (_fields(keys.users), _fields(keys.items))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(numbers[0]), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            at = rows if pair is None else pair[rows]
+            columns = [names[at].tolist() for names in ids]
+            columns += [_texts(column[rows]) for column in numbers]
+            handle.write("\n".join(map(",".join, zip(*columns))))
+            handle.write("\n")
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each value, made once per distinct bit pattern (``-0.0`` is not ``0.0``)."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _fields(ids: np.ndarray) -> np.ndarray:
+    """``ids`` as CSV fields, each distinct id checked once.
+
+    An id holding ``,``, ``"``, LF or CR is put in quotes, each ``"`` doubled.
+    """
+    quoted = {
+        name: '"' + name.replace('"', '""') + '"'
+        for name in dict.fromkeys(ids.tolist())
+        if _SPECIAL.search(name)
+    }
+    if not quoted:
+        return ids
+    return np.array([quoted.get(name, name) for name in ids.tolist()], dtype=object)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -441,6 +442,29 @@ class TestSimulate:
             assert code == 0
         for name in ("observations.csv", "feedback.csv", "predictions.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_simulate_and_fit_bytes_are_pinned(self, capsys, tmp_path):
+        # the spec of the CLI determinism criterion; digests of the files
+        # csv.writer wrote before the columnar writer replaced it
+        spec = dict(SPEC_JSON, n_users=20, n_items=10, sigma_lo=0.3, sigma_hi=1.0,
+                    density=0.8, seed=4242)
+        digests = {
+            "observations.csv": "e1c024b365829ddd35b2ca4478be8c7bfd98e29aa69b7a645a4de7af9ad16ec1",
+            "feedback.csv": "57afb8e10ca5c70302b520202b5ba325e8e90d3a58243c26e4904b2bb5eaf820",
+            "predictions.csv": "60179c44f737db81be0f061a7a95655ba1f1abdd8aea273aee0f886378d0acb9",
+            "fitted.csv": "e0f6ec2c36e5852206dfe6940888844096d059462a21a718fffd6deb5697ca43",
+        }
+        out = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--spec", json.dumps(spec), "--trials", "5", "--out-dir", str(out)
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "fit", "--obs", str(out / "observations.csv"), "--out", str(out / "fitted.csv")
+        )
+        assert code == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_zero_density_exits_2_naming_field(self, capsys, tmp_path):
         bad = dict(SPEC_JSON, density=0.0)
