@@ -77,7 +77,6 @@ def main() -> None:
         truth.predictions,
         observations=obs,
         data=fitted,
-        truth=fitted,
         denoise=DenoiseConfig(threshold=args.denoise_threshold, seed=spec.seed),
         predictor_tau=args.tau,
         omission=OmissionConfig(alpha=0.05),

@@ -153,15 +153,11 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     observations = read_observations(args.obs) if args.obs is not None else None
     feedback = read_feedback(args.feedback) if args.feedback is not None else None
     predictions = read_predictions(args.pred)
-    # The scored dataset is also the redraw policy's generating model: the
-    # feedback file when given, otherwise the fit of the observations.
-    data = feedback if feedback is not None else fit_uncertainty(observations)
 
     reports = run_strategy_comparison(
         predictions,
         observations=observations,
-        data=data,
-        truth=data,
+        data=feedback,
         denoise=denoise,
         predictor_tau=args.tau,
         omission=omission,

@@ -140,8 +140,8 @@ class KeyTable:
     def key(self, i: int) -> FeedbackKey:
         return FeedbackKey(self.users[i], self.items[i])
 
-    def locate(self, other: "KeyTable") -> np.ndarray:
-        """Position in ``other`` of each pair of this table, -1 where absent."""
+    def locate(self, other: "KeyTable", missing: str) -> np.ndarray:
+        """Position in ``other`` of each pair; the first absent one raises ``<missing> for u/i``."""
         if np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items):
             return np.arange(len(self))
         table, pair = KeyTable.intern(
@@ -150,7 +150,11 @@ class KeyTable:
         )
         where = np.full(len(table), -1)
         where[pair[len(self) :]] = np.arange(len(other))
-        return where[pair[: len(self)]]
+        where = where[pair[: len(self)]]
+        if (where < 0).any():
+            i = int(np.argmax(where < 0))
+            raise InputError(f"{missing} for {self.users[i]}/{self.items[i]}")
+        return where
 
 
 class _Columnar:
@@ -217,8 +221,11 @@ class RatingObservation:
 
     @staticmethod
     def check(trial: int, value: float) -> None:
+        # trials are stored as 64-bit integers
         if trial < 0:
-            raise InputError(f"trial index must be non-negative, got {trial}")
+            raise InputError(f"trial must be non-negative, got {trial}")
+        if trial >= 2**63:
+            raise InputError(f"trial must be below 2**63, got {trial}")
         if not math.isfinite(value):
             raise InputError(f"rating value must be finite, got {value}")
 
@@ -418,12 +425,7 @@ class PredictionSet(_Columnar):
 
     def aligned(self, keys: KeyTable) -> np.ndarray:
         """Prediction of each pair of ``keys``, in table order."""
-        where = keys.locate(self.keys)
-        missing = where < 0
-        if missing.any():
-            key = keys.key(int(np.argmax(missing)))
-            raise InputError(f"missing prediction for {key.user_id}/{key.item_id}")
-        return self.values[where]
+        return self.values[keys.locate(self.keys, "missing prediction")]
 
 
 class SigmaFallbackPolicy(enum.Enum):

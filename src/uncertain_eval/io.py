@@ -17,7 +17,11 @@ Reading turns a file into numpy columns in chunks: text without ``"`` and
 field longer than ``csv.field_size_limit()``. The columns go to the data
 set's ``from_columns``, which checks them vectorised. Only when a
 conversion or a check fails does a second pass walk the rows through
-``csv.reader`` to name the first bad one as ``path:line``.
+``csv.reader`` to name the first bad one as ``path:line``. Every format
+checks a row in one order: its fields in header order, each present
+(``row has too few fields``) and converted (``bad <column> value``), then
+the data set's rule on the row's values, then a repeated pair in the
+formats whose pairs are unique, then ``row has too many fields``.
 
 Writing goes the other way, one column at a time: each distinct id is
 quoted once, each distinct number (by bit pattern) is formatted once with
@@ -48,6 +52,7 @@ from .feedback import (
     KeyTable,
     ObservationSet,
     PredictionSet,
+    RatingObservation,
     RatingScale,
     UncertainFeedback,
 )
@@ -58,9 +63,6 @@ FEEDBACK_HEADER = ["user_id", "item_id", "mu", "sigma"]
 PREDICTION_HEADER = ["user_id", "item_id", "prediction"]
 HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "count"]
 SAMPLE_DUMP_HEADER = ["sample_index", "score"]
-
-# Trial indices are stored as 64-bit integers.
-_TRIAL_LIMIT = 2**63
 
 # Characters per piece of plain text read, and rows per piece of other text
 # read or of any text written: pieces bound the field strings alive at once.
@@ -154,12 +156,14 @@ def _read(
     header: Sequence[str],
     kinds: Sequence[type],
     build: Callable,
-    check_row: Callable[[list[str], Sequence[int], set], None],
+    rule: Callable[..., None] | None = None,
+    unique: str | None = None,
 ):
     """``build(keys, pair, *numeric columns)`` of the CSV at ``path``.
 
-    ``check_row`` states the per-row rules of the format; it runs only when
-    reading or ``build`` fails, to name the first row that breaks them.
+    ``rule`` checks the numbers of one row, and ``unique`` names a pair
+    that may appear only once. Both run only when reading or ``build``
+    fails, to name the first row that breaks them.
     """
     path = Path(path)
     try:
@@ -185,42 +189,40 @@ def _read(
             raise InputError(f"{path}: no data rows")
         return build(keys, pair, *columns)
     except _FAULTS:
-        _diagnose(path, text, index, check_row)
+        _diagnose(path, text, header, index, kinds, rule, unique)
         raise
 
 
-def _diagnose(path: Path, text: str, index: Sequence[int], check_row) -> None:
-    """Raise the ``path:line`` error of the first row that breaks ``check_row``."""
+def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None:
+    """Raise the ``path:line`` error of the first row that breaks a row rule.
+
+    Each row is checked in one order: its fields in ``header`` order, each
+    present and converted by its kind, then ``rule`` on its numbers, then
+    the uniqueness of its pair, then its width.
+    """
     rows = _records(text)
     seen: set = set()
     try:
         next(rows)
         for row in rows:
-            check_row(row, index, seen)
+            values = []
+            for column, j, kind in zip(header, index, (str, str, *kinds)):
+                if j >= len(row):
+                    raise InputError("row has too few fields")
+                try:
+                    values.append(kind(row[j]))
+                except ValueError:
+                    raise InputError(f"bad {column} value {row[j]!r}") from None
+            user, item, *numbers = values
+            if rule is not None:
+                rule(*numbers)
+            if unique is not None and (user, item) in seen:
+                raise InputError(f"duplicate {unique} for {user}/{item}")
+            seen.add((user, item))
             if len(row) > len(index):
                 raise InputError("row has too many fields")
     except (InputError, csv.Error) as exc:
         raise InputError(f"{path}:{rows.line_num}: {exc}") from None
-
-
-def _cell(row: list[str], index: int) -> str:
-    try:
-        return row[index]
-    except IndexError:
-        raise InputError("row has too few fields") from None
-
-
-def _parse_float(text: str, name: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise InputError(f"bad {name} value {text!r}") from None
-
-
-def _first(seen: set, key: tuple[str, str], what: str) -> None:
-    if key in seen:
-        raise InputError(f"duplicate {what} for {key[0]}/{key[1]}")
-    seen.add(key)
 
 
 def _infer_scale(values: np.ndarray) -> RatingScale:
@@ -236,24 +238,6 @@ def _infer_scale(values: np.ndarray) -> RatingScale:
     return RatingScale(min_value=lo, max_value=hi)
 
 
-def _observation_row(row: list[str], index: Sequence[int], seen: set) -> None:
-    u, i, t, r = index
-    _cell(row, u)
-    _cell(row, i)
-    trial_text = _cell(row, t)
-    try:
-        trial = int(trial_text)
-    except ValueError:
-        raise InputError(f"bad trial value {trial_text!r}") from None
-    if trial < 0:
-        raise InputError(f"trial must be non-negative, got {trial}")
-    if trial >= _TRIAL_LIMIT:
-        raise InputError(f"trial must be below 2**63, got {trial}")
-    value = _parse_float(_cell(row, r), "rating")
-    if not math.isfinite(value):
-        raise InputError(f"rating value must be finite, got {value}")
-
-
 def read_observations(
     path: str | Path, scale: RatingScale | None = None
 ) -> ObservationSet:
@@ -261,20 +245,11 @@ def read_observations(
         inferred = _infer_scale(value) if scale is None else scale
         return ObservationSet.from_columns(inferred, keys, pair, trial, value)
 
-    return _read(path, OBSERVATION_HEADER, (int, float), build, _observation_row)
+    return _read(path, OBSERVATION_HEADER, (int, float), build, RatingObservation.check)
 
 
 def write_observations(path: str | Path, obs: ObservationSet) -> None:
     _write_columns(path, OBSERVATION_HEADER, (obs.trial, obs.value), obs.keys, obs.pair)
-
-
-def _feedback_row(row: list[str], index: Sequence[int], seen: set) -> None:
-    u, i, m, s = index
-    key = _cell(row, u), _cell(row, i)
-    UncertainFeedback.check(
-        _parse_float(_cell(row, m), "mu"), _parse_float(_cell(row, s), "sigma")
-    )
-    _first(seen, key, "feedback")
 
 
 def read_feedback(
@@ -285,21 +260,15 @@ def read_feedback(
         n_trials = np.zeros(len(pair), dtype=np.int64)
         return FeedbackDataset.from_columns(inferred, keys, pair, mu, sigma, n_trials)
 
-    return _read(path, FEEDBACK_HEADER, (float, float), build, _feedback_row)
+    return _read(path, FEEDBACK_HEADER, (float, float), build, UncertainFeedback.check, "feedback")
 
 
 def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
     _write_columns(path, FEEDBACK_HEADER, (data.mu, data.sigma), data.keys)
 
 
-def _prediction_row(row: list[str], index: Sequence[int], seen: set) -> None:
-    u, i, p = index
-    _first(seen, (_cell(row, u), _cell(row, i)), "prediction")
-    _parse_float(_cell(row, p), "prediction")
-
-
 def read_predictions(path: str | Path) -> PredictionSet:
-    return _read(path, PREDICTION_HEADER, (float,), PredictionSet.from_columns, _prediction_row)
+    return _read(path, PREDICTION_HEADER, (float,), PredictionSet.from_columns, unique="prediction")
 
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:
@@ -313,8 +282,8 @@ def write_histogram(path: str | Path, bins: Sequence[HistogramBin]) -> None:
     _write_columns(path, HISTOGRAM_HEADER, (lo, hi, count))
 
 
-def write_sample_dump(path: str | Path, samples: Iterable[float]) -> None:
-    score = np.fromiter(map(float, samples), dtype=float)
+def write_sample_dump(path: str | Path, samples: Sequence[float] | np.ndarray) -> None:
+    score = np.asarray(samples, dtype=float)
     _write_columns(path, SAMPLE_DUMP_HEADER, (np.arange(len(score)), score))
 
 

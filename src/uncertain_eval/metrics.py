@@ -49,6 +49,12 @@ MAX_SAMPLE_COUNT = 10_000_000
 MAX_THREADS = 256
 
 
+def check_tau(tau: float) -> None:
+    """Reject a prediction noise deviation that is negative or not finite."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InputError(f"tau must be finite and >= 0, got {tau}")
+
+
 @dataclass(frozen=True, slots=True)
 class McConfig:
     """Monte Carlo settings; ``predictor_tau`` adds Gaussian prediction noise."""
@@ -67,12 +73,8 @@ class McConfig:
                 f"sample_count must be <= {MAX_SAMPLE_COUNT}, got {self.sample_count}"
             )
         validate_seed(self.seed)
-        if self.predictor_tau is not None and not (
-            math.isfinite(self.predictor_tau) and self.predictor_tau >= 0
-        ):
-            raise InputError(
-                f"predictor_tau must be finite and >= 0, got {self.predictor_tau}"
-            )
+        if self.predictor_tau is not None:
+            check_tau(self.predictor_tau)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def fit_roundtrip_check(
     obs = draw_trials(truth, k=k, discretise=False, seed=spec.seed)
     fitted = fit_uncertainty(obs)
 
-    sigma_true = truth.dataset.sigma[fitted.keys.locate(truth.dataset.keys)]
+    sigma_true = truth.dataset.sigma[fitted.keys.locate(truth.dataset.keys, "no generating model")]
     compared = sigma_true >= 0.1
     errors = np.abs(fitted.sigma[compared] - sigma_true[compared]) / sigma_true[compared]
     worst = float(errors.max()) if errors.size else 0.0

@@ -41,7 +41,7 @@ from .feedback import (
     fit_uncertainty,
     rating_columns,
 )
-from .metrics import rmse
+from .metrics import check_tau, rmse
 from .rng import child_rng, validate_seed
 
 # Elementwise complementary error function (numpy has none): the two-sided
@@ -168,10 +168,7 @@ def denoise_preprocess(
     if redraw:
         if truth is None:
             raise InputError("redraw-from-model resampling needs the generating model")
-        model = obs.keys.locate(truth.keys)
-        if (model < 0).any():
-            key = obs.keys.key(int(np.argmax(model < 0)))
-            raise InputError(f"no generating model for {key.user_id}/{key.item_id}")
+        model = obs.keys.locate(truth.keys, "no generating model")
 
     values = obs.value.copy()
     unconverged: set[int] = set()
@@ -220,11 +217,6 @@ def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, cfg: DenoiseConf
     return None
 
 
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau >= 0):
-        raise InputError(f"tau must be finite and >= 0, got {tau}")
-
-
 def predictor_noise_deviation(
     fb: UncertainFeedback, prediction: float, tau: float
 ) -> GaussianDistribution:
@@ -235,7 +227,7 @@ def predictor_noise_deviation(
     """
     if not math.isfinite(prediction):
         raise InputError(f"prediction must be finite, got {prediction}")
-    _check_tau(tau)
+    check_tau(tau)
     return GaussianDistribution(
         mean=fb.mu - prediction, variance=fb.sigma**2 + tau**2
     )
@@ -258,17 +250,8 @@ def omit_insignificant(
     keys, ratings = rating_columns(point_ratings)
     if not len(keys):
         raise InputError("no point ratings to test")
-    entry = keys.locate(data.keys)
-    prediction = keys.locate(predictions.keys)
-    missing = (entry < 0) | (prediction < 0)
-    if missing.any():
-        i = int(np.argmax(missing))
-        key = keys.key(i)
-        if entry[i] < 0:
-            raise InputError(f"no feedback entry for {key.user_id}/{key.item_id}")
-        raise InputError(f"missing prediction for {key.user_id}/{key.item_id}")
-    d = ratings - predictions.values[prediction]
-    sigma = data.sigma[entry]
+    sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
+    d = ratings - predictions.aligned(keys)
 
     p = np.ones(len(keys), dtype=float)
     positive = sigma > 0
@@ -294,7 +277,7 @@ def check_strategy_request(
 ) -> None:
     """Reject a comparison with no strategy or a bad tau, before any data is read."""
     if predictor_tau is not None:
-        _check_tau(predictor_tau)
+        check_tau(predictor_tau)
     if denoise is None and predictor_tau is None and omission is None:
         raise InputError("no strategy requested")
 
@@ -309,7 +292,6 @@ def run_strategy_comparison(
     *,
     observations: ObservationSet | None = None,
     data: FeedbackDataset | None = None,
-    truth: FeedbackDataset | None = None,
     denoise: DenoiseConfig | None = None,
     predictor_tau: float | None = None,
     omission: OmissionConfig | None = None,
@@ -317,8 +299,10 @@ def run_strategy_comparison(
 ) -> list[StrategyReport]:
     """Run the requested strategies and score each against the floor test.
 
-    ``data`` defaults to a fit of ``observations``; the de-noising strategy
-    additionally needs the raw observations. Before-scores are point RMSE
+    ``data`` defaults to a fit of ``observations``. It is the scored dataset
+    and, for the de-noising strategy's redraw policy, the generating model
+    the removed ratings are drawn from; de-noising also needs the raw
+    observations. Before-scores are point RMSE
     over the dataset's central tendencies, except for predictor noise where
     before/after are the expected metric at tau = 0 and tau, so that the
     tau = 0 limit is an exact identity.
@@ -337,7 +321,7 @@ def run_strategy_comparison(
     if denoise is not None:
         if observations is None:
             raise InputError("de-noising needs raw repeated-trial observations")
-        result = denoise_preprocess(observations, truth, denoise)
+        result = denoise_preprocess(observations, data, denoise)
         refit = fit_uncertainty(result.observations, fallback)
         score_after = rmse(predictions, refit)
         reports.append(

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -9,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uncertain_eval import PopulationSpec, RatingScale
+from uncertain_eval import (
+    FeedbackKey,
+    InputError,
+    McConfig,
+    PopulationSpec,
+    RatingObservation,
+    RatingScale,
+    UncertainFeedback,
+    predictor_noise_deviation,
+)
 from uncertain_eval.cli import _load_population_spec, main
 
 
@@ -187,6 +198,17 @@ class TestDistinguish:
 
 
 class TestRmseDist:
+    def test_bad_tau_exits_2_before_reading(self, capsys, tmp_path):
+        code, _, stderr = run_cli(
+            capsys,
+            "rmse-dist",
+            "--feedback", str(tmp_path / "missing_feedback.csv"),
+            "--pred", str(tmp_path / "missing_pred.csv"),
+            "--tau", "-1",
+        )
+        assert code == 2
+        assert stderr == "error: tau must be finite and >= 0, got -1.0\n"
+
     def _write_inputs(self, tmp_path, n=200):
         feedback = tmp_path / "feedback.csv"
         pred = tmp_path / "pred.csv"
@@ -721,6 +743,12 @@ class TestMalformedInput:
         assert code == 2
         assert stderr == "error: PRED:4: duplicate prediction for u/a\n"
 
+    def test_duplicate_prediction_with_bad_value(self, capsys, tmp_path):
+        # the value is converted before the pair is checked for a repeat
+        code, stderr = self._strategies(capsys, tmp_path, "u,a,3.0\nu,b,3.0\nu,a,x\n")
+        assert code == 2
+        assert stderr == "error: PRED:4: bad prediction value 'x'\n"
+
     def test_missing_prediction_names_pair(self, capsys, tmp_path):
         code, stderr = self._strategies(capsys, tmp_path, "u,b,3.0\nu,c,3.0\n")
         assert code == 2
@@ -773,6 +801,9 @@ class TestMalformedInput:
         ("u,i,0,3.0\n\n", "3: row has too few fields"),
         ("u,i,0,3.0\nu,i,1,nan", "3: rating value must be finite, got nan"),
         ("", " no data rows"),
+        # two faults in one row: every field is read before the value rule runs
+        ("u,i,0,3.0\nu,i,-1,x\n", "3: bad rating value 'x'"),
+        ("u,i,0,3.0\nu,i,-1\n", "3: row has too few fields"),
     ]
 
     @staticmethod
@@ -835,3 +866,54 @@ class TestMalformedInput:
         )
         assert code == 2
         assert stderr.startswith(f"error: cannot read {obs}: 'utf-8' codec can't decode")
+
+
+KEY = FeedbackKey("u", "i")
+
+# Each value rule: (library call, CLI command, input file header, input file row).
+VALUE_RULES = {
+    "negative trial": (lambda: RatingObservation(KEY, -1, 3.0), "fit", OBS_HEADER, "u,i,-1,3.0"),
+    "trial 2**63": (
+        lambda: RatingObservation(KEY, 2**63, 3.0), "fit", OBS_HEADER, f"u,i,{2**63},3.0"
+    ),
+    "non-finite rating": (
+        lambda: RatingObservation(KEY, 0, math.inf), "fit", OBS_HEADER, "u,i,0,inf"
+    ),
+    "non-finite mu": (
+        lambda: UncertainFeedback(KEY, math.nan, 0.5), "distinguish", FEEDBACK_HEADER, "u,i,nan,0.5"
+    ),
+    "negative sigma": (
+        lambda: UncertainFeedback(KEY, 3.0, -0.5), "distinguish", FEEDBACK_HEADER, "u,i,3.0,-0.5"
+    ),
+    "tau of McConfig": (
+        lambda: McConfig(sample_count=100, seed=1, predictor_tau=-1.0),
+        "rmse-dist", FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+    "tau of strategies": (
+        lambda: predictor_noise_deviation(UncertainFeedback(KEY, 3.0, 0.5), 3.0, -1.0),
+        "strategies", FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+}
+
+
+class TestOneMessagePerRule:
+    """A value rule reads the same from the library and from a file or the CLI."""
+
+    @pytest.mark.parametrize("rule", VALUE_RULES)
+    def test_library_and_cli_agree(self, capsys, tmp_path, rule):
+        call, command, header, row = VALUE_RULES[rule]
+        with pytest.raises(InputError) as info:
+            call()
+        data = tmp_path / "data.csv"
+        data.write_text(header + row + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(PRED_HEADER + "u,i,3.0\n", encoding="utf-8")
+        argv = {
+            "fit": ["--obs", str(data), "--out", str(tmp_path / "out.csv")],
+            "distinguish": ["--feedback", str(data), "--s1", "1", "--s2", "2"],
+            "rmse-dist": ["--feedback", str(data), "--pred", str(pred), "--tau", "-1"],
+            "strategies": ["--feedback", str(data), "--pred", str(pred), "--tau", "-1"],
+        }[command]
+        code, _, stderr = run_cli(capsys, command, *argv)
+        assert code == 2
+        assert re.sub(rf"^error: ({re.escape(str(data))}:\d+: )?", "", stderr) == f"{info.value}\n"

@@ -77,6 +77,12 @@ class TestFitUncertainty:
         with pytest.raises(InputError):
             RatingObservation(FeedbackKey("u", "i"), 0, math.nan)
 
+    def test_trial_beyond_64_bits_rejected_by_the_constructor(self):
+        key = FeedbackKey("u", "i")
+        with pytest.raises(InputError) as info:
+            ObservationSet(SCALE, [RatingObservation(key, 2**63, 1.0)])
+        assert str(info.value) == f"trial must be below 2**63, got {2**63}"
+
     def test_duplicate_trial_rejected(self):
         key = FeedbackKey("u", "i")
         with pytest.raises(InputError):
