@@ -30,7 +30,6 @@ from .feedback import (
     ObservationSet,
     PredictionSet,
     RatingObservation,
-    RatingScale,
     SigmaFallback,
     SigmaFallbackPolicy,
     UncertainFeedback,
@@ -51,6 +50,7 @@ from .simulate import (
     GroundTruth,
     HistogramBin,
     PopulationSpec,
+    RatingScale,
     draw_trials,
     fit_roundtrip_check,
     generate_population,

@@ -170,6 +170,7 @@ def _from_json(cls, raw: dict, name: str):
     """Build the dataclass ``cls`` from the JSON object ``raw`` by its declared fields.
 
     Fields without a default are required; a dataclass field is a nested object.
+    A number field takes no JSON boolean, and an ``int`` field no fraction.
     """
     declared = fields(cls)
     types = typing.get_type_hints(cls)
@@ -190,9 +191,14 @@ def _from_json(cls, raw: dict, name: str):
         elif value is None and type(None) in typing.get_args(kind):
             values[key] = None
         else:
+            # ``float | None`` converts with its first member
+            convert = (typing.get_args(kind) or (kind,))[0]
+            if isinstance(value, bool):
+                raise InputError(f"bad spec value: {key} must be a number, got {json.dumps(value)}")
+            if convert is int and isinstance(value, float) and value % 1 > 0:
+                raise InputError(f"bad spec value: {key} must be an integer, got {value}")
             try:
-                # ``float | None`` converts with its first member
-                values[key] = (typing.get_args(kind) or (kind,))[0](value)
+                values[key] = convert(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"bad spec value: {exc}") from exc
     return cls(**values)

@@ -22,36 +22,6 @@ import numpy as np
 from .errors import InputError, UnavailableError
 
 
-@dataclass(frozen=True, slots=True)
-class RatingScale:
-    """Bounded rating axis; ``discrete_step`` absent means continuous."""
-
-    min_value: float
-    max_value: float
-    discrete_step: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.min_value) and math.isfinite(self.max_value)):
-            raise InputError("rating scale bounds must be finite")
-        if not self.min_value < self.max_value:
-            raise InputError(
-                f"rating scale needs min_value < max_value, got "
-                f"[{self.min_value}, {self.max_value}]"
-            )
-        if self.discrete_step is not None:
-            if not (math.isfinite(self.discrete_step) and self.discrete_step > 0):
-                raise InputError("discrete_step must be positive")
-            steps = (self.max_value - self.min_value) / self.discrete_step
-            if abs(steps - round(steps)) > 1e-9:
-                raise InputError(
-                    "scale span must be an integer multiple of discrete_step"
-                )
-
-    @property
-    def span(self) -> float:
-        return self.max_value - self.min_value
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class FeedbackKey:
     """Identity of one (user, item) pair."""
@@ -63,16 +33,17 @@ class FeedbackKey:
 class Interner:
     """Codes of names fed in chunks, ranked by code point once all are in.
 
-    ``add`` codes each name by the row where it was first fed; ``ranked``
-    maps those codes to the names' sorted positions.
+    The constructor and ``add`` code each name by the row where it was first
+    fed; ``ranked`` maps those codes to the names' sorted positions.
     """
 
     __slots__ = ("_code", "_chunks", "_rows")
 
-    def __init__(self) -> None:
+    def __init__(self, names: Sequence[str] = ()) -> None:
         self._code: dict[str, int] = {}
         self._chunks: list[np.ndarray] = []
         self._rows = 0
+        self.add(names)
 
     def add(self, names: Sequence[str]) -> None:
         n, first = len(names), self._rows
@@ -86,15 +57,7 @@ class Interner:
         firsts = np.fromiter(map(self._code.__getitem__, names), dtype=np.intp, count=len(names))
         rank = np.empty(self._rows, dtype=np.intp)
         rank[firsts] = np.arange(len(names))
-        codes = np.concatenate(self._chunks) if self._chunks else np.empty(0, dtype=np.intp)
-        return np.array(names, dtype=object), rank[codes]
-
-    @classmethod
-    def of(cls, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """``ranked`` of ``names`` fed as one chunk."""
-        interner = cls()
-        interner.add(names)
-        return interner.ranked()
+        return np.array(names, dtype=object), rank[np.concatenate(self._chunks)]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -112,7 +75,7 @@ class KeyTable:
     @classmethod
     def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:
         """Table of the distinct pairs among the rows, and each row's position."""
-        return cls.from_codes(Interner.of(users), Interner.of(items))
+        return cls.from_codes(Interner(users).ranked(), Interner(items).ranked())
 
     @classmethod
     def from_codes(
@@ -179,6 +142,22 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _pair_positions(keys: KeyTable, pair, aligned: str | None = None) -> np.ndarray:
+    """``pair`` as positions in ``keys``; a set named ``aligned`` holds each exactly once."""
+    pair = np.asarray(pair, dtype=np.intp)
+    outside = (pair < 0) | (pair >= len(keys))
+    if outside.any():
+        raise InputError(f"pair {pair[outside.argmax()]} is outside the {len(keys)} keys")
+    if aligned is not None:
+        counts = np.bincount(pair, minlength=len(keys))
+        if (counts > 1).any():
+            raise InputError(f"{aligned} keys must be unique")
+        if (counts == 0).any():
+            i = counts.argmin()
+            raise InputError(f"{aligned} has no row for {keys.users[i]}/{keys.items[i]}")
+    return pair
+
+
 def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
     """Read-only column of ``n`` pairs holding row ``j`` at position ``pair[j]``."""
     rows = np.asarray(rows)
@@ -197,7 +176,7 @@ def _slot_order(pair: np.ndarray, trial: np.ndarray) -> np.ndarray | None:
     if not len(pair):
         return None
     width = int(trial.max()) + 1
-    if int(pair.min()) >= 0 and (int(pair.max()) + 1) * width < 2**63:
+    if (int(pair.max()) + 1) * width < 2**63:
         slot = pair * width + trial
         if (slot[1:] > slot[:-1]).all():
             return None
@@ -231,30 +210,33 @@ class RatingObservation:
 
 
 class ObservationSet(_Columnar):
-    """Raw repeated-trial ratings plus the scale they were collected on.
+    """Raw repeated-trial ratings.
 
     Held as the columns ``pair`` (position in ``keys``), ``trial`` and
-    ``value``, sorted by (pair, trial). The scale records the nominal
-    instrument range. Continuous synthetic draws are intentionally not
-    clamped to it (clamping is opt-in at simulation time), so values
-    slightly outside the range are legal here.
+    ``value``, sorted by (pair, trial). Any finite value is legal, and a
+    key may have no rows.
     """
 
-    __slots__ = ("scale", "keys", "pair", "trial", "value")
+    __slots__ = ("keys", "pair", "trial", "value")
 
-    def __init__(self, scale: RatingScale, observations: Sequence[RatingObservation]) -> None:
+    def __init__(self, observations: Sequence[RatingObservation]) -> None:
         keys, pair = KeyTable.of(o.key for o in observations)
         trial = [o.trial for o in observations]
-        self._load(scale, keys, pair, trial, [o.value for o in observations])
+        self._load(keys, pair, trial, [o.value for o in observations])
 
-    def _load(self, scale, keys, pair, trial, value) -> None:
-        pair = np.asarray(pair, dtype=np.intp)
-        trial = np.asarray(trial, dtype=np.int64)
+    def _load(self, keys, pair, trial, value) -> None:
+        try:
+            trial = np.asarray(trial, dtype=np.int64)
+        except OverflowError:
+            for t, v in zip(trial, value):
+                RatingObservation.check(t, v)
+            raise
         value = np.asarray(value, dtype=float)
         bad = (trial < 0) | ~np.isfinite(value)
         if bad.any():
             i = int(np.argmax(bad))
             RatingObservation.check(int(trial[i]), float(value[i]))
+        pair = _pair_positions(keys, pair)
         order = _slot_order(pair, trial)
         if order is None:
             # copies, so that freezing them leaves the caller's arrays writeable
@@ -269,7 +251,6 @@ class ObservationSet(_Columnar):
                     f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
                     f"trial {trial[i]}"
                 )
-        self.scale = scale
         self.keys = keys
         self.pair = _frozen(sorted_pair)
         self.trial = _frozen(sorted_trial)
@@ -334,20 +315,20 @@ class UncertainFeedback:
 class FeedbackDataset(_Columnar):
     """Collection of per-pair response models with unique keys.
 
-    Held as the columns ``mu``, ``sigma`` and ``n_trials`` (0 where unknown),
-    aligned to ``keys``; ``entries`` rebuilds the per-pair models in key
-    order.
+    Held as the columns ``mu``, ``sigma`` and ``n_trials`` (0 where unknown,
+    the default of ``from_columns``), aligned to ``keys``; ``entries``
+    rebuilds the per-pair models in key order.
     """
 
-    __slots__ = ("scale", "keys", "mu", "sigma", "n_trials")
+    __slots__ = ("keys", "mu", "sigma", "n_trials")
 
-    def __init__(self, scale: RatingScale, entries: Sequence[UncertainFeedback]) -> None:
+    def __init__(self, entries: Sequence[UncertainFeedback]) -> None:
         keys, pair = KeyTable.of(e.key for e in entries)
         mu = [e.mu for e in entries]
         sigma = [e.sigma for e in entries]
-        self._load(scale, keys, pair, mu, sigma, [e.n_trials or 0 for e in entries])
+        self._load(keys, pair, mu, sigma, [e.n_trials or 0 for e in entries])
 
-    def _load(self, scale, keys, pair, mu, sigma, n_trials) -> None:
+    def _load(self, keys, pair, mu, sigma, n_trials=0) -> None:
         if not len(pair):
             raise InputError("feedback dataset must contain at least one entry")
         mu = np.asarray(mu, dtype=float)
@@ -356,9 +337,7 @@ class FeedbackDataset(_Columnar):
         if bad.any():
             i = int(np.argmax(bad))
             UncertainFeedback.check(float(mu[i]), float(sigma[i]))
-        if len(keys) != len(pair):
-            raise InputError("feedback dataset keys must be unique")
-        self.scale = scale
+        pair = _pair_positions(keys, pair, "feedback dataset")
         self.keys = keys
         self.mu, self.sigma, self.n_trials = (
             _scatter(pair, rows, len(keys)) for rows in (mu, sigma, n_trials)
@@ -401,6 +380,7 @@ class PredictionSet(_Columnar):
         self._load(keys, pair, np.fromiter(entries.values(), dtype=float))
 
     def _load(self, keys: KeyTable, pair, values) -> None:
+        pair = _pair_positions(keys, pair, "prediction")
         values = np.asarray(values, dtype=float)
         bad = ~np.isfinite(values)
         if bad.any():
@@ -408,8 +388,6 @@ class PredictionSet(_Columnar):
             raise InputError(
                 f"prediction for {keys.users[i]}/{keys.items[i]} must be finite"
             )
-        if len(keys) != len(pair):
-            raise InputError("prediction keys must be unique")
         self.keys = keys
         self.values = _scatter(pair, values, len(keys))
 
@@ -520,7 +498,7 @@ def fit_uncertainty(
             )
         else:
             sigma[single] = _root_mean_square(sigma[~single])
-    return FeedbackDataset.from_columns(obs.scale, obs.keys, np.arange(n), mu, sigma, n_trials)
+    return FeedbackDataset.from_columns(obs.keys, np.arange(n), mu, sigma, n_trials)
 
 
 def _root_mean_square(sigma: np.ndarray) -> float:

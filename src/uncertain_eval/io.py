@@ -27,16 +27,11 @@ Writing goes the other way, one column at a time: each distinct id is
 quoted once, each distinct number (by bit pattern) is formatted once with
 ``repr``, the shortest text that reads back to the same value, and the
 fields are joined into rows a chunk at a time.
-
-Neither the observation nor the feedback format persists a rating scale;
-on ingestion a continuous scale is inferred from the observed value range
-(padded by one unit when all values coincide).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import re
 from io import StringIO
 from itertools import chain, islice
@@ -53,7 +48,6 @@ from .feedback import (
     ObservationSet,
     PredictionSet,
     RatingObservation,
-    RatingScale,
     UncertainFeedback,
 )
 from .simulate import HistogramBin
@@ -225,42 +219,21 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None
         raise InputError(f"{path}:{rows.line_num}: {exc}") from None
 
 
-def _infer_scale(values: np.ndarray) -> RatingScale:
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        # one unit up; one float towards zero where a unit is below float spacing
-        if lo + 1.0 > lo:
-            hi = lo + 1.0
-        elif lo < 0:
-            hi = math.nextafter(lo, 0.0)
-        else:
-            lo = math.nextafter(lo, 0.0)
-    return RatingScale(min_value=lo, max_value=hi)
-
-
-def read_observations(
-    path: str | Path, scale: RatingScale | None = None
-) -> ObservationSet:
-    def build(keys, pair, trial, value):
-        inferred = _infer_scale(value) if scale is None else scale
-        return ObservationSet.from_columns(inferred, keys, pair, trial, value)
-
-    return _read(path, OBSERVATION_HEADER, (int, float), build, RatingObservation.check)
+def read_observations(path: str | Path) -> ObservationSet:
+    return _read(
+        path, OBSERVATION_HEADER, (int, float), ObservationSet.from_columns, RatingObservation.check
+    )
 
 
 def write_observations(path: str | Path, obs: ObservationSet) -> None:
     _write_columns(path, OBSERVATION_HEADER, (obs.trial, obs.value), obs.keys, obs.pair)
 
 
-def read_feedback(
-    path: str | Path, scale: RatingScale | None = None
-) -> FeedbackDataset:
-    def build(keys, pair, mu, sigma):
-        inferred = _infer_scale(mu) if scale is None else scale
-        n_trials = np.zeros(len(pair), dtype=np.int64)
-        return FeedbackDataset.from_columns(inferred, keys, pair, mu, sigma, n_trials)
-
-    return _read(path, FEEDBACK_HEADER, (float, float), build, UncertainFeedback.check, "feedback")
+def read_feedback(path: str | Path) -> FeedbackDataset:
+    return _read(
+        path, FEEDBACK_HEADER, (float, float), FeedbackDataset.from_columns,
+        UncertainFeedback.check, "feedback",
+    )
 
 
 def write_feedback(path: str | Path, data: FeedbackDataset) -> None:

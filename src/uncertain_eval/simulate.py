@@ -22,7 +22,6 @@ from .feedback import (
     KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingScale,
     fit_uncertainty,
 )
 from .rng import child_rng, validate_seed
@@ -38,6 +37,36 @@ MAX_HISTOGRAM_BINS = 1_000_000
 # call may allocate: a few numpy columns per pair or row, two ids per pair.
 MAX_POPULATION_PAIRS = 10_000_000
 MAX_OBSERVATION_ROWS = 50_000_000
+
+
+@dataclass(frozen=True, slots=True)
+class RatingScale:
+    """Bounded rating axis; ``discrete_step`` absent means continuous."""
+
+    min_value: float
+    max_value: float
+    discrete_step: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.min_value) and math.isfinite(self.max_value)):
+            raise InputError("rating scale bounds must be finite")
+        if not self.min_value < self.max_value:
+            raise InputError(
+                f"rating scale needs min_value < max_value, got "
+                f"[{self.min_value}, {self.max_value}]"
+            )
+        if self.discrete_step is not None:
+            if not (math.isfinite(self.discrete_step) and self.discrete_step > 0):
+                raise InputError("discrete_step must be positive")
+            steps = (self.max_value - self.min_value) / self.discrete_step
+            if abs(steps - round(steps)) > 1e-9:
+                raise InputError(
+                    "scale span must be an integer multiple of discrete_step"
+                )
+
+    @property
+    def span(self) -> float:
+        return self.max_value - self.min_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,22 +99,14 @@ class PopulationSpec:
                 f"n_users * n_items must be <= {MAX_POPULATION_PAIRS}, got "
                 f"{self.n_users} * {self.n_items}"
             )
-        if not (
-            math.isfinite(self.sigma_lo)
-            and math.isfinite(self.sigma_hi)
-            and 0 <= self.sigma_lo <= self.sigma_hi
-        ):
+        if not 0 <= self.sigma_lo <= self.sigma_hi < math.inf:
             raise InputError(
                 f"sigma prior needs 0 <= sigma_lo <= sigma_hi, got "
                 f"[{self.sigma_lo}, {self.sigma_hi}]"
             )
         if not 0 < self.density <= 1:
             raise InputError(f"density must lie in (0, 1], got {self.density}")
-        if not (
-            math.isfinite(self.bias_lo)
-            and math.isfinite(self.bias_hi)
-            and self.bias_lo <= self.bias_hi
-        ):
+        if not -math.inf < self.bias_lo <= self.bias_hi < math.inf:
             raise InputError(
                 f"bias prior needs bias_lo <= bias_hi, got "
                 f"[{self.bias_lo}, {self.bias_hi}]"
@@ -95,10 +116,11 @@ class PopulationSpec:
 
 @dataclass(frozen=True, slots=True)
 class GroundTruth:
-    """Generating per-pair parameters plus the derived predictions."""
+    """Generating per-pair parameters, the derived predictions and the rating scale."""
 
     dataset: FeedbackDataset
     predictions: PredictionSet | None
+    scale: RatingScale
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +161,10 @@ def generate_population(spec: PopulationSpec) -> GroundTruth:
     users = np.array(_pair_ids(spec.n_users, "u"), dtype=object)
     items = np.array(_pair_ids(spec.n_items, "i"), dtype=object)
     keys, pair = KeyTable.intern(users[chosen // spec.n_items], items[chosen % spec.n_items])
-    no_counts = np.zeros(n_pairs, dtype=np.int64)
     return GroundTruth(
-        dataset=FeedbackDataset.from_columns(spec.scale, keys, pair, mu, sigma, no_counts),
+        dataset=FeedbackDataset.from_columns(keys, pair, mu, sigma),
         predictions=PredictionSet.from_columns(keys, pair, mu + bias),
+        scale=spec.scale,
     )
 
 
@@ -151,10 +173,11 @@ def draw_trials(
 ) -> ObservationSet:
     """Draw k trials per pair from each pair's N(mu, sigma^2).
 
-    With ``discretise`` the draws are rounded to the nearest scale step and
-    clamped into the scale; this biases moments near the scale edges and is
-    therefore opt-in. Continuous draws are left untouched, including the
-    occasional value outside the nominal range.
+    With ``discretise`` the draws are rounded to the nearest step of
+    ``truth.scale`` and clamped into it; this biases moments near the scale
+    edges and is therefore opt-in. Continuous draws are left untouched,
+    including the occasional value outside the nominal range. The returned
+    set carries no scale.
     """
     if k < 1:
         raise InputError(f"trials per pair must be >= 1, got {k}")
@@ -164,7 +187,7 @@ def draw_trials(
             f"observation rows"
         )
     validate_seed(seed)
-    scale = truth.dataset.scale
+    scale = truth.scale
     if discretise and scale.discrete_step is None:
         raise InputError("discretise requires a scale with a discrete_step")
 
@@ -178,7 +201,7 @@ def draw_trials(
 
     pair = np.repeat(np.arange(data.N), k)
     trial = np.tile(np.arange(k), data.N)
-    return ObservationSet.from_columns(scale, data.keys, pair, trial, values.ravel())
+    return ObservationSet.from_columns(data.keys, pair, trial, values.ravel())
 
 
 def histogram(values: Iterable[float], bin_width: float) -> list[HistogramBin]:

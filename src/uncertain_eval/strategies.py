@@ -36,7 +36,6 @@ from .feedback import (
     FeedbackKey,
     ObservationSet,
     PredictionSet,
-    SigmaFallback,
     UncertainFeedback,
     fit_uncertainty,
     rating_columns,
@@ -201,9 +200,7 @@ def denoise_preprocess(
         values[rows] = block
 
     return DenoiseResult(
-        observations=ObservationSet.from_columns(
-            obs.scale, obs.keys, obs.pair, obs.trial, values
-        ),
+        observations=ObservationSet.from_columns(obs.keys, obs.pair, obs.trial, values),
         unconverged_keys=frozenset(map(obs.keys.key, sorted(unconverged))),
     )
 
@@ -295,23 +292,23 @@ def run_strategy_comparison(
     denoise: DenoiseConfig | None = None,
     predictor_tau: float | None = None,
     omission: OmissionConfig | None = None,
-    fallback: SigmaFallback = SigmaFallback.pooled(),
 ) -> list[StrategyReport]:
     """Run the requested strategies and score each against the floor test.
 
     ``data`` defaults to a fit of ``observations``. It is the scored dataset
     and, for the de-noising strategy's redraw policy, the generating model
     the removed ratings are drawn from; de-noising also needs the raw
-    observations. Before-scores are point RMSE
-    over the dataset's central tendencies, except for predictor noise where
-    before/after are the expected metric at tau = 0 and tau, so that the
-    tau = 0 limit is an exact identity.
+    observations. Both fits, of ``observations`` and of the de-noised
+    observations, use the pooled sigma fallback. Before-scores are point
+    RMSE over the dataset's central tendencies, except for predictor noise
+    where before/after are the expected metric at tau = 0 and tau, so that
+    the tau = 0 limit is an exact identity.
     """
     check_strategy_request(denoise, predictor_tau, omission)
     if data is None:
         if observations is None:
             raise InputError("need observations or a fitted dataset")
-        data = fit_uncertainty(observations, fallback)
+        data = fit_uncertainty(observations)
 
     floor = barrier_distribution(data)
     score_point = rmse(predictions, data)
@@ -322,7 +319,7 @@ def run_strategy_comparison(
         if observations is None:
             raise InputError("de-noising needs raw repeated-trial observations")
         result = denoise_preprocess(observations, data, denoise)
-        refit = fit_uncertainty(result.observations, fallback)
+        refit = fit_uncertainty(result.observations)
         score_after = rmse(predictions, refit)
         reports.append(
             StrategyReport(

@@ -41,8 +41,6 @@ from uncertain_eval import (
     variance_match_check,
 )
 
-WIDE = RatingScale(-100.0, 100.0)
-
 
 def report(capsys, criterion: str, ok: bool, detail: str) -> None:
     # print outside pytest's capture so the acceptance report is always visible
@@ -56,7 +54,7 @@ def dataset_from_sigmas(sigmas) -> FeedbackDataset:
         UncertainFeedback(FeedbackKey(f"u{i:06d}", "i1"), 3.0, float(s))
         for i, s in enumerate(sigmas)
     )
-    return FeedbackDataset(scale=WIDE, entries=entries)
+    return FeedbackDataset(entries=entries)
 
 
 def barrier_from_std(std: float) -> BarrierDistribution:
@@ -221,7 +219,7 @@ def test_criterion_07_omission_calibration(capsys):
 def test_criterion_08_predictor_noise_law(capsys):
     fb = UncertainFeedback(FeedbackKey("u", "i"), 3.0, 0.8)
     law = predictor_noise_deviation(fb, prediction=3.0, tau=1.0)
-    data = FeedbackDataset(scale=WIDE, entries=(fb,))
+    data = FeedbackDataset(entries=(fb,))
     predictions = PredictionSet({fb.key: 3.0})
     dist = rmse_distribution(
         data, predictions, McConfig(sample_count=100000, seed=888, predictor_tau=1.0)
@@ -256,7 +254,7 @@ def test_criterion_09_denoise_postcondition(capsys):
             observations.extend(
                 RatingObservation(key, t, float(v)) for t, v in enumerate(values)
             )
-        obs = ObservationSet(scale=WIDE, observations=tuple(observations))
+        obs = ObservationSet(observations=tuple(observations))
         result = denoise_preprocess(obs, None, DenoiseConfig(threshold=threshold))
         grouped = result.observations.grouped()
         converged = violations = size_changes = 0

@@ -11,7 +11,6 @@ from uncertain_eval import (
     FeedbackKey,
     GaussianDistribution,
     InputError,
-    RatingScale,
     UncertainFeedback,
     Z_TWO_SIDED_95,
     barrier_distribution,
@@ -21,15 +20,13 @@ from uncertain_eval import (
     relation_test,
 )
 
-SCALE = RatingScale(1.0, 5.0)
-
 
 def dataset_from_sigmas(sigmas) -> FeedbackDataset:
     entries = tuple(
         UncertainFeedback(FeedbackKey(f"u{i:06d}", "i1"), 3.0, float(s))
         for i, s in enumerate(sigmas)
     )
-    return FeedbackDataset(scale=SCALE, entries=entries)
+    return FeedbackDataset(entries=entries)
 
 
 def barrier_from_variance(variance: float, n: int = 1000) -> BarrierDistribution:

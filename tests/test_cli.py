@@ -568,6 +568,16 @@ SPEC_FAULTS = [
      "bad spec value: float() argument must be a string or a real number, not 'NoneType'"),
     ("scale_value_error", _with_scale(min_value=5.0, max_value=1.0),
      "rating scale needs min_value < max_value, got [5.0, 1.0]"),
+    ("fractional_int", dict(SPEC_JSON, n_users=2.7),
+     "bad spec value: n_users must be an integer, got 2.7"),
+    ("fractional_seed", dict(SPEC_JSON, seed=77.5),
+     "bad spec value: seed must be an integer, got 77.5"),
+    ("boolean_int", dict(SPEC_JSON, n_items=True),
+     "bad spec value: n_items must be a number, got true"),
+    ("boolean_float", dict(SPEC_JSON, sigma_lo=False),
+     "bad spec value: sigma_lo must be a number, got false"),
+    ("boolean_scale", _with_scale(discrete_step=True),
+     "bad spec value: discrete_step must be a number, got true"),
 ]
 
 

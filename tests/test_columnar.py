@@ -20,7 +20,6 @@ from uncertain_eval import (
     FeedbackKey,
     ObservationSet,
     RatingObservation,
-    RatingScale,
     Resampler,
     SigmaFallback,
     UnavailableError,
@@ -29,8 +28,6 @@ from uncertain_eval import (
     fit_uncertainty,
 )
 from uncertain_eval.rng import child_rng
-
-WIDE = RatingScale(-1000.0, 1000.0)
 
 # Ids from a small alphabet with a non-ASCII letter, an upper-case letter
 # and the empty id, so key order is exercised beyond zero-padded numbers.
@@ -54,7 +51,7 @@ def observation_groups(draw, values=st.one_of(finite, grid)):
 def shuffled_set(groups, rnd) -> ObservationSet:
     rows = [RatingObservation(key, t, v) for key, group in groups.items() for t, v in group]
     rnd.shuffle(rows)
-    return ObservationSet(scale=WIDE, observations=tuple(rows))
+    return ObservationSet(observations=tuple(rows))
 
 
 def in_trial_order(group) -> list[float]:
@@ -216,7 +213,6 @@ class TestRedrawMatchesReference:
     def test_same_draws_for_fixed_seed(self, groups, seed, iterations, rnd):
         model = {key: (3.0, 0.3 + 0.1 * i) for i, key in enumerate(sorted(groups))}
         truth = FeedbackDataset(
-            scale=WIDE,
             entries=tuple(UncertainFeedback(k, m, s) for k, (m, s) in model.items()),
         )
         cfg = DenoiseConfig(
@@ -241,7 +237,6 @@ class TestRedrawMatchesReference:
         }
         model = {"u1": (3.0, 0.8), "u2": (3.0, 0.5), "u3": (3.0, 0.1), "u4": (500.0, 0.01)}
         obs = ObservationSet(
-            scale=WIDE,
             observations=tuple(
                 RatingObservation(FeedbackKey(u, "i1"), t, v)
                 for u, vs in groups.items()
@@ -249,7 +244,6 @@ class TestRedrawMatchesReference:
             ),
         )
         truth = FeedbackDataset(
-            scale=WIDE,
             entries=tuple(
                 UncertainFeedback(FeedbackKey(u, "i1"), m, s) for u, (m, s) in model.items()
             ),

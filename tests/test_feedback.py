@@ -8,7 +8,9 @@ from uncertain_eval import (
     FeedbackDataset,
     FeedbackKey,
     InputError,
+    KeyTable,
     ObservationSet,
+    PredictionSet,
     RatingObservation,
     RatingScale,
     SigmaFallback,
@@ -18,18 +20,15 @@ from uncertain_eval import (
     pooled_sigma,
 )
 
-SCALE = RatingScale(1.0, 5.0)
-WIDE = RatingScale(-1000.0, 1000.0)
 
-
-def make_obs(groups: dict[str, list[float]], scale: RatingScale = WIDE) -> ObservationSet:
+def make_obs(groups: dict[str, list[float]]) -> ObservationSet:
     observations = []
     for name, values in groups.items():
         key = FeedbackKey(user_id=name, item_id="i1")
         observations.extend(
             RatingObservation(key=key, trial=t, value=v) for t, v in enumerate(values)
         )
-    return ObservationSet(scale=scale, observations=tuple(observations))
+    return ObservationSet(observations=tuple(observations))
 
 
 class TestRatingScale:
@@ -49,29 +48,29 @@ class TestRatingScale:
 
 class TestFitUncertainty:
     def test_zero_spread_group(self):
-        data = fit_uncertainty(make_obs({"u": [3, 3, 3, 3, 3]}, SCALE))
+        data = fit_uncertainty(make_obs({"u": [3, 3, 3, 3, 3]}))
         (entry,) = data.entries
         assert entry.mu == 3.0
         assert entry.sigma == 0.0
         assert entry.n_trials == 5
 
     def test_two_value_group(self):
-        (entry,) = fit_uncertainty(make_obs({"u": [2, 4]}, SCALE)).entries
+        (entry,) = fit_uncertainty(make_obs({"u": [2, 4]})).entries
         assert entry.mu == pytest.approx(3.0, abs=0)
         assert entry.sigma == pytest.approx(1.4142135623730951, abs=1e-12)
 
     def test_five_value_group(self):
-        (entry,) = fit_uncertainty(make_obs({"u": [4, 5, 4, 3, 4]}, SCALE)).entries
+        (entry,) = fit_uncertainty(make_obs({"u": [4, 5, 4, 3, 4]})).entries
         assert entry.mu == pytest.approx(4.0, abs=0)
         assert entry.sigma == pytest.approx(0.7071067811865476, abs=1e-12)
 
     def test_output_counts_distinct_keys(self):
-        data = fit_uncertainty(make_obs({"a": [1, 2], "b": [3, 4], "c": [5, 5]}, SCALE))
+        data = fit_uncertainty(make_obs({"a": [1, 2], "b": [3, 4], "c": [5, 5]}))
         assert data.N == 3
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
-            fit_uncertainty(ObservationSet(scale=SCALE, observations=()))
+            fit_uncertainty(ObservationSet(observations=()))
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(InputError):
@@ -80,14 +79,13 @@ class TestFitUncertainty:
     def test_trial_beyond_64_bits_rejected_by_the_constructor(self):
         key = FeedbackKey("u", "i")
         with pytest.raises(InputError) as info:
-            ObservationSet(SCALE, [RatingObservation(key, 2**63, 1.0)])
+            ObservationSet([RatingObservation(key, 2**63, 1.0)])
         assert str(info.value) == f"trial must be below 2**63, got {2**63}"
 
     def test_duplicate_trial_rejected(self):
         key = FeedbackKey("u", "i")
         with pytest.raises(InputError):
             ObservationSet(
-                scale=SCALE,
                 observations=(
                     RatingObservation(key, 0, 3.0),
                     RatingObservation(key, 0, 4.0),
@@ -95,19 +93,71 @@ class TestFitUncertainty:
             )
 
 
+class TestFromColumns:
+    """``pair`` must index the key table; aligned sets hold each pair once."""
+
+    KEYS = KeyTable.intern(["a", "b"], ["i", "i"])[0]
+
+    def test_trial_beyond_64_bits_rejected(self):
+        with pytest.raises(InputError) as info:
+            ObservationSet.from_columns(self.KEYS, [0], [2**63], [1.0])
+        assert str(info.value) == f"trial must be below 2**63, got {2**63}"
+
+    def test_trial_below_64_bits_rejected(self):
+        with pytest.raises(InputError) as info:
+            ObservationSet.from_columns(self.KEYS, [0, 1], [0, -(2**63) - 1], [1.0, 2.0])
+        assert str(info.value) == f"trial must be non-negative, got {-(2**63) - 1}"
+
+    @pytest.mark.parametrize("pair", [[0, 7], [-1, 0]], ids=["beyond", "negative"])
+    def test_observation_pair_outside_the_table_rejected(self, pair):
+        with pytest.raises(InputError) as info:
+            ObservationSet.from_columns(self.KEYS, pair, [0, 0], [1.0, 2.0])
+        assert str(info.value) == f"pair {max(pair, key=abs)} is outside the 2 keys"
+
+    def test_observation_key_without_rows_accepted(self):
+        obs = ObservationSet.from_columns(self.KEYS, [1, 1], [0, 1], [1.0, 2.0])
+        assert obs.counts().tolist() == [0, 2]
+
+    def test_repeated_feedback_pair_rejected(self):
+        with pytest.raises(InputError, match="^feedback dataset keys must be unique$"):
+            FeedbackDataset.from_columns(self.KEYS, [1, 1], [1.0, 2.0], [0.5, 0.5])
+
+    def test_repeated_prediction_pair_rejected(self):
+        with pytest.raises(InputError, match="^prediction keys must be unique$"):
+            PredictionSet.from_columns(self.KEYS, [1, 1], [1.0, 2.0])
+
+    @pytest.mark.parametrize("pair", [[0, 2], [0, -2]], ids=["beyond", "negative"])
+    def test_aligned_pair_outside_the_table_rejected(self, pair):
+        with pytest.raises(InputError, match="is outside the 2 keys"):
+            FeedbackDataset.from_columns(self.KEYS, pair, [1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(InputError, match="is outside the 2 keys"):
+            PredictionSet.from_columns(self.KEYS, pair, [1.0, 2.0])
+
+    def test_aligned_key_without_row_rejected(self):
+        with pytest.raises(InputError, match="^feedback dataset has no row for b/i$"):
+            FeedbackDataset.from_columns(self.KEYS, [0], [1.0], [0.5])
+        with pytest.raises(InputError, match="^prediction has no row for a/i$"):
+            PredictionSet.from_columns(self.KEYS, [1], [1.0])
+
+    def test_permuted_pair_scatters_every_position(self):
+        data = FeedbackDataset.from_columns(self.KEYS, [1, 0], [2.0, 1.0], [0.2, 0.1])
+        assert data.mu.tolist() == [1.0, 2.0]
+        assert data.n_trials.tolist() == [0, 0]
+
+
 class TestSigmaFallback:
     def test_zero_policy(self):
-        data = fit_uncertainty(make_obs({"solo": [4.0]}, SCALE), SigmaFallback.zero())
+        data = fit_uncertainty(make_obs({"solo": [4.0]}), SigmaFallback.zero())
         assert data.entries[0].sigma == 0.0
 
     def test_fixed_policy(self):
         data = fit_uncertainty(
-            make_obs({"solo": [4.0]}, SCALE), SigmaFallback.fixed(0.7)
+            make_obs({"solo": [4.0]}), SigmaFallback.fixed(0.7)
         )
         assert data.entries[0].sigma == 0.7
 
     def test_pooled_policy_borrows_from_multi_trial_pairs(self):
-        data = fit_uncertainty(make_obs({"solo": [4.0], "multi": [2.0, 4.0]}, SCALE))
+        data = fit_uncertainty(make_obs({"solo": [4.0], "multi": [2.0, 4.0]}))
         by_user = {e.key.user_id: e for e in data.entries}
         assert by_user["solo"].sigma == pytest.approx(
             by_user["multi"].sigma, abs=1e-12
@@ -115,7 +165,7 @@ class TestSigmaFallback:
 
     def test_pooled_policy_unavailable_without_multi_trial_pairs(self):
         with pytest.raises(UnavailableError):
-            fit_uncertainty(make_obs({"a": [4.0], "b": [2.0]}, SCALE))
+            fit_uncertainty(make_obs({"a": [4.0], "b": [2.0]}))
 
     def test_parse(self):
         assert SigmaFallback.parse("pooled") == SigmaFallback.pooled()
@@ -137,7 +187,7 @@ class TestPooledSigma:
             UncertainFeedback(FeedbackKey(f"u{i}", "i1"), 3.0, s, n_trials=n_trials)
             for i, s in enumerate(sigmas)
         )
-        return FeedbackDataset(scale=SCALE, entries=entries)
+        return FeedbackDataset(entries=entries)
 
     def test_all_zero(self):
         assert pooled_sigma(self._dataset([0.0, 0.0, 0.0])) == 0.0

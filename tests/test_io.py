@@ -21,7 +21,6 @@ from uncertain_eval import (
     ObservationSet,
     PredictionSet,
     RatingObservation,
-    RatingScale,
     UncertainFeedback,
 )
 from uncertain_eval.io import (
@@ -35,14 +34,11 @@ from uncertain_eval.io import (
     write_sample_dump,
 )
 
-SCALE = RatingScale(1.0, 5.0)
-
 
 def test_observation_roundtrip(tmp_path):
     key_a = FeedbackKey("alice", "movie-1")
     key_b = FeedbackKey("bob", "movie-2")
     obs = ObservationSet(
-        scale=SCALE,
         observations=(
             RatingObservation(key_b, 0, 4.0),
             RatingObservation(key_a, 1, 3.25),
@@ -68,7 +64,7 @@ def test_feedback_roundtrip_preserves_floats(tmp_path):
         UncertainFeedback(FeedbackKey("u1", "i1"), 3.141592653589793, 0.1234567890123),
         UncertainFeedback(FeedbackKey("u2", "i1"), 4.0, 0.0),
     )
-    data = FeedbackDataset(scale=SCALE, entries=entries)
+    data = FeedbackDataset(entries=entries)
     path = tmp_path / "feedback.csv"
     write_feedback(path, data)
     loaded = read_feedback(path)
@@ -163,7 +159,7 @@ def test_degenerate_scale_inference(tmp_path):
         "user_id,item_id,trial,rating\nu,i,0,3.0\nu,i,1,3.0\n", encoding="utf-8"
     )
     obs = read_observations(path)
-    assert obs.scale.min_value < obs.scale.max_value
+    assert obs.value.tolist() == [3.0, 3.0]
 
 
 @pytest.mark.parametrize("value", [2.0**53, -(2.0**60), sys.float_info.max, -sys.float_info.max])
@@ -172,9 +168,8 @@ def test_degenerate_scale_inference_beyond_unit_spacing(tmp_path, value):
     path.write_text(
         f"user_id,item_id,trial,rating\nu,i,0,{value!r}\nu,i,1,{value!r}\n", encoding="utf-8"
     )
-    scale = read_observations(path).scale
-    assert scale.min_value < scale.max_value
-    assert value in (scale.min_value, scale.max_value)
+    obs = read_observations(path)
+    assert obs.value.tolist() == [value, value]
 
 
 def test_sample_dump_format(tmp_path):
@@ -230,10 +225,10 @@ def _three_sets(pairs, values):
     keys, pair = KeyTable.intern(users, items)
     n = len(pairs)
     obs = ObservationSet.from_columns(
-        SCALE, keys, np.repeat(pair, 2), [0, 1] * n, np.repeat(values, 2)
+        keys, np.repeat(pair, 2), [0, 1] * n, np.repeat(values, 2)
     )
     feedback = FeedbackDataset.from_columns(
-        SCALE, keys, pair, values, np.abs(values), np.zeros(n, dtype=np.int64)
+        keys, pair, values, np.abs(values), np.zeros(n, dtype=np.int64)
     )
     return obs, feedback, PredictionSet.from_columns(keys, pair, values)
 
@@ -271,7 +266,7 @@ def test_ids_with_carriage_return_fail_or_read_back_unchanged(pairs):
 
 
 def test_carriage_return_in_id_round_trips(tmp_path):
-    obs = ObservationSet(SCALE, (RatingObservation(FeedbackKey("a\rb", "i\r"), 0, 3.0),))
+    obs = ObservationSet((RatingObservation(FeedbackKey("a\rb", "i\r"), 0, 3.0),))
     path = tmp_path / "obs.csv"
     write_observations(path, obs)
     assert path.read_bytes() == b'user_id,item_id,trial,rating\n"a\rb","i\r",0,3.0\n'
@@ -438,11 +433,11 @@ def test_writers_match_csv_writer(pairs, data, chunk_rows):
     ))
     rows = [(p, t) for p, ts in zip(pair.tolist(), trials) for t in ts]
     obs = ObservationSet.from_columns(
-        SCALE, keys, [p for p, _ in rows], [t for _, t in rows], _column(data, len(rows), numbers)
+        keys, [p for p, _ in rows], [t for _, t in rows], _column(data, len(rows), numbers)
     )
     mu = _column(data, n, numbers)
     sigma = [x if x >= 0 else -x for x in _column(data, n, numbers)]  # keeps -0.0
-    feedback = FeedbackDataset.from_columns(SCALE, keys, pair, mu, sigma, np.zeros(n, dtype=np.int64))
+    feedback = FeedbackDataset.from_columns(keys, pair, mu, sigma, np.zeros(n, dtype=np.int64))
     predictions = PredictionSet.from_columns(keys, pair, _column(data, n, numbers))
     counts = _column(data, n, st.integers(0, 2**63 - 1))
     bins = [HistogramBin(lo, hi, c) for lo, hi, c in zip(mu, sigma, counts)]
@@ -487,7 +482,7 @@ def test_observations_are_ordered_like_lexsort(rows, arrangement, random):
     pair = np.array([p for p, _ in rows], dtype=np.intp)
     trial = np.array([t for _, t in rows], dtype=np.int64)
     value = np.arange(len(rows), dtype=float)
-    obs = ObservationSet.from_columns(SCALE, SORT_KEYS, pair, trial, value)
+    obs = ObservationSet.from_columns(SORT_KEYS, pair, trial, value)
     order = np.lexsort((trial, pair))
     assert obs.pair.tolist() == pair[order].tolist()
     assert obs.trial.tolist() == trial[order].tolist()
@@ -512,11 +507,11 @@ def test_duplicate_slot_names_first_repeat_in_input_order(rows, arrangement):
     pair = [p for p, _ in rows]
     trial = [t for _, t in rows]
     if repeat is None:
-        assert len(ObservationSet.from_columns(SCALE, SORT_KEYS, pair, trial, [0.0] * len(rows))) == len(rows)
+        assert len(ObservationSet.from_columns(SORT_KEYS, pair, trial, [0.0] * len(rows))) == len(rows)
         return
     message = f"duplicate observation for u{repeat[0]}/i trial {repeat[1]}"
     with pytest.raises(InputError) as raised:
-        ObservationSet.from_columns(SCALE, SORT_KEYS, pair, trial, [0.0] * len(rows))
+        ObservationSet.from_columns(SORT_KEYS, pair, trial, [0.0] * len(rows))
     assert str(raised.value) == message
 
 
@@ -528,7 +523,7 @@ def test_write_observations_memory_is_bounded(tmp_path):
         [f"u{x:04d}" for x in (r // 250).tolist()], [f"i{x:02d}" for x in (r // 5 % 50).tolist()]
     )
     values = np.random.default_rng(3).normal(3.0, 1.0, 100_000)
-    obs = ObservationSet.from_columns(SCALE, keys, pair, r % 5, values)
+    obs = ObservationSet.from_columns(keys, pair, r % 5, values)
     path = tmp_path / "obs.csv"
     tracemalloc.start()
     try:

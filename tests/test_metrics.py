@@ -11,7 +11,6 @@ from uncertain_eval import (
     InputError,
     McConfig,
     PredictionSet,
-    RatingScale,
     UncertainFeedback,
     rmse,
     rmse_distribution,
@@ -20,15 +19,13 @@ from uncertain_eval import (
 from uncertain_eval import metrics
 from uncertain_eval.metrics import MAX_SAMPLE_COUNT, MAX_THREADS, resolve_thread_count
 
-SCALE = RatingScale(1.0, 5.0)
-
 
 def make_dataset(rows) -> FeedbackDataset:
     """rows: (user, mu, sigma)"""
     entries = tuple(
         UncertainFeedback(FeedbackKey(u, "i1"), mu, sigma) for u, mu, sigma in rows
     )
-    return FeedbackDataset(scale=SCALE, entries=entries)
+    return FeedbackDataset(entries=entries)
 
 
 def perfect_predictions(data: FeedbackDataset) -> PredictionSet:
@@ -220,7 +217,7 @@ class TestSampler:
     def test_tau_is_one_draw_of_scale_hypot_sigma_tau(self, tau):
         data, predictions = biased_pairs(50)
         widened = FeedbackDataset.from_columns(
-            SCALE, data.keys, np.arange(data.N), data.mu,
+            data.keys, np.arange(data.N), data.mu,
             np.hypot(data.sigma, tau), data.n_trials,
         )
         noisy = rmse_distribution(

@@ -6,15 +6,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
+def run_python(*args, cwd):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=pythonpath),
     )
+
+
+def run_script(name, *args, cwd):
+    return run_python(str(ROOT / "scripts" / name), *args, cwd=cwd)
 
 
 def test_synthetic_strategies_demo(tmp_path):
@@ -31,3 +35,21 @@ def test_published_scores_demo(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "scores: s1=0.8647  s2=0.88  gap=0.015300" in lines
+
+
+def test_readme_library_example(tmp_path):
+    spec = (
+        '{"n_users": 4, "n_items": 3, "scale": {"min_value": 1.0, "max_value": 5.0},'
+        ' "sigma_lo": 0.3, "sigma_hi": 1.0, "seed": 5}'
+    )
+    proc = run_python(
+        "-m", "uncertain_eval.cli", "simulate", "--spec", spec, "--out-dir", ".", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    proc = run_python("-c", block, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    verdict, moments = proc.stdout.splitlines()
+    assert verdict in ("True", "False")
+    assert len([float(x) for x in moments.split()]) == 2

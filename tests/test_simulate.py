@@ -124,10 +124,10 @@ class TestDrawTrials:
 
         pinned = GroundTruth(
             dataset=FeedbackDataset(
-                scale=scale,
                 entries=(UncertainFeedback(entry.key, 5.0, 1.0),),
             ),
             predictions=None,
+            scale=scale,
         )
         obs = draw_trials(pinned, k=10000, discretise=True, seed=9)
         values = np.asarray([o.value for o in obs.observations])

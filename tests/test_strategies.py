@@ -14,7 +14,6 @@ from uncertain_eval import (
     OmissionConfig,
     PredictionSet,
     RatingObservation,
-    RatingScale,
     Resampler,
     UncertainFeedback,
     denoise_preprocess,
@@ -23,18 +22,15 @@ from uncertain_eval import (
     run_strategy_comparison,
 )
 
-SCALE = RatingScale(1.0, 5.0)
-WIDE = RatingScale(-1000.0, 1000.0)
 
-
-def obs_from_groups(groups: dict[str, list[float]], scale=WIDE) -> ObservationSet:
+def obs_from_groups(groups: dict[str, list[float]]) -> ObservationSet:
     observations = []
     for name, values in groups.items():
         key = FeedbackKey(name, "i1")
         observations.extend(
             RatingObservation(key, t, float(v)) for t, v in enumerate(values)
         )
-    return ObservationSet(scale=scale, observations=tuple(observations))
+    return ObservationSet(observations=tuple(observations))
 
 
 def group_values(result, name: str) -> list[float]:
@@ -86,7 +82,6 @@ class TestDenoise:
         # removing the outlier leaves [2.0, 3.0]; a draw from N(3, 0.5^2)
         # lands within 1.5 of both with high probability, so no fallback
         truth = FeedbackDataset(
-            scale=WIDE,
             entries=(UncertainFeedback(FeedbackKey("u", "i1"), 3.0, 0.5),),
         )
         obs = obs_from_groups({"u": [2.0, 4.4, 3.0]})
@@ -104,7 +99,6 @@ class TestDenoise:
         # retained values [1.0, 5.0] admit no draw within threshold 1 of
         # both, so the redraw falls back to the median and flags the group
         truth = FeedbackDataset(
-            scale=WIDE,
             entries=(UncertainFeedback(FeedbackKey("u", "i1"), 3.0, 0.2),),
         )
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
@@ -118,7 +112,6 @@ class TestDenoise:
 
     def test_redraw_deterministic(self):
         truth = FeedbackDataset(
-            scale=WIDE,
             entries=(UncertainFeedback(FeedbackKey("u", "i1"), 3.0, 0.5),),
         )
         obs = obs_from_groups({"u": [0.0, 6.0, 3.0]})
@@ -132,7 +125,6 @@ class TestDenoise:
     def test_impossible_redraw_falls_back_and_flags(self):
         # model far from the data: accepted draws are effectively impossible
         truth = FeedbackDataset(
-            scale=WIDE,
             entries=(UncertainFeedback(FeedbackKey("u", "i1"), 500.0, 0.01),),
         )
         obs = obs_from_groups({"u": [1.0, 9.0, 5.0]})
@@ -216,7 +208,7 @@ def omission_fixture(sigmas, deviations):
         UncertainFeedback(FeedbackKey(f"u{i:05d}", "i1"), 3.0, float(s))
         for i, s in enumerate(sigmas)
     )
-    data = FeedbackDataset(scale=WIDE, entries=entries)
+    data = FeedbackDataset(entries=entries)
     ratings = {e.key: e.mu for e in entries}
     predictions = PredictionSet(
         {e.key: e.mu - float(d) for e, d in zip(entries, deviations)}
@@ -337,7 +329,7 @@ class TestStrategyComparison:
             UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.0),
             UncertainFeedback(FeedbackKey("b", "i1"), 4.0, 0.0),
         )
-        data = FeedbackDataset(scale=SCALE, entries=entries)
+        data = FeedbackDataset(entries=entries)
         predictions = PredictionSet({e.key: e.mu for e in entries})
         (report,) = run_strategy_comparison(
             predictions, data=data, predictor_tau=1.0
@@ -353,7 +345,7 @@ class TestStrategyComparison:
             UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.4),
             UncertainFeedback(FeedbackKey("b", "i1"), 4.0, 0.8),
         )
-        data = FeedbackDataset(scale=SCALE, entries=entries)
+        data = FeedbackDataset(entries=entries)
         predictions = PredictionSet({e.key: e.mu + 0.1 for e in entries})
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=0.0)
         assert report.score_after == report.score_before
@@ -430,7 +422,7 @@ class TestStrategyComparison:
 
     def test_report_json_schema(self):
         entries = (UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.5),)
-        data = FeedbackDataset(scale=SCALE, entries=entries)
+        data = FeedbackDataset(entries=entries)
         predictions = PredictionSet({FeedbackKey("a", "i1"): 2.0})
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=1.0)
         payload = report.to_json_dict()
