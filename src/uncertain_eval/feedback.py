@@ -33,8 +33,9 @@ class FeedbackKey:
 class Interner:
     """Codes of names fed in chunks, ranked by code point once all are in.
 
-    The constructor and ``add`` code each name by the row where it was first
-    fed; ``ranked`` maps those codes to the names' sorted positions.
+    The constructor and ``add`` code each new name by a number that no other
+    name gets: a row number of the chunk that first fed it. ``ranked`` maps
+    those codes to the names' sorted positions.
     """
 
     __slots__ = ("_code", "_chunks", "_rows")
@@ -45,11 +46,18 @@ class Interner:
         self._rows = 0
         self.add(names)
 
-    def add(self, names: Sequence[str]) -> None:
+    def add(self, names: Sequence[str], codes: np.ndarray | None = None) -> None:
+        """Feed ``names``, or the rows ``names[codes]`` when ``codes`` is given.
+
+        With ``codes``, ``names`` are distinct and each is among the rows.
+        """
         n, first = len(names), self._rows
         rows = map(self._code.setdefault, names, range(first, first + n))
-        self._chunks.append(np.fromiter(rows, dtype=np.intp, count=n))
-        self._rows += n
+        fed = np.fromiter(rows, dtype=np.intp, count=n)
+        if codes is not None:
+            fed = fed[codes]
+        self._chunks.append(fed)
+        self._rows += len(fed)
 
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct names, and the position of each fed name among them."""
@@ -166,6 +174,23 @@ def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
     return _frozen(column)
 
 
+def _fits_int64(trial) -> bool:
+    """Whether casting ``trial`` to int64 surely keeps every value.
+
+    The cast changes some values without raising: it wraps a uint64 of
+    2**63 or more and drops a float's fraction. A sequence of ints and
+    floats converts to float64, which has already rounded its large ints,
+    so a sequence passes only when numpy reads it as ints.
+    """
+    given = np.asarray(trial)
+    kind = given.dtype.kind
+    if kind == "u":
+        return bool((given < 2**63).all())
+    if kind == "f" and isinstance(trial, np.ndarray):
+        return bool(((np.abs(given) < 2**63) & (given == np.trunc(given))).all())
+    return kind == "i"
+
+
 def _slot_order(pair: np.ndarray, trial: np.ndarray) -> np.ndarray | None:
     """Row order by (pair, trial), or None when the rows are already in it.
 
@@ -201,6 +226,8 @@ class RatingObservation:
     @staticmethod
     def check(trial: int, value: float) -> None:
         # trials are stored as 64-bit integers
+        if trial % 1:
+            raise InputError(f"trial must be an integer, got {trial}")
         if trial < 0:
             raise InputError(f"trial must be non-negative, got {trial}")
         if trial >= 2**63:
@@ -225,12 +252,11 @@ class ObservationSet(_Columnar):
         self._load(keys, pair, trial, [o.value for o in observations])
 
     def _load(self, keys, pair, trial, value) -> None:
-        try:
-            trial = np.asarray(trial, dtype=np.int64)
-        except OverflowError:
+        if not _fits_int64(trial):
+            # name the first row whose trial the cast could change
             for t, v in zip(trial, value):
                 RatingObservation.check(t, v)
-            raise
+        trial = np.asarray(trial, dtype=np.int64)
         value = np.asarray(value, dtype=float)
         bad = (trial < 0) | ~np.isfinite(value)
         if bad.any():
@@ -480,6 +506,9 @@ def fit_uncertainty(
     mu = np.empty(n)
     sigma = np.empty(n)
     n_trials = obs.counts()
+    if not n_trials.all():
+        i = int(n_trials.argmin())
+        raise InputError(f"no observations for {obs.keys.users[i]}/{obs.keys.items[i]}")
     for pairs, rows in obs.blocks():
         block = obs.value[rows]
         mu[pairs] = block.mean(axis=1)

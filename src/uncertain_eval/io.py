@@ -11,11 +11,15 @@ Headers are fixed, in any column order, and a repeated column is rejected:
     histogram:    bin_lo,bin_hi,count
     sample dump:  sample_index,score
 
-Reading turns a file into numpy columns in chunks: text without ``"`` and
-``\r`` is cut at line ends into pieces of about 256 KiB and split with
-``str.split``, any other text goes through ``csv.reader``. Both reject a
-field longer than ``csv.field_size_limit()``. The columns go to the data
-set's ``from_columns``, which checks them vectorised. Only when a
+Reading turns a file into numpy columns in chunks. Text without ``"`` and
+``\r`` is cut at line ends into pieces of about 256 KiB, and its fields are
+found on the bytes. In a piece, a column whose fields are all of 8 bytes
+or less is keyed: each field becomes one integer of its bytes, and each
+distinct text is decoded and converted once per piece. Longer fields, and
+every field of a piece that holds a NUL byte, are split from the decoded
+text with ``str.split``. Any other text goes through ``csv.reader``. Both
+reject a field longer than ``csv.field_size_limit()``. The columns go to
+the data set's ``from_columns``, which checks them vectorised. Only when a
 conversion or a check fails does a second pass walk the rows through
 ``csv.reader`` to name the first bad one as ``path:line``. Every format
 checks a row in one order: its fields in header order, each present
@@ -58,10 +62,13 @@ PREDICTION_HEADER = ["user_id", "item_id", "prediction"]
 HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "count"]
 SAMPLE_DUMP_HEADER = ["sample_index", "score"]
 
-# Characters per piece of plain text read, and rows per piece of other text
-# read or of any text written: pieces bound the field strings alive at once.
+# Bytes per piece of plain text read, and rows per piece of other text read
+# or of any text written: pieces bound the fields alive at once.
 _CHUNK_CHARS = 1 << 18
 _CHUNK_ROWS = 1 << 14
+
+# Mask of the last k bytes of an 8-byte word, for k = 0..8.
+_SUFFIX = np.array([2 ** (8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 # Characters that make a written id need quotes.
 _SPECIAL = re.compile('[,"\n\r]')
@@ -90,59 +97,111 @@ def _positions(path: Path, header: Sequence[str], got: list[str] | None) -> list
     return [got.index(column) for column in header]
 
 
-def _split_pieces(text: str, start: int, width: int) -> Iterator[list[str]]:
-    """Fields of the lines of plain ``text[start:]``, piece by piece."""
+def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list]:
+    """Converted ``columns`` of the lines of plain ``data[start:]``, piece by piece.
+
+    ``columns`` holds the position and kind of each column. A column whose
+    fields in a piece are all of 8 bytes or less is keyed: each field is
+    read as the big-endian word that ends with it, masked to its length,
+    so two fields share a key exactly when their texts are equal. NUL pads
+    a key, so a piece holding one, like a longer field, takes the split of
+    the decoded text.
+    """
     limit = csv.field_size_limit()
-    stop = len(text) - text.endswith("\n")
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    # the 8 bytes from each offset, as a view; a field ends after the header,
+    # so at least 8 bytes into data
+    words = np.ndarray((len(data) - 7,), ">u8", data, strides=(1,))
+    # work space reused by every piece: a fresh buffer of a piece's size
+    # costs a page fault per 4 KiB each time it is allocated
+    found, spaced = np.empty(0, dtype=bool), np.empty(0, dtype=np.uint8)
+    stop = len(data) - data.endswith(b"\n")
     while start < stop:
-        end = text.find("\n", min(start + _CHUNK_CHARS, stop), stop)
+        end = data.find(b"\n", min(start + _CHUNK_CHARS, stop), stop)
         end = stop if end < 0 else end
-        piece = text[start:end]
-        start = end + 1
-        data = np.frombuffer(piece.encode(), dtype=np.uint8)
-        ends = np.append(np.flatnonzero(data == ord("\n")), len(data))
-        commas = np.flatnonzero(data == ord(","))
-        if (np.diff(np.searchsorted(commas, ends), prepend=0) != width - 1).any():
+        piece = buffer[start:end]
+        if len(found) < len(piece):
+            found = np.empty(2 * len(piece), dtype=bool)
+            spaced = np.empty(2 * len(piece), dtype=np.uint8)
+        is_byte = found[: len(piece)]
+        commas = np.flatnonzero(np.equal(piece, ord(","), out=is_byte))
+        lines = np.append(np.flatnonzero(np.equal(piece, ord("\n"), out=is_byte)), len(piece))
+        if len(commas) != (width - 1) * len(lines) or (
+            np.searchsorted(commas, lines) != np.arange(width - 1, len(commas) + 1, width - 1)
+        ).any():
             raise ValueError("a row has the wrong number of fields")
-        # a field is no longer than its line, and a character no shorter than a byte
-        for line in np.flatnonzero(np.diff(ends, prepend=-1) > limit + 1).tolist():
-            head = ends[line - 1] + 1 if line else 0
-            fields = data[head : ends[line]].tobytes().decode().split(",")
-            if max(map(len, fields)) > limit:
+        # where each field ends and how long it is, one row per line
+        ends = np.column_stack((commas.reshape(-1, width - 1), lines))
+        sizes = ends - np.column_stack((np.append(0, lines[:-1] + 1), ends[:, :-1] + 1))
+        # a character is no shorter than a byte
+        for field in np.flatnonzero(sizes > limit).tolist():
+            last = ends.flat[field]
+            text = piece[last - sizes.flat[field] : last].tobytes().decode()
+            if len(text) > limit:
                 raise ValueError("a field is larger than the field limit")
-        yield piece.replace("\n", ",").split(",")
+        keyable = data.find(b"\0", start, end) < 0
+        flat = None
+        converted = []
+        for j, kind in columns:
+            if keyable and sizes[:, j].max() <= 8:
+                converted.append(_keyed(words[ends[:, j] + start - 8], sizes[:, j], kind))
+                continue
+            if flat is None:
+                # the piece with a comma for each line end, as text
+                joined = spaced[: len(piece)]
+                joined[:] = piece
+                joined[lines[:-1]] = ord(",")
+                flat = str(joined, "utf-8").split(",")
+            converted.append(_converted(flat[j::width], kind))
+        yield converted
+        start = end + 1
 
 
-def _csv_pieces(rows: Iterator[list[str]], width: int) -> Iterator[list[str]]:
-    """Fields of the ``csv.reader`` rows, piece by piece."""
+def _keyed(words: np.ndarray, size: np.ndarray, kind: type):
+    """A column whose field ``i`` is the last ``size[i]`` <= 8 bytes of ``words[i]``.
+
+    Each distinct text is decoded and converted once.
+    """
+    keys, codes = np.unique(words & _SUFFIX[size], return_inverse=True)
+    texts = [key.lstrip(b"\0").decode() for key in keys.astype(">u8").view("S8").tolist()]
+    if kind is str:
+        return texts, codes
+    return np.array(list(map(kind, texts)), dtype=np.int64 if kind is int else float)[codes]
+
+
+def _converted(fields: list[str], kind: type):
+    """A column of text ``fields``: ids as ``(fields, None)``, numbers as an array."""
+    if kind is str:
+        return fields, None
+    if kind is int:  # trials repeat: convert each distinct text once
+        number = {text: int(text) for text in dict.fromkeys(fields)}
+        return np.fromiter(map(number.__getitem__, fields), dtype=np.int64, count=len(fields))
+    return np.fromiter(map(kind, fields), dtype=float, count=len(fields))
+
+
+def _csv_pieces(rows: Iterator[list[str]], width: int, columns) -> Iterator[list]:
+    """Converted ``columns`` of the ``csv.reader`` rows, piece by piece."""
     while piece := list(islice(rows, _CHUNK_ROWS)):
         if set(map(len, piece)) != {width}:
             raise ValueError("a row has the wrong number of fields")
-        yield list(chain.from_iterable(piece))
+        flat = list(chain.from_iterable(piece))
+        yield [_converted(flat[j::width], kind) for j, kind in columns]
 
 
-def _columns(pieces: Iterable[list[str]], index: Sequence[int], kinds: Sequence[type]):
-    """Key table, each row's pair and the numeric columns of the pieces' fields.
+def _columns(pieces: Iterable[list]):
+    """Key table, each row's pair and the numeric columns of the pieces.
 
-    ``index`` holds the position of the user, the item and each numeric
-    column in a row; ``kinds`` converts each numeric field (int or float).
+    Each piece holds the user and item column as ``Interner.add`` arguments,
+    then the numeric columns as arrays.
     """
-    width = len(index)
     users, items = Interner(), Interner()
-    numbers: list[list[np.ndarray]] = [[] for _ in kinds]
-    for flat in pieces:
-        users.add(flat[index[0] :: width])
-        items.add(flat[index[1] :: width])
-        for parts, j, kind in zip(numbers, index[2:], kinds):
-            column = flat[j::width]
-            if kind is int:  # trials repeat: convert each distinct text once
-                number = {text: int(text) for text in dict.fromkeys(column)}
-                values, dtype = map(number.__getitem__, column), np.int64
-            else:
-                values, dtype = map(kind, column), float
-            parts.append(np.fromiter(values, dtype=dtype, count=len(column)))
+    numbers = []
+    for user, item, *values in pieces:
+        users.add(*user)
+        items.add(*item)
+        numbers.append(values)
     keys, pair = KeyTable.from_codes(users.ranked(), items.ranked())
-    return keys, pair, [np.concatenate(parts) for parts in numbers] if len(pair) else []
+    return keys, pair, [np.concatenate(column) for column in zip(*numbers)]
 
 
 def _read(
@@ -161,29 +220,37 @@ def _read(
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            text = handle.read()
+        data = path.read_bytes()
+        plain = b'"' not in data and b"\r" not in data
+        if not plain:
+            text = data.decode()
+            del data  # csv.reader and _diagnose read only the text
+        elif not data.isascii():
+            data.decode()  # the error names the first byte that is not UTF-8
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    plain = '"' not in text and "\r" not in text
-    end = text.find("\n") + 1 or len(text)
-    rows = _records(text[:end] if plain else text)
+    if plain:
+        end = data.find(b"\n") + 1 or len(data)
+        rows = _records(data[:end].decode())
+    else:
+        rows = _records(text)
     try:
         got = next(rows, None)
     except csv.Error as exc:
         raise InputError(f"{path}:{rows.line_num}: {exc}") from None
     index = _positions(path, header, got)
+    columns = list(zip(index, (str, str, *kinds)))
     if plain:
-        pieces = _split_pieces(text, end, len(header))
+        pieces = _split_pieces(data, end, len(header), columns)
     else:
-        pieces = _csv_pieces(rows, len(header))
+        pieces = _csv_pieces(rows, len(header), columns)
     try:
-        keys, pair, columns = _columns(pieces, index, kinds)
+        keys, pair, numbers = _columns(pieces)
         if not len(pair):
             raise InputError(f"{path}: no data rows")
-        return build(keys, pair, *columns)
+        return build(keys, pair, *numbers)
     except _FAULTS:
-        _diagnose(path, text, header, index, kinds, rule, unique)
+        _diagnose(path, data.decode() if plain else text, header, index, kinds, rule, unique)
         raise
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,36 @@ class TestFromColumns:
     def test_observation_key_without_rows_accepted(self):
         obs = ObservationSet.from_columns(self.KEYS, [1, 1], [0, 1], [1.0, 2.0])
         assert obs.counts().tolist() == [0, 2]
+
+    def test_fit_rejects_a_key_without_rows(self):
+        obs = ObservationSet.from_columns(self.KEYS, [1, 1], [0, 1], [1.0, 2.0])
+        with pytest.raises(InputError) as info:
+            fit_uncertainty(obs)
+        assert str(info.value) == "no observations for a/i"
+
+    def test_unsigned_trial_beyond_64_bits_rejected(self):
+        trial = np.array([0, 2**63], dtype=np.uint64)
+        with pytest.raises(InputError) as info:
+            ObservationSet.from_columns(self.KEYS, [0, 1], trial, [1.0, 2.0])
+        assert str(info.value) == f"trial must be below 2**63, got {2**63}"
+
+    @pytest.mark.parametrize("dtype", [float, np.float32])
+    def test_fractional_trial_rejected(self, dtype):
+        trial = np.array([1.0, 2.5], dtype=dtype)
+        with pytest.raises(InputError) as info:
+            ObservationSet.from_columns(self.KEYS, [0, 1], trial, [1.0, 2.0])
+        assert str(info.value) == "trial must be an integer, got 2.5"
+
+    def test_whole_float_and_unsigned_trials_accepted(self):
+        for trial in (np.array([3.0, 0.0]), np.array([3, 2**63 - 1], dtype=np.uint64)):
+            obs = ObservationSet.from_columns(self.KEYS, [0, 1], trial, [1.0, 2.0])
+            assert obs.trial.dtype == np.int64
+            assert obs.trial.tolist() == trial.astype(np.int64).tolist()
+
+    @pytest.mark.parametrize("trial", [[2**53 + 1, float(2**53)], [2**63 - 1, 1.0]])
+    def test_ints_beside_float_trials_keep_every_digit(self, trial):
+        obs = ObservationSet.from_columns(self.KEYS, [0, 0], trial, [1.0, 2.0])
+        assert obs.trial.tolist() == sorted(int(t) for t in trial)
 
     def test_repeated_feedback_pair_rejected(self):
         with pytest.raises(InputError, match="^feedback dataset keys must be unique$"):

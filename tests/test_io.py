@@ -533,3 +533,133 @@ def test_write_observations_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size == 3_047_413
     assert peak < 5.5 * 2**20
+
+
+def _read_encodings(tmp_path, read, header: str, rows: list[list[str]], columns):
+    """``read`` of the plain text of ``rows``, checked against its quoted and CRLF texts."""
+    loaded = {}
+    for name, text in _encodings(header, rows).items():
+        other = "_csv_pieces" if name == "plain" else "_split_pieces"
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with mock.patch.object(io, other, side_effect=AssertionError(other)):
+            loaded[name] = read(path)
+    plain = loaded.pop("plain")
+    for other in loaded.values():
+        assert _keys(other) == _keys(plain)
+        for column in columns:
+            a, b = getattr(other, column), getattr(plain, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return plain
+
+
+OBSERVATION_COLUMNS = ("pair", "trial", "value")
+
+
+@pytest.mark.parametrize("size", [8, 9])
+def test_fields_of_8_bytes_are_keyed_and_of_9_split(tmp_path, size):
+    rows = [
+        [chr(ord("a") + k) * size, str(k) * size, str(k + 1) * size, f"{k}." + "5" * (size - 2)]
+        for k in range(3)
+    ]
+    with mock.patch.object(io, "_keyed", wraps=io._keyed) as keyed:
+        obs = _read_encodings(tmp_path, read_observations, "user_id,item_id,trial,rating", rows,
+                              OBSERVATION_COLUMNS)
+    assert keyed.call_count == (4 if size == 8 else 0)
+    assert _keys(obs) == ([row[0] for row in rows], [row[1] for row in rows])
+    assert obs.trial.tolist() == [int(row[2]) for row in rows]
+    assert obs.value.tolist() == [float(row[3]) for row in rows]
+
+
+@pytest.mark.parametrize("ids", [
+    ["é", "e", "z", "ab€", "\U0001f600", "abcdefé", "abcdef"],  # all of 8 bytes or less
+    ["abcdefgé", "abcdefg", "abcdefé", "abcdefgz"],  # a 2-byte character at bytes 8 and 9
+])
+def test_multibyte_ids_sort_by_code_point(tmp_path, ids):
+    rows = [[name, name, "0", "1.5"] for name in ids]
+    predictions = _read_encodings(
+        tmp_path, read_predictions, "user_id,item_id,prediction",
+        [[name, name, "1.5"] for name in ids], ("values",),
+    )
+    obs = _read_encodings(tmp_path, read_observations, "user_id,item_id,trial,rating", rows,
+                          OBSERVATION_COLUMNS)
+    assert _keys(obs) == _keys(predictions) == (sorted(ids), sorted(ids))
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 18])
+def test_nul_keeps_ids_apart(tmp_path, chunk_chars):
+    rows = [["a", "i", "0", "1.0"], ["a\x00", "i", "0", "2.0"], ["a", "i\x00", "0", "3.0"]]
+    with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
+        obs = _read_encodings(tmp_path, read_observations, "user_id,item_id,trial,rating", rows,
+                              OBSERVATION_COLUMNS)
+    assert _keys(obs) == (["a", "a", "a\x00"], ["i", "i\x00", "i"])
+    assert obs.value.tolist() == [1.0, 3.0, 2.0]
+
+
+def test_equal_values_of_distinct_texts(tmp_path):
+    texts = ["1", "01", "+1", " 1", "1.0"]
+    rows = [[f"u{k}", "i", trial, rating]
+            for k, (trial, rating) in enumerate(zip(texts[:4] + ["1"], texts))]
+    obs = _read_encodings(tmp_path, read_observations, "user_id,item_id,trial,rating", rows,
+                          OBSERVATION_COLUMNS)
+    assert obs.trial.tolist() == [1] * 5
+    assert obs.value.tolist() == [1.0] * 5
+    feedback = _read_encodings(
+        tmp_path, read_feedback, "user_id,item_id,mu,sigma",
+        [[f"u{k}", "i", text, text] for k, text in enumerate(texts)], ("mu", "sigma"),
+    )
+    assert feedback.mu.tolist() == feedback.sigma.tolist() == [1.0] * 5
+
+
+def test_column_keyed_in_one_piece_and_split_in_the_next(tmp_path):
+    rows = [
+        ["u", "i", "0", "1.5"],
+        ["a-longer-user", "i", "1", "1.234567891"],
+        ["u", "an-item-id", "123456789", "2.0"],
+        ["b", "i", "2", "-0.0"],
+    ]
+    with mock.patch.object(io, "_CHUNK_CHARS", 1):
+        obs = _read_encodings(tmp_path, read_observations, "user_id,item_id,trial,rating", rows,
+                              OBSERVATION_COLUMNS)
+    assert _keys(obs) == (["a-longer-user", "b", "u", "u"], ["i", "i", "an-item-id", "i"])
+    assert obs.trial.tolist() == [1, 2, 123456789, 0]
+    assert obs.value.tobytes() == np.array([1.234567891, -0.0, 2.0, 1.5]).tobytes()
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 18])
+@pytest.mark.parametrize("column, text", [("trial", "x1"), ("rating", "1.2.3"), ("rating", "")])
+def test_bad_number_in_a_keyed_column_names_its_line(tmp_path, chunk_chars, column, text):
+    rows = [["u", "i", "0", "1.0"], ["u", "i", "1", "2.0"], ["v", "i", "0", "3.0"]]
+    rows[2][2 if column == "trial" else 3] = text
+    messages = []
+    for name, encoded in _encodings("user_id,item_id,trial,rating", rows).items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(encoded, encoding="utf-8", newline="")
+        with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(io, "_keyed", wraps=io._keyed) as keyed:
+            with pytest.raises(InputError) as raised:
+                read_observations(path)
+        assert keyed.called == (name == "plain")
+        messages.append(str(raised.value).replace(str(path), "PATH"))
+    assert messages == [f"PATH:4: bad {column} value {text!r}"] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.text("abé", max_size=2), st.text("xyé", max_size=2)),
+             min_size=1, max_size=9, unique=True),
+    st.sampled_from([1, 2, 8]),
+    st.sampled_from([1, 1000]),
+    st.randoms(use_true_random=False),
+)
+def test_tables_and_orders_match_the_sorted_reference(pairs, repeats, spacing, random):
+    rows = [(u, i, t * spacing) for t in range(repeats) for u, i in pairs]
+    random.shuffle(rows)
+    users, items, trials = (list(column) for column in zip(*rows))
+    reference = sorted(set(zip(users, items)))
+    keys, pair = KeyTable.intern(users, items)
+    assert list(zip(keys.users.tolist(), keys.items.tolist())) == reference
+    assert pair.tolist() == [reference.index(row) for row in zip(users, items)]
+    obs = ObservationSet.from_columns(keys, pair, trials, np.arange(len(rows), dtype=float))
+    order = sorted(range(len(rows)), key=lambda r: (pair[r], trials[r]))
+    assert obs.value.tolist() == order
