@@ -59,8 +59,7 @@ def main() -> None:
     # response histograms for the first few pairs, one CSV each
     for i in range(3):
         bins = histogram(obs.value[obs.pair == i], bin_width=0.5)
-        key = obs.keys.key(i)
-        name = f"histogram_{key.user_id}_{key.item_id}.csv"
+        name = f"histogram_{obs.keys.users[i]}_{obs.keys.items[i]}.csv"
         write_histogram(out_dir / name, bins)
 
     fitted = fit_uncertainty(obs)

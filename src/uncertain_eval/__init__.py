@@ -29,7 +29,6 @@ from .feedback import (
     KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
     SigmaFallback,
     SigmaFallbackPolicy,
     UncertainFeedback,
@@ -76,7 +75,6 @@ __all__ = [
     "RatingScale",
     "FeedbackKey",
     "KeyTable",
-    "RatingObservation",
     "ObservationSet",
     "UncertainFeedback",
     "FeedbackDataset",

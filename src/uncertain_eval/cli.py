@@ -1,11 +1,12 @@
 """Command-line front end.
 
 JSON results go to standard output, CSVs to files, diagnostics to standard
-error. Exit codes: 0 success, 2 input/config error, 1 internal error; test
-verdicts never affect exit codes. Every file-writing command records a run
-manifest next to its outputs; re-running with the manifest's settings
-reproduces the outputs byte for byte. A population spec is parsed and
-recorded by the fields of the ``PopulationSpec`` dataclass.
+error. Exit codes: 0 success, 2 input/config error or an output that cannot
+be written, 1 internal error; test verdicts never affect exit codes. Every
+file-writing command records a run manifest next to its outputs; re-running
+with the manifest's settings reproduces the outputs byte for byte. A
+population spec is parsed and recorded by the fields of the
+``PopulationSpec`` dataclass.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        try:
+            path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_json(obj) -> None:
@@ -233,7 +237,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     obs = draw_trials(truth, k=args.trials, discretise=args.discretise, seed=spec.seed)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from exc
     obs_path = out_dir / "observations.csv"
     feedback_path = out_dir / "feedback.csv"
     pred_path = out_dir / "predictions.csv"

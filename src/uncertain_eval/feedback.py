@@ -6,7 +6,9 @@ with mean ``mu`` and standard deviation ``sigma``; ``sigma`` is the pair's
 intrinsic rating spread and the quantity every downstream computation
 consumes. This module holds the domain types and the estimator that fits
 (mu, sigma) from repeated-trial observations. Data sets are numpy columns
-over one ``KeyTable``; the per-pair objects are built from them on demand.
+over one ``KeyTable``, built by ``from_columns`` or ``from_ids``. Pairs are
+named by their position in the table; ``FeedbackDataset.entries`` is the
+one view that builds a record per pair.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import InputError, UnavailableError
 
 @dataclass(frozen=True, order=True, slots=True)
 class FeedbackKey:
-    """Identity of one (user, item) pair."""
+    """Identity of one (user, item) pair, as ``FeedbackDataset.entries`` reports it."""
 
     user_id: str
     item_id: str
@@ -96,20 +97,8 @@ class KeyTable:
         table = cls(user_names[pair_codes // width], item_names[pair_codes % width])
         return table, pair
 
-    @classmethod
-    def of(cls, keys: Iterable[FeedbackKey]) -> tuple["KeyTable", np.ndarray]:
-        """``intern`` of the users and items of ``keys``."""
-        keys = list(keys)
-        return cls.intern([k.user_id for k in keys], [k.item_id for k in keys])
-
     def __len__(self) -> int:
         return len(self.users)
-
-    def __iter__(self) -> Iterator[FeedbackKey]:
-        return map(FeedbackKey, self.users.tolist(), self.items.tolist())
-
-    def key(self, i: int) -> FeedbackKey:
-        return FeedbackKey(self.users[i], self.items[i])
 
     def locate(self, other: "KeyTable", missing: str) -> np.ndarray:
         """Position in ``other`` of each pair; the first absent one raises ``<missing> for u/i``."""
@@ -132,7 +121,8 @@ class _Columnar:
     """A data set held as columns.
 
     ``from_columns`` takes the arguments of the subclass's ``_load``, which
-    validates them like the public constructor does its objects.
+    validates them; ``from_ids`` takes each row's user and item id instead
+    of ``keys`` and ``pair``.
     """
 
     __slots__ = ()
@@ -143,6 +133,11 @@ class _Columnar:
         data = cls.__new__(cls)
         data._load(*columns)
         return data
+
+    @classmethod
+    def from_ids(cls, users: Sequence[str], items: Sequence[str], *columns):
+        """``from_columns`` of the rows' user and item ids, interned into a key table."""
+        return cls.from_columns(*KeyTable.intern(users, items), *columns)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -212,28 +207,17 @@ def _slot_order(pair: np.ndarray, trial: np.ndarray) -> np.ndarray | None:
     return np.lexsort((trial, pair))
 
 
-@dataclass(frozen=True, slots=True)
-class RatingObservation:
-    """One trial of a repeated feedback task."""
-
-    key: FeedbackKey
-    trial: int
-    value: float
-
-    def __post_init__(self) -> None:
-        self.check(self.trial, self.value)
-
-    @staticmethod
-    def check(trial: int, value: float) -> None:
-        # trials are stored as 64-bit integers
-        if trial % 1:
-            raise InputError(f"trial must be an integer, got {trial}")
-        if trial < 0:
-            raise InputError(f"trial must be non-negative, got {trial}")
-        if trial >= 2**63:
-            raise InputError(f"trial must be below 2**63, got {trial}")
-        if not math.isfinite(value):
-            raise InputError(f"rating value must be finite, got {value}")
+def check_observation(trial: int, value: float) -> None:
+    """Reject the trial and value of one observation row unless both are legal."""
+    # trials are stored as 64-bit integers
+    if trial % 1:
+        raise InputError(f"trial must be an integer, got {trial}")
+    if trial < 0:
+        raise InputError(f"trial must be non-negative, got {trial}")
+    if trial >= 2**63:
+        raise InputError(f"trial must be below 2**63, got {trial}")
+    if not math.isfinite(value):
+        raise InputError(f"rating value must be finite, got {value}")
 
 
 class ObservationSet(_Columnar):
@@ -246,22 +230,17 @@ class ObservationSet(_Columnar):
 
     __slots__ = ("keys", "pair", "trial", "value")
 
-    def __init__(self, observations: Sequence[RatingObservation]) -> None:
-        keys, pair = KeyTable.of(o.key for o in observations)
-        trial = [o.trial for o in observations]
-        self._load(keys, pair, trial, [o.value for o in observations])
-
     def _load(self, keys, pair, trial, value) -> None:
         if not _fits_int64(trial):
             # name the first row whose trial the cast could change
             for t, v in zip(trial, value):
-                RatingObservation.check(t, v)
+                check_observation(t, v)
         trial = np.asarray(trial, dtype=np.int64)
         value = np.asarray(value, dtype=float)
         bad = (trial < 0) | ~np.isfinite(value)
         if bad.any():
             i = int(np.argmax(bad))
-            RatingObservation.check(int(trial[i]), float(value[i]))
+            check_observation(int(trial[i]), float(value[i]))
         pair = _pair_positions(keys, pair)
         order = _slot_order(pair, trial)
         if order is None:
@@ -297,25 +276,10 @@ class ObservationSet(_Columnar):
             pairs = np.flatnonzero(counts == k)
             yield pairs, starts[pairs, None] + np.arange(k)
 
-    @property
-    def observations(self) -> tuple[RatingObservation, ...]:
-        keys = list(self.keys)
-        pairs = [keys[p] for p in self.pair.tolist()]
-        return tuple(map(RatingObservation, pairs, self.trial.tolist(), self.value.tolist()))
-
-    def grouped(self) -> dict[FeedbackKey, tuple[RatingObservation, ...]]:
-        """Observations per pair, keys and trials in canonical order."""
-        observations = self.observations
-        counts = self.counts().tolist()
-        return {
-            key: observations[end - n : end]
-            for key, n, end in zip(self.keys, counts, accumulate(counts))
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class UncertainFeedback:
-    """Gaussian response model of one pair: value ~ N(mu, sigma^2).
+    """Gaussian response model of one pair, value ~ N(mu, sigma^2), as a record.
 
     ``n_trials`` records how many trials the parameters were fitted from;
     it is None for externally supplied parameters (e.g. loaded from CSV,
@@ -327,32 +291,24 @@ class UncertainFeedback:
     sigma: float
     n_trials: int | None = None
 
-    def __post_init__(self) -> None:
-        self.check(self.mu, self.sigma)
 
-    @staticmethod
-    def check(mu: float, sigma: float) -> None:
-        if not math.isfinite(mu):
-            raise InputError(f"mu must be finite, got {mu}")
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise InputError(f"sigma must be finite and >= 0, got {sigma}")
+def check_feedback(mu: float, sigma: float) -> None:
+    """Reject the parameters of one response model unless both are legal."""
+    if not math.isfinite(mu):
+        raise InputError(f"mu must be finite, got {mu}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InputError(f"sigma must be finite and >= 0, got {sigma}")
 
 
 class FeedbackDataset(_Columnar):
     """Collection of per-pair response models with unique keys.
 
     Held as the columns ``mu``, ``sigma`` and ``n_trials`` (0 where unknown,
-    the default of ``from_columns``), aligned to ``keys``; ``entries``
-    rebuilds the per-pair models in key order.
+    the default of ``from_columns``), aligned to ``keys``. Where a dataset
+    stands for point ratings, ``mu`` holds them.
     """
 
     __slots__ = ("keys", "mu", "sigma", "n_trials")
-
-    def __init__(self, entries: Sequence[UncertainFeedback]) -> None:
-        keys, pair = KeyTable.of(e.key for e in entries)
-        mu = [e.mu for e in entries]
-        sigma = [e.sigma for e in entries]
-        self._load(keys, pair, mu, sigma, [e.n_trials or 0 for e in entries])
 
     def _load(self, keys, pair, mu, sigma, n_trials=0) -> None:
         if not len(pair):
@@ -362,7 +318,7 @@ class FeedbackDataset(_Columnar):
         bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma >= 0))
         if bad.any():
             i = int(np.argmax(bad))
-            UncertainFeedback.check(float(mu[i]), float(sigma[i]))
+            check_feedback(float(mu[i]), float(sigma[i]))
         pair = _pair_positions(keys, pair, "feedback dataset")
         self.keys = keys
         self.mu, self.sigma, self.n_trials = (
@@ -375,35 +331,17 @@ class FeedbackDataset(_Columnar):
 
     @property
     def entries(self) -> tuple[UncertainFeedback, ...]:
+        """One record per pair, in key order."""
+        keys = map(FeedbackKey, self.keys.users.tolist(), self.keys.items.tolist())
         mu, sigma = self.mu.tolist(), self.sigma.tolist()
         n_trials = [n or None for n in self.n_trials.tolist()]
-        return tuple(map(UncertainFeedback, self.keys, mu, sigma, n_trials))
-
-    def by_key(self) -> dict[FeedbackKey, UncertainFeedback]:
-        return {e.key: e for e in self.entries}
-
-
-def rating_columns(
-    ratings: Mapping[FeedbackKey, float] | FeedbackDataset,
-) -> tuple[KeyTable, np.ndarray]:
-    """Key table and aligned values of per-pair point ratings.
-
-    A dataset stands for its central tendencies ``mu``.
-    """
-    if isinstance(ratings, FeedbackDataset):
-        return ratings.keys, ratings.mu
-    keys, pair = KeyTable.of(ratings)
-    return keys, _scatter(pair, np.fromiter(ratings.values(), dtype=float), len(keys))
+        return tuple(map(UncertainFeedback, keys, mu, sigma, n_trials))
 
 
 class PredictionSet(_Columnar):
     """Model-based prediction per pair, as ``values`` aligned to ``keys``."""
 
     __slots__ = ("keys", "values")
-
-    def __init__(self, entries: Mapping[FeedbackKey, float]) -> None:
-        keys, pair = KeyTable.of(entries)
-        self._load(keys, pair, np.fromiter(entries.values(), dtype=float))
 
     def _load(self, keys: KeyTable, pair, values) -> None:
         pair = _pair_positions(keys, pair, "prediction")
@@ -417,15 +355,8 @@ class PredictionSet(_Columnar):
         self.keys = keys
         self.values = _scatter(pair, values, len(keys))
 
-    @property
-    def entries(self) -> dict[FeedbackKey, float]:
-        return dict(zip(self.keys, self.values.tolist()))
-
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __getitem__(self, key: FeedbackKey) -> float:
-        return float(self.aligned(KeyTable.of([key])[0])[0])
 
     def aligned(self, keys: KeyTable) -> np.ndarray:
         """Prediction of each pair of ``keys``, in table order."""

@@ -51,8 +51,8 @@ from .feedback import (
     KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
-    UncertainFeedback,
+    check_feedback,
+    check_observation,
 )
 from .simulate import HistogramBin
 
@@ -288,7 +288,7 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None
 
 def read_observations(path: str | Path) -> ObservationSet:
     return _read(
-        path, OBSERVATION_HEADER, (int, float), ObservationSet.from_columns, RatingObservation.check
+        path, OBSERVATION_HEADER, (int, float), ObservationSet.from_columns, check_observation
     )
 
 
@@ -299,7 +299,7 @@ def write_observations(path: str | Path, obs: ObservationSet) -> None:
 def read_feedback(path: str | Path) -> FeedbackDataset:
     return _read(
         path, FEEDBACK_HEADER, (float, float), FeedbackDataset.from_columns,
-        UncertainFeedback.check, "feedback",
+        check_feedback, "feedback",
     )
 
 
@@ -339,18 +339,22 @@ def _write_columns(
     Rows are those of ``numbers``; row ``j`` holds pair ``pair[j]`` of
     ``keys``, or pair ``j`` when ``pair`` is None. Numbers are written as
     the shortest repr that reads back to the same value, ids quoted only
-    where they must be. Rows are joined ``_CHUNK_ROWS`` at a time.
+    where they must be. Rows are joined ``_CHUNK_ROWS`` at a time. A file
+    that cannot be written raises ``InputError``.
     """
     ids = () if keys is None else (_fields(keys.users), _fields(keys.items))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(numbers[0]), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            at = rows if pair is None else pair[rows]
-            columns = [names[at].tolist() for names in ids]
-            columns += [_texts(column[rows]) for column in numbers]
-            handle.write("\n".join(map(",".join, zip(*columns))))
-            handle.write("\n")
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(",".join(header) + "\n")
+            for start in range(0, len(numbers[0]), _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                at = rows if pair is None else pair[rows]
+                columns = [names[at].tolist() for names in ids]
+                columns += [_texts(column[rows]) for column in numbers]
+                handle.write("\n".join(map(",".join, zip(*columns))))
+                handle.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _texts(values: np.ndarray) -> list[str]:

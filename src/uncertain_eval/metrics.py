@@ -5,7 +5,7 @@ chunk i draws from a child generator derived from (seed, i) and chunks are
 assembled in index order. Results are therefore bit-identical for a given
 seed regardless of how many worker threads run the chunks. The environment
 variable ``UNCERTAIN_EVAL_THREADS`` caps the worker count (0 or unset =
-auto, at most ``MAX_THREADS``).
+auto: the CPUs this process may run on; at most ``MAX_THREADS``).
 
 A sample draws one standard normal per pair, scaled by sigma, or by
 hypot(sigma, tau) with prediction noise tau: a rating N(mu, sigma^2) minus
@@ -24,13 +24,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .barrier import barrier_distribution
 from .errors import InputError
-from .feedback import FeedbackDataset, FeedbackKey, PredictionSet, rating_columns
+from .feedback import FeedbackDataset, PredictionSet
 from .rng import child_rng, validate_seed
 
 CHUNK_SIZE = 1024
@@ -105,11 +104,11 @@ class MetricScoreDistribution:
 def resolve_thread_count() -> int:
     """Worker cap from ``UNCERTAIN_EVAL_THREADS``; 0 or unset means auto.
 
-    Values below 0 or above ``MAX_THREADS`` raise ``InputError``.
+    Auto counts the CPUs the process may run on where the platform tells,
+    else every CPU. Values below 0 or above ``MAX_THREADS`` raise
+    ``InputError``.
     """
-    raw = os.environ.get("UNCERTAIN_EVAL_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
+    raw = os.environ.get("UNCERTAIN_EVAL_THREADS", "").strip() or "0"
     try:
         value = int(raw)
     except ValueError:
@@ -122,24 +121,21 @@ def resolve_thread_count() -> int:
         raise InputError(
             f"UNCERTAIN_EVAL_THREADS must be <= {MAX_THREADS}, got {value}"
         )
-    return value if value > 0 else (os.cpu_count() or 1)
+    if value > 0:
+        return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def rmse(
-    predictions: PredictionSet,
-    ratings: Mapping[FeedbackKey, float] | FeedbackDataset,
-) -> float:
+def rmse(predictions: PredictionSet, ratings: FeedbackDataset) -> float:
     """Root mean squared deviation between ratings and their predictions.
 
-    ``ratings`` maps pairs to point ratings; a dataset stands for its
-    central tendencies mu. Squared deviations are summed left to right in
-    key order.
+    The point ratings are the dataset's ``mu``. Squared deviations are
+    summed left to right in key order.
     """
-    keys, values = rating_columns(ratings)
-    if not len(keys):
-        raise InputError("cannot compute RMSE over an empty rating set")
-    d = values - predictions.aligned(keys)
-    return math.sqrt(float(np.cumsum(d * d)[-1]) / len(keys))
+    d = ratings.mu - predictions.aligned(ratings.keys)
+    return math.sqrt(float(np.cumsum(d * d)[-1]) / ratings.N)
 
 
 def _sample_chunk(

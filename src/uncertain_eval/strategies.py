@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -33,12 +32,10 @@ from .barrier import (
 from .errors import InputError
 from .feedback import (
     FeedbackDataset,
-    FeedbackKey,
     ObservationSet,
     PredictionSet,
-    UncertainFeedback,
+    check_feedback,
     fit_uncertainty,
-    rating_columns,
 )
 from .metrics import check_tau, rmse
 from .rng import child_rng, validate_seed
@@ -82,13 +79,14 @@ class DenoiseConfig:
 class DenoiseResult:
     """Denoised observations plus the groups that could not be tamed.
 
-    A key lands in ``unconverged_keys`` when the redraw policy exhausted its
-    attempts (the median fallback was used for that slot) or when the group
-    still exceeds the threshold after the final pass.
+    ``unconverged_keys`` holds, sorted, the position in the observations'
+    key table of each pair whose redraw policy exhausted its attempts (the
+    median fallback was used for that slot) or whose group still exceeds
+    the threshold after the final pass.
     """
 
     observations: ObservationSet
-    unconverged_keys: frozenset[FeedbackKey]
+    unconverged_keys: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +100,10 @@ class OmissionConfig:
 
 @dataclass(frozen=True, slots=True)
 class OmissionResult:
-    retained_keys: frozenset[FeedbackKey]
+    """``retained_keys`` holds, sorted, the position of each retained pair in
+    the point ratings' key table."""
+
+    retained_keys: np.ndarray
     filtered_rmse: float | None
     retained_fraction: float
 
@@ -170,7 +171,7 @@ def denoise_preprocess(
         model = obs.keys.locate(truth.keys, "no generating model")
 
     values = obs.value.copy()
-    unconverged: set[int] = set()
+    unconverged = np.zeros(len(obs.keys), dtype=bool)
     rngs: dict[int, np.random.Generator] = {}
     for groups, rows in obs.blocks():
         block = values[rows]
@@ -190,18 +191,18 @@ def denoise_preprocess(
                     m = model[g]
                     draw = _redraw(rngs[g], truth.mu[m], truth.sigma[m], retained, cfg)
                     if draw is None:
-                        unconverged.add(g)
+                        unconverged[g] = True
                     else:
                         med[j] = draw
             block[active, far] = med
         else:
             active = active[_spread(block[active]) > cfg.threshold]
-        unconverged.update(groups[active].tolist())
+        unconverged[groups[active]] = True
         values[rows] = block
 
     return DenoiseResult(
         observations=ObservationSet.from_columns(obs.keys, obs.pair, obs.trial, values),
-        unconverged_keys=frozenset(map(obs.keys.key, sorted(unconverged))),
+        unconverged_keys=np.flatnonzero(unconverged),
     )
 
 
@@ -215,40 +216,37 @@ def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, cfg: DenoiseConf
 
 
 def predictor_noise_deviation(
-    fb: UncertainFeedback, prediction: float, tau: float
+    mu: float, sigma: float, prediction: float, tau: float
 ) -> GaussianDistribution:
     """Law of the rating-minus-prediction deviation with prediction noise.
 
     A rating N(mu, sigma^2) compared against an independent noisy
     prediction N(pi, tau^2) deviates as N(mu - pi, sigma^2 + tau^2).
     """
+    check_feedback(mu, sigma)
     if not math.isfinite(prediction):
         raise InputError(f"prediction must be finite, got {prediction}")
     check_tau(tau)
-    return GaussianDistribution(
-        mean=fb.mu - prediction, variance=fb.sigma**2 + tau**2
-    )
+    return GaussianDistribution(mean=mu - prediction, variance=sigma**2 + tau**2)
 
 
 def omit_insignificant(
     data: FeedbackDataset,
     predictions: PredictionSet,
-    point_ratings: Mapping[FeedbackKey, float] | FeedbackDataset,
+    point_ratings: FeedbackDataset,
     cfg: OmissionConfig = OmissionConfig(),
 ) -> OmissionResult:
     """Keep only deviations the pair's spread cannot explain.
 
-    Per pair, d = rating - prediction is z-tested two-sided against
-    N(0, sigma^2); pairs with p < alpha are retained and scored. Pairs with
-    sigma = 0 are retained for any nonzero deviation (p = 0). With nothing
-    retained the filtered score is None, never 0. A dataset passed as
-    ``point_ratings`` stands for its central tendencies mu.
+    Per pair of ``point_ratings``, whose ``mu`` holds the ratings,
+    d = rating - prediction is z-tested two-sided against N(0, sigma^2)
+    with the pair's sigma from ``data``; pairs with p < alpha are retained
+    and scored. Pairs with sigma = 0 are retained for any nonzero deviation
+    (p = 0). With nothing retained the filtered score is None, never 0.
     """
-    keys, ratings = rating_columns(point_ratings)
-    if not len(keys):
-        raise InputError("no point ratings to test")
+    keys = point_ratings.keys
     sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
-    d = ratings - predictions.aligned(keys)
+    d = point_ratings.mu - predictions.aligned(keys)
 
     p = np.ones(len(keys), dtype=float)
     positive = sigma > 0
@@ -261,7 +259,7 @@ def omit_insignificant(
     else:
         filtered = None
     return OmissionResult(
-        retained_keys=frozenset(map(keys.key, np.flatnonzero(retained).tolist())),
+        retained_keys=np.flatnonzero(retained),
         filtered_rmse=filtered,
         retained_fraction=float(np.mean(retained)),
     )

@@ -18,18 +18,15 @@ import numpy as np
 from uncertain_eval import (
     DenoiseConfig,
     FeedbackDataset,
-    FeedbackKey,
     GaussianDistribution,
     BarrierDistribution,
     McConfig,
     OmissionConfig,
     PopulationSpec,
     PredictionSet,
-    RatingObservation,
     ObservationSet,
     RatingScale,
     Resampler,
-    UncertainFeedback,
     barrier_distribution,
     denoise_preprocess,
     distinguishability_test,
@@ -50,11 +47,9 @@ def report(capsys, criterion: str, ok: bool, detail: str) -> None:
 
 
 def dataset_from_sigmas(sigmas) -> FeedbackDataset:
-    entries = tuple(
-        UncertainFeedback(FeedbackKey(f"u{i:06d}", "i1"), 3.0, float(s))
-        for i, s in enumerate(sigmas)
-    )
-    return FeedbackDataset(entries=entries)
+    n = len(sigmas)
+    users = [f"u{i:06d}" for i in range(n)]
+    return FeedbackDataset.from_ids(users, ["i1"] * n, [3.0] * n, [float(s) for s in sigmas])
 
 
 def barrier_from_std(std: float) -> BarrierDistribution:
@@ -192,17 +187,14 @@ def test_criterion_07_omission_calibration(capsys):
     sigma_rng = np.random.default_rng(700)
     sigmas = sigma_rng.uniform(0.3, 1.2, n)
     data = dataset_from_sigmas(sigmas)
-    ratings = {e.key: e.mu for e in data.entries}
-    keys = [e.key for e in data.entries]
+    ratings = data  # the point ratings are the dataset's mu
 
     in_band = 0
     fractions = []
     for rep in range(100):
         rng = np.random.default_rng(9000 + rep)
         deviations = rng.standard_normal(n) * sigmas
-        predictions = PredictionSet(
-            {k: 3.0 - d for k, d in zip(keys, deviations)}
-        )
+        predictions = PredictionSet.from_columns(data.keys, np.arange(n), 3.0 - deviations)
         result = omit_insignificant(data, predictions, ratings, OmissionConfig(0.05))
         fractions.append(result.retained_fraction)
         if 0.04 <= result.retained_fraction <= 0.06:
@@ -217,10 +209,9 @@ def test_criterion_07_omission_calibration(capsys):
 
 
 def test_criterion_08_predictor_noise_law(capsys):
-    fb = UncertainFeedback(FeedbackKey("u", "i"), 3.0, 0.8)
-    law = predictor_noise_deviation(fb, prediction=3.0, tau=1.0)
-    data = FeedbackDataset(entries=(fb,))
-    predictions = PredictionSet({fb.key: 3.0})
+    law = predictor_noise_deviation(3.0, 0.8, prediction=3.0, tau=1.0)
+    data = FeedbackDataset.from_ids(["u"], ["i"], [3.0], [0.8])
+    predictions = PredictionSet.from_ids(["u"], ["i"], [3.0])
     dist = rmse_distribution(
         data, predictions, McConfig(sample_count=100000, seed=888, predictor_tau=1.0)
     )
@@ -248,22 +239,19 @@ def test_criterion_09_denoise_postcondition(capsys):
     ok = True
     details = []
     for threshold in (0.5, 1.0, 2.0):
-        observations = []
-        for name, values in groups.items():
-            key = FeedbackKey(name, "i1")
-            observations.extend(
-                RatingObservation(key, t, float(v)) for t, v in enumerate(values)
-            )
-        obs = ObservationSet(observations=tuple(observations))
+        users = [name for name, vs in groups.items() for _ in vs]
+        trials = [t for vs in groups.values() for t in range(len(vs))]
+        ratings = [float(v) for vs in groups.values() for v in vs]
+        obs = ObservationSet.from_ids(users, ["i1"] * len(users), trials, ratings)
         result = denoise_preprocess(obs, None, DenoiseConfig(threshold=threshold))
-        grouped = result.observations.grouped()
+        out = result.observations
         converged = violations = size_changes = 0
         for name, values in groups.items():
-            key = FeedbackKey(name, "i1")
-            out_values = [o.value for o in grouped[key]]
+            (p,) = np.flatnonzero((out.keys.users == name) & (out.keys.items == "i1"))
+            out_values = out.value[out.pair == p]
             if len(out_values) != len(values):
                 size_changes += 1
-            if key in result.unconverged_keys:
+            if p in result.unconverged_keys:
                 continue
             converged += 1
             if max(out_values) - min(out_values) > threshold + 1e-12:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from uncertain_eval import (
     BarrierDistribution,
     FeedbackDataset,
-    FeedbackKey,
     GaussianDistribution,
     InputError,
-    UncertainFeedback,
     Z_TWO_SIDED_95,
     barrier_distribution,
     confidence_interval,
@@ -22,11 +20,9 @@ from uncertain_eval import (
 
 
 def dataset_from_sigmas(sigmas) -> FeedbackDataset:
-    entries = tuple(
-        UncertainFeedback(FeedbackKey(f"u{i:06d}", "i1"), 3.0, float(s))
-        for i, s in enumerate(sigmas)
-    )
-    return FeedbackDataset(entries=entries)
+    n = len(sigmas)
+    users = [f"u{i:06d}" for i in range(n)]
+    return FeedbackDataset.from_ids(users, ["i1"] * n, [3.0] * n, [float(s) for s in sigmas])
 
 
 def barrier_from_variance(variance: float, n: int = 1000) -> BarrierDistribution:

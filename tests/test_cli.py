@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from uncertain_eval import (
-    FeedbackKey,
+    FeedbackDataset,
     InputError,
     McConfig,
+    ObservationSet,
     PopulationSpec,
-    RatingObservation,
     RatingScale,
-    UncertainFeedback,
     predictor_noise_deviation,
 )
 from uncertain_eval.cli import _load_population_spec, main
@@ -878,29 +877,33 @@ class TestMalformedInput:
         assert stderr.startswith(f"error: cannot read {obs}: 'utf-8' codec can't decode")
 
 
-KEY = FeedbackKey("u", "i")
+IDS = (["u"], ["i"])
 
 # Each value rule: (library call, CLI command, input file header, input file row).
 VALUE_RULES = {
-    "negative trial": (lambda: RatingObservation(KEY, -1, 3.0), "fit", OBS_HEADER, "u,i,-1,3.0"),
+    "negative trial": (
+        lambda: ObservationSet.from_ids(*IDS, [-1], [3.0]), "fit", OBS_HEADER, "u,i,-1,3.0"
+    ),
     "trial 2**63": (
-        lambda: RatingObservation(KEY, 2**63, 3.0), "fit", OBS_HEADER, f"u,i,{2**63},3.0"
+        lambda: ObservationSet.from_ids(*IDS, [2**63], [3.0]), "fit", OBS_HEADER, f"u,i,{2**63},3.0"
     ),
     "non-finite rating": (
-        lambda: RatingObservation(KEY, 0, math.inf), "fit", OBS_HEADER, "u,i,0,inf"
+        lambda: ObservationSet.from_ids(*IDS, [0], [math.inf]), "fit", OBS_HEADER, "u,i,0,inf"
     ),
     "non-finite mu": (
-        lambda: UncertainFeedback(KEY, math.nan, 0.5), "distinguish", FEEDBACK_HEADER, "u,i,nan,0.5"
+        lambda: FeedbackDataset.from_ids(*IDS, [math.nan], [0.5]),
+        "distinguish", FEEDBACK_HEADER, "u,i,nan,0.5",
     ),
     "negative sigma": (
-        lambda: UncertainFeedback(KEY, 3.0, -0.5), "distinguish", FEEDBACK_HEADER, "u,i,3.0,-0.5"
+        lambda: FeedbackDataset.from_ids(*IDS, [3.0], [-0.5]),
+        "distinguish", FEEDBACK_HEADER, "u,i,3.0,-0.5",
     ),
     "tau of McConfig": (
         lambda: McConfig(sample_count=100, seed=1, predictor_tau=-1.0),
         "rmse-dist", FEEDBACK_HEADER, "u,i,3.0,0.5",
     ),
     "tau of strategies": (
-        lambda: predictor_noise_deviation(UncertainFeedback(KEY, 3.0, 0.5), 3.0, -1.0),
+        lambda: predictor_noise_deviation(3.0, 0.5, 3.0, -1.0),
         "strategies", FEEDBACK_HEADER, "u,i,3.0,0.5",
     ),
 }
@@ -927,3 +930,63 @@ class TestOneMessagePerRule:
         code, _, stderr = run_cli(capsys, command, *argv)
         assert code == 2
         assert re.sub(rf"^error: ({re.escape(str(data))}:\d+: )?", "", stderr) == f"{info.value}\n"
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 and names the path."""
+
+    @staticmethod
+    def _under_a_file(tmp_path, name):
+        parent = tmp_path / "f.txt"
+        parent.write_text("", encoding="utf-8")
+        return parent / name
+
+    def _assert_cannot_write(self, result, path):
+        code, stdout, stderr = result
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: cannot write {path}: ")
+        assert stderr.count("\n") == 1
+
+    def test_fit_out(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        write_toy_observations(obs)
+        out = self._under_a_file(tmp_path, "fb.csv")
+        result = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(out))
+        self._assert_cannot_write(result, out)
+
+    def test_fit_manifest(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        write_toy_observations(obs)
+        out = tmp_path / "fb.csv"
+        manifest = tmp_path / "fb.csv.manifest.json"
+        manifest.mkdir()
+        result = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(out))
+        self._assert_cannot_write(result, manifest)
+
+    def test_rmse_dist_dump(self, capsys, tmp_path):
+        feedback, pred = tmp_path / "fb.csv", tmp_path / "pred.csv"
+        write_uniform_feedback(feedback, n=3)
+        pred.write_text(
+            PRED_HEADER + "".join(f"u{i:05d},i1,3.0\n" for i in range(3)), encoding="utf-8"
+        )
+        dump = self._under_a_file(tmp_path, "x.csv")
+        result = run_cli(
+            capsys, "rmse-dist", "--feedback", str(feedback), "--pred", str(pred),
+            "--samples", "100", "--seed", "1", "--dump", str(dump),
+        )
+        self._assert_cannot_write(result, dump)
+
+    def test_simulate_out_dir(self, capsys, tmp_path):
+        out_dir = self._under_a_file(tmp_path, "run")
+        result = run_cli(
+            capsys, "simulate", "--spec", json.dumps(SPEC_JSON), "--out-dir", str(out_dir)
+        )
+        self._assert_cannot_write(result, out_dir)
+
+    def test_simulate_file_in_out_dir(self, capsys, tmp_path):
+        (tmp_path / "run" / "feedback.csv").mkdir(parents=True)
+        result = run_cli(
+            capsys, "simulate", "--spec", json.dumps(SPEC_JSON), "--out-dir", str(tmp_path / "run")
+        )
+        self._assert_cannot_write(result, tmp_path / "run" / "feedback.csv")

@@ -19,11 +19,9 @@ from uncertain_eval import (
     FeedbackDataset,
     FeedbackKey,
     ObservationSet,
-    RatingObservation,
     Resampler,
     SigmaFallback,
     UnavailableError,
-    UncertainFeedback,
     denoise_preprocess,
     fit_uncertainty,
 )
@@ -49,9 +47,19 @@ def observation_groups(draw, values=st.one_of(finite, grid)):
 
 
 def shuffled_set(groups, rnd) -> ObservationSet:
-    rows = [RatingObservation(key, t, v) for key, group in groups.items() for t, v in group]
+    rows = [(key.user_id, key.item_id, t, v) for key, group in groups.items() for t, v in group]
     rnd.shuffle(rows)
-    return ObservationSet(observations=tuple(rows))
+    return ObservationSet.from_ids(*zip(*rows))
+
+
+def model_set(model) -> FeedbackDataset:
+    """The dataset of ``{key: (mu, sigma)}``."""
+    users, items = [k.user_id for k in model], [k.item_id for k in model]
+    return FeedbackDataset.from_ids(users, items, *zip(*model.values()))
+
+
+def pair_keys(keys) -> list[FeedbackKey]:
+    return list(map(FeedbackKey, keys.users.tolist(), keys.items.tolist()))
 
 
 def in_trial_order(group) -> list[float]:
@@ -136,7 +144,18 @@ def reference_redraw(groups, model, threshold: float, max_iterations: int, seed:
 
 
 def denoised_values(result) -> dict:
-    return {k: [o.value for o in g] for k, g in result.observations.grouped().items()}
+    """{key: values in trial order} of the de-noised observations."""
+    obs = result.observations
+    names = pair_keys(obs.keys)
+    values = {}
+    for p, v in zip(obs.pair.tolist(), obs.value.tolist()):
+        values.setdefault(names[p], []).append(v)
+    return values
+
+
+def unconverged_keys(result) -> set:
+    names = pair_keys(result.observations.keys)
+    return {names[p] for p in result.unconverged_keys.tolist()}
 
 
 fallbacks = st.sampled_from(
@@ -190,7 +209,7 @@ class TestMedianRuleMatchesReference:
         got = denoised_values(result)
         assert list(got) == list(values)
         assert {k: hexes(v) for k, v in got.items()} == {k: hexes(v) for k, v in values.items()}
-        assert result.unconverged_keys == unconverged
+        assert unconverged_keys(result) == unconverged
 
     def test_single_pass_exhaustion_flags_group(self):
         # even size: the median is 5.0, and 1.0 and 9.0 tie at distance 4;
@@ -199,7 +218,7 @@ class TestMedianRuleMatchesReference:
         cfg = DenoiseConfig(threshold=1.0, max_iterations=1)
         result = denoise_preprocess(shuffled_set(groups, random.Random(1)), None, cfg)
         assert denoised_values(result) == {FeedbackKey("u", "i"): [5.0, 9.0, 4.0, 6.0]}
-        assert result.unconverged_keys == {FeedbackKey("u", "i")}
+        assert unconverged_keys(result) == {FeedbackKey("u", "i")}
 
 
 class TestRedrawMatchesReference:
@@ -212,9 +231,7 @@ class TestRedrawMatchesReference:
     @settings(max_examples=60)
     def test_same_draws_for_fixed_seed(self, groups, seed, iterations, rnd):
         model = {key: (3.0, 0.3 + 0.1 * i) for i, key in enumerate(sorted(groups))}
-        truth = FeedbackDataset(
-            entries=tuple(UncertainFeedback(k, m, s) for k, (m, s) in model.items()),
-        )
+        truth = model_set(model)
         cfg = DenoiseConfig(
             threshold=1.0,
             max_iterations=iterations,
@@ -225,7 +242,7 @@ class TestRedrawMatchesReference:
         values, unconverged = reference_redraw(groups, model, 1.0, iterations, seed)
         got = denoised_values(result)
         assert {k: hexes(v) for k, v in got.items()} == {k: hexes(v) for k, v in values.items()}
-        assert result.unconverged_keys == unconverged
+        assert unconverged_keys(result) == unconverged
 
     def test_pinned_values(self):
         # values of the per-row implementation this core replaced, for seed 11
@@ -236,18 +253,9 @@ class TestRedrawMatchesReference:
             "u4": [9.0, 1.0, 5.0, 4.0, 4.5],
         }
         model = {"u1": (3.0, 0.8), "u2": (3.0, 0.5), "u3": (3.0, 0.1), "u4": (500.0, 0.01)}
-        obs = ObservationSet(
-            observations=tuple(
-                RatingObservation(FeedbackKey(u, "i1"), t, v)
-                for u, vs in groups.items()
-                for t, v in enumerate(vs)
-            ),
-        )
-        truth = FeedbackDataset(
-            entries=tuple(
-                UncertainFeedback(FeedbackKey(u, "i1"), m, s) for u, (m, s) in model.items()
-            ),
-        )
+        rows = [(u, "i1", t, v) for u, vs in groups.items() for t, v in enumerate(vs)]
+        obs = ObservationSet.from_ids(*zip(*rows))
+        truth = model_set({FeedbackKey(u, "i1"): ms for u, ms in model.items()})
         cfg = DenoiseConfig(
             threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=11, max_iterations=6
         )
@@ -258,4 +266,4 @@ class TestRedrawMatchesReference:
             "u3": [3.0, 3.1],
             "u4": [4.5, 4.5, 5.0, 4.0, 4.5],
         }
-        assert sorted(k.user_id for k in result.unconverged_keys) == ["u2", "u4"]
+        assert sorted(k.user_id for k in unconverged_keys(result)) == ["u2", "u4"]

@@ -7,29 +7,23 @@ from hypothesis import strategies as st
 
 from uncertain_eval import (
     FeedbackDataset,
-    FeedbackKey,
     InputError,
     KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
     RatingScale,
     SigmaFallback,
     UnavailableError,
-    UncertainFeedback,
     fit_uncertainty,
     pooled_sigma,
 )
 
 
 def make_obs(groups: dict[str, list[float]]) -> ObservationSet:
-    observations = []
-    for name, values in groups.items():
-        key = FeedbackKey(user_id=name, item_id="i1")
-        observations.extend(
-            RatingObservation(key=key, trial=t, value=v) for t, v in enumerate(values)
-        )
-    return ObservationSet(observations=tuple(observations))
+    users = [name for name, values in groups.items() for _ in values]
+    trials = [t for values in groups.values() for t in range(len(values))]
+    values = [v for values in groups.values() for v in values]
+    return ObservationSet.from_ids(users, ["i1"] * len(users), trials, values)
 
 
 class TestRatingScale:
@@ -71,27 +65,20 @@ class TestFitUncertainty:
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
-            fit_uncertainty(ObservationSet(observations=()))
+            fit_uncertainty(ObservationSet.from_ids([], [], [], []))
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(InputError):
-            RatingObservation(FeedbackKey("u", "i"), 0, math.nan)
+            ObservationSet.from_ids(["u"], ["i"], [0], [math.nan])
 
     def test_trial_beyond_64_bits_rejected_by_the_constructor(self):
-        key = FeedbackKey("u", "i")
         with pytest.raises(InputError) as info:
-            ObservationSet([RatingObservation(key, 2**63, 1.0)])
+            ObservationSet.from_ids(["u"], ["i"], [2**63], [1.0])
         assert str(info.value) == f"trial must be below 2**63, got {2**63}"
 
     def test_duplicate_trial_rejected(self):
-        key = FeedbackKey("u", "i")
         with pytest.raises(InputError):
-            ObservationSet(
-                observations=(
-                    RatingObservation(key, 0, 3.0),
-                    RatingObservation(key, 0, 4.0),
-                ),
-            )
+            ObservationSet.from_ids(["u", "u"], ["i", "i"], [0, 0], [3.0, 4.0])
 
 
 class TestFromColumns:
@@ -214,11 +201,9 @@ class TestSigmaFallback:
 
 class TestPooledSigma:
     def _dataset(self, sigmas, n_trials=5):
-        entries = tuple(
-            UncertainFeedback(FeedbackKey(f"u{i}", "i1"), 3.0, s, n_trials=n_trials)
-            for i, s in enumerate(sigmas)
-        )
-        return FeedbackDataset(entries=entries)
+        n = len(sigmas)
+        users = [f"u{i}" for i in range(n)]
+        return FeedbackDataset.from_ids(users, ["i1"] * n, [3.0] * n, sigmas, [n_trials or 0] * n)
 
     def test_all_zero(self):
         assert pooled_sigma(self._dataset([0.0, 0.0, 0.0])) == 0.0

@@ -14,14 +14,11 @@ from hypothesis import strategies as st
 from uncertain_eval import io
 from uncertain_eval import (
     FeedbackDataset,
-    FeedbackKey,
     HistogramBin,
     InputError,
     KeyTable,
     ObservationSet,
     PredictionSet,
-    RatingObservation,
-    UncertainFeedback,
 )
 from uncertain_eval.io import (
     read_feedback,
@@ -36,14 +33,8 @@ from uncertain_eval.io import (
 
 
 def test_observation_roundtrip(tmp_path):
-    key_a = FeedbackKey("alice", "movie-1")
-    key_b = FeedbackKey("bob", "movie-2")
-    obs = ObservationSet(
-        observations=(
-            RatingObservation(key_b, 0, 4.0),
-            RatingObservation(key_a, 1, 3.25),
-            RatingObservation(key_a, 0, 3.0),
-        ),
+    obs = ObservationSet.from_ids(
+        ["bob", "alice", "alice"], ["movie-2", "movie-1", "movie-1"], [0, 1, 0], [4.0, 3.25, 3.0]
     )
     path = tmp_path / "obs.csv"
     write_observations(path, obs)
@@ -54,38 +45,34 @@ def test_observation_roundtrip(tmp_path):
     assert text.splitlines()[1].startswith("alice,movie-1,0")
 
     loaded = read_observations(path)
-    assert sorted(loaded.observations, key=lambda o: (o.key, o.trial)) == sorted(
-        obs.observations, key=lambda o: (o.key, o.trial)
-    )
+    assert _keys(loaded) == _keys(obs)
+    for column in ("pair", "trial", "value"):
+        assert getattr(loaded, column).tolist() == getattr(obs, column).tolist()
 
 
 def test_feedback_roundtrip_preserves_floats(tmp_path):
-    entries = (
-        UncertainFeedback(FeedbackKey("u1", "i1"), 3.141592653589793, 0.1234567890123),
-        UncertainFeedback(FeedbackKey("u2", "i1"), 4.0, 0.0),
+    data = FeedbackDataset.from_ids(
+        ["u1", "u2"], ["i1", "i1"], [3.141592653589793, 4.0], [0.1234567890123, 0.0]
     )
-    data = FeedbackDataset(entries=entries)
     path = tmp_path / "feedback.csv"
     write_feedback(path, data)
     loaded = read_feedback(path)
     assert loaded.N == 2
-    by_key = loaded.by_key()
-    for entry in entries:
-        assert by_key[entry.key].mu == entry.mu
-        assert by_key[entry.key].sigma == entry.sigma
+    assert _keys(loaded) == _keys(data)
+    assert loaded.mu.tolist() == data.mu.tolist()
+    assert loaded.sigma.tolist() == data.sigma.tolist()
 
 
 def test_prediction_roundtrip(tmp_path):
-    predictions = PredictionSet(
-        {FeedbackKey("u1", "i1"): 3.5, FeedbackKey("u2", "i9"): 1.25}
-    )
+    predictions = PredictionSet.from_ids(["u1", "u2"], ["i1", "i9"], [3.5, 1.25])
     path = tmp_path / "pred.csv"
     write_predictions(path, predictions)
     assert path.read_text(encoding="utf-8").splitlines()[0] == (
         "user_id,item_id,prediction"
     )
     loaded = read_predictions(path)
-    assert loaded.entries == predictions.entries
+    assert _keys(loaded) == _keys(predictions)
+    assert loaded.values.tolist() == predictions.values.tolist()
 
 
 def test_missing_column_names_the_column(tmp_path):
@@ -266,7 +253,7 @@ def test_ids_with_carriage_return_fail_or_read_back_unchanged(pairs):
 
 
 def test_carriage_return_in_id_round_trips(tmp_path):
-    obs = ObservationSet((RatingObservation(FeedbackKey("a\rb", "i\r"), 0, 3.0),))
+    obs = ObservationSet.from_ids(["a\rb"], ["i\r"], [0], [3.0])
     path = tmp_path / "obs.csv"
     write_observations(path, obs)
     assert path.read_bytes() == b'user_id,item_id,trial,rating\n"a\rb","i\r",0,3.0\n'

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,9 @@ import pytest
 
 from uncertain_eval import (
     FeedbackDataset,
-    FeedbackKey,
     InputError,
     McConfig,
     PredictionSet,
-    UncertainFeedback,
     rmse,
     rmse_distribution,
     variance_match_check,
@@ -22,14 +21,24 @@ from uncertain_eval.metrics import MAX_SAMPLE_COUNT, MAX_THREADS, resolve_thread
 
 def make_dataset(rows) -> FeedbackDataset:
     """rows: (user, mu, sigma)"""
-    entries = tuple(
-        UncertainFeedback(FeedbackKey(u, "i1"), mu, sigma) for u, mu, sigma in rows
-    )
-    return FeedbackDataset(entries=entries)
+    users, mu, sigma = zip(*rows)
+    return FeedbackDataset.from_ids(users, ["i1"] * len(users), mu, sigma)
 
 
-def perfect_predictions(data: FeedbackDataset) -> PredictionSet:
-    return PredictionSet({e.key: e.mu for e in data.entries})
+def point_ratings(rows) -> FeedbackDataset:
+    """rows: (user, item, rating); the dataset's mu holds the ratings."""
+    users, items, ratings = zip(*rows) if rows else ((), (), ())
+    return FeedbackDataset.from_ids(users, items, ratings, [0.0] * len(ratings))
+
+
+def predictions_of(rows) -> PredictionSet:
+    """rows: (user, item, prediction)"""
+    users, items, values = zip(*rows) if rows else ((), (), ())
+    return PredictionSet.from_ids(users, items, values)
+
+
+def perfect_predictions(data: FeedbackDataset, offset: float = 0.0) -> PredictionSet:
+    return PredictionSet.from_columns(data.keys, np.arange(data.N), data.mu + offset)
 
 
 def biased_pairs(n: int, seed: int = 2024):
@@ -41,33 +50,31 @@ def biased_pairs(n: int, seed: int = 2024):
     data = make_dataset(
         [(f"u{i:05d}", float(mu[i]), float(sigma[i])) for i in range(n)]
     )
-    predictions = PredictionSet(
-        {FeedbackKey(f"u{i:05d}", "i1"): float(mu[i] + bias[i]) for i in range(n)}
-    )
+    predictions = predictions_of([(f"u{i:05d}", "i1", float(mu[i] + bias[i])) for i in range(n)])
     return data, predictions
 
 
 class TestPointRmse:
     def test_perfect_fit(self):
-        key = FeedbackKey("u", "i")
-        assert rmse(PredictionSet({key: 4.0}), {key: 4.0}) == 0.0
+        assert rmse(predictions_of([("u", "i", 4.0)]), point_ratings([("u", "i", 4.0)])) == 0.0
 
     def test_single_pair(self):
-        key = FeedbackKey("u", "i")
-        assert rmse(PredictionSet({key: 3.0}), {key: 4.0}) == 1.0
+        assert rmse(predictions_of([("u", "i", 3.0)]), point_ratings([("u", "i", 4.0)])) == 1.0
 
     def test_two_pairs(self):
-        k1, k2 = FeedbackKey("u", "i1"), FeedbackKey("u", "i2")
-        score = rmse(PredictionSet({k1: 3.0, k2: 4.0}), {k1: 4.0, k2: 2.0})
+        score = rmse(
+            predictions_of([("u", "i1", 3.0), ("u", "i2", 4.0)]),
+            point_ratings([("u", "i1", 4.0), ("u", "i2", 2.0)]),
+        )
         assert score == pytest.approx(1.5811388300841898, abs=1e-12)
 
     def test_empty_ratings_rejected(self):
         with pytest.raises(InputError):
-            rmse(PredictionSet({}), {})
+            rmse(predictions_of([]), point_ratings([]))
 
     def test_missing_prediction_rejected(self):
         with pytest.raises(InputError, match="missing prediction"):
-            rmse(PredictionSet({}), {FeedbackKey("u", "i"): 4.0})
+            rmse(predictions_of([]), point_ratings([("u", "i", 4.0)]))
 
 
 class TestMcConfig:
@@ -106,15 +113,29 @@ class TestResolveThreadCount:
         with pytest.raises(InputError, match="UNCERTAIN_EVAL_THREADS"):
             resolve_thread_count()
 
+    @pytest.mark.parametrize("raw", [None, "0"])
+    def test_auto_counts_the_cpus_the_process_may_run_on(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("UNCERTAIN_EVAL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", raw)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert resolve_thread_count() == 3
+
+    def test_auto_counts_every_cpu_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("UNCERTAIN_EVAL_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_thread_count() == 64
+
 
 class TestRmseDistribution:
     def test_degenerate_sigma_zero(self):
         data = make_dataset([("u1", 3.0, 0.0), ("u2", 4.0, 0.0)])
-        predictions = PredictionSet(
-            {FeedbackKey("u1", "i1"): 3.5, FeedbackKey("u2", "i1"): 4.5}
-        )
+        predictions = predictions_of([("u1", "i1", 3.5), ("u2", "i1", 4.5)])
         dist = rmse_distribution(data, predictions, McConfig(2000, seed=5))
-        point = rmse(predictions, {e.key: e.mu for e in data.entries})
+        point = rmse(predictions, data)
         assert np.all(dist.samples == point)
         assert dist.variance == 0.0
 
@@ -159,12 +180,8 @@ class TestRmseDistribution:
         rows = [("u1", 2.0, 0.4), ("u2", 4.0, 0.9), ("u3", 3.0, 0.1)]
         data = make_dataset(rows)
         scaled = make_dataset([(u, 3 * mu, 3 * s) for u, mu, s in rows])
-        predictions = PredictionSet(
-            {e.key: e.mu + 0.2 for e in data.entries}
-        )
-        scaled_predictions = PredictionSet(
-            {e.key: e.mu + 0.6 for e in scaled.entries}
-        )
+        predictions = perfect_predictions(data, 0.2)
+        scaled_predictions = perfect_predictions(scaled, 0.6)
         cfg = McConfig(1000, seed=17, predictor_tau=0.5)
         scaled_cfg = McConfig(1000, seed=17, predictor_tau=1.5)
         base = rmse_distribution(data, predictions, cfg)
@@ -197,7 +214,7 @@ class TestRmseDistribution:
 
     def test_missing_prediction_key(self):
         data = make_dataset([("u1", 3.0, 0.5), ("u2", 3.0, 0.5)])
-        predictions = PredictionSet({FeedbackKey("u1", "i1"): 3.0})
+        predictions = predictions_of([("u1", "i1", 3.0)])
         with pytest.raises(InputError, match="u2"):
             rmse_distribution(data, predictions, McConfig(200, seed=1))
 

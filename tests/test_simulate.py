@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncertain_eval import (
-    FeedbackKey,
+    FeedbackDataset,
+    GroundTruth,
     InputError,
     PopulationSpec,
     RatingScale,
@@ -51,7 +52,9 @@ class TestGeneratePopulation:
         a = generate_population(spec())
         b = generate_population(spec())
         assert a.dataset.entries == b.dataset.entries
-        assert a.predictions.entries == b.predictions.entries
+        assert a.predictions.keys.users.tolist() == b.predictions.keys.users.tolist()
+        assert a.predictions.keys.items.tolist() == b.predictions.keys.items.tolist()
+        assert a.predictions.values.tolist() == b.predictions.values.tolist()
 
     def test_mu_within_scale(self):
         truth = generate_population(spec(n_users=30, n_items=30))
@@ -60,10 +63,9 @@ class TestGeneratePopulation:
 
     def test_prediction_bias_prior(self):
         truth = generate_population(spec(bias_lo=0.5, bias_hi=0.5))
-        for entry in truth.dataset.entries:
-            assert truth.predictions[entry.key] == pytest.approx(
-                entry.mu + 0.5, abs=1e-12
-            )
+        predicted = truth.predictions.aligned(truth.dataset.keys)
+        for entry, prediction in zip(truth.dataset.entries, predicted):
+            assert prediction == pytest.approx(entry.mu + 0.5, abs=1e-12)
 
     def test_invalid_density(self):
         with pytest.raises(InputError, match="density"):
@@ -90,7 +92,7 @@ class TestDrawTrials:
         truth = generate_population(spec(n_users=1, n_items=1, sigma_lo=0, sigma_hi=0))
         obs = draw_trials(truth, k=5)
         mu = truth.dataset.entries[0].mu
-        assert [o.value for o in obs.observations] == [mu] * 5
+        assert obs.value.tolist() == [mu] * 5
 
     def test_sample_mean_concentrates(self):
         truth = generate_population(
@@ -98,7 +100,7 @@ class TestDrawTrials:
         )
         entry = truth.dataset.entries[0]
         obs = draw_trials(truth, k=100000, seed=7)
-        values = np.asarray([o.value for o in obs.observations])
+        values = obs.value
         # CLT bound at ~99.8%: 3.1 * sigma / sqrt(k), checked at +-0.005
         assert abs(float(np.mean(values)) - entry.mu) < max(
             0.005, 3.1 * entry.sigma / math.sqrt(100000)
@@ -109,7 +111,7 @@ class TestDrawTrials:
             spec(n_users=10, n_items=10, sigma_lo=1.0, sigma_hi=1.0)
         )
         obs = draw_trials(truth, k=100, discretise=True, seed=3)
-        values = np.asarray([o.value for o in obs.observations])
+        values = obs.value
         assert np.all(values >= 1.0) and np.all(values <= 5.0)
         assert np.all(values == np.round(values))
 
@@ -120,17 +122,15 @@ class TestDrawTrials:
         )
         entry = truth.dataset.entries[0]
         # force the pair's centre to the top of the scale
-        from uncertain_eval import FeedbackDataset, GroundTruth, UncertainFeedback
-
         pinned = GroundTruth(
-            dataset=FeedbackDataset(
-                entries=(UncertainFeedback(entry.key, 5.0, 1.0),),
+            dataset=FeedbackDataset.from_ids(
+                [entry.key.user_id], [entry.key.item_id], [5.0], [1.0]
             ),
             predictions=None,
             scale=scale,
         )
         obs = draw_trials(pinned, k=10000, discretise=True, seed=9)
-        values = np.asarray([o.value for o in obs.observations])
+        values = obs.value
         assert np.all(values <= 5.0)
         assert float(np.mean(values)) < 5.0
 
@@ -152,7 +152,10 @@ class TestDrawTrials:
         truth = generate_population(spec())
         a = draw_trials(truth, k=4, seed=5)
         b = draw_trials(truth, k=4, seed=5)
-        assert a.observations == b.observations
+        assert a.keys.users.tolist() == b.keys.users.tolist()
+        assert a.keys.items.tolist() == b.keys.items.tolist()
+        for column in ("pair", "trial", "value"):
+            assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
     def test_standardised_residuals(self):
         truth = generate_population(
@@ -160,15 +163,9 @@ class TestDrawTrials:
                  scale=RatingScale(-50.0, 50.0))
         )
         obs = draw_trials(truth, k=5000, seed=13)
-        by_key = truth.dataset.by_key()
-        grouped = obs.grouped()
-        residuals = np.concatenate(
-            [
-                (np.asarray([o.value for o in group]) - by_key[key].mu)
-                / by_key[key].sigma
-                for key, group in grouped.items()
-            ]
-        )
+        data = truth.dataset
+        model = obs.keys.locate(data.keys, "no model")[obs.pair]
+        residuals = (obs.value - data.mu[model]) / data.sigma[model]
         assert residuals.size >= 100000
         assert abs(float(np.mean(residuals))) < 0.02
         assert abs(float(np.var(residuals)) - 1.0) < 0.02

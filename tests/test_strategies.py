@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from uncertain_eval import (
     DenoiseConfig,
     FeedbackDataset,
-    FeedbackKey,
     InputError,
     ObservationSet,
     OmissionConfig,
     PredictionSet,
-    RatingObservation,
     Resampler,
-    UncertainFeedback,
     denoise_preprocess,
     omit_insignificant,
     predictor_noise_deviation,
@@ -24,22 +21,31 @@ from uncertain_eval import (
 
 
 def obs_from_groups(groups: dict[str, list[float]]) -> ObservationSet:
-    observations = []
-    for name, values in groups.items():
-        key = FeedbackKey(name, "i1")
-        observations.extend(
-            RatingObservation(key, t, float(v)) for t, v in enumerate(values)
-        )
-    return ObservationSet(observations=tuple(observations))
+    users = [name for name, values in groups.items() for _ in values]
+    trials = [t for values in groups.values() for t in range(len(values))]
+    values = [float(v) for values in groups.values() for v in values]
+    return ObservationSet.from_ids(users, ["i1"] * len(users), trials, values)
+
+
+def dataset(rows) -> FeedbackDataset:
+    """rows: (user, mu, sigma), all of item i1"""
+    users, mu, sigma = zip(*rows)
+    return FeedbackDataset.from_ids(users, ["i1"] * len(users), mu, sigma)
+
+
+def predictions_of(ratings: dict[str, float]) -> PredictionSet:
+    """Predictions of item i1 by user."""
+    return PredictionSet.from_ids(list(ratings), ["i1"] * len(ratings), list(ratings.values()))
+
+
+def position(keys, name: str) -> int:
+    """Position of the pair (name, i1) in ``keys``."""
+    return int(np.flatnonzero((keys.users == name) & (keys.items == "i1"))[0])
 
 
 def group_values(result, name: str) -> list[float]:
-    key = FeedbackKey(name, "i1")
-    return [
-        o.value
-        for o in sorted(result.observations.observations, key=lambda o: o.trial)
-        if o.key == key
-    ]
+    obs = result.observations
+    return obs.value[obs.pair == position(obs.keys, name)].tolist()
 
 
 class TestDenoise:
@@ -47,13 +53,13 @@ class TestDenoise:
         obs = obs_from_groups({"u": [3.0, 3.2]})
         result = denoise_preprocess(obs, None, DenoiseConfig(threshold=1.0))
         assert group_values(result, "u") == [3.0, 3.2]
-        assert not result.unconverged_keys
+        assert not len(result.unconverged_keys)
 
     def test_collapses_to_median_in_two_passes(self):
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
         result = denoise_preprocess(obs, None, DenoiseConfig(threshold=1.0))
         assert group_values(result, "u") == [3.0, 3.0, 3.0]
-        assert not result.unconverged_keys
+        assert not len(result.unconverged_keys)
 
     def test_single_pass_replacement(self):
         obs = obs_from_groups({"u": [2.0, 2.0, 2.0, 5.0]})
@@ -81,9 +87,7 @@ class TestDenoise:
     def test_redraw_converges_with_matching_model(self):
         # removing the outlier leaves [2.0, 3.0]; a draw from N(3, 0.5^2)
         # lands within 1.5 of both with high probability, so no fallback
-        truth = FeedbackDataset(
-            entries=(UncertainFeedback(FeedbackKey("u", "i1"), 3.0, 0.5),),
-        )
+        truth = dataset([("u", 3.0, 0.5)])
         obs = obs_from_groups({"u": [2.0, 4.4, 3.0]})
         cfg = DenoiseConfig(
             threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=7
@@ -93,27 +97,23 @@ class TestDenoise:
         assert max(values) - min(values) <= 1.5
         assert values[0] == 2.0 and values[2] == 3.0  # only the outlier moved
         assert values[1] != 4.4
-        assert not result.unconverged_keys
+        assert not len(result.unconverged_keys)
 
     def test_redraw_exhaustion_flags_but_still_converges_via_median(self):
         # retained values [1.0, 5.0] admit no draw within threshold 1 of
         # both, so the redraw falls back to the median and flags the group
-        truth = FeedbackDataset(
-            entries=(UncertainFeedback(FeedbackKey("u", "i1"), 3.0, 0.2),),
-        )
+        truth = dataset([("u", 3.0, 0.2)])
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
         cfg = DenoiseConfig(
             threshold=1.0, resampler=Resampler.REDRAW_FROM_MODEL, seed=7
         )
         result = denoise_preprocess(obs, truth, cfg)
         values = group_values(result, "u")
-        assert FeedbackKey("u", "i1") in result.unconverged_keys
+        assert position(result.observations.keys, "u") in result.unconverged_keys
         assert max(values) - min(values) <= 1.0
 
     def test_redraw_deterministic(self):
-        truth = FeedbackDataset(
-            entries=(UncertainFeedback(FeedbackKey("u", "i1"), 3.0, 0.5),),
-        )
+        truth = dataset([("u", 3.0, 0.5)])
         obs = obs_from_groups({"u": [0.0, 6.0, 3.0]})
         cfg = DenoiseConfig(
             threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=11
@@ -124,9 +124,7 @@ class TestDenoise:
 
     def test_impossible_redraw_falls_back_and_flags(self):
         # model far from the data: accepted draws are effectively impossible
-        truth = FeedbackDataset(
-            entries=(UncertainFeedback(FeedbackKey("u", "i1"), 500.0, 0.01),),
-        )
+        truth = dataset([("u", 500.0, 0.01)])
         obs = obs_from_groups({"u": [1.0, 9.0, 5.0]})
         cfg = DenoiseConfig(
             threshold=1.0,
@@ -135,7 +133,7 @@ class TestDenoise:
             seed=3,
         )
         result = denoise_preprocess(obs, truth, cfg)
-        assert FeedbackKey("u", "i1") in result.unconverged_keys
+        assert position(result.observations.keys, "u") in result.unconverged_keys
         assert len(result.observations) == 3
 
     @given(
@@ -155,33 +153,31 @@ class TestDenoise:
     def test_postconditions(self, groups, threshold):
         obs = obs_from_groups(groups)
         result = denoise_preprocess(obs, None, DenoiseConfig(threshold=threshold))
-        assert len(result.observations) == len(obs)
-        before = obs.grouped()
-        after = result.observations.grouped()
-        assert set(before) == set(after)
-        for key, group in after.items():
-            assert [o.trial for o in group] == [o.trial for o in before[key]]
-            values = [o.value for o in group]
-            if key not in result.unconverged_keys:
+        after = result.observations
+        assert len(after) == len(obs)
+        assert after.keys.users.tolist() == obs.keys.users.tolist()
+        assert after.keys.items.tolist() == obs.keys.items.tolist()
+        for p in range(len(after.keys)):
+            rows, before_rows = after.pair == p, obs.pair == p
+            assert after.trial[rows].tolist() == obs.trial[before_rows].tolist()
+            values = after.value[rows]
+            if p not in result.unconverged_keys:
                 assert max(values) - min(values) <= threshold + 1e-12
 
 
 class TestPredictorNoiseDeviation:
     def test_pure_predictor_noise(self):
-        fb = UncertainFeedback(FeedbackKey("u", "i"), 4.0, 0.0)
-        law = predictor_noise_deviation(fb, prediction=4.0, tau=1.0)
+        law = predictor_noise_deviation(4.0, 0.0, prediction=4.0, tau=1.0)
         assert law.mean == 0.0
         assert law.variance == 1.0
 
     def test_variance_addition(self):
-        fb = UncertainFeedback(FeedbackKey("u", "i"), 4.0, 0.8)
-        law = predictor_noise_deviation(fb, prediction=3.0, tau=1.0)
+        law = predictor_noise_deviation(4.0, 0.8, prediction=3.0, tau=1.0)
         assert law.mean == pytest.approx(1.0, abs=1e-12)
         assert law.variance == pytest.approx(1.64, abs=1e-12)
 
     def test_tau_zero_recovers_plain_model(self):
-        fb = UncertainFeedback(FeedbackKey("u", "i"), 4.0, 0.5)
-        law = predictor_noise_deviation(fb, prediction=4.0, tau=0.0)
+        law = predictor_noise_deviation(4.0, 0.5, prediction=4.0, tau=0.0)
         assert law.mean == 0.0
         assert law.variance == 0.25
 
@@ -191,36 +187,28 @@ class TestPredictorNoiseDeviation:
         st.floats(min_value=0.01, max_value=2, allow_nan=False),
     )
     def test_variance_strictly_increasing_in_tau_and_sigma(self, sigma, tau, bump):
-        fb = UncertainFeedback(FeedbackKey("u", "i"), 3.0, sigma)
-        base = predictor_noise_deviation(fb, 3.0, tau).variance
-        assert predictor_noise_deviation(fb, 3.0, tau + bump).variance > base
-        wider = UncertainFeedback(FeedbackKey("u", "i"), 3.0, sigma + bump)
-        assert predictor_noise_deviation(wider, 3.0, tau).variance > base
+        base = predictor_noise_deviation(3.0, sigma, 3.0, tau).variance
+        assert predictor_noise_deviation(3.0, sigma, 3.0, tau + bump).variance > base
+        assert predictor_noise_deviation(3.0, sigma + bump, 3.0, tau).variance > base
 
     def test_rejects_negative_tau(self):
-        fb = UncertainFeedback(FeedbackKey("u", "i"), 4.0, 0.5)
         with pytest.raises(InputError):
-            predictor_noise_deviation(fb, 4.0, -0.5)
+            predictor_noise_deviation(4.0, 0.5, 4.0, -0.5)
 
 
 def omission_fixture(sigmas, deviations):
-    entries = tuple(
-        UncertainFeedback(FeedbackKey(f"u{i:05d}", "i1"), 3.0, float(s))
-        for i, s in enumerate(sigmas)
-    )
-    data = FeedbackDataset(entries=entries)
-    ratings = {e.key: e.mu for e in entries}
-    predictions = PredictionSet(
-        {e.key: e.mu - float(d) for e, d in zip(entries, deviations)}
-    )
-    return data, predictions, ratings
+    """Dataset, predictions and point ratings; the dataset's mu are the ratings."""
+    users = [f"u{i:05d}" for i in range(len(sigmas))]
+    data = dataset([(u, 3.0, float(s)) for u, s in zip(users, sigmas)])
+    predictions = predictions_of({u: 3.0 - float(d) for u, d in zip(users, deviations)})
+    return data, predictions, data
 
 
 class TestOmission:
     def test_zero_deviation_not_retained(self):
         data, predictions, ratings = omission_fixture([0.5], [0.0])
         result = omit_insignificant(data, predictions, ratings)
-        assert not result.retained_keys
+        assert not len(result.retained_keys)
         assert result.filtered_rmse is None
         assert result.retained_fraction == 0.0
 
@@ -235,7 +223,7 @@ class TestOmission:
         # |z| = 0.9 / 0.5 = 1.8 < 1.959964
         data, predictions, ratings = omission_fixture([0.5], [0.9])
         result = omit_insignificant(data, predictions, ratings)
-        assert not result.retained_keys
+        assert not len(result.retained_keys)
 
     def test_zero_sigma_any_deviation_is_significant(self):
         data, predictions, ratings = omission_fixture([0.0, 0.0], [0.001, 0.0])
@@ -258,7 +246,7 @@ class TestOmission:
         data, predictions, ratings = omission_fixture(sigmas, deviations)
         tight = omit_insignificant(data, predictions, ratings, OmissionConfig(0.01))
         loose = omit_insignificant(data, predictions, ratings, OmissionConfig(0.10))
-        assert tight.retained_keys <= loose.retained_keys
+        assert set(tight.retained_keys.tolist()) <= set(loose.retained_keys.tolist())
 
     # |d| / sigma just either side of the two-sided critical value, which
     # scipy.stats.norm.isf(alpha / 2) puts at 1.959964, 4.891638 and
@@ -273,7 +261,7 @@ class TestOmission:
         deviations = [0.5 * below, 0.5 * above, -2.0 * below, -2.0 * above]
         data, predictions, ratings = omission_fixture(sigmas, deviations)
         result = omit_insignificant(data, predictions, ratings, OmissionConfig(alpha))
-        assert {k.user_id for k in result.retained_keys} == {"u00001", "u00003"}
+        assert set(ratings.keys.users[result.retained_keys]) == {"u00001", "u00003"}
 
     @given(
         st.lists(
@@ -291,16 +279,17 @@ class TestOmission:
         sigmas, deviations = zip(*rows)
         data, predictions, ratings = omission_fixture(sigmas, deviations)
         result = omit_insignificant(data, predictions, ratings, OmissionConfig(alpha))
-        expected = set()
-        for entry in data.entries:
-            d = ratings[entry.key] - predictions[entry.key]
+        expected = []
+        predicted = predictions.aligned(data.keys)
+        for i, entry in enumerate(data.entries):
+            d = ratings.mu[i] - predicted[i]
             if entry.sigma > 0:
                 p = math.erfc(abs(d) / entry.sigma * math.sqrt(0.5))
             else:
                 p = 0.0 if d != 0.0 else 1.0
             if p < alpha:
-                expected.add(entry.key)
-        assert result.retained_keys == expected
+                expected.append(i)
+        assert result.retained_keys.tolist() == expected
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(InputError):
@@ -312,9 +301,7 @@ class TestOmission:
 class TestStrategyComparison:
     def test_identity_denoise_is_indistinguishable(self):
         obs = obs_from_groups({"a": [2.0, 2.4, 2.2], "b": [4.0, 3.6, 3.8]})
-        predictions = PredictionSet(
-            {FeedbackKey("a", "i1"): 2.0, FeedbackKey("b", "i1"): 4.0}
-        )
+        predictions = predictions_of({"a": 2.0, "b": 4.0})
         (report,) = run_strategy_comparison(
             predictions,
             observations=obs,
@@ -325,12 +312,8 @@ class TestStrategyComparison:
         assert not report.verdict.distinguishable
 
     def test_zero_sigma_dataset_distinct_scores_distinguishable(self):
-        entries = (
-            UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.0),
-            UncertainFeedback(FeedbackKey("b", "i1"), 4.0, 0.0),
-        )
-        data = FeedbackDataset(entries=entries)
-        predictions = PredictionSet({e.key: e.mu for e in entries})
+        data = dataset([("a", 2.0, 0.0), ("b", 4.0, 0.0)])
+        predictions = predictions_of({"a": 2.0, "b": 4.0})
         (report,) = run_strategy_comparison(
             predictions, data=data, predictor_tau=1.0
         )
@@ -341,12 +324,8 @@ class TestStrategyComparison:
         assert report.mean_deviation_variance == pytest.approx(1.0, abs=1e-12)
 
     def test_predictor_noise_tau_zero_is_identity(self):
-        entries = (
-            UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.4),
-            UncertainFeedback(FeedbackKey("b", "i1"), 4.0, 0.8),
-        )
-        data = FeedbackDataset(entries=entries)
-        predictions = PredictionSet({e.key: e.mu + 0.1 for e in entries})
+        data = dataset([("a", 2.0, 0.4), ("b", 4.0, 0.8)])
+        predictions = predictions_of({"a": 2.0 + 0.1, "b": 4.0 + 0.1})
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=0.0)
         assert report.score_after == report.score_before
         assert not report.verdict.distinguishable
@@ -360,10 +339,10 @@ class TestStrategyComparison:
         for i in range(400):
             mu = rng.uniform(2.0, 4.0)
             groups[f"u{i:04d}"] = list(mu + rng.normal(0, 0.8, 5))
-            predictions[FeedbackKey(f"u{i:04d}", "i1")] = mu
+            predictions[f"u{i:04d}"] = mu
         obs = obs_from_groups(groups)
         (report,) = run_strategy_comparison(
-            PredictionSet(predictions),
+            predictions_of(predictions),
             observations=obs,
             denoise=DenoiseConfig(threshold=2.5),
         )
@@ -384,9 +363,7 @@ class TestStrategyComparison:
 
     def test_all_strategies_in_order(self):
         obs = obs_from_groups({"a": [2.0, 2.5, 2.1], "b": [4.0, 3.4, 3.8]})
-        predictions = PredictionSet(
-            {FeedbackKey("a", "i1"): 2.2, FeedbackKey("b", "i1"): 3.7}
-        )
+        predictions = predictions_of({"a": 2.2, "b": 3.7})
         reports = run_strategy_comparison(
             predictions,
             observations=obs,
@@ -401,7 +378,7 @@ class TestStrategyComparison:
         ]
 
     def test_no_strategy_requested(self):
-        predictions = PredictionSet({FeedbackKey("a", "i1"): 2.0})
+        predictions = predictions_of({"a": 2.0})
         with pytest.raises(InputError):
             run_strategy_comparison(predictions, data=None, observations=None)
 
@@ -411,7 +388,7 @@ class TestStrategyComparison:
 
         monkeypatch.setattr("uncertain_eval.strategies.fit_uncertainty", no_fit)
         obs = obs_from_groups({"a": [2.0, 2.4], "b": [4.0, 3.6]})
-        predictions = PredictionSet({FeedbackKey("a", "i1"): 2.0, FeedbackKey("b", "i1"): 4.0})
+        predictions = predictions_of({"a": 2.0, "b": 4.0})
         with pytest.raises(InputError, match="tau must be finite and >= 0, got -1.0"):
             run_strategy_comparison(
                 predictions,
@@ -421,9 +398,8 @@ class TestStrategyComparison:
             )
 
     def test_report_json_schema(self):
-        entries = (UncertainFeedback(FeedbackKey("a", "i1"), 2.0, 0.5),)
-        data = FeedbackDataset(entries=entries)
-        predictions = PredictionSet({FeedbackKey("a", "i1"): 2.0})
+        data = dataset([("a", 2.0, 0.5)])
+        predictions = predictions_of({"a": 2.0})
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=1.0)
         payload = report.to_json_dict()
         assert list(payload) == [
