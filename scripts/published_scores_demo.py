@@ -13,7 +13,6 @@ Run: python scripts/published_scores_demo.py [--s1 V --s2 V]
 import argparse
 
 from uncertain_eval import (
-    BarrierDistribution,
     GaussianDistribution,
     Z_TWO_SIDED_95,
     distinguishability_test,
@@ -38,11 +37,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for std in STD_SWEEP:
-        floor = BarrierDistribution(
-            gaussian=GaussianDistribution(mean=args.s1, variance=std * std),
-            N=0,
-            source_sigma_sums=(0.0, 0.0),
-        )
+        floor = GaussianDistribution(mean=args.s1, variance=std * std)
         verdict = distinguishability_test(args.s1, args.s2, floor)
         rel = relation_test(
             GaussianDistribution(min(args.s1, args.s2), std * std),

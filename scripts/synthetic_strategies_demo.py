@@ -67,9 +67,9 @@ def main() -> None:
     floor = barrier_distribution(fitted)
     print(
         f"population: {truth.dataset.N} pairs, {args.trials} trials each\n"
-        f"fitted noise floor: mean={floor.gaussian.mean:.4f} "
-        f"std={floor.gaussian.std:.6f} "
-        f"(95% band half-width {2 * 1.959964 * floor.gaussian.std:.4f})\n"
+        f"fitted noise floor: mean={floor.mean:.4f} "
+        f"std={floor.std:.6f} "
+        f"(95% band half-width {2 * 1.959964 * floor.std:.4f})\n"
     )
 
     reports = run_strategy_comparison(

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .barrier import (
     RELATION_ALPHA,
     Z_TWO_SIDED_95,
-    BarrierDistribution,
     DistinguishabilityResult,
     GaussianDistribution,
     RelationResult,
@@ -45,9 +44,7 @@ from .metrics import (
     variance_match_check,
 )
 from .simulate import (
-    FitRoundtripResult,
     GroundTruth,
-    HistogramBin,
     PopulationSpec,
     RatingScale,
     draw_trials,
@@ -84,7 +81,6 @@ __all__ = [
     "fit_uncertainty",
     "pooled_sigma",
     "GaussianDistribution",
-    "BarrierDistribution",
     "DistinguishabilityResult",
     "RelationResult",
     "barrier_distribution",
@@ -113,8 +109,6 @@ __all__ = [
     "run_strategy_comparison",
     "PopulationSpec",
     "GroundTruth",
-    "HistogramBin",
-    "FitRoundtripResult",
     "generate_population",
     "draw_trials",
     "histogram",

@@ -8,7 +8,9 @@ spreads sigma_i the floor is approximately Gaussian with
     mean     = sqrt(sum(sigma_i^2) / N)
     variance = sum(sigma_i^4) / (2 * N * sum(sigma_i^2))
 
-Two instruments compare metric scores under this uncertainty:
+``barrier_distribution`` returns this floor as a ``GaussianDistribution``,
+the same type ``relation_test`` compares. Two instruments compare metric
+scores under this uncertainty:
 
 * ``distinguishability_test`` recentres the floor distribution at the
   midpoint of two observed scores and asks whether both fall inside its 95%
@@ -68,18 +70,6 @@ class GaussianDistribution:
 
 
 @dataclass(frozen=True, slots=True)
-class BarrierDistribution:
-    """Gaussian noise floor of an RMSE score over metric-score space.
-
-    ``source_sigma_sums`` retains (sum sigma^2, sum sigma^4) for audit.
-    """
-
-    gaussian: GaussianDistribution
-    N: int
-    source_sigma_sums: tuple[float, float]
-
-
-@dataclass(frozen=True, slots=True)
 class DistinguishabilityResult:
     """Outcome of the shifted-floor test for a pair of scores.
 
@@ -102,8 +92,8 @@ class RelationResult:
     holds: bool
 
 
-def barrier_distribution(data: FeedbackDataset) -> BarrierDistribution:
-    """Noise floor of RMSE for the dataset's per-pair spreads.
+def barrier_distribution(data: FeedbackDataset) -> GaussianDistribution:
+    """Gaussian noise floor of RMSE for the dataset's per-pair spreads.
 
     All-zero spreads yield the degenerate Gaussian (0, 0), which downstream
     tests treat as classical point comparison.
@@ -111,14 +101,9 @@ def barrier_distribution(data: FeedbackDataset) -> BarrierDistribution:
     sigmas = data.sigma
     n = data.N
     sum_sq = float(np.sum(sigmas**2))
-    sum_quad = float(np.sum(sigmas**4))
     mean = math.sqrt(sum_sq / n)
-    variance = (sum_quad / sum_sq) / (2.0 * n) if sum_sq > 0 else 0.0
-    return BarrierDistribution(
-        gaussian=GaussianDistribution(mean=mean, variance=variance),
-        N=n,
-        source_sigma_sums=(sum_sq, sum_quad),
-    )
+    variance = (float(np.sum(sigmas**4)) / sum_sq) / (2.0 * n) if sum_sq > 0 else 0.0
+    return GaussianDistribution(mean=mean, variance=variance)
 
 
 def confidence_interval(
@@ -140,7 +125,7 @@ def confidence_interval(
 
 
 def distinguishability_test(
-    s1: float, s2: float, barrier: BarrierDistribution
+    s1: float, s2: float, floor: GaussianDistribution
 ) -> DistinguishabilityResult:
     """Shift the noise floor to the score midpoint and test 95% coverage.
 
@@ -152,7 +137,7 @@ def distinguishability_test(
     """
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
-    std = barrier.gaussian.std
+    std = floor.std
     shift = 0.5 * (s1 + s2)
     gap = abs(s1 - s2)
     if std == 0.0:
@@ -193,14 +178,14 @@ def relation_test(
 
 
 def distinguishability_report(
-    barrier: BarrierDistribution, result: DistinguishabilityResult
+    floor: GaussianDistribution, result: DistinguishabilityResult
 ) -> dict:
     """JSON-ready report with a stable key order."""
     return {
         "s1": result.s1,
         "s2": result.s2,
-        "barrier_mean": barrier.gaussian.mean,
-        "barrier_variance": barrier.gaussian.variance,
+        "barrier_mean": floor.mean,
+        "barrier_variance": floor.variance,
         "shift_mean": result.shift_mean,
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,

@@ -338,6 +338,12 @@ class FeedbackDataset(_Columnar):
         return tuple(map(UncertainFeedback, keys, mu, sigma, n_trials))
 
 
+def check_prediction(value: float) -> None:
+    """Reject one prediction unless it is finite."""
+    if not math.isfinite(value):
+        raise InputError(f"prediction must be finite, got {value}")
+
+
 class PredictionSet(_Columnar):
     """Model-based prediction per pair, as ``values`` aligned to ``keys``."""
 
@@ -348,10 +354,7 @@ class PredictionSet(_Columnar):
         values = np.asarray(values, dtype=float)
         bad = ~np.isfinite(values)
         if bad.any():
-            i = pair[int(np.argmax(bad))]
-            raise InputError(
-                f"prediction for {keys.users[i]}/{keys.items[i]} must be finite"
-            )
+            check_prediction(float(values[np.argmax(bad)]))
         self.keys = keys
         self.values = _scatter(pair, values, len(keys))
 
@@ -451,7 +454,8 @@ def fit_uncertainty(
         if fallback.policy is SigmaFallbackPolicy.ZERO:
             sigma[single] = 0.0
         elif fallback.policy is SigmaFallbackPolicy.FIXED:
-            sigma[single] = float(fallback.value)  # type: ignore[arg-type]
+            # + 0.0 turns a -0.0 fallback into the 0.0 of the zero policy
+            sigma[single] = float(fallback.value) + 0.0  # type: ignore[arg-type]
         elif single.all():
             raise UnavailableError(
                 "pooled sigma fallback needs at least one pair with >= 2 trials"

@@ -53,8 +53,8 @@ from .feedback import (
     PredictionSet,
     check_feedback,
     check_observation,
+    check_prediction,
 )
-from .simulate import HistogramBin
 
 OBSERVATION_HEADER = ["user_id", "item_id", "trial", "rating"]
 FEEDBACK_HEADER = ["user_id", "item_id", "mu", "sigma"]
@@ -209,7 +209,7 @@ def _read(
     header: Sequence[str],
     kinds: Sequence[type],
     build: Callable,
-    rule: Callable[..., None] | None = None,
+    rule: Callable[..., None],
     unique: str | None = None,
 ):
     """``build(keys, pair, *numeric columns)`` of the CSV at ``path``.
@@ -275,8 +275,7 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None
                 except ValueError:
                     raise InputError(f"bad {column} value {row[j]!r}") from None
             user, item, *numbers = values
-            if rule is not None:
-                rule(*numbers)
+            rule(*numbers)
             if unique is not None and (user, item) in seen:
                 raise InputError(f"duplicate {unique} for {user}/{item}")
             seen.add((user, item))
@@ -308,18 +307,19 @@ def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
 
 
 def read_predictions(path: str | Path) -> PredictionSet:
-    return _read(path, PREDICTION_HEADER, (float,), PredictionSet.from_columns, unique="prediction")
+    return _read(
+        path, PREDICTION_HEADER, (float,), PredictionSet.from_columns,
+        check_prediction, "prediction",
+    )
 
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:
     _write_columns(path, PREDICTION_HEADER, (predictions.values,), predictions.keys)
 
 
-def write_histogram(path: str | Path, bins: Sequence[HistogramBin]) -> None:
-    lo = np.array([b.bin_lo for b in bins], dtype=float)
-    hi = np.array([b.bin_hi for b in bins], dtype=float)
-    count = np.array([b.count for b in bins], dtype=np.int64)
-    _write_columns(path, HISTOGRAM_HEADER, (lo, hi, count))
+def write_histogram(path: str | Path, bins: Sequence[np.ndarray]) -> None:
+    """Write the ``(bin_lo, bin_hi, count)`` columns of ``simulate.histogram``."""
+    _write_columns(path, HISTOGRAM_HEADER, bins)
 
 
 def write_sample_dump(path: str | Path, samples: Sequence[float] | np.ndarray) -> None:

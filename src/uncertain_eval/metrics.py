@@ -204,7 +204,7 @@ def variance_match_check(data: FeedbackDataset, cfg: McConfig) -> float:
     only becomes tight for large datasets, small ones simply report a large
     value.
     """
-    floor = barrier_distribution(data).gaussian.variance
+    floor = barrier_distribution(data).variance
     if floor == 0.0:
         raise InputError("variance match is undefined for an all-zero-sigma dataset")
     predictions = PredictionSet.from_columns(data.keys, np.arange(data.N), data.mu)

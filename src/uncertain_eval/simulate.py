@@ -123,20 +123,6 @@ class GroundTruth:
     scale: RatingScale
 
 
-@dataclass(frozen=True, slots=True)
-class HistogramBin:
-    bin_lo: float
-    bin_hi: float
-    count: int
-
-
-@dataclass(frozen=True, slots=True)
-class FitRoundtripResult:
-    max_relative_error: float
-    tolerance: float
-    passed: bool
-
-
 def _pair_ids(n: int, prefix: str) -> list[str]:
     width = len(str(n))
     return [f"{prefix}{i + 1:0{width}d}" for i in range(n)]
@@ -204,10 +190,11 @@ def draw_trials(
     return ObservationSet.from_columns(data.keys, pair, trial, values.ravel())
 
 
-def histogram(values: Iterable[float], bin_width: float) -> list[HistogramBin]:
-    """Contiguous fixed-width bins covering the observed range.
+def histogram(values: Iterable[float], bin_width: float) -> tuple[np.ndarray, ...]:
+    """Contiguous fixed-width bins covering the observed range, as columns.
 
-    Bins are [lo, lo + width) anchored at the minimum; the bin count is
+    Returns ``(bin_lo, bin_hi, count)``, one entry per bin. Bins are
+    [lo, lo + width) anchored at the minimum; the bin count is
     floor(span / width) + 1 so the maximum always falls inside the last
     bin, and counts sum to the number of values.
     """
@@ -227,21 +214,12 @@ def histogram(values: Iterable[float], bin_width: float) -> list[HistogramBin]:
     n_bins = int(math.floor((hi - lo) / bin_width)) + 1
     idx = np.floor((arr - lo) / bin_width).astype(int)
     idx = np.clip(idx, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    return [
-        HistogramBin(
-            bin_lo=lo + i * bin_width,
-            bin_hi=lo + (i + 1) * bin_width,
-            count=int(counts[i]),
-        )
-        for i in range(n_bins)
-    ]
+    edges = lo + np.arange(n_bins + 1) * bin_width
+    return edges[:-1], edges[1:], np.bincount(idx, minlength=n_bins)
 
 
-def fit_roundtrip_check(
-    spec: PopulationSpec, k: int, tolerance: float = 0.02
-) -> FitRoundtripResult:
-    """Generate, draw continuous trials, re-fit: worst relative sigma error.
+def fit_roundtrip_check(spec: PopulationSpec, k: int) -> float:
+    """Generate, draw continuous trials, re-fit: the worst relative sigma error.
 
     Only pairs with a true sigma of at least 0.1 enter the comparison; with
     nothing above that floor the error is defined as 0. Small k gives large
@@ -256,7 +234,4 @@ def fit_roundtrip_check(
     sigma_true = truth.dataset.sigma[fitted.keys.locate(truth.dataset.keys, "no generating model")]
     compared = sigma_true >= 0.1
     errors = np.abs(fitted.sigma[compared] - sigma_true[compared]) / sigma_true[compared]
-    worst = float(errors.max()) if errors.size else 0.0
-    return FitRoundtripResult(
-        max_relative_error=worst, tolerance=tolerance, passed=worst < tolerance
-    )
+    return float(errors.max()) if errors.size else 0.0

@@ -35,6 +35,7 @@ from .feedback import (
     ObservationSet,
     PredictionSet,
     check_feedback,
+    check_prediction,
     fit_uncertainty,
 )
 from .metrics import check_tau, rmse
@@ -224,8 +225,7 @@ def predictor_noise_deviation(
     prediction N(pi, tau^2) deviates as N(mu - pi, sigma^2 + tau^2).
     """
     check_feedback(mu, sigma)
-    if not math.isfinite(prediction):
-        raise InputError(f"prediction must be finite, got {prediction}")
+    check_prediction(prediction)
     check_tau(tau)
     return GaussianDistribution(mean=mu - prediction, variance=sigma**2 + tau**2)
 

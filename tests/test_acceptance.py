@@ -19,7 +19,6 @@ from uncertain_eval import (
     DenoiseConfig,
     FeedbackDataset,
     GaussianDistribution,
-    BarrierDistribution,
     McConfig,
     OmissionConfig,
     PopulationSpec,
@@ -52,23 +51,19 @@ def dataset_from_sigmas(sigmas) -> FeedbackDataset:
     return FeedbackDataset.from_ids(users, ["i1"] * n, [3.0] * n, [float(s) for s in sigmas])
 
 
-def barrier_from_std(std: float) -> BarrierDistribution:
-    return BarrierDistribution(
-        gaussian=GaussianDistribution(mean=1.0, variance=std * std),
-        N=1000,
-        source_sigma_sums=(1000.0, 1000.0),
-    )
+def barrier_from_std(std: float) -> GaussianDistribution:
+    return GaussianDistribution(mean=1.0, variance=std * std)
 
 
 def test_criterion_01_closed_form_barrier(capsys):
     b = barrier_distribution(dataset_from_sigmas([1.0] * 2000))
-    mean_exact = b.gaussian.mean == 1.0
-    var_ok = abs(b.gaussian.variance - 0.00025) <= 1e-12 * 0.00025
+    mean_exact = b.mean == 1.0
+    var_ok = abs(b.variance - 0.00025) <= 1e-12 * 0.00025
     report(
         capsys,
         "criterion 1 closed-form barrier",
         mean_exact and var_ok,
-        f"mean={b.gaussian.mean!r} variance={b.gaussian.variance!r}",
+        f"mean={b.mean!r} variance={b.variance!r}",
     )
 
 
@@ -76,7 +71,7 @@ def test_criterion_02_monte_carlo_barrier_oracle(capsys):
     rng = np.random.default_rng(20260810)
     n = 10000
     sigmas = rng.uniform(0.3, 1.2, n)
-    b = barrier_distribution(dataset_from_sigmas(sigmas)).gaussian
+    b = barrier_distribution(dataset_from_sigmas(sigmas))
 
     # independent oracle: resample the metric floor directly
     m = 100000
@@ -274,13 +269,12 @@ def test_criterion_10_fit_roundtrip(capsys):
         density=1.0,
         seed=1010,
     )
-    result = fit_roundtrip_check(spec, k=100000, tolerance=0.02)
+    worst = fit_roundtrip_check(spec, k=100000)
     report(
         capsys,
         "criterion 10 fit roundtrip",
-        result.passed,
-        f"max relative sigma error={result.max_relative_error:.5f} "
-        f"(tolerance {result.tolerance})",
+        worst < 0.02,
+        f"max relative sigma error={worst:.5f} (tolerance 0.02)",
     )
 
 

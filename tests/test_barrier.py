@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncertain_eval import (
-    BarrierDistribution,
     FeedbackDataset,
     GaussianDistribution,
     InputError,
@@ -25,31 +24,25 @@ def dataset_from_sigmas(sigmas) -> FeedbackDataset:
     return FeedbackDataset.from_ids(users, ["i1"] * n, [3.0] * n, [float(s) for s in sigmas])
 
 
-def barrier_from_variance(variance: float, n: int = 1000) -> BarrierDistribution:
-    return BarrierDistribution(
-        gaussian=GaussianDistribution(mean=1.0, variance=variance),
-        N=n,
-        source_sigma_sums=(float(n), float(n)),
-    )
+def barrier_from_variance(variance: float) -> GaussianDistribution:
+    return GaussianDistribution(mean=1.0, variance=variance)
 
 
 class TestBarrierDistribution:
     def test_uniform_unit_sigma(self):
         b = barrier_distribution(dataset_from_sigmas([1.0] * 2000))
-        assert b.gaussian.mean == 1.0
-        assert b.gaussian.variance == pytest.approx(0.00025, rel=1e-12)
-        assert b.N == 2000
-        assert b.source_sigma_sums == (2000.0, 2000.0)
+        assert b.mean == 1.0
+        assert b.variance == pytest.approx(0.00025, rel=1e-12)
 
     def test_all_zero_sigma_degenerates(self):
         b = barrier_distribution(dataset_from_sigmas([0.0] * 10))
-        assert b.gaussian.mean == 0.0
-        assert b.gaussian.variance == 0.0
+        assert b.mean == 0.0
+        assert b.variance == 0.0
 
     def test_two_sigma_plugin(self):
         b = barrier_distribution(dataset_from_sigmas([0.5, 1.5]))
-        assert b.gaussian.mean == pytest.approx(1.118033988749895, rel=1e-12)
-        assert b.gaussian.variance == pytest.approx(0.5125, rel=1e-12)
+        assert b.mean == pytest.approx(1.118033988749895, rel=1e-12)
+        assert b.variance == pytest.approx(0.5125, rel=1e-12)
 
     @given(
         st.lists(
@@ -61,7 +54,7 @@ class TestBarrierDistribution:
     def test_mean_squared_consistency(self, sigmas):
         b = barrier_distribution(dataset_from_sigmas(sigmas))
         sum_sq = float(np.sum(np.asarray(sigmas, dtype=float) ** 2))
-        assert b.gaussian.mean**2 * b.N == pytest.approx(
+        assert b.mean**2 * len(sigmas) == pytest.approx(
             sum_sq, rel=1e-12, abs=1e-12
         )
 
@@ -74,9 +67,9 @@ class TestBarrierDistribution:
         b = barrier_distribution(dataset_from_sigmas(sigmas))
         draws = rng.standard_normal((20000, n)) * sigmas[None, :]
         samples = np.sqrt(np.mean(draws * draws, axis=1))
-        assert float(np.mean(samples)) == pytest.approx(b.gaussian.mean, rel=0.01)
+        assert float(np.mean(samples)) == pytest.approx(b.mean, rel=0.01)
         assert float(np.std(samples, ddof=1)) == pytest.approx(
-            b.gaussian.std, rel=0.05
+            b.std, rel=0.05
         )
 
 
@@ -208,7 +201,7 @@ class TestDistinguishability:
             assert not large.distinguishable
 
     def test_report_keys_and_order(self):
-        b = barrier_from_variance(0.00025, n=2000)
+        b = barrier_from_variance(0.00025)
         r = distinguishability_test(0.86, 0.90, b)
         report = distinguishability_report(b, r)
         assert list(report) == [

@@ -17,6 +17,7 @@ from uncertain_eval import (
     McConfig,
     ObservationSet,
     PopulationSpec,
+    PredictionSet,
     RatingScale,
     predictor_noise_deviation,
 )
@@ -72,6 +73,26 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_imports_no_third_party_module_but_numpy():
+    # modules a bare interpreter loads (``site`` may pull in packages
+    # through ``.pth`` files) are loaded before the import and not counted
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; bare = set(sys.modules); import uncertain_eval.cli; "
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "uncertain_eval"}
+
+
 class TestFit:
     def test_two_group_toy_file(self, capsys, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -101,6 +122,22 @@ class TestFit:
         body = out.read_text(encoding="utf-8").splitlines()[1:]
         assert all(line.endswith(",0.0") for line in body)
         assert json.loads(stdout)["pooled_sigma"] is None
+
+    def test_fixed_negative_zero_fallback_writes_what_zero_writes(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "user_id,item_id,trial,rating\nu1,i1,0,3.0\nu2,i1,0,4.0\nu2,i1,1,5.0\n",
+            encoding="utf-8",
+        )
+        written = {}
+        for fallback in ("zero", "fixed:-0"):
+            out = tmp_path / "feedback.csv"
+            code, _, _ = run_cli(
+                capsys, "fit", "--obs", str(obs), "--fallback", fallback, "--out", str(out)
+            )
+            assert code == 0
+            written[fallback] = out.read_bytes()
+        assert written["fixed:-0"] == written["zero"]
 
     def test_missing_column_exits_2(self, capsys, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -487,6 +524,44 @@ class TestSimulate:
         for name, digest in digests.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_analysis_outputs_are_pinned(self, capsys, tmp_path):
+        # stdout of distinguish, strategies and rmse-dist, and the sample
+        # dump, for the spec of the test above
+        spec = dict(SPEC_JSON, n_users=20, n_items=10, sigma_lo=0.3, sigma_hi=1.0,
+                    density=0.8, seed=4242)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--spec", json.dumps(spec), "--trials", "5", "--out-dir", str(out)
+        )
+        assert code == 0
+        obs, feedback, pred = (
+            str(out / name) for name in ("observations.csv", "feedback.csv", "predictions.csv")
+        )
+        commands = {
+            "distinguish": ["--feedback", feedback, "--s1", "0.5", "--s2", "0.55"],
+            "strategies": [
+                "--obs", obs, "--pred", pred, "--denoise-threshold", "1.0", "--tau", "1.0",
+                "--omit-alpha", "0.05",
+            ],
+            "rmse-dist": [
+                "--feedback", feedback, "--pred", pred, "--samples", "4096", "--seed", "99",
+                "--dump", str(out / "dump.csv"),
+            ],
+        }
+        digests = {
+            "distinguish": "db238f3341006893d8a8116a3a67ea62e0dc92cb598b4938031aff4841c51603",
+            "strategies": "9d6ad79b729fb33628b72e9e9cdf06599bb796718a24a8573e41e77d062132d6",
+            "rmse-dist": "e1f79ff18e7fddb88555bea82e44cb8b9efdf45584a568a56778dedec1000cf4",
+            "dump.csv": "7b0723f15bcb4474bc30b0987cf341b688587ad6010c9e949bc24832f6a8f9b1",
+        }
+        got = {}
+        for command, argv in commands.items():
+            code, stdout, _ = run_cli(capsys, command, *argv)
+            assert code == 0, command
+            got[command] = hashlib.sha256(stdout.encode()).hexdigest()
+        got["dump.csv"] = hashlib.sha256((out / "dump.csv").read_bytes()).hexdigest()
+        assert got == digests
+
     def test_zero_density_exits_2_naming_field(self, capsys, tmp_path):
         bad = dict(SPEC_JSON, density=0.0)
         code, _, stderr = run_cli(
@@ -752,6 +827,11 @@ class TestMalformedInput:
         assert code == 2
         assert stderr == "error: PRED:4: duplicate prediction for u/a\n"
 
+    def test_non_finite_prediction_names_line(self, capsys, tmp_path):
+        code, stderr = self._strategies(capsys, tmp_path, "u,a,3.0\nu,b,nan\n")
+        assert code == 2
+        assert stderr == "error: PRED:3: prediction must be finite, got nan\n"
+
     def test_duplicate_prediction_with_bad_value(self, capsys, tmp_path):
         # the value is converted before the pair is checked for a repeat
         code, stderr = self._strategies(capsys, tmp_path, "u,a,3.0\nu,b,3.0\nu,a,x\n")
@@ -930,6 +1010,28 @@ class TestOneMessagePerRule:
         code, _, stderr = run_cli(capsys, command, *argv)
         assert code == 2
         assert re.sub(rf"^error: ({re.escape(str(data))}:\d+: )?", "", stderr) == f"{info.value}\n"
+
+
+    def test_prediction_rule_agrees(self, capsys, tmp_path):
+        # the data set, the deviation law and the file reader share one message
+        messages = []
+        for call in (
+            lambda: PredictionSet.from_ids(*IDS, [math.nan]),
+            lambda: predictor_noise_deviation(3.0, 0.5, math.nan, 1.0),
+        ):
+            with pytest.raises(InputError) as info:
+                call()
+            messages.append(str(info.value))
+        feedback = tmp_path / "feedback.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u,i,3.0,0.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(PRED_HEADER + "u,i,nan\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            capsys, "rmse-dist", "--feedback", str(feedback), "--pred", str(pred)
+        )
+        assert code == 2
+        messages.append(stderr.removeprefix(f"error: {pred}:2: ").removesuffix("\n"))
+        assert messages == ["prediction must be finite, got nan"] * 3
 
 
 class TestUnwritableOutput:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from uncertain_eval import io
 from uncertain_eval import (
     FeedbackDataset,
-    HistogramBin,
     InputError,
     KeyTable,
     ObservationSet,
@@ -427,7 +426,9 @@ def test_writers_match_csv_writer(pairs, data, chunk_rows):
     feedback = FeedbackDataset.from_columns(keys, pair, mu, sigma, np.zeros(n, dtype=np.int64))
     predictions = PredictionSet.from_columns(keys, pair, _column(data, n, numbers))
     counts = _column(data, n, st.integers(0, 2**63 - 1))
-    bins = [HistogramBin(lo, hi, c) for lo, hi, c in zip(mu, sigma, counts)]
+    bins = (
+        np.array(mu, dtype=float), np.array(sigma, dtype=float), np.array(counts, dtype=np.int64)
+    )
     samples = _column(data, n, numbers)
 
     users, items = keys.users.tolist(), keys.items.tolist()
@@ -439,7 +440,7 @@ def test_writers_match_csv_writer(pairs, data, chunk_rows):
          zip(users, items, feedback.mu.tolist(), feedback.sigma.tolist())),
         (write_predictions, predictions, io.PREDICTION_HEADER,
          zip(users, items, predictions.values.tolist())),
-        (write_histogram, bins, io.HISTOGRAM_HEADER, ((b.bin_lo, b.bin_hi, b.count) for b in bins)),
+        (write_histogram, bins, io.HISTOGRAM_HEADER, zip(mu, sigma, counts)),
         (write_sample_dump, samples, io.SAMPLE_DUMP_HEADER, enumerate(samples)),
     ]
     with mock.patch.object(io, "_CHUNK_ROWS", chunk_rows):

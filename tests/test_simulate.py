@@ -173,16 +173,16 @@ class TestDrawTrials:
 
 class TestHistogram:
     def test_single_bin(self):
-        bins = histogram([3.0, 3.0, 3.0], 1.0)
-        assert len(bins) == 1
-        assert bins[0].bin_lo == 3.0 and bins[0].bin_hi == 4.0
-        assert bins[0].count == 3
+        lo, hi, count = histogram([3.0, 3.0, 3.0], 1.0)
+        assert len(count) == 1
+        assert lo[0] == 3.0 and hi[0] == 4.0
+        assert count[0] == 3
 
     def test_hand_binning(self):
-        bins = histogram([1.0, 2.0, 2.0, 5.0], 1.0)
-        assert [b.count for b in bins] == [1, 2, 0, 0, 1]
-        assert bins[0].bin_lo == 1.0
-        assert bins[-1].bin_lo == 5.0
+        lo, _, count = histogram([1.0, 2.0, 2.0, 5.0], 1.0)
+        assert count.tolist() == [1, 2, 0, 0, 1]
+        assert lo[0] == 1.0
+        assert lo[-1] == 5.0
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -212,27 +212,26 @@ class TestHistogram:
     )
     @settings(max_examples=150)
     def test_counts_sum_to_observation_count(self, values, width):
-        bins = histogram(values, width)
-        assert sum(b.count for b in bins) == len(values)
+        _, _, count = histogram(values, width)
+        assert count.sum() == len(values)
 
 
 class TestFitRoundtrip:
     def test_large_k_recovers_sigma(self):
-        result = fit_roundtrip_check(
+        worst = fit_roundtrip_check(
             spec(n_users=2, n_items=3, sigma_lo=0.5, sigma_hi=0.5,
                  scale=RatingScale(-50.0, 50.0)),
             k=20000,
         )
-        assert result.max_relative_error < 0.05
+        assert worst < 0.05
 
     def test_zero_sigma_prior_defines_zero_error(self):
-        result = fit_roundtrip_check(spec(sigma_lo=0.0, sigma_hi=0.0), k=10)
-        assert result.max_relative_error == 0.0
-        assert result.passed
+        worst = fit_roundtrip_check(spec(sigma_lo=0.0, sigma_hi=0.0), k=10)
+        assert worst == 0.0
+        assert worst < 0.02
 
     def test_tiny_k_reports_without_asserting(self):
-        result = fit_roundtrip_check(spec(), k=2)
-        assert math.isfinite(result.max_relative_error)
+        assert math.isfinite(fit_roundtrip_check(spec(), k=2))
 
     def test_requires_two_trials(self):
         with pytest.raises(InputError):
