@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -119,6 +118,8 @@ def confidence_interval(
     if level == 0.95:
         z = Z_TWO_SIDED_95
     else:
+        from statistics import NormalDist  # imported on use: most runs never need it
+
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
     margin = z * g.std
     return (g.mean - margin, g.mean + margin)

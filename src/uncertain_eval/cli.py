@@ -2,7 +2,8 @@
 
 JSON results go to standard output, CSVs to files, diagnostics to standard
 error. Exit codes: 0 success, 2 input/config error or an output that cannot
-be written, 1 internal error; test verdicts never affect exit codes. Every
+be written, 1 internal error or a standard output closed before the result
+is written; test verdicts never affect exit codes. Every
 file-writing command records a run manifest next to its outputs; re-running
 with the manifest's settings reproduces the outputs byte for byte. A
 population spec is parsed and recorded by the fields of the
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import os
 import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -74,6 +75,8 @@ def _log(message: str) -> None:
 
 
 def _generate_seed() -> int:
+    import secrets  # imported on use: most runs never need it
+
     return secrets.randbits(63)
 
 
@@ -362,7 +365,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run ``main`` and end the process with its exit code.
+
+    The process ends through ``os._exit`` once the standard streams are
+    flushed, so it does not pay for the interpreter's teardown. A stream
+    that cannot be flushed, such as a closed pipe, makes a success exit 1.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            code = code or 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -32,41 +32,39 @@ class FeedbackKey:
 
 
 class Interner:
-    """Codes of names fed in chunks, ranked by code point once all are in.
+    """Codes of names fed in batches, ranked by code point once all are in.
 
-    The constructor and ``add`` code each new name by a number that no other
-    name gets: a row number of the chunk that first fed it. ``ranked`` maps
-    those codes to the names' sorted positions.
+    ``codes`` gives each new name a number that no other name gets: its
+    position among all the names fed so far. ``ranked`` maps those codes
+    to the names' sorted positions.
     """
 
-    __slots__ = ("_code", "_chunks", "_rows")
+    __slots__ = ("_code", "_fed")
 
-    def __init__(self, names: Sequence[str] = ()) -> None:
+    def __init__(self) -> None:
         self._code: dict[str, int] = {}
-        self._chunks: list[np.ndarray] = []
-        self._rows = 0
-        self.add(names)
+        self._fed = 0
 
-    def add(self, names: Sequence[str], codes: np.ndarray | None = None) -> None:
-        """Feed ``names``, or the rows ``names[codes]`` when ``codes`` is given.
-
-        With ``codes``, ``names`` are distinct and each is among the rows.
-        """
-        n, first = len(names), self._rows
+    def codes(self, names: Sequence[str]) -> np.ndarray:
+        """The code of each of ``names``."""
+        n, first = len(names), self._fed
+        self._fed += n
         rows = map(self._code.setdefault, names, range(first, first + n))
-        fed = np.fromiter(rows, dtype=np.intp, count=n)
-        if codes is not None:
-            fed = fed[codes]
-        self._chunks.append(fed)
-        self._rows += len(fed)
+        return np.fromiter(rows, dtype=np.intp, count=n)
 
-    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct names, and the position of each fed name among them."""
+    def ranked(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct names, and the position among them of each of ``codes``."""
         names = sorted(self._code)
         firsts = np.fromiter(map(self._code.__getitem__, names), dtype=np.intp, count=len(names))
-        rank = np.empty(self._rows, dtype=np.intp)
+        rank = np.empty(self._fed, dtype=np.intp)
         rank[firsts] = np.arange(len(names))
-        return np.array(names, dtype=object), rank[np.concatenate(self._chunks)]
+        return np.array(names, dtype=object), rank[codes]
+
+
+def _ranked(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``Interner.ranked`` of the rows ``names``."""
+    interner = Interner()
+    return interner.ranked(interner.codes(names))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -84,16 +82,29 @@ class KeyTable:
     @classmethod
     def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:
         """Table of the distinct pairs among the rows, and each row's position."""
-        return cls.from_codes(Interner(users).ranked(), Interner(items).ranked())
+        return cls.from_codes(_ranked(users), _ranked(items))
 
     @classmethod
     def from_codes(
         cls, users: tuple[np.ndarray, np.ndarray], items: tuple[np.ndarray, np.ndarray]
     ) -> tuple["KeyTable", np.ndarray]:
-        """``intern`` of rows given as ``Interner.ranked`` users and items."""
+        """``intern`` of rows given as ``Interner.ranked`` users and items.
+
+        A grid of at most 4 cells per row is marked cell by cell, in linear
+        time; a sparser one is sorted.
+        """
         (user_names, user_codes), (item_names, item_codes) = users, items
         width = max(len(item_names), 1)
-        pair_codes, pair = np.unique(user_codes * width + item_codes, return_inverse=True)
+        cells = user_codes * width + item_codes
+        if len(user_names) * width <= 4 * len(cells):
+            present = np.zeros(len(user_names) * width, dtype=bool)
+            present[cells] = True
+            pair_codes = np.flatnonzero(present)
+            position = np.empty(len(present), dtype=np.intp)
+            position[pair_codes] = np.arange(len(pair_codes))
+            pair = position[cells]
+        else:
+            pair_codes, pair = np.unique(cells, return_inverse=True)
         table = cls(user_names[pair_codes // width], item_names[pair_codes % width])
         return table, pair
 
@@ -189,21 +200,31 @@ def _fits_int64(trial) -> bool:
 def _slot_order(pair: np.ndarray, trial: np.ndarray) -> np.ndarray | None:
     """Row order by (pair, trial), or None when the rows are already in it.
 
-    Rows are sorted by one int64 slot key, ``pair * (max trial + 1) + trial``.
-    A repeated slot, or a key that would overflow, takes the stable
-    ``lexsort`` instead, which keeps the rows of a slot in input order.
+    Rows are ordered by one int64 slot key, ``pair * (max trial + 1) +
+    trial``: placed slot by slot, in linear time, when there are at most 4
+    slots per row, else sorted. A repeated slot, or a key that would
+    overflow, takes the stable ``lexsort`` instead, which keeps the rows of
+    a slot in input order.
     """
     if not len(pair):
         return None
     width = int(trial.max()) + 1
-    if (int(pair.max()) + 1) * width < 2**63:
+    slots = (int(pair.max()) + 1) * width
+    if slots < 2**63:
         slot = pair * width + trial
         if (slot[1:] > slot[:-1]).all():
             return None
-        order = np.argsort(slot)
-        slot = slot[order]
-        if (slot[1:] > slot[:-1]).all():
-            return order
+        if slots <= 4 * len(slot):
+            row = np.full(slots, -1, dtype=np.intp)
+            row[slot] = np.arange(len(slot))
+            order = row[row >= 0]
+            if len(order) == len(slot):
+                return order
+        else:
+            order = np.argsort(slot)
+            slot = slot[order]
+            if (slot[1:] > slot[:-1]).all():
+                return order
     return np.lexsort((trial, pair))
 
 

@@ -13,12 +13,16 @@ Headers are fixed, in any column order, and a repeated column is rejected:
 
 Reading turns a file into numpy columns in chunks. Text without ``"`` and
 ``\r`` is cut at line ends into pieces of about 256 KiB, and its fields are
-found on the bytes. In a piece, a column whose fields are all of 8 bytes
-or less is keyed: each field becomes one integer of its bytes, and each
-distinct text is decoded and converted once per piece. Longer fields, and
-every field of a piece that holds a NUL byte, are split from the decoded
-text with ``str.split``. Any other text goes through ``csv.reader``. Both
-reject a field longer than ``csv.field_size_limit()``. The columns go to
+found on the bytes, in one pass over each piece for its commas and line
+ends. In a piece, a column whose fields are all of 8 bytes or less is
+keyed: each field becomes one integer of its bytes. Each distinct key is
+decoded and converted once per file: a column keeps the keys it has met
+(up to 65536), and finds most of them through a hash table in one step.
+Longer fields, and every field of a piece that holds a NUL byte, are split
+from the decoded text with ``str.split``. Any other text goes through
+``csv.reader``. Both reject a field longer than ``csv.field_size_limit()``.
+A split column of numbers whose texts repeat, judged from a sample of a
+piece's fields, is converted once per distinct text. The columns go to
 the data set's ``from_columns``, which checks them vectorised. Only when a
 conversion or a check fails does a second pass walk the rows through
 ``csv.reader`` to name the first bad one as ``path:line``. Every format
@@ -40,7 +44,7 @@ import re
 from io import StringIO
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +70,12 @@ SAMPLE_DUMP_HEADER = ["sample_index", "score"]
 # or of any text written: pieces bound the fields alive at once.
 _CHUNK_CHARS = 1 << 18
 _CHUNK_ROWS = 1 << 14
+
+# Keys of short texts a column keeps while a file is read (see ``_Column``).
+_MAX_KEYS = 1 << 16
+
+# Fibonacci hashing's multiplier: 2**64 divided by the golden ratio, made odd.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # Mask of the last k bytes of an 8-byte word, for k = 0..8.
 _SUFFIX = np.array([2 ** (8 * k) - 1 for k in range(9)], dtype=np.uint64)
@@ -97,15 +107,72 @@ def _positions(path: Path, header: Sequence[str], got: list[str] | None) -> list
     return [got.index(column) for column in header]
 
 
-def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list]:
-    """Converted ``columns`` of the lines of plain ``data[start:]``, piece by piece.
+class _Column:
+    """A column of the file being read: its kind, and the keyed texts met so far.
 
-    ``columns`` holds the position and kind of each column. A column whose
-    fields in a piece are all of 8 bytes or less is keyed: each field is
-    read as the big-endian word that ends with it, masked to its length,
-    so two fields share a key exactly when their texts are equal. NUL pads
-    a key, so a piece holding one, like a longer field, takes the split of
-    the decoded text.
+    A text of 8 bytes or less that ``_split_pieces`` keys is decoded and
+    converted once per file. ``keys`` holds, sorted, each key met, and
+    ``values`` its value: the number, or for an id its code in ``names``.
+    The last key is one that no field has, as 8 bytes of 0xFF are not
+    UTF-8. Slot ``slot(key)`` of ``table`` holds the position of a key that
+    falls in it, or of the last key when none does, so most keys are found
+    in one step. Up to ``_MAX_KEYS`` keys are kept; a text beyond them is
+    decoded once per piece.
+    """
+
+    __slots__ = ("kind", "names", "keys", "values", "shift", "table")
+
+    def __init__(self, kind: type) -> None:
+        self.kind = kind
+        self.names = Interner() if kind is str else None
+        self.keys = np.array([2**64 - 1], dtype=np.uint64)
+        dtype = np.intp if kind is str else np.int64 if kind is int else float
+        self.values = np.zeros(1, dtype=dtype)
+        self._index()
+
+    def convert(self, texts: list[str]) -> np.ndarray:
+        """The value of each of ``texts``: ids coded, numbers converted."""
+        if self.names is not None:
+            return self.names.codes(texts)
+        return np.fromiter(map(self.kind, texts), dtype=self.values.dtype, count=len(texts))
+
+    def slot(self, keys: np.ndarray) -> np.ndarray:
+        """Fibonacci hashing: the top bits of each key times 2**64 / golden ratio."""
+        return (keys * _GOLDEN) >> self.shift
+
+    def learn(self, keys: np.ndarray) -> np.ndarray:
+        """Values of the sorted distinct ``keys``, each new one decoded and converted."""
+        at = np.searchsorted(self.keys, keys)
+        new = self.keys[at] != keys
+        values = self.values[at]
+        if new.any():
+            fresh = keys[new]
+            texts = [key.lstrip(b"\0").decode() for key in fresh.astype(">u8").view("S8").tolist()]
+            values[new] = self.convert(texts)
+            if len(self.keys) + len(fresh) <= _MAX_KEYS:
+                self.keys = np.insert(self.keys, at[new], fresh)
+                self.values = np.insert(self.values, at[new], values[new])
+                self._index()
+        return values
+
+    def _index(self) -> None:
+        # 4 to 8 slots per key
+        bits = (4 * len(self.keys)).bit_length()
+        self.shift = np.uint64(64 - bits)
+        self.table = np.full(1 << bits, len(self.keys) - 1, dtype=np.intp)
+        self.table[self.slot(self.keys[:-1])] = np.arange(len(self.keys) - 1)
+
+
+def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list]:
+    """Values of ``columns`` in the lines of plain ``data[start:]``, piece by piece.
+
+    ``columns`` holds the position and ``_Column`` of each column. A
+    piece's separators are found in one pass, and the fields between them
+    must make rows of ``width``. A column whose fields in a piece are
+    all of 8 bytes or less is keyed: each field is read as the big-endian
+    word that ends with it, masked to its length, so two fields share a key
+    exactly when their texts are equal. NUL pads a key, so a piece holding
+    one, like a longer field, takes the split of the decoded text.
     """
     limit = csv.field_size_limit()
     buffer = np.frombuffer(data, dtype=np.uint8)
@@ -114,94 +181,98 @@ def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list
     words = np.ndarray((len(data) - 7,), ">u8", data, strides=(1,))
     # work space reused by every piece: a fresh buffer of a piece's size
     # costs a page fault per 4 KiB each time it is allocated
-    found, spaced = np.empty(0, dtype=bool), np.empty(0, dtype=np.uint8)
+    marks = newlines = spaced = np.empty(0, dtype=np.uint8)
     stop = len(data) - data.endswith(b"\n")
     while start < stop:
         end = data.find(b"\n", min(start + _CHUNK_CHARS, stop), stop)
         end = stop if end < 0 else end
         piece = buffer[start:end]
-        if len(found) < len(piece):
-            found = np.empty(2 * len(piece), dtype=bool)
-            spaced = np.empty(2 * len(piece), dtype=np.uint8)
-        is_byte = found[: len(piece)]
-        commas = np.flatnonzero(np.equal(piece, ord(","), out=is_byte))
-        lines = np.append(np.flatnonzero(np.equal(piece, ord("\n"), out=is_byte)), len(piece))
-        if len(commas) != (width - 1) * len(lines) or (
-            np.searchsorted(commas, lines) != np.arange(width - 1, len(commas) + 1, width - 1)
-        ).any():
+        if len(marks) < len(piece) + 2:
+            size = 2 * len(piece) + 2
+            marks, newlines, spaced = (np.empty(size, dtype=np.uint8) for _ in range(3))
+        # mark i + 1 tells whether byte i of the piece ends a field; the
+        # first and last marks stand for the line ends around the piece
+        is_line = np.equal(piece, ord("\n"), out=newlines[: len(piece)].view(bool))
+        is_end = marks[: len(piece) + 2].view(bool)
+        np.equal(piece, ord(","), out=is_end[1:-1])
+        is_end[1:-1] |= is_line
+        is_end[0] = is_end[-1] = True
+        # field k of the piece is piece[bounds[k] : bounds[k + 1] - 1]
+        bounds = np.flatnonzero(is_end)
+        if (len(bounds) - 1) % width:
             raise ValueError("a row has the wrong number of fields")
-        # where each field ends and how long it is, one row per line
-        ends = np.column_stack((commas.reshape(-1, width - 1), lines))
-        sizes = ends - np.column_stack((np.append(0, lines[:-1] + 1), ends[:, :-1] + 1))
+        # one past the end of each field, one row per line
+        after = bounds[1:].reshape(-1, width)
+        lines = after[:-1, -1] - 1
+        # every line end closes a row, so the other separators are commas
+        if np.count_nonzero(is_line) != len(lines) or not is_line[lines].all():
+            raise ValueError("a row has the wrong number of fields")
+        sizes = np.diff(bounds).reshape(after.shape)
+        sizes -= 1
         # a character is no shorter than a byte
         for field in np.flatnonzero(sizes > limit).tolist():
-            last = ends.flat[field]
+            last = after.flat[field] - 1
             text = piece[last - sizes.flat[field] : last].tobytes().decode()
             if len(text) > limit:
                 raise ValueError("a field is larger than the field limit")
         keyable = data.find(b"\0", start, end) < 0
         flat = None
         converted = []
-        for j, kind in columns:
+        for j, column in columns:
             if keyable and sizes[:, j].max() <= 8:
-                converted.append(_keyed(words[ends[:, j] + start - 8], sizes[:, j], kind))
+                converted.append(_keyed(words[after[:, j] + (start - 9)], sizes[:, j], column))
                 continue
             if flat is None:
                 # the piece with a comma for each line end, as text
                 joined = spaced[: len(piece)]
                 joined[:] = piece
-                joined[lines[:-1]] = ord(",")
+                joined[lines] = ord(",")
                 flat = str(joined, "utf-8").split(",")
-            converted.append(_converted(flat[j::width], kind))
+            converted.append(_converted(flat[j::width], column))
         yield converted
         start = end + 1
 
 
-def _keyed(words: np.ndarray, size: np.ndarray, kind: type):
-    """A column whose field ``i`` is the last ``size[i]`` <= 8 bytes of ``words[i]``.
+def _keyed(words: np.ndarray, size: np.ndarray, column: _Column) -> np.ndarray:
+    """Values of ``column`` whose field ``i`` is the last ``size[i]`` <= 8 bytes of ``words[i]``."""
+    keys = words & _SUFFIX[size]
+    at = column.table[column.slot(keys)]
+    values = column.values[at]
+    # keys another key took the slot of, and keys not met yet
+    missed = column.keys[at] != keys
+    if missed.any():
+        distinct, codes = np.unique(keys[missed], return_inverse=True)
+        values[missed] = column.learn(distinct)[codes]
+    return values
 
-    Each distinct text is decoded and converted once.
+
+def _converted(fields: list[str], column: _Column) -> np.ndarray:
+    """Values of ``column`` whose fields are the texts ``fields``.
+
+    Numbers whose texts repeat are converted once per distinct text.
     """
-    keys, codes = np.unique(words & _SUFFIX[size], return_inverse=True)
-    texts = [key.lstrip(b"\0").decode() for key in keys.astype(">u8").view("S8").tolist()]
-    if kind is str:
-        return texts, codes
-    return np.array(list(map(kind, texts)), dtype=np.int64 if kind is int else float)[codes]
+    if column.names is not None:
+        return column.names.codes(fields)
+    if _repeats(fields):
+        number = {text: column.kind(text) for text in dict.fromkeys(fields)}
+        values = map(number.__getitem__, fields)
+        return np.fromiter(values, dtype=column.values.dtype, count=len(fields))
+    return column.convert(fields)
 
 
-def _converted(fields: list[str], kind: type):
-    """A column of text ``fields``: ids as ``(fields, None)``, numbers as an array."""
-    if kind is str:
-        return fields, None
-    if kind is int:  # trials repeat: convert each distinct text once
-        number = {text: int(text) for text in dict.fromkeys(fields)}
-        return np.fromiter(map(number.__getitem__, fields), dtype=np.int64, count=len(fields))
-    return np.fromiter(map(kind, fields), dtype=float, count=len(fields))
+def _repeats(fields: list[str]) -> bool:
+    """Whether about 64 of ``fields``, spread over them, hold each text twice or more."""
+    sample = fields[:: max(1, len(fields) // 64)]
+    return 2 * len(set(sample)) <= len(sample)
 
 
 def _csv_pieces(rows: Iterator[list[str]], width: int, columns) -> Iterator[list]:
-    """Converted ``columns`` of the ``csv.reader`` rows, piece by piece."""
+    """Values of ``columns`` in the ``csv.reader`` rows, piece by piece."""
     while piece := list(islice(rows, _CHUNK_ROWS)):
         if set(map(len, piece)) != {width}:
             raise ValueError("a row has the wrong number of fields")
         flat = list(chain.from_iterable(piece))
-        yield [_converted(flat[j::width], kind) for j, kind in columns]
-
-
-def _columns(pieces: Iterable[list]):
-    """Key table, each row's pair and the numeric columns of the pieces.
-
-    Each piece holds the user and item column as ``Interner.add`` arguments,
-    then the numeric columns as arrays.
-    """
-    users, items = Interner(), Interner()
-    numbers = []
-    for user, item, *values in pieces:
-        users.add(*user)
-        items.add(*item)
-        numbers.append(values)
-    keys, pair = KeyTable.from_codes(users.ranked(), items.ranked())
-    return keys, pair, [np.concatenate(column) for column in zip(*numbers)]
+        yield [_converted(flat[j::width], column) for j, column in columns]
 
 
 def _read(
@@ -239,16 +310,19 @@ def _read(
     except csv.Error as exc:
         raise InputError(f"{path}:{rows.line_num}: {exc}") from None
     index = _positions(path, header, got)
-    columns = list(zip(index, (str, str, *kinds)))
+    columns = [(j, _Column(kind)) for j, kind in zip(index, (str, str, *kinds))]
     if plain:
         pieces = _split_pieces(data, end, len(header), columns)
     else:
         pieces = _csv_pieces(rows, len(header), columns)
     try:
-        keys, pair, numbers = _columns(pieces)
-        if not len(pair):
+        parts = [np.concatenate(part) for part in zip(*pieces)]
+        if not parts:
             raise InputError(f"{path}: no data rows")
-        return build(keys, pair, *numbers)
+        user_codes, item_codes, *numbers = parts
+        (_, users), (_, items) = columns[:2]
+        ranked = users.names.ranked(user_codes), items.names.ranked(item_codes)
+        return build(*KeyTable.from_codes(*ranked), *numbers)
     except _FAULTS:
         _diagnose(path, data.decode() if plain else text, header, index, kinds, rule, unique)
         raise

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +187,9 @@ def rmse_distribution(
 
     workers = min(resolve_thread_count(), n_chunks)
     if workers > 1:
+        # imported on use: most runs never need it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run, range(n_chunks)))
     else:

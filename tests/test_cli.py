@@ -93,6 +93,108 @@ def test_cli_imports_no_third_party_module_but_numpy():
     assert loaded - set(sys.stdlib_module_names) <= {"numpy", "uncertain_eval"}
 
 
+def _python(*args, **kwargs):
+    """A fresh interpreter run with the package's sources on its path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, UNCERTAIN_EVAL_THREADS="2")
+    return subprocess.run([sys.executable, *map(str, args)], env=env, **kwargs)
+
+
+# What loads only where it is used: the Monte Carlo pool, a generated seed,
+# and a normal quantile other than the pinned 95% one.
+LAZY_PROBE = """
+import sys
+import uncertain_eval.cli as cli
+lazy = ("concurrent.futures", "secrets", "statistics")
+print(*[name in sys.modules for name in lazy])
+import os
+import numpy as np
+from uncertain_eval import (
+    FeedbackDataset, GaussianDistribution, McConfig, PredictionSet, confidence_interval,
+    rmse_distribution,
+)
+print(*confidence_interval(GaussianDistribution(1.0, 4.0), 0.9))
+users = [f"u{k}" for k in range(40)]
+data = FeedbackDataset.from_ids(users, ["i"] * 40, np.linspace(1, 5, 40), np.linspace(0, 1, 40))
+predictions = PredictionSet.from_ids(users, ["i"] * 40, np.full(40, 3.0))
+cfg = McConfig(sample_count=4096, seed=11)
+pooled = rmse_distribution(data, predictions, cfg).samples
+os.environ["UNCERTAIN_EVAL_THREADS"] = "1"
+alone = rmse_distribution(data, predictions, cfg).samples
+print(pooled.tobytes() == alone.tobytes(), 0 <= cli._generate_seed() < 2**63)
+print(*[name in sys.modules for name in lazy])
+"""
+
+
+def test_cli_imports_the_pool_seed_and_quantile_modules_only_when_used():
+    proc = _python("-c", LAZY_PROBE, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, interval, same, after = proc.stdout.splitlines()
+    assert before == "False False False"
+    z = 1.6448536269514722  # the two-sided 90% quantile, scipy's norm.ppf(0.95)
+    low, high = map(float, interval.split())
+    assert (low, high) == pytest.approx((1.0 - 2.0 * z, 1.0 + 2.0 * z), rel=1e-15, abs=0)
+    assert same == "True True"
+    assert after == "True True True"
+
+
+class TestHardExit:
+    """A command run as a program ends without interpreter teardown, its output whole."""
+
+    def test_stdout_to_a_file_holds_the_whole_result(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        write_toy_observations(obs)
+        _, expected, _ = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(tmp_path / "a.csv"))
+        with open(tmp_path / "stdout.json", "wb") as stdout:
+            proc = _python(
+                "-m", "uncertain_eval.cli", "fit", "--obs", obs, "--out", tmp_path / "b.csv",
+                stdout=stdout, stderr=subprocess.PIPE,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "stdout.json").read_bytes() == expected.encode()
+        assert proc.stderr == f"wrote {tmp_path / 'b.csv'}\n".encode()
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
+    def test_bad_input_exits_2_with_its_message(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        proc = _python(
+            "-m", "uncertain_eval.cli", "distinguish", "--feedback", missing,
+            "--s1", "1", "--s2", "2", capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {missing}: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_stdout_closed_before_the_write_exits_1_silently(self, tmp_path):
+        feedback = tmp_path / "fb.csv"
+        write_uniform_feedback(feedback, n=3)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _python(
+                "-m", "uncertain_eval.cli", "distinguish", "--feedback", feedback, "--s1", "1",
+                "--s2", "2", stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+    def test_no_stdout_at_all(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        argv = ["distinguish", "--feedback", str(missing), "--s1", "1", "--s2", "2"]
+        code = (
+            "import sys; sys.stdout = None; from uncertain_eval.cli import entrypoint; "
+            f"sys.argv[1:] = {argv!r}; entrypoint()"
+        )
+        proc = _python("-c", code, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot read {missing}: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestFit:
     def test_two_group_toy_file(self, capsys, tmp_path):
         obs = tmp_path / "obs.csv"

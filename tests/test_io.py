@@ -19,6 +19,7 @@ from uncertain_eval import (
     ObservationSet,
     PredictionSet,
 )
+from uncertain_eval.feedback import Interner
 from uncertain_eval.io import (
     read_feedback,
     read_observations,
@@ -612,6 +613,59 @@ def test_column_keyed_in_one_piece_and_split_in_the_next(tmp_path):
     assert _keys(obs) == (["a-longer-user", "b", "u", "u"], ["i", "i", "an-item-id", "i"])
     assert obs.trial.tolist() == [1, 2, 123456789, 0]
     assert obs.value.tobytes() == np.array([1.234567891, -0.0, 2.0, 1.5]).tobytes()
+
+
+@pytest.mark.parametrize("max_keys", [2, 1 << 16])
+def test_texts_that_recur_across_pieces(tmp_path, max_keys):
+    # pieces of about 9 rows: 4 users recur in every piece, sigma holds 3
+    # texts of more than 8 bytes and the predictions are all distinct
+    rng = np.random.default_rng(8)
+    n = 200
+    users = [f"user{r % 4}" for r in range(n)]
+    items = [f"i{r // 4:03d}" for r in range(n)]
+    mu = (rng.integers(1, 6, n) / 2).tolist()
+    sigma = rng.choice([0.123456789, 0.5000000001, 2 ** 0.5], n).tolist()
+    prediction = rng.normal(3.0, 1.0, n).tolist()
+    feedback_rows = [[u, i, repr(m), repr(s)] for u, i, m, s in zip(users, items, mu, sigma)]
+    prediction_rows = [[u, i, repr(p)] for u, i, p in zip(users, items, prediction)]
+    repeats = io._repeats
+    judged = []
+    fed = []
+    codes = Interner.codes
+
+    def spy_repeats(fields):
+        judged.append(repeats(fields))
+        return judged[-1]
+
+    def spy_codes(interner, names):
+        fed.append(len(names))
+        return codes(interner, names)
+
+    with mock.patch.object(io, "_CHUNK_CHARS", 256), mock.patch.object(io, "_MAX_KEYS", max_keys):
+        with mock.patch.object(io, "_repeats", side_effect=spy_repeats):
+            feedback = _read_encodings(tmp_path, read_feedback, "user_id,item_id,mu,sigma",
+                                       feedback_rows, ("mu", "sigma"))
+            predictions = _read_encodings(tmp_path, read_predictions, "user_id,item_id,prediction",
+                                          prediction_rows, ("values",))
+        plain = tmp_path / "feedback.csv"
+        text = _encodings("user_id,item_id,mu,sigma", feedback_rows)["plain"]
+        plain.write_text(text, encoding="utf-8")
+        with mock.patch.object(Interner, "codes", autospec=True, side_effect=spy_codes):
+            read_feedback(plain)
+    # the sigma texts repeat, the predictions do not
+    assert set(judged) == {True, False}
+    reference = FeedbackDataset.from_ids(users, items, mu, sigma)
+    assert _keys(feedback) == _keys(predictions) == _keys(reference)
+    assert feedback.mu.tobytes() == reference.mu.tobytes()
+    assert feedback.sigma.tobytes() == reference.sigma.tobytes()
+    expected = PredictionSet.from_ids(users, items, prediction)
+    assert predictions.values.tobytes() == expected.values.tobytes()
+    # kept keys decode each id once per file, others once per piece
+    distinct = len(set(users)) + len(set(items))
+    if max_keys > distinct:
+        assert sum(fed) == distinct
+    else:
+        assert sum(fed) > distinct
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 1 << 18])
