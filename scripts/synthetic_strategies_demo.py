@@ -18,7 +18,6 @@ from pathlib import Path
 
 from uncertain_eval import (
     DenoiseConfig,
-    OmissionConfig,
     PopulationSpec,
     RatingScale,
     barrier_distribution,
@@ -52,7 +51,7 @@ def main() -> None:
         sigma_hi=1.1,
         seed=args.seed,
     )
-    truth = generate_population(spec)
+    truth, predictions = generate_population(spec)
     obs = draw_trials(truth, k=args.trials, seed=spec.seed)
     write_observations(out_dir / "observations.csv", obs)
 
@@ -66,19 +65,19 @@ def main() -> None:
     write_feedback(out_dir / "fitted.csv", fitted)
     floor = barrier_distribution(fitted)
     print(
-        f"population: {truth.dataset.N} pairs, {args.trials} trials each\n"
+        f"population: {truth.N} pairs, {args.trials} trials each\n"
         f"fitted noise floor: mean={floor.mean:.4f} "
         f"std={floor.std:.6f} "
         f"(95% band half-width {2 * 1.959964 * floor.std:.4f})\n"
     )
 
     reports = run_strategy_comparison(
-        truth.predictions,
+        predictions,
         observations=obs,
         data=fitted,
         denoise=DenoiseConfig(threshold=args.denoise_threshold, seed=spec.seed),
         predictor_tau=args.tau,
-        omission=OmissionConfig(alpha=0.05),
+        omit_alpha=0.05,
     )
     for r in reports:
         print(json.dumps(r.to_json_dict(), indent=2))

@@ -28,8 +28,6 @@ from .feedback import (
     KeyTable,
     ObservationSet,
     PredictionSet,
-    SigmaFallback,
-    SigmaFallbackPolicy,
     UncertainFeedback,
     fit_uncertainty,
     pooled_sigma,
@@ -44,7 +42,6 @@ from .metrics import (
     variance_match_check,
 )
 from .simulate import (
-    GroundTruth,
     PopulationSpec,
     RatingScale,
     draw_trials,
@@ -55,7 +52,6 @@ from .simulate import (
 from .strategies import (
     DenoiseConfig,
     DenoiseResult,
-    OmissionConfig,
     OmissionResult,
     Resampler,
     StrategyReport,
@@ -76,8 +72,6 @@ __all__ = [
     "UncertainFeedback",
     "FeedbackDataset",
     "PredictionSet",
-    "SigmaFallback",
-    "SigmaFallbackPolicy",
     "fit_uncertainty",
     "pooled_sigma",
     "GaussianDistribution",
@@ -99,7 +93,6 @@ __all__ = [
     "resolve_thread_count",
     "DenoiseConfig",
     "DenoiseResult",
-    "OmissionConfig",
     "OmissionResult",
     "Resampler",
     "StrategyReport",
@@ -108,7 +101,6 @@ __all__ = [
     "omit_insignificant",
     "run_strategy_comparison",
     "PopulationSpec",
-    "GroundTruth",
     "generate_population",
     "draw_trials",
     "histogram",

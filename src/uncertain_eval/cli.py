@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +27,7 @@ from .barrier import (
     distinguishability_test,
 )
 from .errors import InputError, UnavailableError
-from .feedback import SigmaFallback, fit_uncertainty, pooled_sigma
+from .feedback import check_fallback, fit_uncertainty, pooled_sigma
 from .io import (
     read_feedback,
     read_observations,
@@ -41,29 +41,24 @@ from .metrics import McConfig, rmse_distribution
 from .simulate import PopulationSpec, draw_trials, generate_population
 from .strategies import (
     DenoiseConfig,
-    OmissionConfig,
     Resampler,
     check_strategy_request,
     run_strategy_comparison,
 )
 
 
-@dataclass
-class RunManifest:
-    """Record of one command invocation, written alongside its outputs."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    seed: int | None = None
-    tool_version: str = __version__
-    outputs: list = field(default_factory=list)
-
-    def write(self, path: Path) -> None:
-        try:
-            path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
+def _write_manifest(
+    path: Path, command: str, *, inputs: dict, config: dict, outputs: list, seed: int | None = None
+) -> None:
+    """Record one command invocation at ``path``, next to its outputs."""
+    manifest = dict(
+        command=command, inputs=inputs, config=config, seed=seed, tool_version=__version__,
+        outputs=outputs,
+    )
+    try:
+        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_json(obj) -> None:
@@ -80,8 +75,24 @@ def _generate_seed() -> int:
     return secrets.randbits(63)
 
 
+def _parse_fallback(text: str) -> float | None:
+    """The single-trial spread of ``zero`` | ``pooled`` | ``fixed:V``; None pools."""
+    if text == "pooled":
+        return None
+    if text == "zero":
+        return 0.0
+    if not text.startswith("fixed:"):
+        raise InputError(f"unknown sigma fallback {text!r}; expected zero, pooled or fixed:V")
+    try:
+        value = float(text.split(":", 1)[1])
+    except ValueError as exc:
+        raise InputError(f"bad fixed fallback value in {text!r}") from exc
+    check_fallback(value)
+    return value
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
-    fallback = SigmaFallback.parse(args.fallback)
+    fallback = _parse_fallback(args.fallback)
     obs = read_observations(args.obs)
     data = fit_uncertainty(obs, fallback)
     write_feedback(args.out, data)
@@ -91,13 +102,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     except UnavailableError:
         pooled = None
 
-    manifest = RunManifest(
-        command="fit",
+    _write_manifest(
+        Path(str(args.out) + ".manifest.json"),
+        "fit",
         inputs={"obs": str(args.obs)},
         config={"fallback": args.fallback},
         outputs=[str(args.out)],
     )
-    manifest.write(Path(str(args.out) + ".manifest.json"))
     _log(f"wrote {args.out}")
     _print_json({"n": data.N, "pooled_sigma": pooled})
     return 0
@@ -120,14 +131,14 @@ def _cmd_rmse_dist(args: argparse.Namespace) -> int:
 
     if args.dump is not None:
         write_sample_dump(args.dump, dist.samples)
-        manifest = RunManifest(
-            command="rmse-dist",
+        _write_manifest(
+            Path(str(args.dump) + ".manifest.json"),
+            "rmse-dist",
             inputs={"feedback": str(args.feedback), "pred": str(args.pred)},
             config={"samples": args.samples, "tau": args.tau},
             seed=seed,
             outputs=[str(args.dump)],
         )
-        manifest.write(Path(str(args.dump) + ".manifest.json"))
         _log(f"wrote {args.dump}")
 
     _print_json(
@@ -154,8 +165,7 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
             seed=args.denoise_seed,
         )
 
-    omission = OmissionConfig(alpha=args.omit_alpha) if args.omit_alpha is not None else None
-    check_strategy_request(denoise, args.tau, omission)
+    check_strategy_request(denoise, args.tau, args.omit_alpha)
 
     observations = read_observations(args.obs) if args.obs is not None else None
     feedback = read_feedback(args.feedback) if args.feedback is not None else None
@@ -167,7 +177,7 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
         data=feedback,
         denoise=denoise,
         predictor_tau=args.tau,
-        omission=omission,
+        omit_alpha=args.omit_alpha,
     )
     _print_json([r.to_json_dict() for r in reports])
     return 0
@@ -236,8 +246,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise InputError(f"--trials must be >= 1, got {args.trials}")
 
-    truth = generate_population(spec)
-    obs = draw_trials(truth, k=args.trials, discretise=args.discretise, seed=spec.seed)
+    truth, predictions = generate_population(spec)
+    scale = spec.scale if args.discretise else None
+    obs = draw_trials(truth, k=args.trials, seed=spec.seed, scale=scale)
 
     out_dir = Path(args.out_dir)
     try:
@@ -249,11 +260,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     pred_path = out_dir / "predictions.csv"
 
     write_observations(obs_path, obs)
-    write_feedback(feedback_path, truth.dataset)
-    write_predictions(pred_path, truth.predictions)
+    write_feedback(feedback_path, truth)
+    write_predictions(pred_path, predictions)
 
-    manifest = RunManifest(
-        command="simulate",
+    _write_manifest(
+        out_dir / "manifest.json",
+        "simulate",
+        inputs={},
         config={
             # the seed is recorded once, at the manifest's top level
             "spec": {k: v for k, v in asdict(spec).items() if k != "seed"},
@@ -263,13 +276,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=spec.seed,
         outputs=[str(obs_path), str(feedback_path), str(pred_path)],
     )
-    manifest.write(out_dir / "manifest.json")
     for path in (obs_path, feedback_path, pred_path):
         _log(f"wrote {path}")
 
     _print_json(
         {
-            "pairs": truth.dataset.N,
+            "pairs": truth.N,
             "trials": args.trials,
             "observation_rows": len(obs),
             "out_dir": str(out_dir),

@@ -13,7 +13,6 @@ one view that builds a record per pair.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -290,10 +289,11 @@ class ObservationSet(_Columnar):
         return np.bincount(self.pair, minlength=len(self.keys))
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Pairs grouped by trial count k, with the (pairs x k) matrix of their rows."""
+        """Pairs grouped by trial count k >= 1, with the (pairs x k) matrix of their rows."""
         counts = self.counts()
         starts = np.cumsum(counts) - counts
-        for k in np.unique(counts):
+        # the counts that occur; np.unique would load numpy.ma
+        for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
             pairs = np.flatnonzero(counts == k)
             yield pairs, starts[pairs, None] + np.arange(k)
 
@@ -387,73 +387,25 @@ class PredictionSet(_Columnar):
         return self.values[keys.locate(self.keys, "missing prediction")]
 
 
-class SigmaFallbackPolicy(enum.Enum):
-    ZERO = "zero"
-    POOLED = "pooled"
-    FIXED = "fixed"
+def check_fallback(value: float) -> None:
+    """Reject a single-trial spread unless it is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InputError("fixed sigma fallback needs a value >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class SigmaFallback:
-    """Spread assigned to pairs with a single trial.
-
-    ``zero`` claims certainty, ``pooled`` borrows the pooled spread of the
-    multi-trial pairs (the default), ``fixed`` uses a constant.
-    """
-
-    policy: SigmaFallbackPolicy = SigmaFallbackPolicy.POOLED
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.policy is SigmaFallbackPolicy.FIXED:
-            if self.value is None or not (
-                math.isfinite(self.value) and self.value >= 0
-            ):
-                raise InputError("fixed sigma fallback needs a value >= 0")
-        elif self.value is not None:
-            raise InputError(f"fallback policy {self.policy.value!r} takes no value")
-
-    @classmethod
-    def zero(cls) -> "SigmaFallback":
-        return cls(SigmaFallbackPolicy.ZERO)
-
-    @classmethod
-    def pooled(cls) -> "SigmaFallback":
-        return cls(SigmaFallbackPolicy.POOLED)
-
-    @classmethod
-    def fixed(cls, value: float) -> "SigmaFallback":
-        return cls(SigmaFallbackPolicy.FIXED, value)
-
-    @classmethod
-    def parse(cls, text: str) -> "SigmaFallback":
-        """Parse ``zero`` | ``pooled`` | ``fixed:V`` (CLI flag syntax)."""
-        if text == "zero":
-            return cls.zero()
-        if text == "pooled":
-            return cls.pooled()
-        if text.startswith("fixed:"):
-            try:
-                return cls.fixed(float(text.split(":", 1)[1]))
-            except ValueError as exc:
-                raise InputError(f"bad fixed fallback value in {text!r}") from exc
-        raise InputError(
-            f"unknown sigma fallback {text!r}; expected zero, pooled or fixed:V"
-        )
-
-
-def fit_uncertainty(
-    obs: ObservationSet, fallback: SigmaFallback = SigmaFallback.pooled()
-) -> FeedbackDataset:
+def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> FeedbackDataset:
     """Estimate (mu, sigma) per pair from repeated trials.
 
     mu is the sample mean and sigma the sample standard deviation with the
-    n-1 correction. Pairs observed only once receive sigma from ``fallback``;
-    the pooled policy fails when the data contains no multi-trial pair to
-    pool from. Pairs with k trials are fitted together as the rows of one
+    n-1 correction. Pairs observed only once receive sigma ``fallback``;
+    None (the default) borrows the pooled spread of the multi-trial pairs,
+    and fails when the data contains no multi-trial pair to pool from.
+    Pairs with k trials are fitted together as the rows of one
     (pairs x k) matrix, which sums each pair's values in the same order as
     numpy does for that pair alone.
     """
+    if fallback is not None:
+        check_fallback(fallback)
     if not len(obs):
         raise InputError("cannot fit an empty observation set")
 
@@ -472,11 +424,9 @@ def fit_uncertainty(
 
     single = n_trials == 1
     if single.any():
-        if fallback.policy is SigmaFallbackPolicy.ZERO:
-            sigma[single] = 0.0
-        elif fallback.policy is SigmaFallbackPolicy.FIXED:
-            # + 0.0 turns a -0.0 fallback into the 0.0 of the zero policy
-            sigma[single] = float(fallback.value) + 0.0  # type: ignore[arg-type]
+        if fallback is not None:
+            # + 0.0 turns a -0.0 fallback into 0.0
+            sigma[single] = float(fallback) + 0.0
         elif single.all():
             raise UnavailableError(
                 "pooled sigma fallback needs at least one pair with >= 2 trials"

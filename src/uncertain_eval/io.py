@@ -1,9 +1,10 @@
 """CSV formats for observations, feedback parameters and predictions.
 
-All files are UTF-8 with a ``.`` decimal separator. Records end in LF (the
-writers) or CRLF, and fields follow RFC 4180 quoting, so an id may hold any
-character; the writers quote an id that holds ``,``, ``"``, LF or CR.
-Headers are fixed, in any column order, and a repeated column is rejected:
+All files are UTF-8 with a ``.`` decimal separator; a reader skips a
+leading byte-order mark. Records end in LF (the writers) or CRLF, and
+fields follow RFC 4180 quoting, so an id may hold any character; the
+writers quote an id that holds ``,``, ``"``, LF or CR. Headers are fixed,
+in any column order, and a repeated column is rejected:
 
     observations: user_id,item_id,trial,rating
     feedback:     user_id,item_id,mu,sigma
@@ -79,6 +80,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 # Mask of the last k bytes of an 8-byte word, for k = 0..8.
 _SUFFIX = np.array([2 ** (8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+# The byte-order mark some spreadsheets write at the start of a UTF-8 file.
+_BOM = "\ufeff".encode()
 
 # Characters that make a written id need quotes.
 _SPECIAL = re.compile('[,"\n\r]')
@@ -292,6 +296,8 @@ def _read(
     path = Path(path)
     try:
         data = path.read_bytes()
+        if data.startswith(_BOM):
+            data = data[len(_BOM) :]
         plain = b'"' not in data and b"\r" not in data
         if not plain:
             text = data.decode()

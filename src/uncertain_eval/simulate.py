@@ -114,26 +114,15 @@ class PopulationSpec:
         validate_seed(self.seed)
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
-    """Generating per-pair parameters, the derived predictions and the rating scale."""
-
-    dataset: FeedbackDataset
-    predictions: PredictionSet | None
-    scale: RatingScale
-
-
 def _pair_ids(n: int, prefix: str) -> list[str]:
     width = len(str(n))
     return [f"{prefix}{i + 1:0{width}d}" for i in range(n)]
 
 
-def generate_population(spec: PopulationSpec) -> GroundTruth:
-    """Draw a population of ceil(density * n_users * n_items) pairs."""
+def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, PredictionSet]:
+    """Draw a population of ceil(density * n_users * n_items) pairs, and its predictions."""
     total = spec.n_users * spec.n_items
     n_pairs = math.ceil(spec.density * total)
-    if n_pairs < 1:
-        raise InputError("population spec yields zero pairs")
 
     rng = child_rng(spec.seed, _POPULATION_STREAM)
     if n_pairs == total:
@@ -147,40 +136,35 @@ def generate_population(spec: PopulationSpec) -> GroundTruth:
     users = np.array(_pair_ids(spec.n_users, "u"), dtype=object)
     items = np.array(_pair_ids(spec.n_items, "i"), dtype=object)
     keys, pair = KeyTable.intern(users[chosen // spec.n_items], items[chosen % spec.n_items])
-    return GroundTruth(
-        dataset=FeedbackDataset.from_columns(keys, pair, mu, sigma),
-        predictions=PredictionSet.from_columns(keys, pair, mu + bias),
-        scale=spec.scale,
+    return (
+        FeedbackDataset.from_columns(keys, pair, mu, sigma),
+        PredictionSet.from_columns(keys, pair, mu + bias),
     )
 
 
 def draw_trials(
-    truth: GroundTruth, k: int, discretise: bool = False, seed: int = 0
+    data: FeedbackDataset, k: int, *, seed: int = 0, scale: RatingScale | None = None
 ) -> ObservationSet:
     """Draw k trials per pair from each pair's N(mu, sigma^2).
 
-    With ``discretise`` the draws are rounded to the nearest step of
-    ``truth.scale`` and clamped into it; this biases moments near the scale
-    edges and is therefore opt-in. Continuous draws are left untouched,
-    including the occasional value outside the nominal range. The returned
-    set carries no scale.
+    Given a ``scale``, the draws are rounded to its nearest step and clamped
+    into it; this biases moments near the scale edges and is therefore
+    opt-in. Continuous draws are left untouched, including the occasional
+    value outside the nominal range. The returned set carries no scale.
     """
     if k < 1:
         raise InputError(f"trials per pair must be >= 1, got {k}")
-    if truth.dataset.N * k > MAX_OBSERVATION_ROWS:
+    if data.N * k > MAX_OBSERVATION_ROWS:
         raise InputError(
-            f"{truth.dataset.N} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} "
-            f"observation rows"
+            f"{data.N} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} observation rows"
         )
     validate_seed(seed)
-    scale = truth.scale
-    if discretise and scale.discrete_step is None:
+    if scale is not None and scale.discrete_step is None:
         raise InputError("discretise requires a scale with a discrete_step")
 
-    data = truth.dataset
     rng = child_rng(seed, _TRIAL_STREAM)
     values = data.mu[:, None] + data.sigma[:, None] * rng.standard_normal((data.N, k))
-    if discretise:
+    if scale is not None:
         step = scale.discrete_step
         values = scale.min_value + np.round((values - scale.min_value) / step) * step
         values = np.clip(values, scale.min_value, scale.max_value)
@@ -227,11 +211,11 @@ def fit_roundtrip_check(spec: PopulationSpec, k: int) -> float:
     """
     if k < 2:
         raise InputError(f"roundtrip check needs k >= 2 trials, got {k}")
-    truth = generate_population(spec)
-    obs = draw_trials(truth, k=k, discretise=False, seed=spec.seed)
+    truth, _ = generate_population(spec)
+    obs = draw_trials(truth, k=k, seed=spec.seed)
     fitted = fit_uncertainty(obs)
 
-    sigma_true = truth.dataset.sigma[fitted.keys.locate(truth.dataset.keys, "no generating model")]
+    sigma_true = truth.sigma[fitted.keys.locate(truth.keys, "no generating model")]
     compared = sigma_true >= 0.1
     errors = np.abs(fitted.sigma[compared] - sigma_true[compared]) / sigma_true[compared]
     return float(errors.max()) if errors.size else 0.0

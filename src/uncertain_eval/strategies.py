@@ -91,15 +91,6 @@ class DenoiseResult:
 
 
 @dataclass(frozen=True, slots=True)
-class OmissionConfig:
-    alpha: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-
-@dataclass(frozen=True, slots=True)
 class OmissionResult:
     """``retained_keys`` holds, sorted, the position of each retained pair in
     the point ratings' key table."""
@@ -230,11 +221,17 @@ def predictor_noise_deviation(
     return GaussianDistribution(mean=mu - prediction, variance=sigma**2 + tau**2)
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject an omission level outside (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def omit_insignificant(
     data: FeedbackDataset,
     predictions: PredictionSet,
     point_ratings: FeedbackDataset,
-    cfg: OmissionConfig = OmissionConfig(),
+    alpha: float = 0.05,
 ) -> OmissionResult:
     """Keep only deviations the pair's spread cannot explain.
 
@@ -244,6 +241,7 @@ def omit_insignificant(
     and scored. Pairs with sigma = 0 are retained for any nonzero deviation
     (p = 0). With nothing retained the filtered score is None, never 0.
     """
+    check_alpha(alpha)
     keys = point_ratings.keys
     sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
     d = point_ratings.mu - predictions.aligned(keys)
@@ -253,7 +251,7 @@ def omit_insignificant(
     p[positive] = _erfc(np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5))
     p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
 
-    retained = p < cfg.alpha
+    retained = p < alpha
     if retained.any():
         filtered = float(np.sqrt(np.mean(d[retained] ** 2)))
     else:
@@ -268,12 +266,14 @@ def omit_insignificant(
 def check_strategy_request(
     denoise: DenoiseConfig | None,
     predictor_tau: float | None,
-    omission: OmissionConfig | None,
+    omit_alpha: float | None,
 ) -> None:
-    """Reject a comparison with no strategy or a bad tau, before any data is read."""
+    """Reject a comparison with no strategy, a bad alpha or a bad tau, before any data is read."""
+    if omit_alpha is not None:
+        check_alpha(omit_alpha)
     if predictor_tau is not None:
         check_tau(predictor_tau)
-    if denoise is None and predictor_tau is None and omission is None:
+    if denoise is None and predictor_tau is None and omit_alpha is None:
         raise InputError("no strategy requested")
 
 
@@ -289,7 +289,7 @@ def run_strategy_comparison(
     data: FeedbackDataset | None = None,
     denoise: DenoiseConfig | None = None,
     predictor_tau: float | None = None,
-    omission: OmissionConfig | None = None,
+    omit_alpha: float | None = None,
 ) -> list[StrategyReport]:
     """Run the requested strategies and score each against the floor test.
 
@@ -302,7 +302,7 @@ def run_strategy_comparison(
     where before/after are the expected metric at tau = 0 and tau, so that
     the tau = 0 limit is an exact identity.
     """
-    check_strategy_request(denoise, predictor_tau, omission)
+    check_strategy_request(denoise, predictor_tau, omit_alpha)
     if data is None:
         if observations is None:
             raise InputError("need observations or a fitted dataset")
@@ -347,8 +347,8 @@ def run_strategy_comparison(
             )
         )
 
-    if omission is not None:
-        result = omit_insignificant(data, predictions, data, omission)
+    if omit_alpha is not None:
+        result = omit_insignificant(data, predictions, data, omit_alpha)
         verdict = (
             distinguishability_test(score_point, result.filtered_rmse, floor)
             if result.filtered_rmse is not None

@@ -20,7 +20,6 @@ from uncertain_eval import (
     FeedbackDataset,
     GaussianDistribution,
     McConfig,
-    OmissionConfig,
     PopulationSpec,
     PredictionSet,
     ObservationSet,
@@ -190,7 +189,7 @@ def test_criterion_07_omission_calibration(capsys):
         rng = np.random.default_rng(9000 + rep)
         deviations = rng.standard_normal(n) * sigmas
         predictions = PredictionSet.from_columns(data.keys, np.arange(n), 3.0 - deviations)
-        result = omit_insignificant(data, predictions, ratings, OmissionConfig(0.05))
+        result = omit_insignificant(data, predictions, ratings, 0.05)
         fractions.append(result.retained_fraction)
         if 0.04 <= result.retained_fraction <= 0.06:
             in_band += 1

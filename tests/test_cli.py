@@ -19,6 +19,7 @@ from uncertain_eval import (
     PopulationSpec,
     PredictionSet,
     RatingScale,
+    fit_uncertainty,
     predictor_noise_deviation,
 )
 from uncertain_eval.cli import _load_population_spec, main
@@ -137,6 +138,29 @@ def test_cli_imports_the_pool_seed_and_quantile_modules_only_when_used():
     assert (low, high) == pytest.approx((1.0 - 2.0 * z, 1.0 + 2.0 * z), rel=1e-15, abs=0)
     assert same == "True True"
     assert after == "True True True"
+
+
+# ``fit`` and ``strategies`` run through ``main``; numpy loads ``numpy.ma``
+# only on demand, and neither command needs it.
+MASKED_PROBE = """
+import sys
+from uncertain_eval.cli import main
+obs, pred, out = sys.argv[1:]
+assert main(["fit", "--obs", obs, "--out", out]) == 0
+assert main(["strategies", "--obs", obs, "--pred", pred, "--denoise-threshold", "1.0",
+             "--tau", "1.0", "--omit-alpha", "0.05"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_fit_and_strategies_do_not_load_numpy_ma(tmp_path):
+    obs, pred = tmp_path / "obs.csv", tmp_path / "pred.csv"
+    write_toy_observations(obs)
+    pred.write_text(PRED_HEADER + "alice,trailer,4.0\nbob,trailer,2.5\n", encoding="utf-8")
+    proc = _python("-c", MASKED_PROBE, obs, pred, tmp_path / "out.csv", capture_output=True,
+                   text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestHardExit:
@@ -434,6 +458,26 @@ class TestRmseDist:
         )
         assert code == 2
         assert "u00002" in stderr
+
+    def test_extra_predictions_are_not_scored(self, capsys, tmp_path):
+        # a prediction file may hold pairs the feedback lacks; only the
+        # feedback's pairs are scored, so the result equals that of the exact file
+        feedback = tmp_path / "feedback.csv"
+        write_uniform_feedback(feedback, n=20, sigma=0.5)
+        rows = [f"u{i:05d},i1,{3.0 + i / 10}" for i in range(20)]
+        exact, superset = tmp_path / "exact.csv", tmp_path / "superset.csv"
+        exact.write_text(PRED_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        extra = ["a,i1,9.0", "u00005,i0,9.0", "u00019,i2,9.0", "z,i1,9.0"]
+        superset.write_text(PRED_HEADER + "\n".join(extra + rows[::-1]) + "\n", encoding="utf-8")
+        outputs = []
+        for pred in (exact, superset):
+            code, stdout, _ = run_cli(
+                capsys, "rmse-dist", "--feedback", str(feedback), "--pred", str(pred),
+                "--samples", "200", "--seed", "3",
+            )
+            assert code == 0
+            outputs.append(stdout)
+        assert outputs[0] == outputs[1]
 
     def test_dump_writes_samples_and_manifest(self, capsys, tmp_path):
         feedback, pred = self._write_inputs(tmp_path, n=20)
@@ -754,6 +798,13 @@ SPEC_FAULTS = [
      "bad spec value: sigma_lo must be a number, got false"),
     ("boolean_scale", _with_scale(discrete_step=True),
      "bad spec value: discrete_step must be a number, got true"),
+    ("zero_users", dict(SPEC_JSON, n_users=0), "n_users must be >= 1, got 0"),
+    ("zero_items", dict(SPEC_JSON, n_items=0), "n_items must be >= 1, got 0"),
+    ("inverted_bias", dict(SPEC_JSON, bias_lo=0.5, bias_hi=0.1),
+     "bias prior needs bias_lo <= bias_hi, got [0.5, 0.1]"),
+    # JSON text -Infinity, which Python's JSON reader accepts
+    ("infinite_scale_bound", _with_scale(min_value=-math.inf),
+     "rating scale bounds must be finite"),
 ]
 
 
@@ -995,6 +1046,9 @@ class TestMalformedInput:
         # two faults in one row: every field is read before the value rule runs
         ("u,i,0,3.0\nu,i,-1,x\n", "3: bad rating value 'x'"),
         ("u,i,0,3.0\nu,i,-1\n", "3: row has too few fields"),
+        # a short row and a long one: the field count is a multiple of the
+        # width, but a line ends inside a row
+        ("u,i,0\nu,i,1,3.0,4.0\n", "2: row has too few fields"),
     ]
 
     @staticmethod
@@ -1017,6 +1071,50 @@ class TestMalformedInput:
         )
         assert code == 2
         assert stderr == f"error: {obs}:{message}\n"
+
+    # Faults of a command's arguments; {obs}, {feedback}, {pred} and {dir} name
+    # valid inputs and the test's directory.
+    ARGUMENT_FAULTS = [
+        (["simulate", "--spec", json.dumps(SPEC_JSON), "--trials", "0", "--out-dir", "{dir}/run"],
+         "--trials must be >= 1, got 0"),
+        (["simulate", "--spec", "{dir}/missing.json", "--out-dir", "{dir}/run"],
+         "spec file not found: {dir}/missing.json"),
+        (["simulate", "--spec", "{bad", "--out-dir", "{dir}/run"],
+         "spec is not valid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["strategies", "--obs", "{obs}", "--pred", "{pred}", "--denoise-threshold", "0"],
+         "denoise threshold must be > 0, got 0.0"),
+        (["strategies", "--obs", "{obs}", "--pred", "{pred}", "--denoise-threshold", "1",
+          "--denoise-max-iterations", "0"],
+         "max_iterations must be >= 1, got 0"),
+        (["strategies", "--feedback", "{feedback}", "--pred", "{pred}", "--denoise-threshold",
+          "1"],
+         "de-noising needs raw repeated-trial observations"),
+        (["distinguish", "--feedback", "{feedback}", "--s1", "nan", "--s2", "1"],
+         "scores must be finite, got s1=nan, s2=1.0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", ARGUMENT_FAULTS)
+    def test_argument_fault(self, capsys, tmp_path, argv, message):
+        names = {"obs": tmp_path / "obs.csv", "feedback": tmp_path / "feedback.csv",
+                 "pred": tmp_path / "pred.csv", "dir": tmp_path}
+        write_toy_observations(names["obs"])
+        names["feedback"].write_text(
+            FEEDBACK_HEADER + "alice,trailer,4.0,0.5\nbob,trailer,2.0,0.5\n", encoding="utf-8"
+        )
+        names["pred"].write_text(PRED_HEADER + "alice,trailer,4.0\nbob,trailer,2.5\n",
+                                 encoding="utf-8")
+
+        def filled(text):
+            for name, path in names.items():
+                text = text.replace(f"{{{name}}}", str(path))
+            return text
+
+        code, stdout, stderr = run_cli(capsys, *map(filled, argv))
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {filled(message)}\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("tokeniser", ["plain", "crlf"])
     def test_bad_row_beyond_the_first_piece(self, capsys, tmp_path, tokeniser):
@@ -1088,6 +1186,10 @@ VALUE_RULES = {
         lambda: predictor_noise_deviation(3.0, 0.5, 3.0, -1.0),
         "strategies", FEEDBACK_HEADER, "u,i,3.0,0.5",
     ),
+    "fixed fallback": (
+        lambda: fit_uncertainty(ObservationSet.from_ids(*IDS, [0], [3.0]), -1.0),
+        "fit --fallback fixed:-1", OBS_HEADER, "u,i,0,3.0",
+    ),
 }
 
 
@@ -1097,6 +1199,7 @@ class TestOneMessagePerRule:
     @pytest.mark.parametrize("rule", VALUE_RULES)
     def test_library_and_cli_agree(self, capsys, tmp_path, rule):
         call, command, header, row = VALUE_RULES[rule]
+        command, *options = command.split()
         with pytest.raises(InputError) as info:
             call()
         data = tmp_path / "data.csv"
@@ -1109,7 +1212,7 @@ class TestOneMessagePerRule:
             "rmse-dist": ["--feedback", str(data), "--pred", str(pred), "--tau", "-1"],
             "strategies": ["--feedback", str(data), "--pred", str(pred), "--tau", "-1"],
         }[command]
-        code, _, stderr = run_cli(capsys, command, *argv)
+        code, _, stderr = run_cli(capsys, command, *argv, *options)
         assert code == 2
         assert re.sub(rf"^error: ({re.escape(str(data))}:\d+: )?", "", stderr) == f"{info.value}\n"
 

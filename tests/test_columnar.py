@@ -20,7 +20,6 @@ from uncertain_eval import (
     FeedbackKey,
     ObservationSet,
     Resampler,
-    SigmaFallback,
     UnavailableError,
     denoise_preprocess,
     fit_uncertainty,
@@ -70,7 +69,7 @@ def hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def reference_fit(groups, fallback: SigmaFallback):
+def reference_fit(groups, fallback: float | None):
     """(keys, mu, sigma, n_trials) per pair, one group at a time."""
     keys = sorted(groups)
     mu, sigma, n_trials = [], [], []
@@ -80,10 +79,8 @@ def reference_fit(groups, fallback: SigmaFallback):
         sigma.append(float(np.std(values, ddof=1)) if values.size >= 2 else None)
         n_trials.append(values.size)
     multi = [s * s for s in sigma if s is not None]
-    if fallback.policy.value == "zero":
-        single = 0.0
-    elif fallback.policy.value == "fixed":
-        single = fallback.value
+    if fallback is not None:
+        single = fallback
     elif multi:
         single = float(np.sqrt(np.mean(multi)))
     else:
@@ -158,9 +155,7 @@ def unconverged_keys(result) -> set:
     return {names[p] for p in result.unconverged_keys.tolist()}
 
 
-fallbacks = st.sampled_from(
-    [SigmaFallback.zero(), SigmaFallback.pooled(), SigmaFallback.fixed(0.5)]
-)
+fallbacks = st.sampled_from([0.0, None, 0.5])
 
 
 class TestFitMatchesReference:
@@ -188,7 +183,7 @@ class TestFitMatchesReference:
             for k in (2, 7, 8, 9, 16, 127, 128, 129, 300, 1000)
         }
         obs = shuffled_set(groups, random.Random(0))
-        keys, mu, sigma, _ = reference_fit(groups, SigmaFallback.pooled())
+        keys, mu, sigma, _ = reference_fit(groups, None)
         data = fit_uncertainty(obs)
         assert hexes(data.mu) == hexes(mu)
         assert hexes(data.sigma) == hexes(sigma)

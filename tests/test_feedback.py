@@ -12,11 +12,11 @@ from uncertain_eval import (
     ObservationSet,
     PredictionSet,
     RatingScale,
-    SigmaFallback,
     UnavailableError,
     fit_uncertainty,
     pooled_sigma,
 )
+from uncertain_eval.cli import _parse_fallback
 
 
 def make_obs(groups: dict[str, list[float]]) -> ObservationSet:
@@ -165,12 +165,12 @@ class TestFromColumns:
 
 class TestSigmaFallback:
     def test_zero_policy(self):
-        data = fit_uncertainty(make_obs({"solo": [4.0]}), SigmaFallback.zero())
+        data = fit_uncertainty(make_obs({"solo": [4.0]}), 0.0)
         assert data.entries[0].sigma == 0.0
 
     def test_fixed_policy(self):
         data = fit_uncertainty(
-            make_obs({"solo": [4.0]}), SigmaFallback.fixed(0.7)
+            make_obs({"solo": [4.0]}), 0.7
         )
         assert data.entries[0].sigma == 0.7
 
@@ -186,17 +186,17 @@ class TestSigmaFallback:
             fit_uncertainty(make_obs({"a": [4.0], "b": [2.0]}))
 
     def test_parse(self):
-        assert SigmaFallback.parse("pooled") == SigmaFallback.pooled()
-        assert SigmaFallback.parse("zero") == SigmaFallback.zero()
-        assert SigmaFallback.parse("fixed:0.25") == SigmaFallback.fixed(0.25)
+        assert _parse_fallback("pooled") is None
+        assert _parse_fallback("zero") == 0.0
+        assert _parse_fallback("fixed:0.25") == 0.25
         with pytest.raises(InputError):
-            SigmaFallback.parse("median")
+            _parse_fallback("median")
         with pytest.raises(InputError):
-            SigmaFallback.parse("fixed:abc")
+            _parse_fallback("fixed:abc")
 
     def test_fixed_requires_non_negative_value(self):
         with pytest.raises(InputError):
-            SigmaFallback.fixed(-1.0)
+            fit_uncertainty(make_obs({"solo": [4.0]}), -1.0)
 
 
 class TestPooledSigma:
@@ -234,7 +234,7 @@ class TestFitProperties:
     @given(group_values)
     def test_mu_within_observed_range(self, values):
         (entry,) = fit_uncertainty(
-            make_obs({"u": values}), SigmaFallback.zero()
+            make_obs({"u": values}), 0.0
         ).entries
         assert min(values) - 1e-9 <= entry.mu <= max(values) + 1e-9
 
@@ -242,8 +242,8 @@ class TestFitProperties:
     def test_sigma_permutation_invariant(self, values, rnd):
         shuffled = list(values)
         rnd.shuffle(shuffled)
-        fit_a = fit_uncertainty(make_obs({"u": values}), SigmaFallback.zero())
-        fit_b = fit_uncertainty(make_obs({"u": shuffled}), SigmaFallback.zero())
+        fit_a = fit_uncertainty(make_obs({"u": values}), 0.0)
+        fit_b = fit_uncertainty(make_obs({"u": shuffled}), 0.0)
         assert fit_a.entries[0].sigma == pytest.approx(
             fit_b.entries[0].sigma, abs=1e-9
         )
@@ -251,9 +251,9 @@ class TestFitProperties:
     @given(group_values, st.floats(min_value=-50, max_value=50, allow_nan=False))
     @settings(max_examples=60)
     def test_constant_shift_moves_mu_only(self, values, c):
-        base = fit_uncertainty(make_obs({"u": values}), SigmaFallback.zero()).entries[0]
+        base = fit_uncertainty(make_obs({"u": values}), 0.0).entries[0]
         shifted = fit_uncertainty(
-            make_obs({"u": [v + c for v in values]}), SigmaFallback.zero()
+            make_obs({"u": [v + c for v in values]}), 0.0
         ).entries[0]
         assert shifted.mu == pytest.approx(base.mu + c, abs=1e-7)
         assert shifted.sigma == pytest.approx(base.sigma, abs=1e-7)
@@ -261,7 +261,7 @@ class TestFitProperties:
     @given(group_values, st.integers(min_value=2, max_value=4))
     def test_replicated_groups_fit_identically(self, values, copies):
         groups = {f"u{j}": values for j in range(copies)}
-        data = fit_uncertainty(make_obs(groups), SigmaFallback.zero())
+        data = fit_uncertainty(make_obs(groups), 0.0)
         mus = {e.mu for e in data.entries}
         sigmas = {e.sigma for e in data.entries}
         assert len(mus) == 1 and len(sigmas) == 1

@@ -542,6 +542,38 @@ def _read_encodings(tmp_path, read, header: str, rows: list[list[str]], columns)
     return plain
 
 
+@pytest.mark.parametrize("write, read, columns", WRITERS)
+def test_leading_byte_order_mark_is_skipped(tmp_path, write, read, columns):
+    # a spreadsheet's "CSV UTF-8" export starts the file with the bytes EF BB BF
+    sets = _three_sets([("u", "i"), ("v", "i")], np.array([1.5, -2.0]))
+    data = sets[[w for w, _, _ in WRITERS].index(write)]
+    write(tmp_path / "data.csv", data)
+    header, *lines = (tmp_path / "data.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines]
+    bad_row = ["w", "i"] + ["x"] * (len(rows[0]) - 2)
+    for good in (True, False):
+        texts = _encodings(header, rows if good else rows + [bad_row])
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.csv"
+            read_back = []
+            for prefix in (b"", b"\xef\xbb\xbf"):
+                path.write_bytes(prefix + text.encode())
+                if good:
+                    read_back.append(read(path))
+                else:
+                    with pytest.raises(InputError) as info:
+                        read(path)
+                    read_back.append(str(info.value))
+            bare, marked = read_back
+            if not good:
+                assert marked == bare
+                assert f":{len(rows) + 2}: bad " in marked
+                continue
+            assert _keys(marked) == _keys(bare)
+            for column in columns:
+                assert getattr(marked, column).tobytes() == getattr(bare, column).tobytes()
+
+
 OBSERVATION_COLUMNS = ("pair", "trial", "value")
 
 

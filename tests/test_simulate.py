@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from uncertain_eval import (
     FeedbackDataset,
-    GroundTruth,
     InputError,
     PopulationSpec,
     RatingScale,
@@ -37,34 +36,34 @@ def spec(**overrides) -> PopulationSpec:
 
 class TestGeneratePopulation:
     def test_full_density_pair_count(self):
-        truth = generate_population(spec(n_users=2, n_items=3))
-        assert truth.dataset.N == 6
+        truth, _ = generate_population(spec(n_users=2, n_items=3))
+        assert truth.N == 6
 
     def test_partial_density_rounds_up(self):
-        truth = generate_population(spec(density=0.37))
-        assert truth.dataset.N == math.ceil(0.37 * 20)
+        truth, _ = generate_population(spec(density=0.37))
+        assert truth.N == math.ceil(0.37 * 20)
 
     def test_zero_sigma_prior(self):
-        truth = generate_population(spec(sigma_lo=0.0, sigma_hi=0.0))
-        assert np.all(truth.dataset.sigma == 0.0)
+        truth, _ = generate_population(spec(sigma_lo=0.0, sigma_hi=0.0))
+        assert np.all(truth.sigma == 0.0)
 
     def test_deterministic(self):
-        a = generate_population(spec())
-        b = generate_population(spec())
-        assert a.dataset.entries == b.dataset.entries
-        assert a.predictions.keys.users.tolist() == b.predictions.keys.users.tolist()
-        assert a.predictions.keys.items.tolist() == b.predictions.keys.items.tolist()
-        assert a.predictions.values.tolist() == b.predictions.values.tolist()
+        a, a_predictions = generate_population(spec())
+        b, b_predictions = generate_population(spec())
+        assert a.entries == b.entries
+        assert a_predictions.keys.users.tolist() == b_predictions.keys.users.tolist()
+        assert a_predictions.keys.items.tolist() == b_predictions.keys.items.tolist()
+        assert a_predictions.values.tolist() == b_predictions.values.tolist()
 
     def test_mu_within_scale(self):
-        truth = generate_population(spec(n_users=30, n_items=30))
-        mus = truth.dataset.mu
+        truth, _ = generate_population(spec(n_users=30, n_items=30))
+        mus = truth.mu
         assert np.all(mus >= SCALE.min_value) and np.all(mus <= SCALE.max_value)
 
     def test_prediction_bias_prior(self):
-        truth = generate_population(spec(bias_lo=0.5, bias_hi=0.5))
-        predicted = truth.predictions.aligned(truth.dataset.keys)
-        for entry, prediction in zip(truth.dataset.entries, predicted):
+        truth, predictions = generate_population(spec(bias_lo=0.5, bias_hi=0.5))
+        predicted = predictions.aligned(truth.keys)
+        for entry, prediction in zip(truth.entries, predicted):
             assert prediction == pytest.approx(entry.mu + 0.5, abs=1e-12)
 
     def test_invalid_density(self):
@@ -89,16 +88,16 @@ class TestGeneratePopulation:
 
 class TestDrawTrials:
     def test_zero_sigma_gives_constant_trials(self):
-        truth = generate_population(spec(n_users=1, n_items=1, sigma_lo=0, sigma_hi=0))
+        truth, _ = generate_population(spec(n_users=1, n_items=1, sigma_lo=0, sigma_hi=0))
         obs = draw_trials(truth, k=5)
-        mu = truth.dataset.entries[0].mu
+        mu = truth.entries[0].mu
         assert obs.value.tolist() == [mu] * 5
 
     def test_sample_mean_concentrates(self):
-        truth = generate_population(
+        truth, _ = generate_population(
             spec(n_users=1, n_items=1, scale=RatingScale(0.0, 6.0))
         )
-        entry = truth.dataset.entries[0]
+        entry = truth.entries[0]
         obs = draw_trials(truth, k=100000, seed=7)
         values = obs.value
         # CLT bound at ~99.8%: 3.1 * sigma / sqrt(k), checked at +-0.005
@@ -107,29 +106,23 @@ class TestDrawTrials:
         )
 
     def test_discretise_rounds_and_clamps(self):
-        truth = generate_population(
+        truth, _ = generate_population(
             spec(n_users=10, n_items=10, sigma_lo=1.0, sigma_hi=1.0)
         )
-        obs = draw_trials(truth, k=100, discretise=True, seed=3)
+        obs = draw_trials(truth, k=100, seed=3, scale=SCALE)
         values = obs.value
         assert np.all(values >= 1.0) and np.all(values <= 5.0)
         assert np.all(values == np.round(values))
 
     def test_edge_mu_clamping_bias(self):
         scale = RatingScale(1.0, 5.0, discrete_step=1.0)
-        truth = generate_population(
+        truth, _ = generate_population(
             spec(n_users=1, n_items=1, scale=scale, sigma_lo=1.0, sigma_hi=1.0)
         )
-        entry = truth.dataset.entries[0]
+        entry = truth.entries[0]
         # force the pair's centre to the top of the scale
-        pinned = GroundTruth(
-            dataset=FeedbackDataset.from_ids(
-                [entry.key.user_id], [entry.key.item_id], [5.0], [1.0]
-            ),
-            predictions=None,
-            scale=scale,
-        )
-        obs = draw_trials(pinned, k=10000, discretise=True, seed=9)
+        pinned = FeedbackDataset.from_ids([entry.key.user_id], [entry.key.item_id], [5.0], [1.0])
+        obs = draw_trials(pinned, k=10000, seed=9, scale=scale)
         values = obs.value
         assert np.all(values <= 5.0)
         assert float(np.mean(values)) < 5.0
@@ -138,18 +131,19 @@ class TestDrawTrials:
         # the bound holds at least 100x the benchmark's 450k rows; one pair
         # with too many trials is rejected before anything is drawn
         assert MAX_OBSERVATION_ROWS >= 100 * 450_000
-        truth = generate_population(spec(n_users=1, n_items=1))
+        truth, _ = generate_population(spec(n_users=1, n_items=1))
         for k in (MAX_OBSERVATION_ROWS + 1, 10**15):
             with pytest.raises(InputError, match=f"1 pairs x {k} trials"):
                 draw_trials(truth, k=k)
 
     def test_discretise_requires_step(self):
-        truth = generate_population(spec(scale=RatingScale(1.0, 5.0)))
+        continuous = spec(scale=RatingScale(1.0, 5.0))
+        truth, _ = generate_population(continuous)
         with pytest.raises(InputError):
-            draw_trials(truth, k=3, discretise=True)
+            draw_trials(truth, k=3, scale=continuous.scale)
 
     def test_deterministic_for_seed(self):
-        truth = generate_population(spec())
+        truth, _ = generate_population(spec())
         a = draw_trials(truth, k=4, seed=5)
         b = draw_trials(truth, k=4, seed=5)
         assert a.keys.users.tolist() == b.keys.users.tolist()
@@ -158,12 +152,11 @@ class TestDrawTrials:
             assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
     def test_standardised_residuals(self):
-        truth = generate_population(
+        data, _ = generate_population(
             spec(n_users=5, n_items=4, sigma_lo=0.3, sigma_hi=1.0,
                  scale=RatingScale(-50.0, 50.0))
         )
-        obs = draw_trials(truth, k=5000, seed=13)
-        data = truth.dataset
+        obs = draw_trials(data, k=5000, seed=13)
         model = obs.keys.locate(data.keys, "no model")[obs.pair]
         residuals = (obs.value - data.mu[model]) / data.sigma[model]
         assert residuals.size >= 100000

@@ -9,8 +9,8 @@ from uncertain_eval import (
     DenoiseConfig,
     FeedbackDataset,
     InputError,
+    KeyTable,
     ObservationSet,
-    OmissionConfig,
     PredictionSet,
     Resampler,
     denoise_preprocess,
@@ -77,6 +77,20 @@ class TestDenoise:
             obs, None, DenoiseConfig(threshold=3.9, max_iterations=1)
         )
         assert group_values(result, "u") == [3.0, 5.0, 3.0]
+
+    @pytest.mark.parametrize("resampler", list(Resampler))
+    def test_key_without_rows_is_left_alone(self, resampler):
+        # a key table may hold a pair the observations never saw
+        keys, _ = KeyTable.intern(["u", "v"], ["i1", "i1"])
+        obs = ObservationSet.from_columns(keys, [0, 0, 0], [0, 1, 2], [3.0, 5.0, 3.2])
+        truth = dataset([("u", 3.0, 0.0), ("v", 3.0, 0.0)])
+        cfg = DenoiseConfig(threshold=1.0, resampler=resampler)
+        result = denoise_preprocess(obs, truth, cfg)
+        assert result.observations.counts().tolist() == [3, 0]
+        # the median rule puts 3.2 in place of the outlier, a redraw 3.0
+        replaced = 3.2 if resampler is Resampler.REPLACE_WITH_MEDIAN else 3.0
+        assert group_values(result, "u") == [3.0, replaced, 3.2]
+        assert not len(result.unconverged_keys)
 
     def test_redraw_requires_model(self):
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
@@ -236,7 +250,7 @@ class TestOmission:
         sigmas = rng.uniform(0.3, 1.2, n)
         deviations = rng.standard_normal(n) * sigmas
         data, predictions, ratings = omission_fixture(sigmas, deviations)
-        result = omit_insignificant(data, predictions, ratings, OmissionConfig(0.05))
+        result = omit_insignificant(data, predictions, ratings, 0.05)
         assert 0.04 <= result.retained_fraction <= 0.06
 
     def test_retained_set_monotone_in_alpha(self):
@@ -244,8 +258,8 @@ class TestOmission:
         sigmas = rng.uniform(0.2, 1.0, 300)
         deviations = rng.standard_normal(300) * sigmas
         data, predictions, ratings = omission_fixture(sigmas, deviations)
-        tight = omit_insignificant(data, predictions, ratings, OmissionConfig(0.01))
-        loose = omit_insignificant(data, predictions, ratings, OmissionConfig(0.10))
+        tight = omit_insignificant(data, predictions, ratings, 0.01)
+        loose = omit_insignificant(data, predictions, ratings, 0.10)
         assert set(tight.retained_keys.tolist()) <= set(loose.retained_keys.tolist())
 
     # |d| / sigma just either side of the two-sided critical value, which
@@ -260,7 +274,7 @@ class TestOmission:
         sigmas = [0.5, 0.5, 2.0, 2.0]
         deviations = [0.5 * below, 0.5 * above, -2.0 * below, -2.0 * above]
         data, predictions, ratings = omission_fixture(sigmas, deviations)
-        result = omit_insignificant(data, predictions, ratings, OmissionConfig(alpha))
+        result = omit_insignificant(data, predictions, ratings, alpha)
         assert set(ratings.keys.users[result.retained_keys]) == {"u00001", "u00003"}
 
     @given(
@@ -278,7 +292,7 @@ class TestOmission:
     def test_retained_set_matches_per_pair_erfc(self, rows, alpha):
         sigmas, deviations = zip(*rows)
         data, predictions, ratings = omission_fixture(sigmas, deviations)
-        result = omit_insignificant(data, predictions, ratings, OmissionConfig(alpha))
+        result = omit_insignificant(data, predictions, ratings, alpha)
         expected = []
         predicted = predictions.aligned(data.keys)
         for i, entry in enumerate(data.entries):
@@ -292,10 +306,11 @@ class TestOmission:
         assert result.retained_keys.tolist() == expected
 
     def test_bad_alpha_rejected(self):
+        data, predictions, ratings = omission_fixture([0.5], [0.0])
         with pytest.raises(InputError):
-            OmissionConfig(alpha=0.0)
+            omit_insignificant(data, predictions, ratings, 0.0)
         with pytest.raises(InputError):
-            OmissionConfig(alpha=1.0)
+            omit_insignificant(data, predictions, ratings, 1.0)
 
 
 class TestStrategyComparison:
@@ -355,7 +370,7 @@ class TestStrategyComparison:
         deviations = rng.standard_normal(500) * sigmas
         data, predictions, _ = omission_fixture(sigmas, deviations)
         (report,) = run_strategy_comparison(
-            predictions, data=data, omission=OmissionConfig(0.05)
+            predictions, data=data, omit_alpha=0.05
         )
         assert report.strategy == "omission"
         assert 0.0 <= report.retained_fraction <= 1.0
@@ -369,7 +384,7 @@ class TestStrategyComparison:
             observations=obs,
             denoise=DenoiseConfig(threshold=1.0),
             predictor_tau=1.0,
-            omission=OmissionConfig(0.05),
+            omit_alpha=0.05,
         )
         assert [r.strategy for r in reports] == [
             "denoise",
