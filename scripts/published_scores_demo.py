@@ -44,8 +44,8 @@ def main() -> None:
             GaussianDistribution(max(args.s1, args.s2), std * std),
         )
         print(
-            f"{std:>10.6f}  {verdict.z_gap:>8.3f}  {str(verdict.distinguishable):>15}"
-            f"  {rel.p_opposite:>10.4f}  {str(rel.holds):>11}"
+            f"{std:>10.6f}  {verdict['z_gap']:>8.3f}  {str(verdict['distinguishable']):>15}"
+            f"  {rel['p_opposite']:>10.4f}  {str(rel['holds']):>11}"
         )
 
     print(

@@ -17,7 +17,6 @@ import json
 from pathlib import Path
 
 from uncertain_eval import (
-    DenoiseConfig,
     PopulationSpec,
     RatingScale,
     barrier_distribution,
@@ -75,20 +74,21 @@ def main() -> None:
         predictions,
         observations=obs,
         data=fitted,
-        denoise=DenoiseConfig(threshold=args.denoise_threshold, seed=spec.seed),
+        denoise_threshold=args.denoise_threshold,
+        denoise_seed=spec.seed,
         predictor_tau=args.tau,
         omit_alpha=0.05,
     )
     for r in reports:
-        print(json.dumps(r.to_json_dict(), indent=2))
+        print(json.dumps(r, indent=2))
 
     print()
     for r in reports:
-        if r.verdict is None:
-            print(f"{r.strategy}: no after-score, nothing to compare")
+        if r["distinguishable"] is None:
+            print(f"{r['strategy']}: no after-score, nothing to compare")
             continue
-        effect = "SIGNIFICANT" if r.verdict.distinguishable else "inside the floor band"
-        print(f"{r.strategy}: score change {effect} (z_gap={r.verdict.z_gap:.2f})")
+        effect = "SIGNIFICANT" if r["distinguishable"] else "inside the floor band"
+        print(f"{r['strategy']}: score change {effect} (z_gap={r['z_gap']:.2f})")
     print(
         "\nThe omission line compares a filtered metric against an unfiltered"
         "\none; it has no common baseline with the other rows and is reported"

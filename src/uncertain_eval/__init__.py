@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .barrier import (
     RELATION_ALPHA,
     Z_TWO_SIDED_95,
-    DistinguishabilityResult,
     GaussianDistribution,
-    RelationResult,
     barrier_distribution,
     confidence_interval,
-    distinguishability_report,
     distinguishability_test,
     relation_test,
 )
@@ -50,11 +47,8 @@ from .simulate import (
     histogram,
 )
 from .strategies import (
-    DenoiseConfig,
     DenoiseResult,
     OmissionResult,
-    Resampler,
-    StrategyReport,
     denoise_preprocess,
     omit_insignificant,
     predictor_noise_deviation,
@@ -75,12 +69,9 @@ __all__ = [
     "fit_uncertainty",
     "pooled_sigma",
     "GaussianDistribution",
-    "DistinguishabilityResult",
-    "RelationResult",
     "barrier_distribution",
     "confidence_interval",
     "distinguishability_test",
-    "distinguishability_report",
     "relation_test",
     "Z_TWO_SIDED_95",
     "RELATION_ALPHA",
@@ -91,11 +82,8 @@ __all__ = [
     "rmse_distribution",
     "variance_match_check",
     "resolve_thread_count",
-    "DenoiseConfig",
     "DenoiseResult",
     "OmissionResult",
-    "Resampler",
-    "StrategyReport",
     "denoise_preprocess",
     "predictor_noise_deviation",
     "omit_insignificant",

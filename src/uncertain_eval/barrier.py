@@ -10,15 +10,16 @@ spreads sigma_i the floor is approximately Gaussian with
 
 ``barrier_distribution`` returns this floor as a ``GaussianDistribution``,
 the same type ``relation_test`` compares. Two instruments compare metric
-scores under this uncertainty:
+scores under this uncertainty, and each returns its verdict as a dict:
 
 * ``distinguishability_test`` recentres the floor distribution at the
   midpoint of two observed scores and asks whether both fall inside its 95%
   interval. If they do, a single metric distribution explains both outcomes
-  and the difference is not significant.
+  and the difference is not significant. Its dict is the one the
+  ``distinguish`` command prints.
 * ``relation_test`` treats the two scores as independent Gaussian random
   variables and accepts "first below second" only when the opposite
-  ordering has probability below 5%.
+  ordering has probability below 5%: ``{"p_opposite": p, "holds": p < 0.05}``.
 
 The instruments differ in stringency: with equal variances the
 distinguishability threshold on |s1 - s2| is 2 * 1.959964 * std, while the
@@ -68,29 +69,6 @@ class GaussianDistribution:
         return math.sqrt(self.variance)
 
 
-@dataclass(frozen=True, slots=True)
-class DistinguishabilityResult:
-    """Outcome of the shifted-floor test for a pair of scores.
-
-    ``z_gap`` is |s1 - s2| / (2 * std); the verdict is distinguishable
-    exactly when z_gap exceeds the two-sided 95% quantile.
-    """
-
-    s1: float
-    s2: float
-    shift_mean: float
-    ci_low: float
-    ci_high: float
-    distinguishable: bool
-    z_gap: float
-
-
-@dataclass(frozen=True, slots=True)
-class RelationResult:
-    p_opposite: float
-    holds: bool
-
-
 def barrier_distribution(data: FeedbackDataset) -> GaussianDistribution:
     """Gaussian noise floor of RMSE for the dataset's per-pair spreads.
 
@@ -125,16 +103,17 @@ def confidence_interval(
     return (g.mean - margin, g.mean + margin)
 
 
-def distinguishability_test(
-    s1: float, s2: float, floor: GaussianDistribution
-) -> DistinguishabilityResult:
+def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -> dict:
     """Shift the noise floor to the score midpoint and test 95% coverage.
 
     The verdict is computed from the single closed form
-    |s1 - s2| > 2 * z * std; the reported interval bounds are derived from
-    the same shift and std, so verdict and coverage cannot disagree at
-    boundaries. A degenerate floor (std = 0) distinguishes any two unequal
-    scores, with an infinite z_gap.
+    |s1 - s2| > 2 * z * std, with ``z_gap`` = |s1 - s2| / (2 * std); the
+    interval bounds ``ci_low`` and ``ci_high`` are derived from the same
+    shift and std, so verdict and coverage cannot disagree at boundaries. A
+    degenerate floor (std = 0) distinguishes any two unequal scores, with
+    an infinite z_gap. The dict's keys, in order: ``s1``, ``s2``,
+    ``barrier_mean``, ``barrier_variance``, ``shift_mean``, ``ci_low``,
+    ``ci_high``, ``distinguishable``, ``z_gap``.
     """
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
@@ -145,22 +124,21 @@ def distinguishability_test(
         z_gap = 0.0 if gap == 0.0 else math.inf
     else:
         z_gap = gap / (2.0 * std)
-    distinguishable = z_gap > Z_TWO_SIDED_95
     margin = Z_TWO_SIDED_95 * std
-    return DistinguishabilityResult(
-        s1=s1,
-        s2=s2,
-        shift_mean=shift,
-        ci_low=shift - margin,
-        ci_high=shift + margin,
-        distinguishable=distinguishable,
-        z_gap=z_gap,
-    )
+    return {
+        "s1": s1,
+        "s2": s2,
+        "barrier_mean": floor.mean,
+        "barrier_variance": floor.variance,
+        "shift_mean": shift,
+        "ci_low": shift - margin,
+        "ci_high": shift + margin,
+        "distinguishable": z_gap > Z_TWO_SIDED_95,
+        "z_gap": z_gap,
+    }
 
 
-def relation_test(
-    S1: GaussianDistribution, S2: GaussianDistribution
-) -> RelationResult:
+def relation_test(S1: GaussianDistribution, S2: GaussianDistribution) -> dict:
     """Accept S1 < S2 when P(S1 >= S2) < 5% for independent Gaussians.
 
     Independence is assumed; no joint law of the two scores is available.
@@ -175,21 +153,5 @@ def relation_test(
             p_opposite = 0.0 if diff < 0 else 1.0
     else:
         p_opposite = 0.5 * math.erfc(-diff / math.sqrt(variance) * math.sqrt(0.5))
-    return RelationResult(p_opposite=p_opposite, holds=p_opposite < RELATION_ALPHA)
+    return {"p_opposite": p_opposite, "holds": p_opposite < RELATION_ALPHA}
 
-
-def distinguishability_report(
-    floor: GaussianDistribution, result: DistinguishabilityResult
-) -> dict:
-    """JSON-ready report with a stable key order."""
-    return {
-        "s1": result.s1,
-        "s2": result.s2,
-        "barrier_mean": floor.mean,
-        "barrier_variance": floor.variance,
-        "shift_mean": result.shift_mean,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "distinguishable": result.distinguishable,
-        "z_gap": result.z_gap,
-    }

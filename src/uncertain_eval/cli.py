@@ -21,11 +21,7 @@ from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
-from .barrier import (
-    barrier_distribution,
-    distinguishability_report,
-    distinguishability_test,
-)
+from .barrier import barrier_distribution, distinguishability_test
 from .errors import InputError, UnavailableError
 from .feedback import check_fallback, fit_uncertainty, pooled_sigma
 from .io import (
@@ -39,12 +35,7 @@ from .io import (
 )
 from .metrics import McConfig, rmse_distribution
 from .simulate import PopulationSpec, draw_trials, generate_population
-from .strategies import (
-    DenoiseConfig,
-    Resampler,
-    check_strategy_request,
-    run_strategy_comparison,
-)
+from .strategies import check_strategy_request, run_strategy_comparison
 
 
 def _write_manifest(
@@ -116,9 +107,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_distinguish(args: argparse.Namespace) -> int:
     data = read_feedback(args.feedback)
-    floor = barrier_distribution(data)
-    result = distinguishability_test(args.s1, args.s2, floor)
-    _print_json(distinguishability_report(floor, result))
+    _print_json(distinguishability_test(args.s1, args.s2, barrier_distribution(data)))
     return 0
 
 
@@ -156,30 +145,25 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     if args.obs is None and args.feedback is None:
         raise InputError("need --obs and/or --feedback")
 
-    denoise = None
-    if args.denoise_threshold is not None:
-        denoise = DenoiseConfig(
-            threshold=args.denoise_threshold,
-            max_iterations=args.denoise_max_iterations,
-            resampler=Resampler(args.denoise_resampler),
-            seed=args.denoise_seed,
-        )
-
-    check_strategy_request(denoise, args.tau, args.omit_alpha)
+    settings = dict(
+        denoise_threshold=args.denoise_threshold,
+        denoise_max_iterations=args.denoise_max_iterations,
+        denoise_resampler=args.denoise_resampler,
+        denoise_seed=args.denoise_seed,
+        predictor_tau=args.tau,
+        omit_alpha=args.omit_alpha,
+    )
+    check_strategy_request(**settings)
 
     observations = read_observations(args.obs) if args.obs is not None else None
     feedback = read_feedback(args.feedback) if args.feedback is not None else None
     predictions = read_predictions(args.pred)
 
-    reports = run_strategy_comparison(
-        predictions,
-        observations=observations,
-        data=feedback,
-        denoise=denoise,
-        predictor_tau=args.tau,
-        omit_alpha=args.omit_alpha,
+    _print_json(
+        run_strategy_comparison(
+            predictions, observations=observations, data=feedback, **settings
+        )
     )
-    _print_json([r.to_json_dict() for r in reports])
     return 0
 
 
@@ -338,11 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feedback", default=None, help="feedback CSV")
     p.add_argument("--pred", required=True, help="prediction CSV")
     p.add_argument("--denoise-threshold", type=float, default=None)
-    p.add_argument(
-        "--denoise-resampler",
-        choices=[r.value for r in Resampler],
-        default=Resampler.REPLACE_WITH_MEDIAN.value,
-    )
+    p.add_argument("--denoise-resampler", default="median", help="median | redraw")
     p.add_argument("--denoise-max-iterations", type=int, default=25)
     p.add_argument("--denoise-seed", type=int, default=0)
     p.add_argument("--tau", type=float, default=None, help="prediction noise std")

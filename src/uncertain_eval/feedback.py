@@ -112,6 +112,8 @@ class KeyTable:
 
     def locate(self, other: "KeyTable", missing: str) -> np.ndarray:
         """Position in ``other`` of each pair; the first absent one raises ``<missing> for u/i``."""
+        if other is self:
+            return np.arange(len(self))
         if np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items):
             return np.arange(len(self))
         table, pair = KeyTable.intern(

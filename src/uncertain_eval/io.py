@@ -12,8 +12,10 @@ in any column order, and a repeated column is rejected:
     histogram:    bin_lo,bin_hi,count
     sample dump:  sample_index,score
 
-Reading turns a file into numpy columns in chunks. Text without ``"`` and
-``\r`` is cut at line ends into pieces of about 256 KiB, and its fields are
+Reading turns a file into numpy columns in chunks. Text without ``"``
+whose every ``\r`` comes before a ``\n`` is read with those ``\r``
+dropped, so each CRLF stays one line. Text without ``"`` and ``\r`` is
+then cut at line ends into pieces of about 256 KiB, and its fields are
 found on the bytes, in one pass over each piece for its commas and line
 ends. In a piece, a column whose fields are all of 8 bytes or less is
 keyed: each field becomes one integer of its bytes. Each distinct key is
@@ -78,8 +80,8 @@ _MAX_KEYS = 1 << 16
 # Fibonacci hashing's multiplier: 2**64 divided by the golden ratio, made odd.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-# Mask of the last k bytes of an 8-byte word, for k = 0..8.
-_SUFFIX = np.array([2 ** (8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Mask of the last k bytes of an 8-byte word in memory, for k = 0..8.
+_SUFFIX = np.frombuffer(b"".join(bytes(8 - k) + b"\xff" * k for k in range(9)), np.uint64)
 
 # The byte-order mark some spreadsheets write at the start of a UTF-8 file.
 _BOM = "\ufeff".encode()
@@ -142,7 +144,7 @@ class _Column:
 
     def slot(self, keys: np.ndarray) -> np.ndarray:
         """Fibonacci hashing: the top bits of each key times 2**64 / golden ratio."""
-        return (keys * _GOLDEN) >> self.shift
+        return ((keys * _GOLDEN) >> self.shift).view(np.intp)
 
     def learn(self, keys: np.ndarray) -> np.ndarray:
         """Values of the sorted distinct ``keys``, each new one decoded and converted."""
@@ -151,7 +153,7 @@ class _Column:
         values = self.values[at]
         if new.any():
             fresh = keys[new]
-            texts = [key.lstrip(b"\0").decode() for key in fresh.astype(">u8").view("S8").tolist()]
+            texts = [key.lstrip(b"\0").decode() for key in fresh.view("S8").tolist()]
             values[new] = self.convert(texts)
             if len(self.keys) + len(fresh) <= _MAX_KEYS:
                 self.keys = np.insert(self.keys, at[new], fresh)
@@ -173,8 +175,9 @@ def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list
     ``columns`` holds the position and ``_Column`` of each column. A
     piece's separators are found in one pass, and the fields between them
     must make rows of ``width``. A column whose fields in a piece are
-    all of 8 bytes or less is keyed: each field is read as the big-endian
-    word that ends with it, masked to its length, so two fields share a key
+    all of 8 bytes or less is keyed: each field is read as the native-endian
+    word whose 8 bytes end with it, masked to its length, so the key's bytes
+    are the field right-aligned after NULs, and two fields share a key
     exactly when their texts are equal. NUL pads a key, so a piece holding
     one, like a longer field, takes the split of the decoded text.
     """
@@ -182,14 +185,15 @@ def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list
     buffer = np.frombuffer(data, dtype=np.uint8)
     # the 8 bytes from each offset, as a view; a field ends after the header,
     # so at least 8 bytes into data
-    words = np.ndarray((len(data) - 7,), ">u8", data, strides=(1,))
+    words = np.ndarray((len(data) - 7,), np.uint64, data, strides=(1,))
     # work space reused by every piece: a fresh buffer of a piece's size
     # costs a page fault per 4 KiB each time it is allocated
     marks = newlines = spaced = np.empty(0, dtype=np.uint8)
     stop = len(data) - data.endswith(b"\n")
     while start < stop:
         end = data.find(b"\n", min(start + _CHUNK_CHARS, stop), stop)
-        end = stop if end < 0 else end
+        # a cut at stop - 1 would drop the empty last line after it
+        end = stop if end < 0 or end + 1 == stop else end
         piece = buffer[start:end]
         if len(marks) < len(piece) + 2:
             size = 2 * len(piece) + 2
@@ -298,6 +302,10 @@ def _read(
         data = path.read_bytes()
         if data.startswith(_BOM):
             data = data[len(_BOM) :]
+        if b"\r" in data and b'"' not in data and data.count(b"\r") == data.count(b"\r\n"):
+            # each CRLF is one line, as each LF is, so the text reads as LF
+            # text on the same lines
+            data = data.replace(b"\r\n", b"\n")
         plain = b'"' not in data and b"\r" not in data
         if not plain:
             text = data.decode()

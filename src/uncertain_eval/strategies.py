@@ -9,26 +9,24 @@ Three families are implemented:
 * deviation omission: keep only pairs whose deviation a z-test refuses to
   attribute to the pair's rating spread, and score those.
 
-Each strategy reports a before/after score pair and the verdict of the
-shifted-floor test under the untreated dataset's floor. The omission
-strategy changes the metric's denominator, so its filtered score is
-reported but never compared across strategies.
+De-noising takes its settings as plain arguments: the threshold, the
+maximum number of passes, the resampler (``"median"`` or ``"redraw"``) and
+the seed of the redraw policy; ``check_denoise`` is their one rule. Each
+strategy reports a before/after score pair and the verdict of the
+shifted-floor test under the untreated dataset's floor, as the dict the
+``strategies`` command prints. The omission strategy changes the metric's
+denominator, so its filtered score is reported but never compared across
+strategies.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import (
-    DistinguishabilityResult,
-    GaussianDistribution,
-    barrier_distribution,
-    distinguishability_test,
-)
+from .barrier import GaussianDistribution, barrier_distribution, distinguishability_test
 from .errors import InputError
 from .feedback import (
     FeedbackDataset,
@@ -40,41 +38,6 @@ from .feedback import (
 )
 from .metrics import check_tau, rmse
 from .rng import child_rng, validate_seed
-
-# Elementwise complementary error function (numpy has none): the two-sided
-# normal p-value of z is erfc(z / sqrt(2)).
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-class Resampler(enum.Enum):
-    REPLACE_WITH_MEDIAN = "median"
-    REDRAW_FROM_MODEL = "redraw"
-
-
-@dataclass(frozen=True, slots=True)
-class DenoiseConfig:
-    """Threshold-based re-rating replacement.
-
-    A group is treated while its max pairwise distance exceeds
-    ``threshold``; each pass removes the value farthest from the group
-    median (ties to the lowest trial index) and replaces it per
-    ``resampler``. ``seed`` feeds the redraw policy's per-group generators.
-    """
-
-    threshold: float
-    max_iterations: int = 25
-    resampler: Resampler = Resampler.REPLACE_WITH_MEDIAN
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.threshold > 0:
-            raise InputError(f"denoise threshold must be > 0, got {self.threshold}")
-        if self.max_iterations < 1:
-            raise InputError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        validate_seed(self.seed)
-
 
 @dataclass(frozen=True, slots=True)
 class DenoiseResult:
@@ -100,36 +63,6 @@ class OmissionResult:
     retained_fraction: float
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyReport:
-    """Before/after scores of one strategy plus the floor-test verdict.
-
-    ``retained_fraction`` is set only for the omission strategy and
-    ``mean_deviation_variance`` only for predictor noise; ``verdict`` is
-    None when the after-score is unavailable.
-    """
-
-    strategy: str
-    score_before: float
-    score_after: float | None
-    retained_fraction: float | None
-    verdict: DistinguishabilityResult | None
-    mean_deviation_variance: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "score_before": self.score_before,
-            "score_after": self.score_after,
-            "retained_fraction": self.retained_fraction,
-            "distinguishable": (
-                self.verdict.distinguishable if self.verdict is not None else None
-            ),
-            "z_gap": self.verdict.z_gap if self.verdict is not None else None,
-            "mean_deviation_variance": self.mean_deviation_variance,
-        }
-
-
 def _spread(block: np.ndarray) -> np.ndarray:
     return block.max(axis=1) - block.min(axis=1)
 
@@ -141,22 +74,49 @@ def _median(block: np.ndarray) -> np.ndarray:
     return ordered[:, mid] if block.shape[1] % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2
 
 
+def check_denoise(
+    threshold: float | None, max_iterations: int = 25, resampler: str = "median", seed: int = 0
+) -> None:
+    """Reject a de-noise threshold not > 0, fewer than one pass, an unknown resampler or a bad seed.
+
+    A threshold of None stands for de-noising not requested; the other
+    settings are checked all the same.
+    """
+    if threshold is not None and not threshold > 0:
+        raise InputError(f"denoise threshold must be > 0, got {threshold}")
+    if max_iterations < 1:
+        raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
+    if resampler not in ("median", "redraw"):
+        raise InputError(f"unknown resampler {resampler!r}; expected median or redraw")
+    validate_seed(seed)
+
+
 def denoise_preprocess(
     obs: ObservationSet,
     truth: FeedbackDataset | None,
-    cfg: DenoiseConfig,
+    threshold: float,
+    *,
+    max_iterations: int = 25,
+    resampler: str = "median",
+    seed: int = 0,
 ) -> DenoiseResult:
-    """Recursively replace repeated ratings that scatter beyond a threshold.
+    """Recursively replace repeated ratings that scatter beyond ``threshold``.
 
-    Group sizes, keys and trial indices never change, only values. Groups
-    of k trials are treated together as the rows of one (groups x k)
-    matrix, each pass touching only the rows still beyond the threshold.
-    The redraw policy resamples the removed slot from the pair's generating
-    model N(mu, sigma^2) until the draw sits within ``cfg.threshold`` of
-    every retained value; when its attempts run out the slot falls back to
-    the median and the group is flagged.
+    A group is treated while its max pairwise distance exceeds
+    ``threshold``, for at most ``max_iterations`` passes; each pass removes
+    the value farthest from the group median (ties to the lowest trial
+    index) and replaces it per ``resampler``. Group sizes, keys and trial
+    indices never change, only values. Groups of k trials are treated
+    together as the rows of one (groups x k) matrix, each pass touching
+    only the rows still beyond the threshold. ``"median"`` puts the group
+    median in the removed slot. ``"redraw"`` resamples it from the pair's
+    generating model N(mu, sigma^2) in ``truth``, with a generator per
+    group derived from ``seed``, until the draw sits within ``threshold``
+    of every retained value; when its attempts run out the slot falls back
+    to the median and the group is flagged.
     """
-    redraw = cfg.resampler is Resampler.REDRAW_FROM_MODEL
+    check_denoise(threshold, max_iterations, resampler, seed)
+    redraw = resampler == "redraw"
     if redraw:
         if truth is None:
             raise InputError("redraw-from-model resampling needs the generating model")
@@ -168,8 +128,8 @@ def denoise_preprocess(
     for groups, rows in obs.blocks():
         block = values[rows]
         active = np.arange(len(groups))
-        for _ in range(cfg.max_iterations):
-            active = active[_spread(block[active]) > cfg.threshold]
+        for _ in range(max_iterations):
+            active = active[_spread(block[active]) > threshold]
             if not active.size:
                 break
             treated = block[active]
@@ -178,17 +138,19 @@ def denoise_preprocess(
             if redraw:
                 for j, g in enumerate(groups[active].tolist()):
                     if g not in rngs:
-                        rngs[g] = child_rng(cfg.seed, g)
+                        rngs[g] = child_rng(seed, g)
                     retained = np.delete(treated[j], far[j])
                     m = model[g]
-                    draw = _redraw(rngs[g], truth.mu[m], truth.sigma[m], retained, cfg)
+                    draw = _redraw(
+                        rngs[g], truth.mu[m], truth.sigma[m], retained, threshold, max_iterations
+                    )
                     if draw is None:
                         unconverged[g] = True
                     else:
                         med[j] = draw
             block[active, far] = med
         else:
-            active = active[_spread(block[active]) > cfg.threshold]
+            active = active[_spread(block[active]) > threshold]
         unconverged[groups[active]] = True
         values[rows] = block
 
@@ -198,11 +160,11 @@ def denoise_preprocess(
     )
 
 
-def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, cfg: DenoiseConfig):
-    """A draw from N(mu, sigma^2) within the threshold of every retained value."""
-    for _ in range(cfg.max_iterations):
+def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, threshold: float, attempts: int):
+    """A draw from N(mu, sigma^2) within ``threshold`` of every retained value."""
+    for _ in range(attempts):
         draw = float(rng.normal(mu, sigma))
-        if np.all(np.abs(draw - retained) <= cfg.threshold):
+        if np.all(np.abs(draw - retained) <= threshold):
             return draw
     return None
 
@@ -248,7 +210,9 @@ def omit_insignificant(
 
     p = np.ones(len(keys), dtype=float)
     positive = sigma > 0
-    p[positive] = _erfc(np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5))
+    # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc
+    z = np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5)
+    p[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
     p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
 
     retained = p < alpha
@@ -264,16 +228,21 @@ def omit_insignificant(
 
 
 def check_strategy_request(
-    denoise: DenoiseConfig | None,
-    predictor_tau: float | None,
-    omit_alpha: float | None,
+    *,
+    denoise_threshold: float | None = None,
+    denoise_max_iterations: int = 25,
+    denoise_resampler: str = "median",
+    denoise_seed: int = 0,
+    predictor_tau: float | None = None,
+    omit_alpha: float | None = None,
 ) -> None:
-    """Reject a comparison with no strategy, a bad alpha or a bad tau, before any data is read."""
+    """Reject a comparison with no strategy or a bad setting, before any data is read."""
+    check_denoise(denoise_threshold, denoise_max_iterations, denoise_resampler, denoise_seed)
     if omit_alpha is not None:
         check_alpha(omit_alpha)
     if predictor_tau is not None:
         check_tau(predictor_tau)
-    if denoise is None and predictor_tau is None and omit_alpha is None:
+    if denoise_threshold is None and predictor_tau is None and omit_alpha is None:
         raise InputError("no strategy requested")
 
 
@@ -282,27 +251,66 @@ def _expected_rmse(d: np.ndarray, sigma: np.ndarray, tau: float) -> float:
     return float(np.sqrt(np.mean(d * d + sigma * sigma) + tau * tau))
 
 
+def _report(
+    strategy: str,
+    before: float,
+    after: float | None,
+    floor: GaussianDistribution,
+    retained_fraction: float | None = None,
+    mean_deviation_variance: float | None = None,
+) -> dict:
+    """One row of the comparison; the verdict is None when the after-score is."""
+    verdict = None if after is None else distinguishability_test(before, after, floor)
+    return {
+        "strategy": strategy,
+        "score_before": before,
+        "score_after": after,
+        "retained_fraction": retained_fraction,
+        "distinguishable": None if verdict is None else verdict["distinguishable"],
+        "z_gap": None if verdict is None else verdict["z_gap"],
+        "mean_deviation_variance": mean_deviation_variance,
+    }
+
+
 def run_strategy_comparison(
     predictions: PredictionSet,
     *,
     observations: ObservationSet | None = None,
     data: FeedbackDataset | None = None,
-    denoise: DenoiseConfig | None = None,
+    denoise_threshold: float | None = None,
+    denoise_max_iterations: int = 25,
+    denoise_resampler: str = "median",
+    denoise_seed: int = 0,
     predictor_tau: float | None = None,
     omit_alpha: float | None = None,
-) -> list[StrategyReport]:
+) -> list[dict]:
     """Run the requested strategies and score each against the floor test.
 
     ``data`` defaults to a fit of ``observations``. It is the scored dataset
     and, for the de-noising strategy's redraw policy, the generating model
-    the removed ratings are drawn from; de-noising also needs the raw
-    observations. Both fits, of ``observations`` and of the de-noised
-    observations, use the pooled sigma fallback. Before-scores are point
-    RMSE over the dataset's central tendencies, except for predictor noise
-    where before/after are the expected metric at tau = 0 and tau, so that
-    the tau = 0 limit is an exact identity.
+    the removed ratings are drawn from; de-noising, requested by a
+    ``denoise_threshold`` and run by ``denoise_preprocess`` with the other
+    ``denoise_`` settings, also needs the raw observations. Both fits, of
+    ``observations`` and of the de-noised observations, use the pooled
+    sigma fallback. Before-scores are point RMSE over the dataset's central
+    tendencies, except for predictor noise where before/after are the
+    expected metric at tau = 0 and tau, so that the tau = 0 limit is an
+    exact identity.
+
+    Each strategy run gives one dict, in the order denoise, predictor
+    noise, omission, with the keys ``strategy``, ``score_before``,
+    ``score_after``, ``retained_fraction`` (omission only),
+    ``distinguishable``, ``z_gap`` (both None without an after-score) and
+    ``mean_deviation_variance`` (predictor noise only).
     """
-    check_strategy_request(denoise, predictor_tau, omit_alpha)
+    check_strategy_request(
+        denoise_threshold=denoise_threshold,
+        denoise_max_iterations=denoise_max_iterations,
+        denoise_resampler=denoise_resampler,
+        denoise_seed=denoise_seed,
+        predictor_tau=predictor_tau,
+        omit_alpha=omit_alpha,
+    )
     if data is None:
         if observations is None:
             raise InputError("need observations or a fitted dataset")
@@ -311,56 +319,38 @@ def run_strategy_comparison(
     floor = barrier_distribution(data)
     score_point = rmse(predictions, data)
 
-    reports: list[StrategyReport] = []
+    reports: list[dict] = []
 
-    if denoise is not None:
+    if denoise_threshold is not None:
         if observations is None:
             raise InputError("de-noising needs raw repeated-trial observations")
-        result = denoise_preprocess(observations, data, denoise)
-        refit = fit_uncertainty(result.observations)
-        score_after = rmse(predictions, refit)
-        reports.append(
-            StrategyReport(
-                strategy="denoise",
-                score_before=score_point,
-                score_after=score_after,
-                retained_fraction=None,
-                verdict=distinguishability_test(score_point, score_after, floor),
-            )
+        result = denoise_preprocess(
+            observations,
+            data,
+            denoise_threshold,
+            max_iterations=denoise_max_iterations,
+            resampler=denoise_resampler,
+            seed=denoise_seed,
         )
+        refit = fit_uncertainty(result.observations)
+        reports.append(_report("denoise", score_point, rmse(predictions, refit), floor))
 
     if predictor_tau is not None:
         d = data.mu - predictions.aligned(data.keys)
         sigma = data.sigma
         before = _expected_rmse(d, sigma, 0.0)
         after = _expected_rmse(d, sigma, predictor_tau)
+        variance = float(np.mean(sigma * sigma) + predictor_tau**2)
         reports.append(
-            StrategyReport(
-                strategy="predictor_noise",
-                score_before=before,
-                score_after=after,
-                retained_fraction=None,
-                verdict=distinguishability_test(before, after, floor),
-                mean_deviation_variance=float(
-                    np.mean(sigma * sigma) + predictor_tau**2
-                ),
-            )
+            _report("predictor_noise", before, after, floor, mean_deviation_variance=variance)
         )
 
     if omit_alpha is not None:
         result = omit_insignificant(data, predictions, data, omit_alpha)
-        verdict = (
-            distinguishability_test(score_point, result.filtered_rmse, floor)
-            if result.filtered_rmse is not None
-            else None
-        )
         reports.append(
-            StrategyReport(
-                strategy="omission",
-                score_before=score_point,
-                score_after=result.filtered_rmse,
+            _report(
+                "omission", score_point, result.filtered_rmse, floor,
                 retained_fraction=result.retained_fraction,
-                verdict=verdict,
             )
         )
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from uncertain_eval import (
-    DenoiseConfig,
     FeedbackDataset,
     GaussianDistribution,
     McConfig,
@@ -24,7 +23,6 @@ from uncertain_eval import (
     PredictionSet,
     ObservationSet,
     RatingScale,
-    Resampler,
     barrier_distribution,
     denoise_preprocess,
     distinguishability_test,
@@ -112,12 +110,12 @@ def test_criterion_04_distinguishability_equivalence(capsys):
         std = rng.uniform(1e-4, 0.5)
         r = distinguishability_test(s1, s2, barrier_from_std(std))
         coverage_verdict = not (
-            r.ci_low <= s1 <= r.ci_high and r.ci_low <= s2 <= r.ci_high
+            r["ci_low"] <= s1 <= r["ci_high"] and r["ci_low"] <= s2 <= r["ci_high"]
         )
         closed_form_verdict = abs(s1 - s2) > 2 * 1.959964 * std
-        if coverage_verdict != r.distinguishable:
+        if coverage_verdict != r["distinguishable"]:
             mismatches += 1
-        elif closed_form_verdict != r.distinguishable:
+        elif closed_form_verdict != r["distinguishable"]:
             mismatches += 1
     report(
         capsys,
@@ -137,13 +135,13 @@ def test_criterion_05_published_score_reproduction(capsys):
     detail = [f"crossover std={crossover:.9f}"]
     for std in [crossover * (1 + 1e-9), 0.0039032, 0.003904, 0.005, 0.01, 0.05]:
         r = distinguishability_test(s_knn, s_svd, barrier_from_std(std))
-        ok &= not r.distinguishable
-        if r.distinguishable:
+        ok &= not r["distinguishable"]
+        if r["distinguishable"]:
             detail.append(f"unexpected distinguishable at std={std}")
     for std in [crossover * (1 - 1e-9), 0.0039, 0.003, 0.001, 0.0001]:
         r = distinguishability_test(s_knn, s_svd, barrier_from_std(std))
-        ok &= r.distinguishable
-        if not r.distinguishable:
+        ok &= r["distinguishable"]
+        if not r["distinguishable"]:
             detail.append(f"unexpected indistinguishable at std={std}")
     report(capsys, "criterion 5 published-score reproduction", ok, "; ".join(detail))
 
@@ -158,14 +156,14 @@ def test_criterion_06_conservativeness(capsys):
         verdict = distinguishability_test(
             s1, s2, barrier_from_std(math.sqrt(variance))
         )
-        if verdict.distinguishable:
+        if verdict["distinguishable"]:
             distinguishable_count += 1
             low, high = min(s1, s2), max(s1, s2)
             rel = relation_test(
                 GaussianDistribution(low, variance),
                 GaussianDistribution(high, variance),
             )
-            if not rel.holds:
+            if not rel["holds"]:
                 counterexamples += 1
     report(
         capsys,
@@ -237,7 +235,7 @@ def test_criterion_09_denoise_postcondition(capsys):
         trials = [t for vs in groups.values() for t in range(len(vs))]
         ratings = [float(v) for vs in groups.values() for v in vs]
         obs = ObservationSet.from_ids(users, ["i1"] * len(users), trials, ratings)
-        result = denoise_preprocess(obs, None, DenoiseConfig(threshold=threshold))
+        result = denoise_preprocess(obs, None, threshold=threshold)
         out = result.observations
         converged = violations = size_changes = 0
         for name, values in groups.items():

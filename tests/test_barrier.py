@@ -12,7 +12,6 @@ from uncertain_eval import (
     Z_TWO_SIDED_95,
     barrier_distribution,
     confidence_interval,
-    distinguishability_report,
     distinguishability_test,
     relation_test,
 )
@@ -126,12 +125,12 @@ class TestConfidenceInterval:
 class TestDistinguishability:
     def test_equal_scores_always_indistinguishable(self):
         r = distinguishability_test(0.87, 0.87, barrier_from_variance(0.00025))
-        assert not r.distinguishable
-        assert r.z_gap == 0.0
+        assert not r["distinguishable"]
+        assert r["z_gap"] == 0.0
 
     def test_small_gap_indistinguishable(self):
         r = distinguishability_test(0.86, 0.90, barrier_from_variance(0.00025))
-        assert not r.distinguishable
+        assert not r["distinguishable"]
         # gap 0.04 against threshold 2 * 1.959964 * 0.0158114 = 0.061980
         assert 2 * Z_TWO_SIDED_95 * math.sqrt(0.00025) == pytest.approx(
             0.06197950323045615, abs=1e-12
@@ -139,7 +138,7 @@ class TestDistinguishability:
 
     def test_large_gap_distinguishable(self):
         r = distinguishability_test(0.80, 0.90, barrier_from_variance(0.00025))
-        assert r.distinguishable
+        assert r["distinguishable"]
 
     def test_published_knn_svd_scores(self):
         # published scores 0.8647 vs 0.8800; the verdict flips at
@@ -148,15 +147,15 @@ class TestDistinguishability:
         assert crossover == pytest.approx(0.003903, abs=5e-7)
         for std in [crossover * 1.0001, 0.0039032, 0.003904, 0.005, 0.05]:
             r = distinguishability_test(0.8647, 0.8800, barrier_from_variance(std**2))
-            assert not r.distinguishable, f"std={std}"
+            assert not r["distinguishable"], f"std={std}"
         for std in [crossover * 0.9999, 0.0039, 0.003, 0.001]:
             r = distinguishability_test(0.8647, 0.8800, barrier_from_variance(std**2))
-            assert r.distinguishable, f"std={std}"
+            assert r["distinguishable"], f"std={std}"
 
     def test_zero_variance_with_distinct_scores(self):
         r = distinguishability_test(0.5, 0.6, barrier_from_variance(0.0))
-        assert r.distinguishable
-        assert math.isinf(r.z_gap)
+        assert r["distinguishable"]
+        assert math.isinf(r["z_gap"])
 
     def test_verdict_matches_ci_coverage(self):
         rng = np.random.default_rng(99)
@@ -164,8 +163,8 @@ class TestDistinguishability:
             s1, s2 = rng.uniform(0, 2, 2)
             variance = rng.uniform(1e-8, 0.5)
             r = distinguishability_test(s1, s2, barrier_from_variance(variance))
-            covered = r.ci_low <= s1 <= r.ci_high and r.ci_low <= s2 <= r.ci_high
-            assert covered == (not r.distinguishable)
+            covered = r["ci_low"] <= s1 <= r["ci_high"] and r["ci_low"] <= s2 <= r["ci_high"]
+            assert covered == (not r["distinguishable"])
 
     @given(
         st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -178,10 +177,10 @@ class TestDistinguishability:
         b = barrier_from_variance(variance)
         base = distinguishability_test(s1, s2, b)
         assert (
-            distinguishability_test(s1 + c, s2 + c, b).distinguishable
-            == base.distinguishable
+            distinguishability_test(s1 + c, s2 + c, b)["distinguishable"]
+            == base["distinguishable"]
         )
-        assert distinguishability_test(s2, s1, b).distinguishable == base.distinguishable
+        assert distinguishability_test(s2, s1, b)["distinguishable"] == base["distinguishable"]
 
     @given(
         st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -197,13 +196,12 @@ class TestDistinguishability:
         large = distinguishability_test(
             s1, s2, barrier_from_variance(variance * factor)
         )
-        if not small.distinguishable:
-            assert not large.distinguishable
+        if not small["distinguishable"]:
+            assert not large["distinguishable"]
 
     def test_report_keys_and_order(self):
         b = barrier_from_variance(0.00025)
-        r = distinguishability_test(0.86, 0.90, b)
-        report = distinguishability_report(b, r)
+        report = distinguishability_test(0.86, 0.90, b)
         assert list(report) == [
             "s1",
             "s2",
@@ -224,23 +222,23 @@ class TestRelationTest:
         r = relation_test(
             GaussianDistribution(0.9, 0.1), GaussianDistribution(0.9, 0.1)
         )
-        assert r.p_opposite == pytest.approx(0.5, abs=1e-12)
-        assert not r.holds
+        assert r["p_opposite"] == pytest.approx(0.5, abs=1e-12)
+        assert not r["holds"]
 
     def test_ordered_pair_holds(self):
         r = relation_test(
             GaussianDistribution(0.86, 0.00025), GaussianDistribution(0.90, 0.00025)
         )
-        assert r.p_opposite == pytest.approx(0.0368191350601512, abs=1e-9)
-        assert r.p_opposite == pytest.approx(0.036819, abs=1e-6)
-        assert r.holds
+        assert r["p_opposite"] == pytest.approx(0.0368191350601512, abs=1e-9)
+        assert r["p_opposite"] == pytest.approx(0.036819, abs=1e-6)
+        assert r["holds"]
 
     def test_reversed_pair_fails(self):
         r = relation_test(
             GaussianDistribution(0.90, 0.00025), GaussianDistribution(0.86, 0.00025)
         )
-        assert r.p_opposite == pytest.approx(0.9631808649398488, abs=1e-9)
-        assert not r.holds
+        assert r["p_opposite"] == pytest.approx(0.9631808649398488, abs=1e-9)
+        assert not r["holds"]
 
     # scipy.stats.norm.cdf(z), down to the far left tail
     @pytest.mark.parametrize(
@@ -258,16 +256,16 @@ class TestRelationTest:
         r = relation_test(
             GaussianDistribution(z, 0.5), GaussianDistribution(0.0, 0.5)
         )
-        assert r.p_opposite == pytest.approx(p, rel=1e-14, abs=0)
+        assert r["p_opposite"] == pytest.approx(p, rel=1e-14, abs=0)
 
     def test_degenerate_pairs(self):
         point = GaussianDistribution(0.5, 0.0)
         same = relation_test(point, point)
-        assert same.p_opposite == 0.5 and not same.holds
+        assert same["p_opposite"] == 0.5 and not same["holds"]
         below = relation_test(GaussianDistribution(0.4, 0.0), point)
-        assert below.p_opposite == 0.0 and below.holds
+        assert below["p_opposite"] == 0.0 and below["holds"]
         above = relation_test(GaussianDistribution(0.6, 0.0), point)
-        assert above.p_opposite == 1.0 and not above.holds
+        assert above["p_opposite"] == 1.0 and not above["holds"]
 
     @given(
         st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -277,9 +275,9 @@ class TestRelationTest:
     @settings(max_examples=300)
     def test_distinguishable_implies_relation_holds(self, s1, s2, variance):
         verdict = distinguishability_test(s1, s2, barrier_from_variance(variance))
-        if verdict.distinguishable:
+        if verdict["distinguishable"]:
             low, high = min(s1, s2), max(s1, s2)
             assert relation_test(
                 GaussianDistribution(low, variance),
                 GaussianDistribution(high, variance),
-            ).holds
+            )["holds"]

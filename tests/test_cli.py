@@ -19,6 +19,7 @@ from uncertain_eval import (
     PopulationSpec,
     PredictionSet,
     RatingScale,
+    denoise_preprocess,
     fit_uncertainty,
     predictor_noise_deviation,
 )
@@ -1053,7 +1054,7 @@ class TestMalformedInput:
 
     @staticmethod
     def _encode(text, tokeniser):
-        """``text`` as the plain tokeniser reads it, or quoted or with CRLF for csv.reader."""
+        """``text`` as written, quoted for csv.reader, or with CRLF line ends."""
         if tokeniser == "quoted":
             return "\n".join(
                 ",".join(f'"{f}"' for f in line.split(",")) if line else line
@@ -1090,6 +1091,9 @@ class TestMalformedInput:
         (["strategies", "--feedback", "{feedback}", "--pred", "{pred}", "--denoise-threshold",
           "1"],
          "de-noising needs raw repeated-trial observations"),
+        (["strategies", "--obs", "{obs}", "--pred", "{pred}", "--tau", "1",
+          "--denoise-resampler", "mean"],
+         "unknown resampler 'mean'; expected median or redraw"),
         (["distinguish", "--feedback", "{feedback}", "--s1", "nan", "--s2", "1"],
          "scores must be finite, got s1=nan, s2=1.0"),
     ]
@@ -1159,6 +1163,12 @@ class TestMalformedInput:
 
 IDS = (["u"], ["i"])
 
+
+def _denoise(threshold=1.0, **settings):
+    """``denoise_preprocess`` of one observation with the given settings."""
+    return denoise_preprocess(ObservationSet.from_ids(*IDS, [0], [3.0]), None, threshold, **settings)
+
+
 # Each value rule: (library call, CLI command, input file header, input file row).
 VALUE_RULES = {
     "negative trial": (
@@ -1184,7 +1194,28 @@ VALUE_RULES = {
     ),
     "tau of strategies": (
         lambda: predictor_noise_deviation(3.0, 0.5, 3.0, -1.0),
-        "strategies", FEEDBACK_HEADER, "u,i,3.0,0.5",
+        "strategies --tau -1", FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+    "denoise threshold 0": (
+        lambda: _denoise(0.0), "strategies --denoise-threshold 0", FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+    "denoise threshold nan": (
+        lambda: _denoise(math.nan),
+        "strategies --denoise-threshold nan", FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+    "denoise max iterations": (
+        lambda: _denoise(max_iterations=0),
+        "strategies --denoise-threshold 1 --denoise-max-iterations 0",
+        FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+    "denoise resampler": (
+        lambda: _denoise(resampler="mean"),
+        "strategies --denoise-threshold 1 --denoise-resampler mean",
+        FEEDBACK_HEADER, "u,i,3.0,0.5",
+    ),
+    "denoise seed": (
+        lambda: _denoise(seed=-1),
+        "strategies --denoise-threshold 1 --denoise-seed -1", FEEDBACK_HEADER, "u,i,3.0,0.5",
     ),
     "fixed fallback": (
         lambda: fit_uncertainty(ObservationSet.from_ids(*IDS, [0], [3.0]), -1.0),
@@ -1210,7 +1241,7 @@ class TestOneMessagePerRule:
             "fit": ["--obs", str(data), "--out", str(tmp_path / "out.csv")],
             "distinguish": ["--feedback", str(data), "--s1", "1", "--s2", "2"],
             "rmse-dist": ["--feedback", str(data), "--pred", str(pred), "--tau", "-1"],
-            "strategies": ["--feedback", str(data), "--pred", str(pred), "--tau", "-1"],
+            "strategies": ["--feedback", str(data), "--pred", str(pred)],
         }[command]
         code, _, stderr = run_cli(capsys, command, *argv, *options)
         assert code == 2

@@ -15,11 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncertain_eval import (
-    DenoiseConfig,
     FeedbackDataset,
     FeedbackKey,
     ObservationSet,
-    Resampler,
     UnavailableError,
     denoise_preprocess,
     fit_uncertainty,
@@ -198,8 +196,8 @@ class TestMedianRuleMatchesReference:
     )
     @settings(max_examples=150)
     def test_values_and_unconverged_keys(self, groups, threshold, iterations, rnd):
-        cfg = DenoiseConfig(threshold=threshold, max_iterations=iterations)
-        result = denoise_preprocess(shuffled_set(groups, rnd), None, cfg)
+        cfg = dict(threshold=threshold, max_iterations=iterations)
+        result = denoise_preprocess(shuffled_set(groups, rnd), None, **cfg)
         values, unconverged = reference_median_rule(groups, threshold, iterations)
         got = denoised_values(result)
         assert list(got) == list(values)
@@ -210,8 +208,8 @@ class TestMedianRuleMatchesReference:
         # even size: the median is 5.0, and 1.0 and 9.0 tie at distance 4;
         # the lower trial goes, and one pass leaves the group too wide
         groups = {FeedbackKey("u", "i"): [(0, 1.0), (1, 9.0), (2, 4.0), (3, 6.0)]}
-        cfg = DenoiseConfig(threshold=1.0, max_iterations=1)
-        result = denoise_preprocess(shuffled_set(groups, random.Random(1)), None, cfg)
+        cfg = dict(threshold=1.0, max_iterations=1)
+        result = denoise_preprocess(shuffled_set(groups, random.Random(1)), None, **cfg)
         assert denoised_values(result) == {FeedbackKey("u", "i"): [5.0, 9.0, 4.0, 6.0]}
         assert unconverged_keys(result) == {FeedbackKey("u", "i")}
 
@@ -227,13 +225,13 @@ class TestRedrawMatchesReference:
     def test_same_draws_for_fixed_seed(self, groups, seed, iterations, rnd):
         model = {key: (3.0, 0.3 + 0.1 * i) for i, key in enumerate(sorted(groups))}
         truth = model_set(model)
-        cfg = DenoiseConfig(
+        cfg = dict(
             threshold=1.0,
             max_iterations=iterations,
-            resampler=Resampler.REDRAW_FROM_MODEL,
+            resampler="redraw",
             seed=seed,
         )
-        result = denoise_preprocess(shuffled_set(groups, rnd), truth, cfg)
+        result = denoise_preprocess(shuffled_set(groups, rnd), truth, **cfg)
         values, unconverged = reference_redraw(groups, model, 1.0, iterations, seed)
         got = denoised_values(result)
         assert {k: hexes(v) for k, v in got.items()} == {k: hexes(v) for k, v in values.items()}
@@ -251,10 +249,10 @@ class TestRedrawMatchesReference:
         rows = [(u, "i1", t, v) for u, vs in groups.items() for t, v in enumerate(vs)]
         obs = ObservationSet.from_ids(*zip(*rows))
         truth = model_set({FeedbackKey(u, "i1"): ms for u, ms in model.items()})
-        cfg = DenoiseConfig(
-            threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=11, max_iterations=6
+        cfg = dict(
+            threshold=1.5, resampler="redraw", seed=11, max_iterations=6
         )
-        result = denoise_preprocess(obs, truth, cfg)
+        result = denoise_preprocess(obs, truth, **cfg)
         assert {k.user_id: v for k, v in denoised_values(result).items()} == {
             "u1": [3.2458679345174057, 2.4766405576076815, 3.0, 2.5],
             "u2": [3.0, 2.3478847538608787, 3.0],

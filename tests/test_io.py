@@ -307,8 +307,8 @@ def test_tokenisers_agree(pairs, data, chunk_chars, chunk_rows):
         for read, header, columns, rows in files:
             loaded = {}
             for name, text in _encodings(header, rows).items():
-                # each encoding must take its own tokeniser
-                other = "_csv_pieces" if name == "plain" else "_split_pieces"
+                # quoted text takes csv.reader, plain and CRLF text the bytes
+                other = "_split_pieces" if name == "quoted" else "_csv_pieces"
                 with mock.patch.object(io, other, side_effect=AssertionError(other)):
                     loaded[name] = _read(read, text)
             plain = loaded.pop("plain")
@@ -528,7 +528,7 @@ def _read_encodings(tmp_path, read, header: str, rows: list[list[str]], columns)
     """``read`` of the plain text of ``rows``, checked against its quoted and CRLF texts."""
     loaded = {}
     for name, text in _encodings(header, rows).items():
-        other = "_csv_pieces" if name == "plain" else "_split_pieces"
+        other = "_split_pieces" if name == "quoted" else "_csv_pieces"
         path = tmp_path / f"{name}.csv"
         path.write_text(text, encoding="utf-8", newline="")
         with mock.patch.object(io, other, side_effect=AssertionError(other)):
@@ -586,7 +586,8 @@ def test_fields_of_8_bytes_are_keyed_and_of_9_split(tmp_path, size):
     with mock.patch.object(io, "_keyed", wraps=io._keyed) as keyed:
         obs = _read_encodings(tmp_path, read_observations, "user_id,item_id,trial,rating", rows,
                               OBSERVATION_COLUMNS)
-    assert keyed.call_count == (4 if size == 8 else 0)
+    # four columns keyed in the plain text and four in the CRLF text
+    assert keyed.call_count == (8 if size == 8 else 0)
     assert _keys(obs) == ([row[0] for row in rows], [row[1] for row in rows])
     assert obs.trial.tolist() == [int(row[2]) for row in rows]
     assert obs.value.tolist() == [float(row[3]) for row in rows]
@@ -713,7 +714,7 @@ def test_bad_number_in_a_keyed_column_names_its_line(tmp_path, chunk_chars, colu
                 mock.patch.object(io, "_keyed", wraps=io._keyed) as keyed:
             with pytest.raises(InputError) as raised:
                 read_observations(path)
-        assert keyed.called == (name == "plain")
+        assert keyed.called == (name != "quoted")
         messages.append(str(raised.value).replace(str(path), "PATH"))
     assert messages == [f"PATH:4: bad {column} value {text!r}"] * 3
 
@@ -737,3 +738,101 @@ def test_tables_and_orders_match_the_sorted_reference(pairs, repeats, spacing, r
     obs = ObservationSet.from_columns(keys, pair, trials, np.arange(len(rows), dtype=float))
     order = sorted(range(len(rows)), key=lambda r: (pair[r], trials[r]))
     assert obs.value.tolist() == order
+
+
+# Each reader, its header, the kinds of its number columns and the data set
+# its rows build, for the mutation fuzz below.
+FUZZ_FORMATS = [
+    (read_observations, ["user_id", "item_id", "trial", "rating"], (int, float), ObservationSet,
+     ("pair", "trial", "value")),
+    (read_feedback, ["user_id", "item_id", "mu", "sigma"], (float, float), FeedbackDataset,
+     ("mu", "sigma")),
+    (read_predictions, ["user_id", "item_id", "prediction"], (float,), PredictionSet,
+     ("values",)),
+]
+FUZZ_BYTES = [b",", b'"', b"\r", b"\n", b"\0", "é".encode()]
+
+
+def _csv_reference(text: str, header, kinds, dataset):
+    """The data set of ``text`` as ``csv.reader`` splits it, or None where a row is bad."""
+    try:
+        got, *rows = csv.reader(StringIO(text, newline=""))
+    except (csv.Error, ValueError):
+        return None
+    if sorted(got) != sorted(header) or not rows:
+        return None
+    index = [got.index(column) for column in header]
+    if any(len(row) != len(header) for row in rows):
+        return None
+    try:
+        columns = [[kind(row[j]) for row in rows] for j, kind in zip(index, (str, str, *kinds))]
+        return dataset.from_ids(*columns)
+    except (InputError, ValueError):
+        return None
+
+
+def _mutated(data: bytes, rng: np.random.Generator) -> bytes:
+    """``data`` with one to three bytes inserted, deleted or replaced."""
+    for _ in range(int(rng.integers(1, 4))):
+        at = int(rng.integers(0, len(data) + 1))
+        new = FUZZ_BYTES[int(rng.integers(len(FUZZ_BYTES)))]
+        action = int(rng.integers(3))
+        if action == 0:
+            data = data[:at] + new + data[at:]
+        elif action == 1:
+            data = data[:at] + data[at + 1 :]
+        else:
+            data = data[:at] + new + data[at + 1 :]
+    return data
+
+
+@pytest.mark.parametrize("chunk_chars", [16, 1 << 18])
+@pytest.mark.parametrize("encoding", ["plain", "crlf", "quoted"])
+def test_mutated_files_fail_or_read_like_csv_reader(tmp_path, encoding, chunk_chars):
+    # a reader raises InputError exactly when the reference finds a bad row,
+    # and otherwise reads what the reference reads
+    rng = np.random.default_rng(["plain", "crlf", "quoted"].index(encoding) + chunk_chars)
+    path = tmp_path / "data.csv"
+    outcomes = []
+    for read, header, kinds, dataset, columns in FUZZ_FORMATS:
+        for _ in range(150):
+            order = rng.permutation(len(header)).tolist()
+            rows = []
+            for n in range(int(rng.integers(1, 6))):
+                numbers = [str(int(rng.integers(9))) if kind is int
+                           else repr(int(rng.integers(50)) / 8) for kind in kinds]
+                row = [f"u{rng.integers(3)}", f"i{n}é"[: int(rng.integers(2, 4))], *numbers]
+                rows.append([row[j] for j in order])
+            text = _encodings(",".join(header[j] for j in order), rows)[encoding]
+            data = _mutated(text.encode(), rng)
+            path.write_bytes(data)
+            try:
+                text = data.decode()
+            except UnicodeDecodeError:
+                with pytest.raises(InputError, match="cannot read"):
+                    read(path)
+                continue
+            expected = _csv_reference(text, header, kinds, dataset)
+            with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
+                try:
+                    loaded = read(path)
+                except InputError:
+                    loaded = None
+            outcomes.append(loaded is None)
+            assert (loaded is None) == (expected is None), data
+            if loaded is not None:
+                assert _keys(loaded) == _keys(expected), data
+                for column in columns:
+                    a, b = getattr(loaded, column), getattr(expected, column)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), data
+    # the mutations leave some files readable and break many others
+    assert outcomes.count(False) >= 20 and outcomes.count(True) >= 20
+
+
+@pytest.mark.parametrize("chunk_chars", range(1, 24))
+def test_blank_last_line_is_a_bad_row_wherever_a_piece_ends(tmp_path, chunk_chars):
+    path = tmp_path / "pred.csv"
+    path.write_text("user_id,item_id,prediction\nu,i0,0.75\nu,i,4.125\n\n", encoding="utf-8")
+    with mock.patch.object(io, "_CHUNK_CHARS", chunk_chars):
+        with pytest.raises(InputError, match=r":4: row has too few fields$"):
+            read_predictions(path)

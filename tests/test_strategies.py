@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uncertain_eval import (
-    DenoiseConfig,
     FeedbackDataset,
     InputError,
     KeyTable,
     ObservationSet,
     PredictionSet,
-    Resampler,
     denoise_preprocess,
     omit_insignificant,
     predictor_noise_deviation,
@@ -51,62 +50,62 @@ def group_values(result, name: str) -> list[float]:
 class TestDenoise:
     def test_within_threshold_untouched(self):
         obs = obs_from_groups({"u": [3.0, 3.2]})
-        result = denoise_preprocess(obs, None, DenoiseConfig(threshold=1.0))
+        result = denoise_preprocess(obs, None, threshold=1.0)
         assert group_values(result, "u") == [3.0, 3.2]
         assert not len(result.unconverged_keys)
 
     def test_collapses_to_median_in_two_passes(self):
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
-        result = denoise_preprocess(obs, None, DenoiseConfig(threshold=1.0))
+        result = denoise_preprocess(obs, None, threshold=1.0)
         assert group_values(result, "u") == [3.0, 3.0, 3.0]
         assert not len(result.unconverged_keys)
 
     def test_single_pass_replacement(self):
         obs = obs_from_groups({"u": [2.0, 2.0, 2.0, 5.0]})
-        result = denoise_preprocess(obs, None, DenoiseConfig(threshold=2.0))
+        result = denoise_preprocess(obs, None, threshold=2.0)
         assert group_values(result, "u") == [2.0, 2.0, 2.0, 2.0]
 
     def test_tie_removes_lowest_trial_first(self):
         # both 1 and 5 sit two units from the median; the earlier trial goes
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
         result = denoise_preprocess(
-            obs, None, DenoiseConfig(threshold=10.0, max_iterations=1)
+            obs, None, threshold=10.0, max_iterations=1
         )
         assert group_values(result, "u") == [1.0, 5.0, 3.0]  # within threshold
         result = denoise_preprocess(
-            obs, None, DenoiseConfig(threshold=3.9, max_iterations=1)
+            obs, None, threshold=3.9, max_iterations=1
         )
         assert group_values(result, "u") == [3.0, 5.0, 3.0]
 
-    @pytest.mark.parametrize("resampler", list(Resampler))
+    @pytest.mark.parametrize("resampler", ["median", "redraw"])
     def test_key_without_rows_is_left_alone(self, resampler):
         # a key table may hold a pair the observations never saw
         keys, _ = KeyTable.intern(["u", "v"], ["i1", "i1"])
         obs = ObservationSet.from_columns(keys, [0, 0, 0], [0, 1, 2], [3.0, 5.0, 3.2])
         truth = dataset([("u", 3.0, 0.0), ("v", 3.0, 0.0)])
-        cfg = DenoiseConfig(threshold=1.0, resampler=resampler)
-        result = denoise_preprocess(obs, truth, cfg)
+        cfg = dict(threshold=1.0, resampler=resampler)
+        result = denoise_preprocess(obs, truth, **cfg)
         assert result.observations.counts().tolist() == [3, 0]
         # the median rule puts 3.2 in place of the outlier, a redraw 3.0
-        replaced = 3.2 if resampler is Resampler.REPLACE_WITH_MEDIAN else 3.0
+        replaced = 3.2 if resampler == "median" else 3.0
         assert group_values(result, "u") == [3.0, replaced, 3.2]
         assert not len(result.unconverged_keys)
 
     def test_redraw_requires_model(self):
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
-        cfg = DenoiseConfig(threshold=1.0, resampler=Resampler.REDRAW_FROM_MODEL)
+        cfg = dict(threshold=1.0, resampler="redraw")
         with pytest.raises(InputError):
-            denoise_preprocess(obs, None, cfg)
+            denoise_preprocess(obs, None, **cfg)
 
     def test_redraw_converges_with_matching_model(self):
         # removing the outlier leaves [2.0, 3.0]; a draw from N(3, 0.5^2)
         # lands within 1.5 of both with high probability, so no fallback
         truth = dataset([("u", 3.0, 0.5)])
         obs = obs_from_groups({"u": [2.0, 4.4, 3.0]})
-        cfg = DenoiseConfig(
-            threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=7
+        cfg = dict(
+            threshold=1.5, resampler="redraw", seed=7
         )
-        result = denoise_preprocess(obs, truth, cfg)
+        result = denoise_preprocess(obs, truth, **cfg)
         values = group_values(result, "u")
         assert max(values) - min(values) <= 1.5
         assert values[0] == 2.0 and values[2] == 3.0  # only the outlier moved
@@ -118,10 +117,10 @@ class TestDenoise:
         # both, so the redraw falls back to the median and flags the group
         truth = dataset([("u", 3.0, 0.2)])
         obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
-        cfg = DenoiseConfig(
-            threshold=1.0, resampler=Resampler.REDRAW_FROM_MODEL, seed=7
+        cfg = dict(
+            threshold=1.0, resampler="redraw", seed=7
         )
-        result = denoise_preprocess(obs, truth, cfg)
+        result = denoise_preprocess(obs, truth, **cfg)
         values = group_values(result, "u")
         assert position(result.observations.keys, "u") in result.unconverged_keys
         assert max(values) - min(values) <= 1.0
@@ -129,24 +128,24 @@ class TestDenoise:
     def test_redraw_deterministic(self):
         truth = dataset([("u", 3.0, 0.5)])
         obs = obs_from_groups({"u": [0.0, 6.0, 3.0]})
-        cfg = DenoiseConfig(
-            threshold=1.5, resampler=Resampler.REDRAW_FROM_MODEL, seed=11
+        cfg = dict(
+            threshold=1.5, resampler="redraw", seed=11
         )
-        a = denoise_preprocess(obs, truth, cfg)
-        b = denoise_preprocess(obs, truth, cfg)
+        a = denoise_preprocess(obs, truth, **cfg)
+        b = denoise_preprocess(obs, truth, **cfg)
         assert group_values(a, "u") == group_values(b, "u")
 
     def test_impossible_redraw_falls_back_and_flags(self):
         # model far from the data: accepted draws are effectively impossible
         truth = dataset([("u", 500.0, 0.01)])
         obs = obs_from_groups({"u": [1.0, 9.0, 5.0]})
-        cfg = DenoiseConfig(
+        cfg = dict(
             threshold=1.0,
-            resampler=Resampler.REDRAW_FROM_MODEL,
+            resampler="redraw",
             max_iterations=5,
             seed=3,
         )
-        result = denoise_preprocess(obs, truth, cfg)
+        result = denoise_preprocess(obs, truth, **cfg)
         assert position(result.observations.keys, "u") in result.unconverged_keys
         assert len(result.observations) == 3
 
@@ -166,7 +165,7 @@ class TestDenoise:
     @settings(max_examples=100)
     def test_postconditions(self, groups, threshold):
         obs = obs_from_groups(groups)
-        result = denoise_preprocess(obs, None, DenoiseConfig(threshold=threshold))
+        result = denoise_preprocess(obs, None, threshold=threshold)
         after = result.observations
         assert len(after) == len(obs)
         assert after.keys.users.tolist() == obs.keys.users.tolist()
@@ -320,11 +319,11 @@ class TestStrategyComparison:
         (report,) = run_strategy_comparison(
             predictions,
             observations=obs,
-            denoise=DenoiseConfig(threshold=math.inf),
+            denoise_threshold=math.inf,
         )
-        assert report.strategy == "denoise"
-        assert report.score_after == report.score_before
-        assert not report.verdict.distinguishable
+        assert report["strategy"] == "denoise"
+        assert report["score_after"] == report["score_before"]
+        assert not report["distinguishable"]
 
     def test_zero_sigma_dataset_distinct_scores_distinguishable(self):
         data = dataset([("a", 2.0, 0.0), ("b", 4.0, 0.0)])
@@ -332,18 +331,18 @@ class TestStrategyComparison:
         (report,) = run_strategy_comparison(
             predictions, data=data, predictor_tau=1.0
         )
-        assert report.strategy == "predictor_noise"
-        assert report.score_before == 0.0
-        assert report.score_after == pytest.approx(1.0, abs=1e-12)
-        assert report.verdict.distinguishable
-        assert report.mean_deviation_variance == pytest.approx(1.0, abs=1e-12)
+        assert report["strategy"] == "predictor_noise"
+        assert report["score_before"] == 0.0
+        assert report["score_after"] == pytest.approx(1.0, abs=1e-12)
+        assert report["distinguishable"]
+        assert report["mean_deviation_variance"] == pytest.approx(1.0, abs=1e-12)
 
     def test_predictor_noise_tau_zero_is_identity(self):
         data = dataset([("a", 2.0, 0.4), ("b", 4.0, 0.8)])
         predictions = predictions_of({"a": 2.0 + 0.1, "b": 4.0 + 0.1})
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=0.0)
-        assert report.score_after == report.score_before
-        assert not report.verdict.distinguishable
+        assert report["score_after"] == report["score_before"]
+        assert not report["distinguishable"]
 
     def test_small_denoise_gap_stays_inside_floor(self):
         # spread-heavy dataset: the de-noised score moves, but far less than
@@ -359,10 +358,10 @@ class TestStrategyComparison:
         (report,) = run_strategy_comparison(
             predictions_of(predictions),
             observations=obs,
-            denoise=DenoiseConfig(threshold=2.5),
+            denoise_threshold=2.5,
         )
-        assert report.score_after != report.score_before
-        assert not report.verdict.distinguishable
+        assert report["score_after"] != report["score_before"]
+        assert not report["distinguishable"]
 
     def test_omission_report_carries_fraction(self):
         rng = np.random.default_rng(12)
@@ -372,9 +371,9 @@ class TestStrategyComparison:
         (report,) = run_strategy_comparison(
             predictions, data=data, omit_alpha=0.05
         )
-        assert report.strategy == "omission"
-        assert 0.0 <= report.retained_fraction <= 1.0
-        assert report.score_after is None or report.score_after >= 0.0
+        assert report["strategy"] == "omission"
+        assert 0.0 <= report["retained_fraction"] <= 1.0
+        assert report["score_after"] is None or report["score_after"] >= 0.0
 
     def test_all_strategies_in_order(self):
         obs = obs_from_groups({"a": [2.0, 2.5, 2.1], "b": [4.0, 3.4, 3.8]})
@@ -382,11 +381,11 @@ class TestStrategyComparison:
         reports = run_strategy_comparison(
             predictions,
             observations=obs,
-            denoise=DenoiseConfig(threshold=1.0),
+            denoise_threshold=1.0,
             predictor_tau=1.0,
             omit_alpha=0.05,
         )
-        assert [r.strategy for r in reports] == [
+        assert [r["strategy"] for r in reports] == [
             "denoise",
             "predictor_noise",
             "omission",
@@ -408,16 +407,30 @@ class TestStrategyComparison:
             run_strategy_comparison(
                 predictions,
                 observations=obs,
-                denoise=DenoiseConfig(threshold=1.0),
+                denoise_threshold=1.0,
                 predictor_tau=-1.0,
             )
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"denoise_max_iterations": 0}, "max_iterations must be >= 1, got 0"),
+        ({"denoise_resampler": "mean"}, "unknown resampler 'mean'; expected median or redraw"),
+        ({"denoise_seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+    ])
+    def test_bad_denoise_setting_rejected_without_a_threshold(self, monkeypatch, setting, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before checking the de-noise settings")
+
+        monkeypatch.setattr("uncertain_eval.strategies.fit_uncertainty", no_fit)
+        obs = obs_from_groups({"a": [2.0, 2.4], "b": [4.0, 3.6]})
+        predictions = predictions_of({"a": 2.0, "b": 4.0})
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            run_strategy_comparison(predictions, observations=obs, predictor_tau=1.0, **setting)
 
     def test_report_json_schema(self):
         data = dataset([("a", 2.0, 0.5)])
         predictions = predictions_of({"a": 2.0})
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=1.0)
-        payload = report.to_json_dict()
-        assert list(payload) == [
+        assert list(report) == [
             "strategy",
             "score_before",
             "score_after",
