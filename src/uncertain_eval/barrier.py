@@ -77,9 +77,16 @@ def barrier_distribution(data: FeedbackDataset) -> GaussianDistribution:
     """
     sigmas = data.sigma
     n = data.N
-    sum_sq = float(np.sum(sigmas**2))
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.sum(sigmas**2))
+        sum_fourth = float(np.sum(sigmas**4))
+    # a finite sum of fourth powers bounds the sum of squares and the result
+    if not math.isfinite(sum_fourth):
+        raise InputError(
+            f"sigma {float(sigmas.max())} is too large: the noise floor overflows float64"
+        )
     mean = math.sqrt(sum_sq / n)
-    variance = (float(np.sum(sigmas**4)) / sum_sq) / (2.0 * n) if sum_sq > 0 else 0.0
+    variance = (sum_fourth / sum_sq) / (2.0 * n) if sum_sq > 0 else 0.0
     return GaussianDistribution(mean=mean, variance=variance)
 
 

@@ -66,6 +66,22 @@ def _ranked(names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return interner.ranked(interner.codes(names))
 
 
+def _group(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` of codes in [0, ``size``).
+
+    A table of at most 4 cells per code is marked cell by cell, in linear
+    time; a sparser one is sorted.
+    """
+    if size > 4 * len(codes):
+        return np.unique(codes, return_inverse=True)
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    distinct = np.flatnonzero(present)
+    position = np.empty(size, dtype=np.intp)
+    position[distinct] = np.arange(len(distinct))
+    return distinct, position[codes]
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class KeyTable:
     """The distinct (user, item) pairs of a data set, in canonical order.
@@ -87,23 +103,11 @@ class KeyTable:
     def from_codes(
         cls, users: tuple[np.ndarray, np.ndarray], items: tuple[np.ndarray, np.ndarray]
     ) -> tuple["KeyTable", np.ndarray]:
-        """``intern`` of rows given as ``Interner.ranked`` users and items.
-
-        A grid of at most 4 cells per row is marked cell by cell, in linear
-        time; a sparser one is sorted.
-        """
+        """``intern`` of rows given as ``Interner.ranked`` users and items."""
         (user_names, user_codes), (item_names, item_codes) = users, items
         width = max(len(item_names), 1)
         cells = user_codes * width + item_codes
-        if len(user_names) * width <= 4 * len(cells):
-            present = np.zeros(len(user_names) * width, dtype=bool)
-            present[cells] = True
-            pair_codes = np.flatnonzero(present)
-            position = np.empty(len(present), dtype=np.intp)
-            position[pair_codes] = np.arange(len(pair_codes))
-            pair = position[cells]
-        else:
-            pair_codes, pair = np.unique(cells, return_inverse=True)
+        pair_codes, pair = _group(cells, len(user_names) * width)
         table = cls(user_names[pair_codes // width], item_names[pair_codes % width])
         return table, pair
 
@@ -198,37 +202,6 @@ def _fits_int64(trial) -> bool:
     return kind == "i"
 
 
-def _slot_order(pair: np.ndarray, trial: np.ndarray) -> np.ndarray | None:
-    """Row order by (pair, trial), or None when the rows are already in it.
-
-    Rows are ordered by one int64 slot key, ``pair * (max trial + 1) +
-    trial``: placed slot by slot, in linear time, when there are at most 4
-    slots per row, else sorted. A repeated slot, or a key that would
-    overflow, takes the stable ``lexsort`` instead, which keeps the rows of
-    a slot in input order.
-    """
-    if not len(pair):
-        return None
-    width = int(trial.max()) + 1
-    slots = (int(pair.max()) + 1) * width
-    if slots < 2**63:
-        slot = pair * width + trial
-        if (slot[1:] > slot[:-1]).all():
-            return None
-        if slots <= 4 * len(slot):
-            row = np.full(slots, -1, dtype=np.intp)
-            row[slot] = np.arange(len(slot))
-            order = row[row >= 0]
-            if len(order) == len(slot):
-                return order
-        else:
-            order = np.argsort(slot)
-            slot = slot[order]
-            if (slot[1:] > slot[:-1]).all():
-                return order
-    return np.lexsort((trial, pair))
-
-
 def check_observation(trial: int, value: float) -> None:
     """Reject the trial and value of one observation row unless both are legal."""
     # trials are stored as 64-bit integers
@@ -264,24 +237,34 @@ class ObservationSet(_Columnar):
             i = int(np.argmax(bad))
             check_observation(int(trial[i]), float(value[i]))
         pair = _pair_positions(keys, pair)
-        order = _slot_order(pair, trial)
-        if order is None:
+        # rows are ordered by one slot key, pair * (max trial + 1) + trial
+        width = int(trial.max()) + 1 if len(trial) else 1
+        size = (int(pair.max()) + 1 if len(pair) else 0) * width
+        slot = pair * width + trial if size < 2**63 else None
+        if slot is not None and (slot[1:] > slot[:-1]).all():
             # copies, so that freezing them leaves the caller's arrays writeable
-            sorted_pair, sorted_trial, sorted_value = pair.copy(), trial.copy(), value.copy()
+            columns = pair.copy(), trial.copy(), value.copy()
         else:
-            sorted_pair, sorted_trial, sorted_value = pair[order], trial[order], value[order]
-            repeats = (sorted_pair[1:] == sorted_pair[:-1]) & (sorted_trial[1:] == sorted_trial[:-1])
-            if repeats.any():
-                # the stable sort keeps the first occurrence of each slot first
-                i = int(order[1:][repeats].min())
-                raise InputError(
-                    f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
-                    f"trial {trial[i]}"
-                )
+            distinct, rank = _group(slot, size) if slot is not None else ((), None)
+            if len(distinct) == len(pair):
+                # one row per slot: the sorted slots hold each row's pair and trial
+                columns = distinct // width, distinct % width, _scatter(rank, value, len(value))
+            else:
+                # a repeated slot, or a key that would overflow: the stable
+                # sort keeps the rows of a slot in input order
+                order = np.lexsort((trial, pair))
+                by_pair, by_trial = pair[order], trial[order]
+                repeats = (by_pair[1:] == by_pair[:-1]) & (by_trial[1:] == by_trial[:-1])
+                if repeats.any():
+                    # the first occurrence of each slot comes first
+                    i = int(order[1:][repeats].min())
+                    raise InputError(
+                        f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
+                        f"trial {trial[i]}"
+                    )
+                columns = pair[order], trial[order], value[order]
         self.keys = keys
-        self.pair = _frozen(sorted_pair)
-        self.trial = _frozen(sorted_trial)
-        self.value = _frozen(sorted_value)
+        self.pair, self.trial, self.value = map(_frozen, columns)
 
     def __len__(self) -> int:
         return len(self.value)

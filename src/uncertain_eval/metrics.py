@@ -48,9 +48,11 @@ MAX_THREADS = 256
 
 
 def check_tau(tau: float) -> None:
-    """Reject a prediction noise deviation that is negative or not finite."""
+    """Reject a prediction noise deviation that is negative or not finite, or whose square is not."""
     if not (math.isfinite(tau) and tau >= 0):
         raise InputError(f"tau must be finite and >= 0, got {tau}")
+    if not math.isfinite(tau * tau):
+        raise InputError(f"tau squared must be finite, got tau = {tau}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +185,9 @@ def rmse_distribution(
     ]
 
     def run(i: int) -> np.ndarray:
-        return _sample_chunk(i, sizes[i], base, scale, cfg.seed)
+        # a deviation too large to square gives an infinite sample, rejected below
+        with np.errstate(over="ignore"):
+            return _sample_chunk(i, sizes[i], base, scale, cfg.seed)
 
     workers = min(resolve_thread_count(), n_chunks)
     if workers > 1:
@@ -195,7 +199,14 @@ def rmse_distribution(
     else:
         chunks = [run(i) for i in range(n_chunks)]
 
-    return MetricScoreDistribution.from_samples(np.concatenate(chunks), cfg.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = MetricScoreDistribution.from_samples(np.concatenate(chunks), cfg.seed)
+    if not (math.isfinite(dist.mean) and math.isfinite(dist.variance)):
+        raise InputError(
+            f"squared deviations overflow float64: |mu - prediction| up to "
+            f"{float(np.abs(base).max())}, deviation std up to {float(scale.max())}"
+        )
+    return dist
 
 
 def variance_match_check(data: FeedbackDataset, cfg: McConfig) -> float:

@@ -133,9 +133,12 @@ def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, Predicti
     sigma = rng.uniform(spec.sigma_lo, spec.sigma_hi, n_pairs)
     bias = rng.uniform(spec.bias_lo, spec.bias_hi, n_pairs)
 
+    # zero-padded ids sort like their numbers, so sorted cells are already
+    # in key order and the table needs no interning
     users = np.array(_pair_ids(spec.n_users, "u"), dtype=object)
     items = np.array(_pair_ids(spec.n_items, "i"), dtype=object)
-    keys, pair = KeyTable.intern(users[chosen // spec.n_items], items[chosen % spec.n_items])
+    keys = KeyTable(users[chosen // spec.n_items], items[chosen % spec.n_items])
+    pair = np.arange(n_pairs)
     return (
         FeedbackDataset.from_columns(keys, pair, mu, sigma),
         PredictionSet.from_columns(keys, pair, mu + bias),

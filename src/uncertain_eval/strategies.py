@@ -180,6 +180,8 @@ def predictor_noise_deviation(
     check_feedback(mu, sigma)
     check_prediction(prediction)
     check_tau(tau)
+    if not math.isfinite(sigma * sigma):
+        raise InputError(f"sigma squared must be finite, got sigma = {sigma}")
     return GaussianDistribution(mean=mu - prediction, variance=sigma**2 + tau**2)
 
 

@@ -1270,6 +1270,48 @@ class TestOneMessagePerRule:
         assert messages == ["prediction must be finite, got nan"] * 3
 
 
+class TestSquareOverflow:
+    """A square beyond float64 exits 2 with one line and prints nothing."""
+
+    @pytest.mark.parametrize(
+        "command, tau",
+        [("strategies", "1e200"), ("strategies", "1e160"), ("rmse-dist", "1e160")],
+    )
+    def test_tau_is_rejected_before_reading(self, tmp_path, command, tau):
+        missing = str(tmp_path / "missing.csv")
+        source = "--obs" if command == "strategies" else "--feedback"
+        proc = _python(
+            "-m", "uncertain_eval", command, source, missing, "--pred", missing, "--tau", tau,
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: tau squared must be finite, got tau = {float(tau)}\n"
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("distinguish", ["--s1", "1", "--s2", "2"],
+             "sigma 1e+200 is too large: the noise floor overflows float64"),
+            ("strategies", ["--omit-alpha", "0.05"],
+             "sigma 1e+200 is too large: the noise floor overflows float64"),
+            ("rmse-dist", ["--samples", "4096", "--seed", "3"],
+             "squared deviations overflow float64: |mu - prediction| up to 0.5, "
+             "deviation std up to 1e+200"),
+        ],
+        ids=["distinguish", "strategies", "rmse-dist"],
+    )
+    def test_sigma_beyond_the_floor(self, tmp_path, command, options, message):
+        feedback, pred = tmp_path / "feedback.csv", tmp_path / "pred.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u1,i,3.0,0.5\nu2,i,3.0,1e200\n", encoding="utf-8")
+        pred.write_text(PRED_HEADER + "u1,i,3.0\nu2,i,3.5\n", encoding="utf-8")
+        argv = ["--feedback", feedback] + ([] if command == "distinguish" else ["--pred", pred])
+        proc = _python(
+            "-m", "uncertain_eval", command, *argv, *options, capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {message}\n"
+
+
 class TestUnwritableOutput:
     """An output that cannot be written exits 2 and names the path."""
 

@@ -17,6 +17,7 @@ from uncertain_eval import (
     pooled_sigma,
 )
 from uncertain_eval.cli import _parse_fallback
+from uncertain_eval.feedback import _group
 
 
 def make_obs(groups: dict[str, list[float]]) -> ObservationSet:
@@ -265,3 +266,23 @@ class TestFitProperties:
         mus = {e.mu for e in data.entries}
         sigmas = {e.sigma for e in data.entries}
         assert len(mus) == 1 and len(sigmas) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_is_unique_on_both_sides_of_the_density_switch(data):
+    # a table of 4 cells per code or fewer is marked, a larger one sorted
+    n = data.draw(st.integers(1, 40))
+    size = 4 * n + data.draw(st.sampled_from([-1, 0, 1]))
+    code = st.one_of(st.integers(0, size - 1), st.just(size - 1), st.integers(0, 2))
+    codes = np.array(data.draw(st.lists(code, min_size=n, max_size=n)), dtype=np.intp)
+    distinct, rank = _group(codes, size)
+    want_distinct, want_rank = np.unique(codes, return_inverse=True)
+    assert distinct.dtype == want_distinct.dtype and rank.dtype == want_rank.dtype
+    assert distinct.tolist() == want_distinct.tolist()
+    assert rank.tolist() == want_rank.tolist()
+
+
+def test_group_of_no_codes():
+    distinct, rank = _group(np.array([], dtype=np.intp), 0)
+    assert distinct.tolist() == [] and rank.tolist() == []

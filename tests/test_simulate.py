@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from uncertain_eval import (
     FeedbackDataset,
     InputError,
+    KeyTable,
     PopulationSpec,
     RatingScale,
     draw_trials,
@@ -84,6 +85,19 @@ class TestGeneratePopulation:
         for n_users, n_items in [(MAX_POPULATION_PAIRS + 1, 1), (10**6, 10**6)]:
             with pytest.raises(InputError, match=r"n_users \* n_items"):
                 spec(n_users=n_users, n_items=n_items)
+
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("n_items", [1, 9, 10, 11, 100])
+    @pytest.mark.parametrize("n_users", [1, 9, 10, 11, 100])
+    def test_key_table_is_the_interned_one(self, n_users, n_items, density):
+        truth, predictions = generate_population(
+            spec(n_users=n_users, n_items=n_items, density=density)
+        )
+        keys, pair = KeyTable.intern(truth.keys.users, truth.keys.items)
+        assert keys.users.tolist() == truth.keys.users.tolist()
+        assert keys.items.tolist() == truth.keys.items.tolist()
+        assert pair.tolist() == list(range(truth.N))
+        assert predictions.keys is truth.keys
 
 
 class TestDrawTrials:

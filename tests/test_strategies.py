@@ -208,6 +208,18 @@ class TestPredictorNoiseDeviation:
         with pytest.raises(InputError):
             predictor_noise_deviation(4.0, 0.5, 4.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "sigma, tau, message",
+        [
+            (0.5, 1e160, "tau squared must be finite, got tau = 1e+160"),
+            (1e200, 1.0, "sigma squared must be finite, got sigma = 1e+200"),
+        ],
+    )
+    def test_rejects_a_square_beyond_float64(self, sigma, tau, message):
+        with pytest.raises(InputError) as info:
+            predictor_noise_deviation(4.0, sigma, 4.0, tau)
+        assert str(info.value) == message
+
 
 def omission_fixture(sigmas, deviations):
     """Dataset, predictions and point ratings; the dataset's mu are the ratings."""
