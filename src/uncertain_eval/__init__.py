@@ -21,7 +21,6 @@ from .barrier import (
 from .errors import InputError, UnavailableError
 from .feedback import (
     FeedbackDataset,
-    FeedbackKey,
     KeyTable,
     ObservationSet,
     PredictionSet,
@@ -60,7 +59,6 @@ __all__ = [
     "InputError",
     "UnavailableError",
     "RatingScale",
-    "FeedbackKey",
     "KeyTable",
     "ObservationSet",
     "UncertainFeedback",

@@ -115,9 +115,10 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
 
     The verdict is computed from the single closed form
     |s1 - s2| > 2 * z * std, with ``z_gap`` = |s1 - s2| / (2 * std); the
-    interval bounds ``ci_low`` and ``ci_high`` are derived from the same
-    shift and std, so verdict and coverage cannot disagree at boundaries. A
-    degenerate floor (std = 0) distinguishes any two unequal scores, with
+    interval ``ci_low``, ``ci_high`` is ``confidence_interval`` of the shifted
+    floor, with the same z and std, so verdict and coverage cannot disagree
+    at boundaries; a midpoint that overflows float64 raises ``InputError``.
+    A degenerate floor (std = 0) distinguishes any two unequal scores, with
     an infinite z_gap. The dict's keys, in order: ``s1``, ``s2``,
     ``barrier_mean``, ``barrier_variance``, ``shift_mean``, ``ci_low``,
     ``ci_high``, ``distinguishable``, ``z_gap``.
@@ -126,20 +127,20 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
         raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
     std = floor.std
     shift = 0.5 * (s1 + s2)
+    ci_low, ci_high = confidence_interval(GaussianDistribution(shift, floor.variance))
     gap = abs(s1 - s2)
     if std == 0.0:
         z_gap = 0.0 if gap == 0.0 else math.inf
     else:
         z_gap = gap / (2.0 * std)
-    margin = Z_TWO_SIDED_95 * std
     return {
         "s1": s1,
         "s2": s2,
         "barrier_mean": floor.mean,
         "barrier_variance": floor.variance,
         "shift_mean": shift,
-        "ci_low": shift - margin,
-        "ci_high": shift + margin,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
         "distinguishable": z_gap > Z_TWO_SIDED_95,
         "z_gap": z_gap,
     }

@@ -34,7 +34,7 @@ from .io import (
     write_sample_dump,
 )
 from .metrics import McConfig, rmse_distribution
-from .simulate import PopulationSpec, draw_trials, generate_population
+from .simulate import PopulationSpec, check_trials, draw_trials, generate_population
 from .strategies import check_strategy_request, run_strategy_comparison
 
 
@@ -227,8 +227,7 @@ def _load_population_spec(text: str) -> PopulationSpec:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_population_spec(args.spec)
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    check_trials(args.trials)
 
     truth, predictions = generate_population(spec)
     scale = spec.scale if args.discretise else None

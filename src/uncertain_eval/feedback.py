@@ -8,7 +8,8 @@ consumes. This module holds the domain types and the estimator that fits
 (mu, sigma) from repeated-trial observations. Data sets are numpy columns
 over one ``KeyTable``, built by ``from_columns`` or ``from_ids``. Pairs are
 named by their position in the table; ``FeedbackDataset.entries`` is the
-one view that builds a record per pair.
+one view that builds a record per pair, naming it by a ``(user, item)``
+tuple.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, UnavailableError
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class FeedbackKey:
-    """Identity of one (user, item) pair, as ``FeedbackDataset.entries`` reports it."""
-
-    user_id: str
-    item_id: str
 
 
 class Interner:
@@ -86,9 +79,10 @@ def _group(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 class KeyTable:
     """The distinct (user, item) pairs of a data set, in canonical order.
 
-    Pairs are sorted like ``FeedbackKey``: by user id, then by item id, both
-    by code point. Columns aligned to the table hold the value of pair ``i``
-    at position ``i``; row-form columns carry a ``pair`` array of positions.
+    Pairs are sorted by user id, then by item id, both by code point, as
+    ``(user, item)`` tuples sort. Columns aligned to the table hold the
+    value of pair ``i`` at position ``i``; row-form columns carry a ``pair``
+    array of positions.
     """
 
     users: np.ndarray
@@ -285,14 +279,14 @@ class ObservationSet(_Columnar):
 
 @dataclass(frozen=True, slots=True)
 class UncertainFeedback:
-    """Gaussian response model of one pair, value ~ N(mu, sigma^2), as a record.
+    """Gaussian response model of the pair ``key`` = (user, item), value ~ N(mu, sigma^2).
 
     ``n_trials`` records how many trials the parameters were fitted from;
     it is None for externally supplied parameters (e.g. loaded from CSV,
     which does not persist trial counts).
     """
 
-    key: FeedbackKey
+    key: tuple[str, str]
     mu: float
     sigma: float
     n_trials: int | None = None
@@ -338,7 +332,7 @@ class FeedbackDataset(_Columnar):
     @property
     def entries(self) -> tuple[UncertainFeedback, ...]:
         """One record per pair, in key order."""
-        keys = map(FeedbackKey, self.keys.users.tolist(), self.keys.items.tolist())
+        keys = zip(self.keys.users.tolist(), self.keys.items.tolist())
         mu, sigma = self.mu.tolist(), self.sigma.tolist()
         n_trials = [n or None for n in self.n_trials.tolist()]
         return tuple(map(UncertainFeedback, keys, mu, sigma, n_trials))
@@ -382,7 +376,8 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     """Estimate (mu, sigma) per pair from repeated trials.
 
     mu is the sample mean and sigma the sample standard deviation with the
-    n-1 correction. Pairs observed only once receive sigma ``fallback``;
+    n-1 correction; a pair whose mu or sigma overflows float64 raises
+    ``InputError``. Pairs observed only once receive sigma ``fallback``;
     None (the default) borrows the pooled spread of the multi-trial pairs,
     and fails when the data contains no multi-trial pair to pool from.
     Pairs with k trials are fitted together as the rows of one
@@ -396,16 +391,24 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
 
     n = len(obs.keys)
     mu = np.empty(n)
-    sigma = np.empty(n)
+    sigma = np.zeros(n)
     n_trials = obs.counts()
     if not n_trials.all():
         i = int(n_trials.argmin())
         raise InputError(f"no observations for {obs.keys.users[i]}/{obs.keys.items[i]}")
-    for pairs, rows in obs.blocks():
-        block = obs.value[rows]
-        mu[pairs] = block.mean(axis=1)
-        if rows.shape[1] >= 2:
-            sigma[pairs] = block.std(axis=1, ddof=1)
+    # ratings near the float64 limit overflow a sum or a square, checked
+    # below; single-trial pairs hold sigma 0 until their fallback
+    with np.errstate(over="ignore"):
+        for pairs, rows in obs.blocks():
+            block = obs.value[rows]
+            mu[pairs] = block.mean(axis=1)
+            if rows.shape[1] >= 2:
+                sigma[pairs] = block.std(axis=1, ddof=1)
+    bad = ~(np.isfinite(mu) & np.isfinite(sigma))
+    if bad.any():
+        i = int(np.argmax(bad))
+        which = "sigma" if math.isfinite(mu[i]) else "mu"
+        raise InputError(f"{which} of {obs.keys.users[i]}/{obs.keys.items[i]} overflows float64")
 
     single = n_trials == 1
     if single.any():

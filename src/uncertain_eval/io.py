@@ -137,10 +137,16 @@ class _Column:
         self._index()
 
     def convert(self, texts: list[str]) -> np.ndarray:
-        """The value of each of ``texts``: ids coded, numbers converted."""
+        """The value of each of ``texts``: ids coded, numbers converted.
+
+        Numbers whose texts repeat are converted once per distinct text.
+        """
         if self.names is not None:
             return self.names.codes(texts)
-        return np.fromiter(map(self.kind, texts), dtype=self.values.dtype, count=len(texts))
+        number = self.kind
+        if _repeats(texts):
+            number = {text: number(text) for text in dict.fromkeys(texts)}.__getitem__
+        return np.fromiter(map(number, texts), dtype=self.values.dtype, count=len(texts))
 
     def slot(self, keys: np.ndarray) -> np.ndarray:
         """Fibonacci hashing: the top bits of each key times 2**64 / golden ratio."""
@@ -236,7 +242,7 @@ def _split_pieces(data: bytes, start: int, width: int, columns) -> Iterator[list
                 joined[:] = piece
                 joined[lines] = ord(",")
                 flat = str(joined, "utf-8").split(",")
-            converted.append(_converted(flat[j::width], column))
+            converted.append(column.convert(flat[j::width]))
         yield converted
         start = end + 1
 
@@ -254,20 +260,6 @@ def _keyed(words: np.ndarray, size: np.ndarray, column: _Column) -> np.ndarray:
     return values
 
 
-def _converted(fields: list[str], column: _Column) -> np.ndarray:
-    """Values of ``column`` whose fields are the texts ``fields``.
-
-    Numbers whose texts repeat are converted once per distinct text.
-    """
-    if column.names is not None:
-        return column.names.codes(fields)
-    if _repeats(fields):
-        number = {text: column.kind(text) for text in dict.fromkeys(fields)}
-        values = map(number.__getitem__, fields)
-        return np.fromiter(values, dtype=column.values.dtype, count=len(fields))
-    return column.convert(fields)
-
-
 def _repeats(fields: list[str]) -> bool:
     """Whether about 64 of ``fields``, spread over them, hold each text twice or more."""
     sample = fields[:: max(1, len(fields) // 64)]
@@ -280,7 +272,7 @@ def _csv_pieces(rows: Iterator[list[str]], width: int, columns) -> Iterator[list
         if set(map(len, piece)) != {width}:
             raise ValueError("a row has the wrong number of fields")
         flat = list(chain.from_iterable(piece))
-        yield [_converted(flat[j::width], column) for j, column in columns]
+        yield [column.convert(flat[j::width]) for j, column in columns]
 
 
 def _read(

@@ -129,14 +129,27 @@ def resolve_thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def square_overflow(d: np.ndarray, scale: np.ndarray | None = None) -> InputError:
+    """The error of squared deviations ``d``, of std up to ``scale``, that overflow float64."""
+    message = f"squared deviations overflow float64: |mu - prediction| up to {float(np.abs(d).max())}"
+    if scale is not None:
+        message += f", deviation std up to {float(scale.max())}"
+    return InputError(message)
+
+
 def rmse(predictions: PredictionSet, ratings: FeedbackDataset) -> float:
     """Root mean squared deviation between ratings and their predictions.
 
     The point ratings are the dataset's ``mu``. Squared deviations are
-    summed left to right in key order.
+    summed left to right in key order; a sum beyond float64 raises
+    ``InputError``.
     """
-    d = ratings.mu - predictions.aligned(ratings.keys)
-    return math.sqrt(float(np.cumsum(d * d)[-1]) / ratings.N)
+    with np.errstate(over="ignore"):
+        d = ratings.mu - predictions.aligned(ratings.keys)
+        total = float(np.cumsum(d * d)[-1])
+    if not math.isfinite(total):
+        raise square_overflow(d)
+    return math.sqrt(total / ratings.N)
 
 
 def _sample_chunk(
@@ -175,7 +188,8 @@ def rmse_distribution(
     The deviation of a pair is N(mu - pi, sigma^2 + tau^2), so it is drawn
     as one standard normal scaled by hypot(sigma, tau).
     """
-    base = data.mu - predictions.aligned(data.keys)
+    with np.errstate(over="ignore"):  # an infinite deviation is rejected below
+        base = data.mu - predictions.aligned(data.keys)
     tau = cfg.predictor_tau
     scale = data.sigma if tau is None else np.hypot(data.sigma, tau)
 
@@ -202,10 +216,7 @@ def rmse_distribution(
     with np.errstate(over="ignore", invalid="ignore"):
         dist = MetricScoreDistribution.from_samples(np.concatenate(chunks), cfg.seed)
     if not (math.isfinite(dist.mean) and math.isfinite(dist.variance)):
-        raise InputError(
-            f"squared deviations overflow float64: |mu - prediction| up to "
-            f"{float(np.abs(base).max())}, deviation std up to {float(scale.max())}"
-        )
+        raise square_overflow(base, scale)
     return dist
 
 

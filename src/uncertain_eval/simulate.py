@@ -145,6 +145,12 @@ def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, Predicti
     )
 
 
+def check_trials(k: int) -> None:
+    """Reject fewer than one trial per pair."""
+    if k < 1:
+        raise InputError(f"trials per pair must be >= 1, got {k}")
+
+
 def draw_trials(
     data: FeedbackDataset, k: int, *, seed: int = 0, scale: RatingScale | None = None
 ) -> ObservationSet:
@@ -155,8 +161,7 @@ def draw_trials(
     opt-in. Continuous draws are left untouched, including the occasional
     value outside the nominal range. The returned set carries no scale.
     """
-    if k < 1:
-        raise InputError(f"trials per pair must be >= 1, got {k}")
+    check_trials(k)
     if data.N * k > MAX_OBSERVATION_ROWS:
         raise InputError(
             f"{data.N} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} observation rows"

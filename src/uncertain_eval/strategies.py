@@ -36,7 +36,7 @@ from .feedback import (
     check_prediction,
     fit_uncertainty,
 )
-from .metrics import check_tau, rmse
+from .metrics import check_tau, rmse, square_overflow
 from .rng import child_rng, validate_seed
 
 @dataclass(frozen=True, slots=True)
@@ -208,20 +208,24 @@ def omit_insignificant(
     check_alpha(alpha)
     keys = point_ratings.keys
     sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
-    d = point_ratings.mu - predictions.aligned(keys)
+    # a deviation beyond float64 has p = 0, and its square fails the check below
+    with np.errstate(over="ignore"):
+        d = point_ratings.mu - predictions.aligned(keys)
 
-    p = np.ones(len(keys), dtype=float)
-    positive = sigma > 0
-    # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc
-    z = np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5)
-    p[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
-    p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
+        p = np.ones(len(keys), dtype=float)
+        positive = sigma > 0
+        # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc
+        z = np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5)
+        p[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
+        p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
 
-    retained = p < alpha
-    if retained.any():
-        filtered = float(np.sqrt(np.mean(d[retained] ** 2)))
-    else:
-        filtered = None
+        retained = p < alpha
+        if retained.any():
+            filtered = float(np.sqrt(np.mean(d[retained] ** 2)))
+        else:
+            filtered = None
+    if filtered is not None and not math.isfinite(filtered):
+        raise square_overflow(d[retained])
     return OmissionResult(
         retained_keys=np.flatnonzero(retained),
         filtered_rmse=filtered,
@@ -250,7 +254,11 @@ def check_strategy_request(
 
 def _expected_rmse(d: np.ndarray, sigma: np.ndarray, tau: float) -> float:
     # sqrt of the expected squared metric; exact for the Gaussian deviation law
-    return float(np.sqrt(np.mean(d * d + sigma * sigma) + tau * tau))
+    with np.errstate(over="ignore"):
+        mean_square = np.mean(d * d + sigma * sigma) + tau * tau
+    if not math.isfinite(mean_square):
+        raise square_overflow(d, np.hypot(sigma, tau))
+    return float(np.sqrt(mean_square))
 
 
 def _report(

@@ -199,6 +199,10 @@ class TestDistinguishability:
         if not small["distinguishable"]:
             assert not large["distinguishable"]
 
+    def test_midpoint_beyond_float64_rejected(self):
+        with pytest.raises(InputError, match="must be finite"):
+            distinguishability_test(1.7e308, 1.7e308, barrier_from_variance(0.00025))
+
     def test_report_keys_and_order(self):
         b = barrier_from_variance(0.00025)
         report = distinguishability_test(0.86, 0.90, b)

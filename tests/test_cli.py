@@ -1077,7 +1077,7 @@ class TestMalformedInput:
     # valid inputs and the test's directory.
     ARGUMENT_FAULTS = [
         (["simulate", "--spec", json.dumps(SPEC_JSON), "--trials", "0", "--out-dir", "{dir}/run"],
-         "--trials must be >= 1, got 0"),
+         "trials per pair must be >= 1, got 0"),
         (["simulate", "--spec", "{dir}/missing.json", "--out-dir", "{dir}/run"],
          "spec file not found: {dir}/missing.json"),
         (["simulate", "--spec", "{bad", "--out-dir", "{dir}/run"],
@@ -1308,6 +1308,87 @@ class TestSquareOverflow:
         proc = _python(
             "-m", "uncertain_eval", command, *argv, *options, capture_output=True, text=True
         )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {message}\n"
+
+    OBSERVATIONS = "".join(f"u{u},i,{t},{3.0 + t / 2}\n" for u in (1, 2) for t in range(3))
+    FEEDBACK = "u1,i,3.0,0.5\nu2,i,3.0,0.5\n"
+
+    def _strategies(self, tmp_path, predictions, *options, observations=OBSERVATIONS):
+        obs, feedback, pred = (tmp_path / name for name in ("obs.csv", "feedback.csv", "pred.csv"))
+        obs.write_text(OBS_HEADER + observations, encoding="utf-8")
+        feedback.write_text(FEEDBACK_HEADER + self.FEEDBACK, encoding="utf-8")
+        pred.write_text(PRED_HEADER + predictions, encoding="utf-8")
+        options = [{"{obs}": obs, "{feedback}": feedback}.get(o, o) for o in options]
+        return _python(
+            "-m", "uncertain_eval", "strategies", "--pred", pred, *options,
+            capture_output=True, text=True,
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--feedback", "{feedback}", "--omit-alpha", "0.05"],
+            ["--obs", "{obs}", "--denoise-threshold", "1"],
+            ["--obs", "{obs}", "--tau", "0.5"],
+        ],
+        ids=["omission", "denoise", "tau"],
+    )
+    def test_point_score(self, tmp_path, options):
+        proc = self._strategies(tmp_path, "u1,i,3.0\nu2,i,-1e200\n", *options)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: squared deviations overflow float64: |mu - prediction| up to 1e+200\n"
+        )
+
+    def test_score_with_predictor_noise(self, tmp_path):
+        # every square is finite; the mean square plus tau squared is not
+        proc = self._strategies(
+            tmp_path, "u1,i,-4e153\nu2,i,-4e153\n", "--feedback", "{feedback}", "--tau", "1.3e154"
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: squared deviations overflow float64: |mu - prediction| up to 4e+153, "
+            "deviation std up to 1.3e+154\n"
+        )
+
+    def test_deviation_beyond_float64(self, tmp_path):
+        feedback, pred = tmp_path / "feedback.csv", tmp_path / "pred.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u1,i,1e308,0.5\nu2,i,3.0,0.5\n", encoding="utf-8")
+        pred.write_text(PRED_HEADER + "u1,i,-1e308\nu2,i,3.0\n", encoding="utf-8")
+        proc = _python(
+            "-m", "uncertain_eval", "rmse-dist", "--feedback", feedback, "--pred", pred,
+            "--samples", "1024", "--seed", "3", capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: squared deviations overflow float64: |mu - prediction| up to inf, "
+            "deviation std up to 0.5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "ratings, message",
+        [(("1e200", "-1e200"), "sigma of u1/i overflows float64"),
+         (("1.5e308", "1.5e308"), "mu of u1/i overflows float64")],
+        ids=["sigma", "mu"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "strategies"])
+    def test_fit_names_the_pair(self, tmp_path, command, ratings, message):
+        rows = self.OBSERVATIONS.splitlines(keepends=True)
+        rows[:2] = [f"u1,i,{t},{r}\n" for t, r in enumerate(ratings)]
+        observations = "".join(rows)
+        if command == "fit":
+            obs = tmp_path / "obs.csv"
+            obs.write_text(OBS_HEADER + observations, encoding="utf-8")
+            proc = _python(
+                "-m", "uncertain_eval", "fit", "--obs", obs, "--out", tmp_path / "out.csv",
+                capture_output=True, text=True,
+            )
+        else:
+            proc = self._strategies(
+                tmp_path, "u1,i,3.0\nu2,i,3.0\n", "--obs", "{obs}", "--omit-alpha", "0.05",
+                observations=observations,
+            )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {message}\n"
 

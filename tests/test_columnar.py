@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from uncertain_eval import (
     FeedbackDataset,
-    FeedbackKey,
     ObservationSet,
     UnavailableError,
     denoise_preprocess,
@@ -39,24 +38,24 @@ def observation_groups(draw, values=st.one_of(finite, grid)):
     groups = {}
     for user, item in keys:
         trials = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
-        groups[FeedbackKey(user, item)] = [(t, draw(values)) for t in trials]
+        groups[(user, item)] = [(t, draw(values)) for t in trials]
     return groups
 
 
 def shuffled_set(groups, rnd) -> ObservationSet:
-    rows = [(key.user_id, key.item_id, t, v) for key, group in groups.items() for t, v in group]
+    rows = [(*key, t, v) for key, group in groups.items() for t, v in group]
     rnd.shuffle(rows)
     return ObservationSet.from_ids(*zip(*rows))
 
 
 def model_set(model) -> FeedbackDataset:
     """The dataset of ``{key: (mu, sigma)}``."""
-    users, items = [k.user_id for k in model], [k.item_id for k in model]
+    users, items = [k[0] for k in model], [k[1] for k in model]
     return FeedbackDataset.from_ids(users, items, *zip(*model.values()))
 
 
-def pair_keys(keys) -> list[FeedbackKey]:
-    return list(map(FeedbackKey, keys.users.tolist(), keys.items.tolist()))
+def pair_keys(keys) -> list[tuple[str, str]]:
+    return list(zip(keys.users.tolist(), keys.items.tolist()))
 
 
 def in_trial_order(group) -> list[float]:
@@ -177,7 +176,7 @@ class TestFitMatchesReference:
         # beyond 8 and 128 values numpy sums in blocks; the fit must follow
         rng = np.random.default_rng(5)
         groups = {
-            FeedbackKey(f"u{k:04d}", "i"): list(enumerate(rng.normal(3.0, 2.0, k).tolist()))
+            (f"u{k:04d}", "i"): list(enumerate(rng.normal(3.0, 2.0, k).tolist()))
             for k in (2, 7, 8, 9, 16, 127, 128, 129, 300, 1000)
         }
         obs = shuffled_set(groups, random.Random(0))
@@ -207,11 +206,11 @@ class TestMedianRuleMatchesReference:
     def test_single_pass_exhaustion_flags_group(self):
         # even size: the median is 5.0, and 1.0 and 9.0 tie at distance 4;
         # the lower trial goes, and one pass leaves the group too wide
-        groups = {FeedbackKey("u", "i"): [(0, 1.0), (1, 9.0), (2, 4.0), (3, 6.0)]}
+        groups = {("u", "i"): [(0, 1.0), (1, 9.0), (2, 4.0), (3, 6.0)]}
         cfg = dict(threshold=1.0, max_iterations=1)
         result = denoise_preprocess(shuffled_set(groups, random.Random(1)), None, **cfg)
-        assert denoised_values(result) == {FeedbackKey("u", "i"): [5.0, 9.0, 4.0, 6.0]}
-        assert unconverged_keys(result) == {FeedbackKey("u", "i")}
+        assert denoised_values(result) == {("u", "i"): [5.0, 9.0, 4.0, 6.0]}
+        assert unconverged_keys(result) == {("u", "i")}
 
 
 class TestRedrawMatchesReference:
@@ -248,15 +247,15 @@ class TestRedrawMatchesReference:
         model = {"u1": (3.0, 0.8), "u2": (3.0, 0.5), "u3": (3.0, 0.1), "u4": (500.0, 0.01)}
         rows = [(u, "i1", t, v) for u, vs in groups.items() for t, v in enumerate(vs)]
         obs = ObservationSet.from_ids(*zip(*rows))
-        truth = model_set({FeedbackKey(u, "i1"): ms for u, ms in model.items()})
+        truth = model_set({(u, "i1"): ms for u, ms in model.items()})
         cfg = dict(
             threshold=1.5, resampler="redraw", seed=11, max_iterations=6
         )
         result = denoise_preprocess(obs, truth, **cfg)
-        assert {k.user_id: v for k, v in denoised_values(result).items()} == {
+        assert {k[0]: v for k, v in denoised_values(result).items()} == {
             "u1": [3.2458679345174057, 2.4766405576076815, 3.0, 2.5],
             "u2": [3.0, 2.3478847538608787, 3.0],
             "u3": [3.0, 3.1],
             "u4": [4.5, 4.5, 5.0, 4.0, 4.5],
         }
-        assert sorted(k.user_id for k in unconverged_keys(result)) == ["u2", "u4"]
+        assert sorted(k[0] for k in unconverged_keys(result)) == ["u2", "u4"]

@@ -60,6 +60,21 @@ class TestFitUncertainty:
         assert entry.mu == pytest.approx(4.0, abs=0)
         assert entry.sigma == pytest.approx(0.7071067811865476, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1e200, -1e200, 3.0], "sigma of b/i1 overflows float64"),
+            ([1.5e308, 1.5e308], "mu of b/i1 overflows float64"),
+        ],
+        ids=["sigma", "mu"],
+    )
+    def test_overflow_names_the_pair(self, values, message):
+        # the first pair in key order whose fit leaves float64 is named, with no numpy warning
+        obs = make_obs({"c": [1e200, -1e200], "b": values, "a": [2.0, 4.0]})
+        with pytest.raises(InputError) as info:
+            fit_uncertainty(obs)
+        assert str(info.value) == message
+
     def test_output_counts_distinct_keys(self):
         data = fit_uncertainty(make_obs({"a": [1, 2], "b": [3, 4], "c": [5, 5]}))
         assert data.N == 3
@@ -177,7 +192,7 @@ class TestSigmaFallback:
 
     def test_pooled_policy_borrows_from_multi_trial_pairs(self):
         data = fit_uncertainty(make_obs({"solo": [4.0], "multi": [2.0, 4.0]}))
-        by_user = {e.key.user_id: e for e in data.entries}
+        by_user = {e.key[0]: e for e in data.entries}
         assert by_user["solo"].sigma == pytest.approx(
             by_user["multi"].sigma, abs=1e-12
         )

@@ -68,6 +68,12 @@ class TestPointRmse:
         )
         assert score == pytest.approx(1.5811388300841898, abs=1e-12)
 
+    def test_overflowing_sum_rejected(self):
+        ratings = point_ratings([("u", "i1", 4.0), ("u", "i2", 2.0)])
+        with pytest.raises(InputError) as info:
+            rmse(predictions_of([("u", "i1", 3.0), ("u", "i2", -1e200)]), ratings)
+        assert str(info.value) == "squared deviations overflow float64: |mu - prediction| up to 1e+200"
+
     def test_empty_ratings_rejected(self):
         with pytest.raises(InputError):
             rmse(predictions_of([]), point_ratings([]))

@@ -135,7 +135,7 @@ class TestDrawTrials:
         )
         entry = truth.entries[0]
         # force the pair's centre to the top of the scale
-        pinned = FeedbackDataset.from_ids([entry.key.user_id], [entry.key.item_id], [5.0], [1.0])
+        pinned = FeedbackDataset.from_ids([entry.key[0]], [entry.key[1]], [5.0], [1.0])
         obs = draw_trials(pinned, k=10000, seed=9, scale=scale)
         values = obs.value
         assert np.all(values <= 5.0)

@@ -250,6 +250,12 @@ class TestOmission:
         result = omit_insignificant(data, predictions, ratings)
         assert not len(result.retained_keys)
 
+    def test_overflowing_filtered_score_rejected(self):
+        data, predictions, ratings = omission_fixture([0.5, 0.5], [1.2, 1e200])
+        with pytest.raises(InputError) as info:
+            omit_insignificant(data, predictions, ratings)
+        assert str(info.value) == "squared deviations overflow float64: |mu - prediction| up to 1e+200"
+
     def test_zero_sigma_any_deviation_is_significant(self):
         data, predictions, ratings = omission_fixture([0.0, 0.0], [0.001, 0.0])
         result = omit_insignificant(data, predictions, ratings)
