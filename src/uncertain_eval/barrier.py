@@ -125,8 +125,10 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     """
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
-    std = floor.std
     shift = 0.5 * (s1 + s2)
+    if not math.isfinite(shift):
+        raise InputError(f"the scores' midpoint must be finite, got s1={s1}, s2={s2}")
+    std = floor.std
     ci_low, ci_high = confidence_interval(GaussianDistribution(shift, floor.variance))
     gap = abs(s1 - s2)
     if std == 0.0:

@@ -231,32 +231,28 @@ class ObservationSet(_Columnar):
             i = int(np.argmax(bad))
             check_observation(int(trial[i]), float(value[i]))
         pair = _pair_positions(keys, pair)
-        # rows are ordered by one slot key, pair * (max trial + 1) + trial
-        width = int(trial.max()) + 1 if len(trial) else 1
-        size = (int(pair.max()) + 1 if len(pair) else 0) * width
-        slot = pair * width + trial if size < 2**63 else None
-        if slot is not None and (slot[1:] > slot[:-1]).all():
+        # whether each row comes after the one before it in (pair, trial) order
+        later = pair[1:] > pair[:-1]
+        later |= (pair[1:] == pair[:-1]) & (trial[1:] > trial[:-1])
+        if later.all():
             # copies, so that freezing them leaves the caller's arrays writeable
             columns = pair.copy(), trial.copy(), value.copy()
         else:
-            distinct, rank = _group(slot, size) if slot is not None else ((), None)
-            if len(distinct) == len(pair):
-                # one row per slot: the sorted slots hold each row's pair and trial
-                columns = distinct // width, distinct % width, _scatter(rank, value, len(value))
-            else:
-                # a repeated slot, or a key that would overflow: the stable
-                # sort keeps the rows of a slot in input order
-                order = np.lexsort((trial, pair))
-                by_pair, by_trial = pair[order], trial[order]
-                repeats = (by_pair[1:] == by_pair[:-1]) & (by_trial[1:] == by_trial[:-1])
-                if repeats.any():
-                    # the first occurrence of each slot comes first
-                    i = int(order[1:][repeats].min())
-                    raise InputError(
-                        f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
-                        f"trial {trial[i]}"
-                    )
-                columns = pair[order], trial[order], value[order]
+            # rows are ordered by one slot key, pair * (distinct trials) + trial rank
+            trials, rank = _group(trial, int(trial.max()) + 1)
+            width = len(trials)
+            slots, rank = _group(pair * width + rank, len(keys) * width)
+            if len(slots) < len(rank):
+                # the first row whose slot an earlier row holds
+                rows = np.arange(len(rank))
+                first = np.full(len(slots), len(rank))
+                np.minimum.at(first, rank, rows)
+                i = int(np.argmax(first[rank] < rows))
+                raise InputError(
+                    f"duplicate observation for {keys.users[pair[i]]}/{keys.items[pair[i]]} "
+                    f"trial {trial[i]}"
+                )
+            columns = slots // width, trials[slots % width], _scatter(rank, value, len(value))
         self.keys = keys
         self.pair, self.trial, self.value = map(_frozen, columns)
 

@@ -31,8 +31,8 @@ conversion or a check fails does a second pass walk the rows through
 ``csv.reader`` to name the first bad one as ``path:line``. Every format
 checks a row in one order: its fields in header order, each present
 (``row has too few fields``) and converted (``bad <column> value``), then
-the data set's rule on the row's values, then a repeated pair in the
-formats whose pairs are unique, then ``row has too many fields``.
+the data set's rule on the row's values, then a repeated key (the pair,
+or for observations the pair and trial), then ``row has too many fields``.
 
 Writing goes the other way, one column at a time: each distinct id is
 quoted once, each distinct number (by bit pattern) is formatted once with
@@ -281,13 +281,14 @@ def _read(
     kinds: Sequence[type],
     build: Callable,
     rule: Callable[..., None],
-    unique: str | None = None,
+    unique: str,
+    key: int = 2,
 ):
     """``build(keys, pair, *numeric columns)`` of the CSV at ``path``.
 
-    ``rule`` checks the numbers of one row, and ``unique`` names a pair
-    that may appear only once. Both run only when reading or ``build``
-    fails, to name the first row that breaks them.
+    ``rule`` checks the numbers of one row, and ``unique`` names a row whose
+    first ``key`` fields may appear only once. Both run only when reading
+    or ``build`` fails, to name the first row that breaks them.
     """
     path = Path(path)
     try:
@@ -330,16 +331,18 @@ def _read(
         ranked = users.names.ranked(user_codes), items.names.ranked(item_codes)
         return build(*KeyTable.from_codes(*ranked), *numbers)
     except _FAULTS:
-        _diagnose(path, data.decode() if plain else text, header, index, kinds, rule, unique)
+        _diagnose(
+            path, data.decode() if plain else text, header, index, kinds, rule, unique, key
+        )
         raise
 
 
-def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None:
+def _diagnose(path: Path, text: str, header, index, kinds, rule, unique, key) -> None:
     """Raise the ``path:line`` error of the first row that breaks a row rule.
 
     Each row is checked in one order: its fields in ``header`` order, each
     present and converted by its kind, then ``rule`` on its numbers, then
-    the uniqueness of its pair, then its width.
+    the uniqueness of its first ``key`` values, then its width.
     """
     rows = _records(text)
     seen: set = set()
@@ -356,9 +359,11 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None
                     raise InputError(f"bad {column} value {row[j]!r}") from None
             user, item, *numbers = values
             rule(*numbers)
-            if unique is not None and (user, item) in seen:
-                raise InputError(f"duplicate {unique} for {user}/{item}")
-            seen.add((user, item))
+            row_key = tuple(values[:key])
+            if row_key in seen:
+                named = "".join(f" {c} {v}" for c, v in zip(header[2:key], numbers))
+                raise InputError(f"duplicate {unique} for {user}/{item}{named}")
+            seen.add(row_key)
             if len(row) > len(index):
                 raise InputError("row has too many fields")
     except (InputError, csv.Error) as exc:
@@ -367,7 +372,8 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique) -> None
 
 def read_observations(path: str | Path) -> ObservationSet:
     return _read(
-        path, OBSERVATION_HEADER, (int, float), ObservationSet.from_columns, check_observation
+        path, OBSERVATION_HEADER, (int, float), ObservationSet.from_columns,
+        check_observation, "observation", 3,
     )
 
 

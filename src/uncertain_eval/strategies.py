@@ -64,14 +64,25 @@ class OmissionResult:
 
 
 def _spread(block: np.ndarray) -> np.ndarray:
-    return block.max(axis=1) - block.min(axis=1)
+    """Row ranges; a range beyond float64 is infinite, and so beyond any threshold."""
+    with np.errstate(over="ignore"):
+        return block.max(axis=1) - block.min(axis=1)
 
 
 def _median(block: np.ndarray) -> np.ndarray:
-    """Row medians as ``statistics.median`` takes them, down to the sign of a zero."""
+    """Row medians as ``statistics.median`` takes them, down to the sign of a zero.
+
+    The mean of the two middle values is their halved sum, or where that
+    sum overflows float64, the sum of their halves.
+    """
     ordered = np.sort(block, axis=1, kind="stable")
     mid = block.shape[1] // 2
-    return ordered[:, mid] if block.shape[1] % 2 else (ordered[:, mid - 1] + ordered[:, mid]) / 2
+    if block.shape[1] % 2:
+        return ordered[:, mid]
+    low, high = ordered[:, mid - 1], ordered[:, mid]
+    with np.errstate(over="ignore"):
+        total = low + high
+    return np.where(np.isfinite(total), total / 2, low / 2 + high / 2)
 
 
 def check_denoise(

@@ -281,7 +281,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _run_cli(args, threads, cwd):
     # the child runs in cwd, where a relative PYTHONPATH=src no longer resolves
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, UNCERTAIN_EVAL_THREADS=str(threads), PYTHONPATH=pythonpath)
+    # a RuntimeWarning fails the run, as it fails the tests run in process
+    env = dict(
+        os.environ, UNCERTAIN_EVAL_THREADS=str(threads), PYTHONPATH=pythonpath,
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "uncertain_eval.cli", *args],
         capture_output=True,

@@ -96,10 +96,16 @@ def test_cli_imports_no_third_party_module_but_numpy():
 
 
 def _python(*args, **kwargs):
-    """A fresh interpreter run with the package's sources on its path."""
+    """A fresh interpreter run with the package's sources on its path.
+
+    A RuntimeWarning fails the run, as it fails the tests run in process.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath, UNCERTAIN_EVAL_THREADS="2")
+    env = dict(
+        os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error::RuntimeWarning",
+        UNCERTAIN_EVAL_THREADS="2",
+    )
     return subprocess.run([sys.executable, *map(str, args)], env=env, **kwargs)
 
 
@@ -955,7 +961,7 @@ class TestMalformedInput:
         body = "u2,i,0,1.0\nu1,i,0,1.0\nu2,i,0,2.0\nu1,i,0,2.0\n"
         code, stderr = self._fit(capsys, tmp_path, body)
         assert code == 2
-        assert stderr == "error: duplicate observation for u2/i trial 0\n"
+        assert stderr == "error: OBS:4: duplicate observation for u2/i trial 0\n"
 
     def test_non_finite_mu_in_feedback(self, capsys, tmp_path):
         feedback = tmp_path / "feedback.csv"
@@ -1096,6 +1102,8 @@ class TestMalformedInput:
          "unknown resampler 'mean'; expected median or redraw"),
         (["distinguish", "--feedback", "{feedback}", "--s1", "nan", "--s2", "1"],
          "scores must be finite, got s1=nan, s2=1.0"),
+        (["distinguish", "--feedback", "{feedback}", "--s1", "1.7e308", "--s2", "1.7e308"],
+         "the scores' midpoint must be finite, got s1=1.7e+308, s2=1.7e+308"),
     ]
 
     @pytest.mark.parametrize("argv, message", ARGUMENT_FAULTS)
@@ -1391,6 +1399,19 @@ class TestSquareOverflow:
             )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {message}\n"
+
+    def test_denoise_median_beyond_float64(self, tmp_path):
+        # the two middle ratings sum beyond float64, their mean does not; the
+        # refit of the de-noised ratings then overflows
+        ratings = ("1.5e308", "1.6e308", "1.7e308", "3")
+        observations = "".join(f"u1,i,{t},{r}\n" for t, r in enumerate(ratings))
+        observations += "".join(self.OBSERVATIONS.splitlines(keepends=True)[3:])
+        proc = self._strategies(
+            tmp_path, "u1,i,3.0\nu2,i,3.0\n", "--obs", "{obs}", "--feedback", "{feedback}",
+            "--denoise-threshold", "1", observations=observations,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: mu of u1/i overflows float64\n"
 
 
 class TestUnwritableOutput:

@@ -7,13 +7,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_python(*args, cwd):
+    """A fresh interpreter run in which a RuntimeWarning fails, as it fails in process."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error::RuntimeWarning"),
     )
 
 

@@ -54,8 +54,10 @@ class TestDenoise:
         assert group_values(result, "u") == [3.0, 3.2]
         assert not len(result.unconverged_keys)
 
-    def test_collapses_to_median_in_two_passes(self):
-        obs = obs_from_groups({"u": [1.0, 5.0, 3.0]})
+    # the range of the second group is beyond float64, and so beyond any threshold
+    @pytest.mark.parametrize("group", [[1.0, 5.0, 3.0], [1.5e308, -1.5e308, 3.0]])
+    def test_collapses_to_median_in_two_passes(self, group):
+        obs = obs_from_groups({"u": group})
         result = denoise_preprocess(obs, None, threshold=1.0)
         assert group_values(result, "u") == [3.0, 3.0, 3.0]
         assert not len(result.unconverged_keys)
