@@ -179,23 +179,6 @@ def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
     return _frozen(column)
 
 
-def _fits_int64(trial) -> bool:
-    """Whether casting ``trial`` to int64 surely keeps every value.
-
-    The cast changes some values without raising: it wraps a uint64 of
-    2**63 or more and drops a float's fraction. A sequence of ints and
-    floats converts to float64, which has already rounded its large ints,
-    so a sequence passes only when numpy reads it as ints.
-    """
-    given = np.asarray(trial)
-    kind = given.dtype.kind
-    if kind == "u":
-        return bool((given < 2**63).all())
-    if kind == "f" and isinstance(trial, np.ndarray):
-        return bool(((np.abs(given) < 2**63) & (given == np.trunc(given))).all())
-    return kind == "i"
-
-
 def check_observation(trial: int, value: float) -> None:
     """Reject the trial and value of one observation row unless both are legal."""
     # trials are stored as 64-bit integers
@@ -220,10 +203,13 @@ class ObservationSet(_Columnar):
     __slots__ = ("keys", "pair", "trial", "value")
 
     def _load(self, keys, pair, trial, value) -> None:
-        if not _fits_int64(trial):
-            # name the first row whose trial the cast could change
-            for t, v in zip(trial, value):
-                check_observation(t, v)
+        if np.asarray(trial).dtype.kind != "i":
+            # the int64 cast below wraps a uint64 of 2**63 or more and drops a
+            # float's fraction without raising: name the first such row (a nan
+            # or infinite trial has no remainder, and so is no integer)
+            with np.errstate(invalid="ignore"):
+                for t, v in zip(trial, value):
+                    check_observation(t, v)
         trial = np.asarray(trial, dtype=np.int64)
         value = np.asarray(value, dtype=float)
         bad = (trial < 0) | ~np.isfinite(value)

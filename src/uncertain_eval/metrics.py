@@ -1,11 +1,12 @@
 """RMSE as a point score and as a Monte Carlo random variable.
 
 Monte Carlo sampling is partitioned into fixed chunks of 1024 samples;
-chunk i draws from a child generator derived from (seed, i) and chunks are
-assembled in index order. Results are therefore bit-identical for a given
-seed regardless of how many worker threads run the chunks. The environment
-variable ``UNCERTAIN_EVAL_THREADS`` caps the worker count (0 or unset =
-auto: the CPUs this process may run on; at most ``MAX_THREADS``).
+chunk i draws from a child generator derived from (seed, i) and fills its
+own slice of one sample array. Results are therefore bit-identical for a
+given seed regardless of how many worker threads run the chunks. The
+chunks always run on a pool of min(threads, chunks) worker threads, where
+the environment variable ``UNCERTAIN_EVAL_THREADS`` caps the threads (0 or
+unset = auto: the CPUs this process may run on; at most ``MAX_THREADS``).
 
 A sample draws one standard normal per pair, scaled by sigma, or by
 hypot(sigma, tau) with prediction noise tau: a rating N(mu, sigma^2) minus
@@ -38,8 +39,8 @@ _MAX_BLOCK_ELEMENTS = 262_144
 
 MIN_SAMPLE_COUNT = 100
 
-# Largest Monte Carlo run a call may allocate: the samples alone take
-# 8 bytes each, plus one array per chunk.
+# Largest Monte Carlo run a call may allocate: the samples take 8 bytes
+# each, in one array.
 MAX_SAMPLE_COUNT = 10_000_000
 
 # Largest worker cap ``UNCERTAIN_EVAL_THREADS`` may set; each worker is an
@@ -86,20 +87,6 @@ class MetricScoreDistribution:
     variance: float
     sample_count: int
     seed: int
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, seed: int) -> "MetricScoreDistribution":
-        if samples.size < 2:
-            raise InputError("a score distribution needs at least 2 samples")
-        samples = np.asarray(samples, dtype=float)
-        samples.flags.writeable = False
-        return cls(
-            samples=samples,
-            mean=float(np.mean(samples)),
-            variance=float(np.var(samples, ddof=1)),
-            sample_count=int(samples.size),
-            seed=seed,
-        )
 
 
 def resolve_thread_count() -> int:
@@ -154,27 +141,26 @@ def rmse(predictions: PredictionSet, ratings: FeedbackDataset) -> float:
 
 def _sample_chunk(
     chunk_index: int,
-    n_samples: int,
+    out: np.ndarray,
     base: np.ndarray,
     scale: np.ndarray,
     seed: int,
-) -> np.ndarray:
+) -> None:
+    """Fill chunk ``chunk_index``'s slice of the samples ``out`` in place."""
     rng = child_rng(seed, chunk_index)
+    out = out[chunk_index * CHUNK_SIZE : (chunk_index + 1) * CHUNK_SIZE]
     n_pairs = base.size
-    out = np.empty(n_samples, dtype=float)
-    max_rows = max(1, min(n_samples, _MAX_BLOCK_ELEMENTS // max(n_pairs, 1)))
+    max_rows = max(1, min(out.size, _MAX_BLOCK_ELEMENTS // max(n_pairs, 1)))
     buf = np.empty((max_rows, n_pairs), dtype=float)
-    pos = 0
-    while pos < n_samples:
-        rows = min(max_rows, n_samples - pos)
-        dev = buf[:rows]
-        rng.standard_normal(out=dev)
-        dev *= scale
-        dev += base
-        np.multiply(dev, dev, out=dev)
-        out[pos : pos + rows] = np.sqrt(np.mean(dev, axis=1))
-        pos += rows
-    return out
+    # a deviation too large to square gives an infinite sample, rejected by the caller
+    with np.errstate(over="ignore"):
+        for pos in range(0, out.size, max_rows):
+            dev = buf[: min(max_rows, out.size - pos)]
+            rng.standard_normal(out=dev)
+            dev *= scale
+            dev += base
+            np.multiply(dev, dev, out=dev)
+            out[pos : pos + len(dev)] = np.sqrt(np.mean(dev, axis=1))
 
 
 def rmse_distribution(
@@ -193,31 +179,24 @@ def rmse_distribution(
     tau = cfg.predictor_tau
     scale = data.sigma if tau is None else np.hypot(data.sigma, tau)
 
+    samples = np.empty(cfg.sample_count, dtype=float)
     n_chunks = -(-cfg.sample_count // CHUNK_SIZE)
-    sizes = [
-        min(CHUNK_SIZE, cfg.sample_count - i * CHUNK_SIZE) for i in range(n_chunks)
-    ]
+    # imported on use: most runs never need it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(i: int) -> np.ndarray:
-        # a deviation too large to square gives an infinite sample, rejected below
-        with np.errstate(over="ignore"):
-            return _sample_chunk(i, sizes[i], base, scale, cfg.seed)
+    def fill(i: int) -> None:
+        _sample_chunk(i, samples, base, scale, cfg.seed)
 
-    workers = min(resolve_thread_count(), n_chunks)
-    if workers > 1:
-        # imported on use: most runs never need it
-        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(resolve_thread_count(), n_chunks)) as pool:
+        # list() waits for every chunk and raises the first chunk's error
+        list(pool.map(fill, range(n_chunks)))
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, range(n_chunks)))
-    else:
-        chunks = [run(i) for i in range(n_chunks)]
-
+    samples.flags.writeable = False
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = MetricScoreDistribution.from_samples(np.concatenate(chunks), cfg.seed)
-    if not (math.isfinite(dist.mean) and math.isfinite(dist.variance)):
+        mean, variance = float(np.mean(samples)), float(np.var(samples, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(variance)):
         raise square_overflow(base, scale)
-    return dist
+    return MetricScoreDistribution(samples, mean, variance, cfg.sample_count, cfg.seed)
 
 
 def variance_match_check(data: FeedbackDataset, cfg: McConfig) -> float:

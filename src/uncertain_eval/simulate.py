@@ -55,10 +55,14 @@ class RatingScale:
                 f"rating scale needs min_value < max_value, got "
                 f"[{self.min_value}, {self.max_value}]"
             )
+        if not math.isfinite(self.span):
+            raise InputError(
+                f"rating scale span overflows float64: [{self.min_value}, {self.max_value}]"
+            )
         if self.discrete_step is not None:
             if not (math.isfinite(self.discrete_step) and self.discrete_step > 0):
                 raise InputError("discrete_step must be positive")
-            steps = (self.max_value - self.min_value) / self.discrete_step
+            steps = self.span / self.discrete_step
             if abs(steps - round(steps)) > 1e-9:
                 raise InputError(
                     "scale span must be an integer multiple of discrete_step"
@@ -111,6 +115,18 @@ class PopulationSpec:
                 f"bias prior needs bias_lo <= bias_hi, got "
                 f"[{self.bias_lo}, {self.bias_hi}]"
             )
+        if not math.isfinite(self.bias_hi - self.bias_lo):
+            raise InputError(
+                f"bias prior span overflows float64: [{self.bias_lo}, {self.bias_hi}]"
+            )
+        scale = self.scale
+        if not math.isfinite(scale.min_value + self.bias_lo) or not math.isfinite(
+            scale.max_value + self.bias_hi
+        ):
+            raise InputError(
+                f"predictions overflow float64: scale [{scale.min_value}, {scale.max_value}] "
+                f"plus bias [{self.bias_lo}, {self.bias_hi}]"
+            )
         validate_seed(self.seed)
 
 
@@ -159,7 +175,8 @@ def draw_trials(
     Given a ``scale``, the draws are rounded to its nearest step and clamped
     into it; this biases moments near the scale edges and is therefore
     opt-in. Continuous draws are left untouched, including the occasional
-    value outside the nominal range. The returned set carries no scale.
+    value outside the nominal range. A draw beyond float64 raises
+    ``InputError`` naming its pair. The returned set carries no scale.
     """
     check_trials(k)
     if data.N * k > MAX_OBSERVATION_ROWS:
@@ -171,10 +188,18 @@ def draw_trials(
         raise InputError("discretise requires a scale with a discrete_step")
 
     rng = child_rng(seed, _TRIAL_STREAM)
-    values = data.mu[:, None] + data.sigma[:, None] * rng.standard_normal((data.N, k))
+    with np.errstate(over="ignore"):  # a draw beyond float64 is named below
+        values = data.mu[:, None] + data.sigma[:, None] * rng.standard_normal((data.N, k))
+    beyond = ~np.isfinite(values)
+    if beyond.any():
+        i = int(np.argmax(beyond)) // k
+        name = f"{data.keys.users[i]}/{data.keys.items[i]}"
+        raise InputError(f"trial draws of {name} overflow float64")
     if scale is not None:
         step = scale.discrete_step
-        values = scale.min_value + np.round((values - scale.min_value) / step) * step
+        # a step count beyond float64 is infinite, and the clip takes it to the bound
+        with np.errstate(over="ignore"):
+            values = scale.min_value + np.round((values - scale.min_value) / step) * step
         values = np.clip(values, scale.min_value, scale.max_value)
 
     pair = np.repeat(np.arange(data.N), k)

@@ -85,6 +85,23 @@ def _median(block: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(total), total / 2, low / 2 + high / 2)
 
 
+def _farthest(block: np.ndarray, med: np.ndarray) -> np.ndarray:
+    """Per row, the trial farthest from the row's median, the lowest on ties.
+
+    A distance beyond float64 is infinite. Infinite distances lie on one
+    side of the median only, below it when the median is positive, and the
+    most extreme rating on that side is the farthest.
+    """
+    with np.errstate(over="ignore"):
+        distance = np.abs(block - med[:, None])
+    far = distance.argmax(axis=1)
+    beyond = np.isinf(distance[np.arange(len(far)), far])
+    if beyond.any():
+        rows = block[beyond]
+        far[beyond] = np.where(med[beyond] > 0, rows.argmin(axis=1), rows.argmax(axis=1))
+    return far
+
+
 def check_denoise(
     threshold: float | None, max_iterations: int = 25, resampler: str = "median", seed: int = 0
 ) -> None:
@@ -145,7 +162,7 @@ def denoise_preprocess(
                 break
             treated = block[active]
             med = _median(treated)
-            far = np.argmax(np.abs(treated - med[:, None]), axis=1)
+            far = _farthest(treated, med)
             if redraw:
                 for j, g in enumerate(groups[active].tolist()):
                     if g not in rngs:
@@ -173,10 +190,12 @@ def denoise_preprocess(
 
 def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, threshold: float, attempts: int):
     """A draw from N(mu, sigma^2) within ``threshold`` of every retained value."""
-    for _ in range(attempts):
-        draw = float(rng.normal(mu, sigma))
-        if np.all(np.abs(draw - retained) <= threshold):
-            return draw
+    # a distance beyond float64 is infinite, and so beyond any threshold
+    with np.errstate(over="ignore"):
+        for _ in range(attempts):
+            draw = float(rng.normal(mu, sigma))
+            if np.all(np.abs(draw - retained) <= threshold):
+                return draw
     return None
 
 

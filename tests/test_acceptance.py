@@ -8,10 +8,8 @@ sampling path.
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +31,8 @@ from uncertain_eval import (
     rmse_distribution,
     variance_match_check,
 )
+
+from conftest import child_env
 
 
 def report(capsys, criterion: str, ok: bool, detail: str) -> None:
@@ -275,22 +275,12 @@ def test_criterion_10_fit_roundtrip(capsys):
     )
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def _run_cli(args, threads, cwd):
-    # the child runs in cwd, where a relative PYTHONPATH=src no longer resolves
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    # a RuntimeWarning fails the run, as it fails the tests run in process
-    env = dict(
-        os.environ, UNCERTAIN_EVAL_THREADS=str(threads), PYTHONPATH=pythonpath,
-        PYTHONWARNINGS="error::RuntimeWarning",
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "uncertain_eval.cli", *args],
         capture_output=True,
         cwd=cwd,
-        env=env,
+        env=child_env(UNCERTAIN_EVAL_THREADS=str(threads)),
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout

@@ -25,6 +25,8 @@ from uncertain_eval import (
 )
 from uncertain_eval.cli import _load_population_spec, main
 
+from conftest import child_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -59,8 +61,6 @@ SPEC_JSON = {
 
 
 def test_cli_import_does_not_load_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -69,7 +69,7 @@ def test_cli_import_does_not_load_scipy():
         ],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -78,8 +78,6 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_imports_no_third_party_module_but_numpy():
     # modules a bare interpreter loads (``site`` may pull in packages
     # through ``.pth`` files) are loaded before the import and not counted
-    src = Path(__file__).resolve().parents[1] / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys; bare = set(sys.modules); import uncertain_eval.cli; "
         "print(' '.join(sorted(set(sys.modules) - bare)))"
@@ -88,7 +86,7 @@ def test_cli_imports_no_third_party_module_but_numpy():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     loaded = {name.split(".")[0] for name in proc.stdout.split()}
@@ -96,16 +94,8 @@ def test_cli_imports_no_third_party_module_but_numpy():
 
 
 def _python(*args, **kwargs):
-    """A fresh interpreter run with the package's sources on its path.
-
-    A RuntimeWarning fails the run, as it fails the tests run in process.
-    """
-    src = Path(__file__).resolve().parents[1] / "src"
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(
-        os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error::RuntimeWarning",
-        UNCERTAIN_EVAL_THREADS="2",
-    )
+    """A fresh interpreter run with the package's sources on its path."""
+    env = child_env(UNCERTAIN_EVAL_THREADS="2")
     return subprocess.run([sys.executable, *map(str, args)], env=env, **kwargs)
 
 
@@ -749,6 +739,36 @@ class TestSimulate:
         assert "sigma_lo" in stderr
 
 
+class TestDrawsBeyondFloat64:
+    """Trial draws near the float64 limit: named where they overflow, clamped where discretised."""
+
+    def _simulate(self, tmp_path, spec, *options):
+        return _python(
+            "-m", "uncertain_eval", "simulate", "--spec", json.dumps(spec), "--trials", "4",
+            "--out-dir", tmp_path / "run", *options, capture_output=True, text=True,
+        )
+
+    def test_overflowing_draw_names_its_pair(self, tmp_path):
+        spec = dict(SPEC_JSON, sigma_lo=1e308, sigma_hi=1.7e308, seed=1)
+        proc = self._simulate(tmp_path, spec)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: trial draws of u1/i1 overflow float64\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_discretising_beyond_float64_clamps_to_the_scale(self, tmp_path):
+        # some draws lie so far above the scale's minimum that discretising
+        # them overflows float64; no draw is beyond float64 itself
+        scale = {"min_value": -1e308, "max_value": 0.0, "discrete_step": 1e307}
+        spec = dict(SPEC_JSON, scale=scale, sigma_lo=5e307, sigma_hi=5e307, seed=1)
+        proc = self._simulate(tmp_path, spec, "--discretise")
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        rows = (tmp_path / "run" / "observations.csv").read_text(encoding="utf-8").splitlines()
+        ratings = [float(row.split(",")[3]) for row in rows[1:]]
+        assert len(ratings) == 16
+        assert min(ratings) >= -1e308 and max(ratings) == 0.0
+
+
 def test_readme_spec_example_matches_schema():
     # the README's population-spec example loads and names every field
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -809,6 +829,17 @@ SPEC_FAULTS = [
     ("zero_items", dict(SPEC_JSON, n_items=0), "n_items must be >= 1, got 0"),
     ("inverted_bias", dict(SPEC_JSON, bias_lo=0.5, bias_hi=0.1),
      "bias prior needs bias_lo <= bias_hi, got [0.5, 0.1]"),
+    ("scale_span_beyond_float64", _with_scale(min_value=-1.7e308, max_value=1.7e308),
+     "rating scale span overflows float64: [-1.7e+308, 1.7e+308]"),
+    ("continuous_scale_span_beyond_float64",
+     dict(SPEC_JSON, scale={"min_value": -1.7e308, "max_value": 1.7e308}),
+     "rating scale span overflows float64: [-1.7e+308, 1.7e+308]"),
+    ("bias_span_beyond_float64", dict(SPEC_JSON, bias_lo=-1e308, bias_hi=1e308),
+     "bias prior span overflows float64: [-1e+308, 1e+308]"),
+    ("predictions_beyond_float64",
+     dict(SPEC_JSON, scale={"min_value": 1e308, "max_value": 1.7e308},
+          bias_lo=1e308, bias_hi=1e308),
+     "predictions overflow float64: scale [1e+308, 1.7e+308] plus bias [1e+308, 1e+308]"),
     # JSON text -Infinity, which Python's JSON reader accepts
     ("infinite_scale_bound", _with_scale(min_value=-math.inf),
      "rating scale bounds must be finite"),

@@ -141,6 +141,13 @@ class TestFromColumns:
             ObservationSet.from_columns(self.KEYS, [0, 1], trial, [1.0, 2.0])
         assert str(info.value) == "trial must be an integer, got 2.5"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_trial_that_is_no_number_rejected(self, bad):
+        trial = np.array([1.0, bad])
+        with pytest.raises(InputError) as info:
+            ObservationSet.from_columns(self.KEYS, [0, 1], trial, [1.0, 2.0])
+        assert str(info.value) == f"trial must be an integer, got {bad}"
+
     def test_whole_float_and_unsigned_trials_accepted(self):
         for trial in (np.array([3.0, 0.0]), np.array([3, 2**63 - 1], dtype=np.uint64)):
             obs = ObservationSet.from_columns(self.KEYS, [0, 1], trial, [1.0, 2.0])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,35 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_many_workers_fill_their_slices_of_one_array(self, monkeypatch):
+        # more workers than cores, switching threads as often as they can,
+        # and a last chunk shorter than the others
+        data, predictions = biased_pairs(20)
+        cfg = McConfig(40 * metrics.CHUNK_SIZE + 7, seed=9)
+        monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", "1")
+        alone = rmse_distribution(data, predictions, cfg).samples
+        monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", "16")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = rmse_distribution(data, predictions, cfg).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.tobytes() == alone.tobytes()
+
+    def test_peak_memory_is_about_one_copy_of_the_samples(self):
+        # the chunks fill one sample array in place, and the variance takes
+        # one temporary of the same size; chunk arrays joined afterwards
+        # would hold the samples a third time
+        data, predictions = biased_pairs(10)
+        tracemalloc.start()
+        try:
+            dist = rmse_distribution(data, predictions, McConfig(1_000_000, seed=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * dist.samples.nbytes
 
 
 class TestVarianceMatch:

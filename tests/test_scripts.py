@@ -1,20 +1,15 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_python(*args, cwd):
-    """A fresh interpreter run in which a RuntimeWarning fails, as it fails in process."""
-    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error::RuntimeWarning"),
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=child_env()
     )
 
 

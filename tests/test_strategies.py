@@ -62,6 +62,19 @@ class TestDenoise:
         assert group_values(result, "u") == [3.0, 3.0, 3.0]
         assert not len(result.unconverged_keys)
 
+    # the distances of both negative ratings from the median are beyond
+    # float64; the more extreme rating is the farther, and a redraw near the
+    # median is still beyond the threshold from the one that stays
+    @pytest.mark.parametrize("resampler", ["median", "redraw"])
+    def test_distance_beyond_float64_removes_the_most_extreme_rating(self, resampler):
+        obs = obs_from_groups({"u": [-1.6e308, -1.7e308, 1e308, 1e308, 1e308]})
+        truth = dataset([("u", 1e308, 1.0)])
+        result = denoise_preprocess(
+            obs, truth, threshold=1.0, max_iterations=1, resampler=resampler
+        )
+        assert group_values(result, "u") == [-1.6e308, 1e308, 1e308, 1e308, 1e308]
+        assert result.unconverged_keys.tolist() == [0]
+
     def test_single_pass_replacement(self):
         obs = obs_from_groups({"u": [2.0, 2.0, 2.0, 5.0]})
         result = denoise_preprocess(obs, None, threshold=2.0)
