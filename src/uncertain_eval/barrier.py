@@ -117,11 +117,12 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     |s1 - s2| > 2 * z * std, with ``z_gap`` = |s1 - s2| / (2 * std); the
     interval ``ci_low``, ``ci_high`` is ``confidence_interval`` of the shifted
     floor, with the same z and std, so verdict and coverage cannot disagree
-    at boundaries; a midpoint that overflows float64 raises ``InputError``.
-    A degenerate floor (std = 0) distinguishes any two unequal scores, with
-    an infinite z_gap. The dict's keys, in order: ``s1``, ``s2``,
-    ``barrier_mean``, ``barrier_variance``, ``shift_mean``, ``ci_low``,
-    ``ci_high``, ``distinguishable``, ``z_gap``.
+    at boundaries; a midpoint that overflows float64 raises ``InputError``,
+    and a gap that does is taken in halves. A degenerate floor (std = 0)
+    distinguishes any two unequal scores, with an infinite z_gap. The
+    dict's keys, in order: ``s1``, ``s2``, ``barrier_mean``,
+    ``barrier_variance``, ``shift_mean``, ``ci_low``, ``ci_high``,
+    ``distinguishable``, ``z_gap``.
     """
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
@@ -133,8 +134,10 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     gap = abs(s1 - s2)
     if std == 0.0:
         z_gap = 0.0 if gap == 0.0 else math.inf
-    else:
+    elif math.isfinite(gap):
         z_gap = gap / (2.0 * std)
+    else:  # a gap beyond float64, taken in halves
+        z_gap = abs(s1 / 2 - s2 / 2) / std
     return {
         "s1": s1,
         "s2": s2,
@@ -153,6 +156,7 @@ def relation_test(S1: GaussianDistribution, S2: GaussianDistribution) -> dict:
 
     Independence is assumed; no joint law of the two scores is available.
     Two point masses at the same value give p = 0.5 and a negative verdict.
+    A gap or variance sum beyond float64 is taken in halves.
     """
     variance = S1.variance + S2.variance
     diff = S1.mean - S2.mean
@@ -162,6 +166,11 @@ def relation_test(S1: GaussianDistribution, S2: GaussianDistribution) -> dict:
         else:
             p_opposite = 0.0 if diff < 0 else 1.0
     else:
-        p_opposite = 0.5 * math.erfc(-diff / math.sqrt(variance) * math.sqrt(0.5))
+        if math.isfinite(variance):
+            std = math.sqrt(variance)
+        else:
+            std = 2.0 * math.sqrt(S1.variance / 4 + S2.variance / 4)
+        z = diff / std if math.isfinite(diff) else (S1.mean / 2 - S2.mean / 2) / (std / 2)
+        p_opposite = 0.5 * math.erfc(-z * math.sqrt(0.5))
     return {"p_opposite": p_opposite, "holds": p_opposite < RELATION_ALPHA}
 

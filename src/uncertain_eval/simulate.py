@@ -213,7 +213,8 @@ def histogram(values: Iterable[float], bin_width: float) -> tuple[np.ndarray, ..
     Returns ``(bin_lo, bin_hi, count)``, one entry per bin. Bins are
     [lo, lo + width) anchored at the minimum; the bin count is
     floor(span / width) + 1 so the maximum always falls inside the last
-    bin, and counts sum to the number of values.
+    bin, and counts sum to the number of values. Edges beyond float64
+    raise ``InputError``.
     """
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise InputError(f"bin width must be positive, got {bin_width}")
@@ -225,10 +226,18 @@ def histogram(values: Iterable[float], bin_width: float) -> tuple[np.ndarray, ..
 
     lo = float(np.min(arr))
     hi = float(np.max(arr))
+    # a span beyond float64 is counted in halves
+    span = hi - lo
+    bins = span / bin_width if math.isfinite(span) else (hi / 2 - lo / 2) / bin_width * 2
     # compared before flooring, so an infinite bin count is caught too
-    if not (hi - lo) / bin_width < MAX_HISTOGRAM_BINS:
+    if not bins < MAX_HISTOGRAM_BINS:
         raise InputError(f"histogram would need more than {MAX_HISTOGRAM_BINS} bins")
-    n_bins = int(math.floor((hi - lo) / bin_width)) + 1
+    n_bins = int(math.floor(bins)) + 1
+    # the last edge lies past the maximum; it and every edge below it must be finite
+    if not math.isfinite(lo + n_bins * bin_width):
+        raise InputError(
+            f"histogram edges overflow float64: values [{lo}, {hi}] in bins of width {bin_width}"
+        )
     idx = np.floor((arr - lo) / bin_width).astype(int)
     idx = np.clip(idx, 0, n_bins - 1)
     edges = lo + np.arange(n_bins + 1) * bin_width

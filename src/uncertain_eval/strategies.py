@@ -11,7 +11,8 @@ Three families are implemented:
 
 De-noising takes its settings as plain arguments: the threshold, the
 maximum number of passes, the resampler (``"median"`` or ``"redraw"``) and
-the seed of the redraw policy; ``check_denoise`` is their one rule. Each
+the seed of the redraw policy. ``check_strategy_request`` is the one rule of
+every strategy setting, and each strategy and the comparison run it. Each
 strategy reports a before/after score pair and the verdict of the
 shifted-floor test under the untreated dataset's floor, as the dict the
 ``strategies`` command prints. The omission strategy changes the metric's
@@ -102,21 +103,33 @@ def _farthest(block: np.ndarray, med: np.ndarray) -> np.ndarray:
     return far
 
 
-def check_denoise(
-    threshold: float | None, max_iterations: int = 25, resampler: str = "median", seed: int = 0
+def check_strategy_request(
+    *,
+    denoise_threshold: float | None = None,
+    denoise_max_iterations: int = 25,
+    denoise_resampler: str = "median",
+    denoise_seed: int = 0,
+    predictor_tau: float | None = None,
+    omit_alpha: float | None = None,
 ) -> None:
-    """Reject a de-noise threshold not > 0, fewer than one pass, an unknown resampler or a bad seed.
+    """The one rule of every strategy setting, checked before any data is read.
 
-    A threshold of None stands for de-noising not requested; the other
-    settings are checked all the same.
+    A threshold, tau or alpha of None is a strategy not requested; the
+    other settings are checked all the same.
     """
-    if threshold is not None and not threshold > 0:
-        raise InputError(f"denoise threshold must be > 0, got {threshold}")
-    if max_iterations < 1:
-        raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
-    if resampler not in ("median", "redraw"):
-        raise InputError(f"unknown resampler {resampler!r}; expected median or redraw")
-    validate_seed(seed)
+    if denoise_threshold is not None and not denoise_threshold > 0:
+        raise InputError(f"denoise threshold must be > 0, got {denoise_threshold}")
+    if denoise_max_iterations < 1:
+        raise InputError(f"max_iterations must be >= 1, got {denoise_max_iterations}")
+    if denoise_resampler not in ("median", "redraw"):
+        raise InputError(f"unknown resampler {denoise_resampler!r}; expected median or redraw")
+    validate_seed(denoise_seed)
+    if omit_alpha is not None and not 0.0 < omit_alpha < 1.0:
+        raise InputError(f"alpha must lie in (0, 1), got {omit_alpha}")
+    if predictor_tau is not None:
+        check_tau(predictor_tau)
+    if denoise_threshold is None and predictor_tau is None and omit_alpha is None:
+        raise InputError("no strategy requested")
 
 
 def denoise_preprocess(
@@ -143,7 +156,12 @@ def denoise_preprocess(
     of every retained value; when its attempts run out the slot falls back
     to the median and the group is flagged.
     """
-    check_denoise(threshold, max_iterations, resampler, seed)
+    check_strategy_request(
+        denoise_threshold=threshold,
+        denoise_max_iterations=max_iterations,
+        denoise_resampler=resampler,
+        denoise_seed=seed,
+    )
     redraw = resampler == "redraw"
     if redraw:
         if truth is None:
@@ -167,7 +185,8 @@ def denoise_preprocess(
                 for j, g in enumerate(groups[active].tolist()):
                     if g not in rngs:
                         rngs[g] = child_rng(seed, g)
-                    retained = np.delete(treated[j], far[j])
+                    retained = treated[j].tolist()
+                    del retained[far[j]]
                     m = model[g]
                     draw = _redraw(
                         rngs[g], truth.mu[m], truth.sigma[m], retained, threshold, max_iterations
@@ -188,14 +207,13 @@ def denoise_preprocess(
     )
 
 
-def _redraw(rng, mu: float, sigma: float, retained: np.ndarray, threshold: float, attempts: int):
+def _redraw(rng, mu: float, sigma: float, retained: list[float], threshold: float, attempts: int):
     """A draw from N(mu, sigma^2) within ``threshold`` of every retained value."""
-    # a distance beyond float64 is infinite, and so beyond any threshold
-    with np.errstate(over="ignore"):
-        for _ in range(attempts):
-            draw = float(rng.normal(mu, sigma))
-            if np.all(np.abs(draw - retained) <= threshold):
-                return draw
+    for _ in range(attempts):
+        draw = float(rng.normal(mu, sigma))
+        # a distance beyond float64 is infinite, and so beyond any threshold
+        if all(abs(draw - r) <= threshold for r in retained):
+            return draw
     return None
 
 
@@ -212,13 +230,12 @@ def predictor_noise_deviation(
     check_tau(tau)
     if not math.isfinite(sigma * sigma):
         raise InputError(f"sigma squared must be finite, got sigma = {sigma}")
-    return GaussianDistribution(mean=mu - prediction, variance=sigma**2 + tau**2)
-
-
-def check_alpha(alpha: float) -> None:
-    """Reject an omission level outside (0, 1)."""
-    if not (0.0 < alpha < 1.0):
-        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+    mean, variance = mu - prediction, sigma**2 + tau**2
+    if not math.isfinite(mean):
+        raise InputError(f"mu - prediction overflows float64: mu = {mu}, prediction = {prediction}")
+    if not math.isfinite(variance):
+        raise InputError(f"sigma^2 + tau^2 overflows float64: sigma = {sigma}, tau = {tau}")
+    return GaussianDistribution(mean=mean, variance=variance)
 
 
 def omit_insignificant(
@@ -235,7 +252,7 @@ def omit_insignificant(
     and scored. Pairs with sigma = 0 are retained for any nonzero deviation
     (p = 0). With nothing retained the filtered score is None, never 0.
     """
-    check_alpha(alpha)
+    check_strategy_request(omit_alpha=alpha)
     keys = point_ratings.keys
     sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
     # a deviation beyond float64 has p = 0, and its square fails the check below
@@ -261,25 +278,6 @@ def omit_insignificant(
         filtered_rmse=filtered,
         retained_fraction=float(np.mean(retained)),
     )
-
-
-def check_strategy_request(
-    *,
-    denoise_threshold: float | None = None,
-    denoise_max_iterations: int = 25,
-    denoise_resampler: str = "median",
-    denoise_seed: int = 0,
-    predictor_tau: float | None = None,
-    omit_alpha: float | None = None,
-) -> None:
-    """Reject a comparison with no strategy or a bad setting, before any data is read."""
-    check_denoise(denoise_threshold, denoise_max_iterations, denoise_resampler, denoise_seed)
-    if omit_alpha is not None:
-        check_alpha(omit_alpha)
-    if predictor_tau is not None:
-        check_tau(predictor_tau)
-    if denoise_threshold is None and predictor_tau is None and omit_alpha is None:
-        raise InputError("no strategy requested")
 
 
 def _expected_rmse(d: np.ndarray, sigma: np.ndarray, tau: float) -> float:

@@ -27,6 +27,21 @@ def barrier_from_variance(variance: float) -> GaussianDistribution:
     return GaussianDistribution(mean=1.0, variance=variance)
 
 
+class TestGaussianDistribution:
+    @pytest.mark.parametrize(
+        "mean, variance, message",
+        [
+            (math.inf, 1.0, "mean must be finite, got inf"),
+            (0.0, -1.0, "variance must be finite and >= 0, got -1.0"),
+            (0.0, math.nan, "variance must be finite and >= 0, got nan"),
+        ],
+    )
+    def test_rejects_a_bad_law(self, mean, variance, message):
+        with pytest.raises(InputError) as info:
+            GaussianDistribution(mean, variance)
+        assert str(info.value) == message
+
+
 class TestBarrierDistribution:
     def test_uniform_unit_sigma(self):
         b = barrier_distribution(dataset_from_sigmas([1.0] * 2000))
@@ -203,6 +218,12 @@ class TestDistinguishability:
         with pytest.raises(InputError, match="must be finite"):
             distinguishability_test(1.7e308, 1.7e308, barrier_from_variance(0.00025))
 
+    def test_gap_beyond_float64_is_taken_in_halves(self):
+        # |s1 - s2| = 3.4e308 overflows float64; half of it over std 2 does not
+        report = distinguishability_test(1.7e308, -1.7e308, GaussianDistribution(0.5, 4.0))
+        assert report["z_gap"] == 8.5e307
+        assert report["distinguishable"] is True
+
     def test_report_keys_and_order(self):
         b = barrier_from_variance(0.00025)
         report = distinguishability_test(0.86, 0.90, b)
@@ -270,6 +291,27 @@ class TestRelationTest:
         assert below["p_opposite"] == 0.0 and below["holds"]
         above = relation_test(GaussianDistribution(0.6, 0.0), point)
         assert above["p_opposite"] == 1.0 and not above["holds"]
+
+    # the gap and the variance sum overflow float64; in halves z is about -1.8e154
+    @pytest.mark.parametrize(
+        "first, second, p",
+        [(-1.7e308, 1.7e308, 0.0), (1.7e308, -1.7e308, 1.0)],
+        ids=["below", "above"],
+    )
+    def test_gap_and_variance_beyond_float64(self, first, second, p):
+        r = relation_test(
+            GaussianDistribution(first, 1.7e308), GaussianDistribution(second, 1.7e308)
+        )
+        assert r == {"p_opposite": p, "holds": p < 0.05}
+
+    # only the variance sum overflows; p is that of the same laws scaled down by 1e154
+    def test_variance_beyond_float64_keeps_the_scaled_p(self):
+        r = relation_test(
+            GaussianDistribution(-1e154, 1.7e308), GaussianDistribution(1e154, 1.7e308)
+        )
+        scaled = relation_test(GaussianDistribution(-1.0, 1.7), GaussianDistribution(1.0, 1.7))
+        assert 0.1 < scaled["p_opposite"] < 0.2
+        assert r["p_opposite"] == pytest.approx(scaled["p_opposite"], rel=1e-12)
 
     @given(
         st.floats(min_value=-5, max_value=5, allow_nan=False),

@@ -21,7 +21,9 @@ from uncertain_eval import (
     RatingScale,
     denoise_preprocess,
     fit_uncertainty,
+    omit_insignificant,
     predictor_noise_deviation,
+    run_strategy_comparison,
 )
 from uncertain_eval.cli import _load_population_spec, main
 
@@ -1263,8 +1265,71 @@ VALUE_RULES = {
 }
 
 
+# Each bad strategy setting: (library settings, `strategies` flags, message).
+STRATEGY_SETTINGS = {
+    "threshold 0": (
+        {"denoise_threshold": 0.0}, "--denoise-threshold 0",
+        "denoise threshold must be > 0, got 0.0",
+    ),
+    "threshold nan": (
+        {"denoise_threshold": math.nan}, "--denoise-threshold nan",
+        "denoise threshold must be > 0, got nan",
+    ),
+    "max iterations 0": (
+        {"denoise_threshold": 1.0, "denoise_max_iterations": 0},
+        "--denoise-threshold 1 --denoise-max-iterations 0", "max_iterations must be >= 1, got 0",
+    ),
+    "resampler mean": (
+        {"denoise_threshold": 1.0, "denoise_resampler": "mean"},
+        "--denoise-threshold 1 --denoise-resampler mean",
+        "unknown resampler 'mean'; expected median or redraw",
+    ),
+    "seed -1": (
+        {"denoise_threshold": 1.0, "denoise_seed": -1}, "--denoise-threshold 1 --denoise-seed -1",
+        "seed must be a 64-bit unsigned integer, got -1",
+    ),
+    "alpha 0": ({"omit_alpha": 0.0}, "--omit-alpha 0", "alpha must lie in (0, 1), got 0.0"),
+    "alpha 1": ({"omit_alpha": 1.0}, "--omit-alpha 1", "alpha must lie in (0, 1), got 1.0"),
+    "alpha nan": ({"omit_alpha": math.nan}, "--omit-alpha nan", "alpha must lie in (0, 1), got nan"),
+    "tau -1": ({"predictor_tau": -1.0}, "--tau -1", "tau must be finite and >= 0, got -1.0"),
+    "no strategy": ({}, "", "no strategy requested"),
+}
+
+
+def _strategy_calls(settings):
+    """The library calls with ``settings``: the comparison always, de-noising
+    and omission when they take every setting given (both take none)."""
+    obs = ObservationSet.from_ids(*IDS, [0], [3.0])
+    data = FeedbackDataset.from_ids(*IDS, [3.0], [0.5])
+    pred = PredictionSet.from_ids(*IDS, [3.0])
+    calls = [lambda: run_strategy_comparison(pred, observations=obs, **settings)]
+    if "omit_alpha" not in settings and "predictor_tau" not in settings:
+        denoise = {name.removeprefix("denoise_"): value for name, value in settings.items()}
+        calls.append(lambda: denoise_preprocess(obs, data, **{"threshold": None, **denoise}))
+    if not settings.keys() - {"omit_alpha"}:
+        calls.append(lambda: omit_insignificant(data, pred, data, settings.get("omit_alpha")))
+    return calls
+
+
 class TestOneMessagePerRule:
     """A value rule reads the same from the library and from a file or the CLI."""
+
+    @pytest.mark.parametrize("setting", STRATEGY_SETTINGS)
+    def test_strategy_setting_reads_the_same_everywhere(self, capsys, tmp_path, setting):
+        settings, flags, message = STRATEGY_SETTINGS[setting]
+        messages = []
+        for call in _strategy_calls(settings):
+            with pytest.raises(InputError) as info:
+                call()
+            messages.append(str(info.value))
+        # the files are missing: the setting is checked before any is read
+        code, stdout, stderr = run_cli(
+            capsys, "strategies", "--obs", str(tmp_path / "obs.csv"),
+            "--pred", str(tmp_path / "pred.csv"), *flags.split(),
+        )
+        assert (code, stdout) == (2, "")
+        messages.append(stderr.removeprefix("error: ").removesuffix("\n"))
+        assert messages == [message] * len(messages)
 
     @pytest.mark.parametrize("rule", VALUE_RULES)
     def test_library_and_cli_agree(self, capsys, tmp_path, rule):

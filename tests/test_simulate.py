@@ -156,6 +156,11 @@ class TestDrawTrials:
         with pytest.raises(InputError):
             draw_trials(truth, k=3, scale=continuous.scale)
 
+    def test_seed_that_is_no_integer_rejected(self):
+        data = FeedbackDataset.from_ids(["u"], ["i"], [3.0], [0.5])
+        with pytest.raises(InputError, match="^seed must be an integer, got float$"):
+            draw_trials(data, 2, seed=1.5)
+
     def test_deterministic_for_seed(self):
         truth, _ = generate_population(spec())
         a = draw_trials(truth, k=4, seed=5)
@@ -202,6 +207,24 @@ class TestHistogram:
         # a span that overflows to inf is rejected the same way
         with pytest.raises(InputError, match="bins"):
             histogram([-1e308, 1e308], 1.0)
+
+    # the last edge, lo + bins * width, lies beyond float64; the second span does too
+    @pytest.mark.parametrize(
+        "values, width, message",
+        [
+            ([1.7e308, 1.79e308], 1e307, "values [1.7e+308, 1.79e+308] in bins of width 1e+307"),
+            ([-1.7e308, 1.7e308], 1e308, "values [-1.7e+308, 1.7e+308] in bins of width 1e+308"),
+        ],
+        ids=["last_edge", "span"],
+    )
+    def test_edges_beyond_float64_rejected(self, values, width, message):
+        with pytest.raises(InputError) as info:
+            histogram(values, width)
+        assert str(info.value) == f"histogram edges overflow float64: {message}"
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(InputError, match="^histogram values must be finite$"):
+            histogram([1.0, math.nan], 1.0)
 
     def test_bad_width_rejected(self):
         with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -11,8 +12,12 @@ from uncertain_eval import (
     InputError,
     KeyTable,
     ObservationSet,
+    PopulationSpec,
     PredictionSet,
+    RatingScale,
     denoise_preprocess,
+    draw_trials,
+    generate_population,
     omit_insignificant,
     predictor_noise_deviation,
     run_strategy_comparison,
@@ -164,6 +169,22 @@ class TestDenoise:
         assert position(result.observations.keys, "u") in result.unconverged_keys
         assert len(result.observations) == 3
 
+    def test_redraw_bytes_are_pinned(self):
+        # 600 pairs x 5 trials: 850 ratings move and 115 pairs are flagged
+        spec = PopulationSpec(
+            n_users=60, n_items=10, scale=RatingScale(1.0, 5.0),
+            sigma_lo=0.2, sigma_hi=1.5, density=1.0, seed=42,
+        )
+        truth, _ = generate_population(spec)
+        obs = draw_trials(truth, 5, seed=1)
+        result = denoise_preprocess(obs, truth, 1.0, resampler="redraw", seed=3)
+        assert int((result.observations.value != obs.value).sum()) == 850
+        assert len(result.unconverged_keys) == 115
+        digest = hashlib.sha256(
+            result.observations.value.tobytes() + result.unconverged_keys.astype("<i8").tobytes()
+        ).hexdigest()
+        assert digest == "a133186f6400854dd93a1bd4724ccc096c09c75ba57c528eb550dce8da40d8bb"
+
     @given(
         st.dictionaries(
             st.text(alphabet="abcdef", min_size=1, max_size=3),
@@ -233,6 +254,21 @@ class TestPredictorNoiseDeviation:
     def test_rejects_a_square_beyond_float64(self, sigma, tau, message):
         with pytest.raises(InputError) as info:
             predictor_noise_deviation(4.0, sigma, 4.0, tau)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ((1.7e308, 1.0, -1.7e308, 1.0),
+             "mu - prediction overflows float64: mu = 1.7e+308, prediction = -1.7e+308"),
+            ((1.0, 1e154, 0.0, 1e154),
+             "sigma^2 + tau^2 overflows float64: sigma = 1e+154, tau = 1e+154"),
+        ],
+        ids=["mean", "variance"],
+    )
+    def test_rejects_a_deviation_law_beyond_float64(self, law, message):
+        with pytest.raises(InputError) as info:
+            predictor_noise_deviation(*law)
         assert str(info.value) == message
 
 
@@ -428,6 +464,11 @@ class TestStrategyComparison:
         predictions = predictions_of({"a": 2.0})
         with pytest.raises(InputError):
             run_strategy_comparison(predictions, data=None, observations=None)
+
+    def test_needs_observations_or_a_dataset(self):
+        predictions = predictions_of({"a": 2.0})
+        with pytest.raises(InputError, match="^need observations or a fitted dataset$"):
+            run_strategy_comparison(predictions, predictor_tau=1.0)
 
     def test_bad_tau_rejected_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
