@@ -34,7 +34,8 @@ from .io import (
     write_sample_dump,
 )
 from .metrics import McConfig, rmse_distribution
-from .simulate import PopulationSpec, check_trials, draw_trials, generate_population
+from .rng import check_count
+from .simulate import PopulationSpec, draw_trials, generate_population
 from .strategies import check_strategy_request, run_strategy_comparison
 
 
@@ -227,7 +228,7 @@ def _load_population_spec(text: str) -> PopulationSpec:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_population_spec(args.spec)
-    check_trials(args.trials)
+    check_count(args.trials, "trials per pair", 1)
 
     truth, predictions = generate_population(spec)
     scale = spec.scale if args.discretise else None

@@ -30,7 +30,7 @@ import numpy as np
 from .barrier import barrier_distribution
 from .errors import InputError
 from .feedback import FeedbackDataset, PredictionSet
-from .rng import child_rng, validate_seed
+from .rng import check_count, child_rng, validate_seed
 
 CHUNK_SIZE = 1024
 
@@ -65,14 +65,8 @@ class McConfig:
     predictor_tau: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_count < MIN_SAMPLE_COUNT:
-            raise InputError(
-                f"sample_count must be >= {MIN_SAMPLE_COUNT}, got {self.sample_count}"
-            )
-        if self.sample_count > MAX_SAMPLE_COUNT:
-            raise InputError(
-                f"sample_count must be <= {MAX_SAMPLE_COUNT}, got {self.sample_count}"
-            )
+        count = check_count(self.sample_count, "sample_count", MIN_SAMPLE_COUNT, MAX_SAMPLE_COUNT)
+        object.__setattr__(self, "sample_count", count)
         validate_seed(self.seed)
         if self.predictor_tau is not None:
             check_tau(self.predictor_tau)
@@ -103,12 +97,7 @@ def resolve_thread_count() -> int:
         raise InputError(
             f"UNCERTAIN_EVAL_THREADS must be an integer, got {raw!r}"
         ) from None
-    if value < 0:
-        raise InputError(f"UNCERTAIN_EVAL_THREADS must be >= 0, got {value}")
-    if value > MAX_THREADS:
-        raise InputError(
-            f"UNCERTAIN_EVAL_THREADS must be <= {MAX_THREADS}, got {value}"
-        )
+    check_count(value, "UNCERTAIN_EVAL_THREADS", 0, MAX_THREADS)
     if value > 0:
         return value
     if hasattr(os, "sched_getaffinity"):

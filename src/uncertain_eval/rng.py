@@ -1,9 +1,10 @@
-"""Deterministic derivation of child random generators.
+"""Deterministic derivation of child random generators, and the integer rules.
 
 Every stochastic operation in the package derives its generator from a user
 seed plus an integer key path (chunk index, pair index, group index, ...).
 Results therefore depend only on (seed, key), never on scheduling, thread
-count, or call order.
+count, or call order. Seeds and counts share one integer test: a Python or
+numpy integer, not a ``bool``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,27 @@ from .errors import InputError
 _SEED_MAX = 2**64
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def check_count(value: int, name: str, low: int, high: int | None = None) -> int:
+    """The one rule of a count setting: an integer in [low, high], as an ``int``."""
+    count = _integer(value, name)
+    if count < low:
+        raise InputError(f"{name} must be >= {low}, got {count}")
+    if high is not None and count > high:
+        raise InputError(f"{name} must be <= {high}, got {count}")
+    return count
+
+
 def validate_seed(seed: int, name: str = "seed") -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {type(seed).__name__}")
-    if not 0 <= int(seed) < _SEED_MAX:
+    value = _integer(seed, name)
+    if not 0 <= value < _SEED_MAX:
         raise InputError(f"{name} must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+    return value
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:

@@ -24,7 +24,7 @@ from .feedback import (
     PredictionSet,
     fit_uncertainty,
 )
-from .rng import child_rng, validate_seed
+from .rng import check_count, child_rng, validate_seed
 
 # Stream keys so population parameters and trial draws never share bits.
 _POPULATION_STREAM = 0
@@ -94,10 +94,8 @@ class PopulationSpec:
     bias_hi: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise InputError(f"n_users must be >= 1, got {self.n_users}")
-        if self.n_items < 1:
-            raise InputError(f"n_items must be >= 1, got {self.n_items}")
+        for name in ("n_users", "n_items"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
         if self.n_users * self.n_items > MAX_POPULATION_PAIRS:
             raise InputError(
                 f"n_users * n_items must be <= {MAX_POPULATION_PAIRS}, got "
@@ -161,12 +159,6 @@ def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, Predicti
     )
 
 
-def check_trials(k: int) -> None:
-    """Reject fewer than one trial per pair."""
-    if k < 1:
-        raise InputError(f"trials per pair must be >= 1, got {k}")
-
-
 def draw_trials(
     data: FeedbackDataset, k: int, *, seed: int = 0, scale: RatingScale | None = None
 ) -> ObservationSet:
@@ -178,7 +170,7 @@ def draw_trials(
     value outside the nominal range. A draw beyond float64 raises
     ``InputError`` naming its pair. The returned set carries no scale.
     """
-    check_trials(k)
+    k = check_count(k, "trials per pair", 1)
     if data.N * k > MAX_OBSERVATION_ROWS:
         raise InputError(
             f"{data.N} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} observation rows"
@@ -251,8 +243,7 @@ def fit_roundtrip_check(spec: PopulationSpec, k: int) -> float:
     nothing above that floor the error is defined as 0. Small k gives large
     errors, which are reported, not asserted.
     """
-    if k < 2:
-        raise InputError(f"roundtrip check needs k >= 2 trials, got {k}")
+    k = check_count(k, "trials per pair", 2)
     truth, _ = generate_population(spec)
     obs = draw_trials(truth, k=k, seed=spec.seed)
     fitted = fit_uncertainty(obs)

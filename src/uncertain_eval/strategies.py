@@ -38,7 +38,7 @@ from .feedback import (
     fit_uncertainty,
 )
 from .metrics import check_tau, rmse, square_overflow
-from .rng import child_rng, validate_seed
+from .rng import check_count, child_rng, validate_seed
 
 @dataclass(frozen=True, slots=True)
 class DenoiseResult:
@@ -119,8 +119,7 @@ def check_strategy_request(
     """
     if denoise_threshold is not None and not denoise_threshold > 0:
         raise InputError(f"denoise threshold must be > 0, got {denoise_threshold}")
-    if denoise_max_iterations < 1:
-        raise InputError(f"max_iterations must be >= 1, got {denoise_max_iterations}")
+    check_count(denoise_max_iterations, "max_iterations", 1)
     if denoise_resampler not in ("median", "redraw"):
         raise InputError(f"unknown resampler {denoise_resampler!r}; expected median or redraw")
     validate_seed(denoise_seed)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -20,9 +21,11 @@ from uncertain_eval import (
     PredictionSet,
     RatingScale,
     denoise_preprocess,
+    draw_trials,
     fit_uncertainty,
     omit_insignificant,
     predictor_noise_deviation,
+    resolve_thread_count,
     run_strategy_comparison,
 )
 from uncertain_eval.cli import _load_population_spec, main
@@ -1311,6 +1314,47 @@ def _strategy_calls(settings):
     return calls
 
 
+def _spec(**counts):
+    """``PopulationSpec`` of ``SPEC_JSON`` with the given counts."""
+    scale = RatingScale(**SPEC_JSON["scale"])
+    return PopulationSpec(**{**SPEC_JSON, "scale": scale, **counts})
+
+
+# Each bad count: (library call, command and options, spec counts,
+# UNCERTAIN_EVAL_THREADS, message).
+COUNT_RULES = {
+    "samples 99": (
+        lambda: McConfig(sample_count=99, seed=1), "rmse-dist --samples 99", {}, None,
+        "sample_count must be >= 100, got 99",
+    ),
+    "samples 10000001": (
+        lambda: McConfig(sample_count=10_000_001, seed=1), "rmse-dist --samples 10000001", {},
+        None, "sample_count must be <= 10000000, got 10000001",
+    ),
+    "trials 0": (
+        lambda: draw_trials(FeedbackDataset.from_ids(*IDS, [3.0], [0.5]), 0),
+        "simulate --trials 0", {}, None, "trials per pair must be >= 1, got 0",
+    ),
+    "n_users 0": (
+        lambda: _spec(n_users=0), "simulate", {"n_users": 0}, None, "n_users must be >= 1, got 0",
+    ),
+    "n_items 0": (
+        lambda: _spec(n_items=0), "simulate", {"n_items": 0}, None, "n_items must be >= 1, got 0",
+    ),
+    "threads -1": (
+        resolve_thread_count, "rmse-dist", {}, "-1", "UNCERTAIN_EVAL_THREADS must be >= 0, got -1",
+    ),
+    "threads 257": (
+        resolve_thread_count, "rmse-dist", {}, "257",
+        "UNCERTAIN_EVAL_THREADS must be <= 256, got 257",
+    ),
+}
+
+
+def _no_thread(thread):
+    raise AssertionError(f"thread {thread.name} started")
+
+
 class TestOneMessagePerRule:
     """A value rule reads the same from the library and from a file or the CLI."""
 
@@ -1351,6 +1395,31 @@ class TestOneMessagePerRule:
         assert code == 2
         assert re.sub(rf"^error: ({re.escape(str(data))}:\d+: )?", "", stderr) == f"{info.value}\n"
 
+
+    @pytest.mark.parametrize("rule", COUNT_RULES)
+    def test_count_reads_the_same_everywhere(self, capsys, tmp_path, monkeypatch, rule):
+        call, command, counts, threads, message = COUNT_RULES[rule]
+        if threads is not None:
+            monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", threads)
+        # every count is rejected before any thread starts
+        monkeypatch.setattr(threading.Thread, "start", _no_thread)
+        with pytest.raises(InputError) as info:
+            call()
+        feedback = tmp_path / "feedback.csv"
+        feedback.write_text(FEEDBACK_HEADER + "u,i,3.0,0.5\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(PRED_HEADER + "u,i,3.0\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC_JSON, **counts}), encoding="utf-8")
+        command, *options = command.split()
+        argv = {
+            "rmse-dist": ["--feedback", str(feedback), "--pred", str(pred)],
+            "simulate": ["--spec", str(spec), "--out-dir", str(tmp_path / "run")],
+        }[command]
+        code, stdout, stderr = run_cli(capsys, command, *argv, *options)
+        assert (code, stdout) == (2, "")
+        assert [str(info.value), stderr] == [message, f"error: {message}\n"]
+        assert not (tmp_path / "run").exists()
 
     def test_prediction_rule_agrees(self, capsys, tmp_path):
         # the data set, the deviation law and the file reader share one message
