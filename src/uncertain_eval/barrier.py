@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import InputError
 from .feedback import FeedbackDataset
+from .rng import check_real
 
 # Exact two-sided 95% normal quantile (1.959964 to six decimals, not 1.96),
 # pinned; see the module docstring.
@@ -59,10 +60,8 @@ class GaussianDistribution:
     variance: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise InputError(f"mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.variance) and self.variance >= 0):
-            raise InputError(f"variance must be finite and >= 0, got {self.variance}")
+        for name, rule in (("mean", "be finite"), ("variance", "be finite and >= 0")):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, rule))
 
     @property
     def std(self) -> float:
@@ -98,8 +97,7 @@ def confidence_interval(
     At level 0.95 ``z`` is ``Z_TWO_SIDED_95``, the quantile the
     distinguishability verdict uses, so interval and verdict agree.
     """
-    if not (0.0 < level < 1.0):
-        raise InputError(f"confidence level must lie in (0, 1), got {level}")
+    level = check_real(level, "confidence level", "lie in (0, 1)")
     if level == 0.95:
         z = Z_TWO_SIDED_95
     else:
@@ -124,6 +122,8 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     ``barrier_variance``, ``shift_mean``, ``ci_low``, ``ci_high``,
     ``distinguishable``, ``z_gap``.
     """
+    s1 = check_real(s1, "s1", "be a number")
+    s2 = check_real(s2, "s2", "be a number")
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
     shift = 0.5 * (s1 + s2)

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .barrier import barrier_distribution, distinguishability_test
 from .errors import InputError, UnavailableError
-from .feedback import check_fallback, fit_uncertainty, pooled_sigma
+from .feedback import fit_uncertainty, pooled_sigma
 from .io import (
     read_feedback,
     read_observations,
@@ -34,7 +34,7 @@ from .io import (
     write_sample_dump,
 )
 from .metrics import McConfig, rmse_distribution
-from .rng import check_count
+from .rng import check_count, check_real
 from .simulate import PopulationSpec, draw_trials, generate_population
 from .strategies import check_strategy_request, run_strategy_comparison
 
@@ -79,8 +79,7 @@ def _parse_fallback(text: str) -> float | None:
         value = float(text.split(":", 1)[1])
     except ValueError as exc:
         raise InputError(f"bad fixed fallback value in {text!r}") from exc
-    check_fallback(value)
-    return value
+    return check_real(value, "fixed sigma fallback", "be finite and >= 0")
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -172,7 +171,7 @@ def _from_json(cls, raw: dict, name: str):
     """Build the dataclass ``cls`` from the JSON object ``raw`` by its declared fields.
 
     Fields without a default are required; a dataclass field is a nested object.
-    A number field takes no JSON boolean, and an ``int`` field no fraction.
+    A number field takes a JSON number (``null`` if it admits None), an ``int`` field no fraction.
     """
     declared = fields(cls)
     types = typing.get_type_hints(cls)
@@ -195,13 +194,13 @@ def _from_json(cls, raw: dict, name: str):
         else:
             # ``float | None`` converts with its first member
             convert = (typing.get_args(kind) or (kind,))[0]
-            if isinstance(value, bool):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InputError(f"bad spec value: {key} must be a number, got {json.dumps(value)}")
             if convert is int and isinstance(value, float) and value % 1 > 0:
                 raise InputError(f"bad spec value: {key} must be an integer, got {value}")
             try:
                 values[key] = convert(value)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise InputError(f"bad spec value: {exc}") from exc
     return cls(**values)
 

@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, UnavailableError
+from .rng import check_real
 
 
 class Interner:
@@ -188,8 +189,7 @@ def check_observation(trial: int, value: float) -> None:
         raise InputError(f"trial must be non-negative, got {trial}")
     if trial >= 2**63:
         raise InputError(f"trial must be below 2**63, got {trial}")
-    if not math.isfinite(value):
-        raise InputError(f"rating value must be finite, got {value}")
+    check_real(value, "rating value")
 
 
 class ObservationSet(_Columnar):
@@ -274,12 +274,9 @@ class UncertainFeedback:
     n_trials: int | None = None
 
 
-def check_feedback(mu: float, sigma: float) -> None:
-    """Reject the parameters of one response model unless both are legal."""
-    if not math.isfinite(mu):
-        raise InputError(f"mu must be finite, got {mu}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InputError(f"sigma must be finite and >= 0, got {sigma}")
+def check_feedback(mu: float, sigma: float) -> tuple[float, float]:
+    """The parameters of one response model, as floats, unless either is illegal."""
+    return check_real(mu, "mu"), check_real(sigma, "sigma", "be finite and >= 0")
 
 
 class FeedbackDataset(_Columnar):
@@ -320,10 +317,9 @@ class FeedbackDataset(_Columnar):
         return tuple(map(UncertainFeedback, keys, mu, sigma, n_trials))
 
 
-def check_prediction(value: float) -> None:
-    """Reject one prediction unless it is finite."""
-    if not math.isfinite(value):
-        raise InputError(f"prediction must be finite, got {value}")
+def check_prediction(value: float) -> float:
+    """One prediction, as a float, unless it is not finite."""
+    return check_real(value, "prediction")
 
 
 class PredictionSet(_Columnar):
@@ -348,12 +344,6 @@ class PredictionSet(_Columnar):
         return self.values[keys.locate(self.keys, "missing prediction")]
 
 
-def check_fallback(value: float) -> None:
-    """Reject a single-trial spread unless it is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise InputError("fixed sigma fallback needs a value >= 0")
-
-
 def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> FeedbackDataset:
     """Estimate (mu, sigma) per pair from repeated trials.
 
@@ -367,7 +357,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     numpy does for that pair alone.
     """
     if fallback is not None:
-        check_fallback(fallback)
+        fallback = check_real(fallback, "fixed sigma fallback", "be finite and >= 0")
     if not len(obs):
         raise InputError("cannot fit an empty observation set")
 
@@ -396,7 +386,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     if single.any():
         if fallback is not None:
             # + 0.0 turns a -0.0 fallback into 0.0
-            sigma[single] = float(fallback) + 0.0
+            sigma[single] = fallback + 0.0
         elif single.all():
             raise UnavailableError(
                 "pooled sigma fallback needs at least one pair with >= 2 trials"

@@ -30,7 +30,7 @@ import numpy as np
 from .barrier import barrier_distribution
 from .errors import InputError
 from .feedback import FeedbackDataset, PredictionSet
-from .rng import check_count, child_rng, validate_seed
+from .rng import check_count, check_real, child_rng, validate_seed
 
 CHUNK_SIZE = 1024
 
@@ -48,12 +48,12 @@ MAX_SAMPLE_COUNT = 10_000_000
 MAX_THREADS = 256
 
 
-def check_tau(tau: float) -> None:
-    """Reject a prediction noise deviation that is negative or not finite, or whose square is not."""
-    if not (math.isfinite(tau) and tau >= 0):
-        raise InputError(f"tau must be finite and >= 0, got {tau}")
+def check_tau(tau: float) -> float:
+    """Tau as a float, unless it is negative or not finite, or its square is not finite."""
+    tau = check_real(tau, "tau", "be finite and >= 0")
     if not math.isfinite(tau * tau):
         raise InputError(f"tau squared must be finite, got tau = {tau}")
+    return tau
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +69,7 @@ class McConfig:
         object.__setattr__(self, "sample_count", count)
         validate_seed(self.seed)
         if self.predictor_tau is not None:
-            check_tau(self.predictor_tau)
+            object.__setattr__(self, "predictor_tau", check_tau(self.predictor_tau))
 
 
 @dataclass(frozen=True)

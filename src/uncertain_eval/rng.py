@@ -1,13 +1,15 @@
-"""Deterministic derivation of child random generators, and the integer rules.
+"""Deterministic derivation of child random generators, and the number rules.
 
 Every stochastic operation in the package derives its generator from a user
 seed plus an integer key path (chunk index, pair index, group index, ...).
 Results therefore depend only on (seed, key), never on scheduling, thread
 count, or call order. Seeds and counts share one integer test: a Python or
-numpy integer, not a ``bool``.
+numpy integer, not a ``bool``; a real setting may also be a float.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +32,29 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
     if high is not None and count > high:
         raise InputError(f"{name} must be <= {high}, got {count}")
     return count
+
+
+_REAL_RULES = {
+    "be a number": lambda x: True,
+    "be finite": math.isfinite,
+    "be finite and >= 0": lambda x: 0 <= x < math.inf,
+    "be finite and > 0": lambda x: 0 < x < math.inf,
+    "be > 0": lambda x: x > 0,
+    "lie in (0, 1)": lambda x: 0 < x < 1,
+    "lie in (0, 1]": lambda x: 0 < x <= 1,
+}
+
+
+def check_real(value: float, name: str, rule: str = "be finite") -> float:
+    """The one rule of a real setting: a number that keeps ``rule``, as a ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        if _REAL_RULES[rule](number := float(value)):
+            return number
+    except OverflowError:  # an integer beyond float64 keeps no rule
+        number = math.inf if value > 0 else -math.inf
+    raise InputError(f"{name} must {rule}, got {number}")
 
 
 def validate_seed(seed: int, name: str = "seed") -> int:

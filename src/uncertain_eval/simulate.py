@@ -24,7 +24,7 @@ from .feedback import (
     PredictionSet,
     fit_uncertainty,
 )
-from .rng import check_count, child_rng, validate_seed
+from .rng import check_count, check_real, child_rng, validate_seed
 
 # Stream keys so population parameters and trial draws never share bits.
 _POPULATION_STREAM = 0
@@ -48,6 +48,8 @@ class RatingScale:
     discrete_step: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("min_value", "max_value"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, "be a number"))
         if not (math.isfinite(self.min_value) and math.isfinite(self.max_value)):
             raise InputError("rating scale bounds must be finite")
         if not self.min_value < self.max_value:
@@ -60,9 +62,9 @@ class RatingScale:
                 f"rating scale span overflows float64: [{self.min_value}, {self.max_value}]"
             )
         if self.discrete_step is not None:
-            if not (math.isfinite(self.discrete_step) and self.discrete_step > 0):
-                raise InputError("discrete_step must be positive")
-            steps = self.span / self.discrete_step
+            step = check_real(self.discrete_step, "discrete_step", "be finite and > 0")
+            object.__setattr__(self, "discrete_step", step)
+            steps = self.span / step
             if abs(steps - round(steps)) > 1e-9:
                 raise InputError(
                     "scale span must be an integer multiple of discrete_step"
@@ -101,13 +103,14 @@ class PopulationSpec:
                 f"n_users * n_items must be <= {MAX_POPULATION_PAIRS}, got "
                 f"{self.n_users} * {self.n_items}"
             )
+        for name in ("sigma_lo", "sigma_hi", "bias_lo", "bias_hi"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, "be a number"))
         if not 0 <= self.sigma_lo <= self.sigma_hi < math.inf:
             raise InputError(
                 f"sigma prior needs 0 <= sigma_lo <= sigma_hi, got "
                 f"[{self.sigma_lo}, {self.sigma_hi}]"
             )
-        if not 0 < self.density <= 1:
-            raise InputError(f"density must lie in (0, 1], got {self.density}")
+        object.__setattr__(self, "density", check_real(self.density, "density", "lie in (0, 1]"))
         if not -math.inf < self.bias_lo <= self.bias_hi < math.inf:
             raise InputError(
                 f"bias prior needs bias_lo <= bias_hi, got "
@@ -208,8 +211,7 @@ def histogram(values: Iterable[float], bin_width: float) -> tuple[np.ndarray, ..
     bin, and counts sum to the number of values. Edges beyond float64
     raise ``InputError``.
     """
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise InputError(f"bin width must be positive, got {bin_width}")
+    bin_width = check_real(bin_width, "bin width", "be finite and > 0")
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise InputError("cannot build a histogram from zero observations")

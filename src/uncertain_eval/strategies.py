@@ -38,7 +38,7 @@ from .feedback import (
     fit_uncertainty,
 )
 from .metrics import check_tau, rmse, square_overflow
-from .rng import check_count, child_rng, validate_seed
+from .rng import check_count, check_real, child_rng, validate_seed
 
 @dataclass(frozen=True, slots=True)
 class DenoiseResult:
@@ -111,24 +111,25 @@ def check_strategy_request(
     denoise_seed: int = 0,
     predictor_tau: float | None = None,
     omit_alpha: float | None = None,
-) -> None:
-    """The one rule of every strategy setting, checked before any data is read.
+) -> tuple[float | None, float | None, float | None]:
+    """The one rule of every strategy setting; returns the threshold, tau and alpha.
 
-    A threshold, tau or alpha of None is a strategy not requested; the
-    other settings are checked all the same.
+    Each of the three is a float, or None for a strategy not requested; the
+    other settings are checked all the same, before any data is read.
     """
-    if denoise_threshold is not None and not denoise_threshold > 0:
-        raise InputError(f"denoise threshold must be > 0, got {denoise_threshold}")
+    if denoise_threshold is not None:
+        denoise_threshold = check_real(denoise_threshold, "denoise threshold", "be > 0")
     check_count(denoise_max_iterations, "max_iterations", 1)
     if denoise_resampler not in ("median", "redraw"):
         raise InputError(f"unknown resampler {denoise_resampler!r}; expected median or redraw")
     validate_seed(denoise_seed)
-    if omit_alpha is not None and not 0.0 < omit_alpha < 1.0:
-        raise InputError(f"alpha must lie in (0, 1), got {omit_alpha}")
+    if omit_alpha is not None:
+        omit_alpha = check_real(omit_alpha, "alpha", "lie in (0, 1)")
     if predictor_tau is not None:
-        check_tau(predictor_tau)
+        predictor_tau = check_tau(predictor_tau)
     if denoise_threshold is None and predictor_tau is None and omit_alpha is None:
         raise InputError("no strategy requested")
+    return denoise_threshold, predictor_tau, omit_alpha
 
 
 def denoise_preprocess(
@@ -155,7 +156,7 @@ def denoise_preprocess(
     of every retained value; when its attempts run out the slot falls back
     to the median and the group is flagged.
     """
-    check_strategy_request(
+    threshold, _, _ = check_strategy_request(
         denoise_threshold=threshold,
         denoise_max_iterations=max_iterations,
         denoise_resampler=resampler,
@@ -224,9 +225,9 @@ def predictor_noise_deviation(
     A rating N(mu, sigma^2) compared against an independent noisy
     prediction N(pi, tau^2) deviates as N(mu - pi, sigma^2 + tau^2).
     """
-    check_feedback(mu, sigma)
-    check_prediction(prediction)
-    check_tau(tau)
+    mu, sigma = check_feedback(mu, sigma)
+    prediction = check_prediction(prediction)
+    tau = check_tau(tau)
     if not math.isfinite(sigma * sigma):
         raise InputError(f"sigma squared must be finite, got sigma = {sigma}")
     mean, variance = mu - prediction, sigma**2 + tau**2
@@ -251,7 +252,7 @@ def omit_insignificant(
     and scored. Pairs with sigma = 0 are retained for any nonzero deviation
     (p = 0). With nothing retained the filtered score is None, never 0.
     """
-    check_strategy_request(omit_alpha=alpha)
+    _, _, alpha = check_strategy_request(omit_alpha=alpha)
     keys = point_ratings.keys
     sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
     # a deviation beyond float64 has p = 0, and its square fails the check below
@@ -340,7 +341,7 @@ def run_strategy_comparison(
     ``distinguishable``, ``z_gap`` (both None without an after-score) and
     ``mean_deviation_variance`` (predictor noise only).
     """
-    check_strategy_request(
+    denoise_threshold, predictor_tau, omit_alpha = check_strategy_request(
         denoise_threshold=denoise_threshold,
         denoise_max_iterations=denoise_max_iterations,
         denoise_resampler=denoise_resampler,

@@ -811,13 +811,20 @@ SPEC_FAULTS = [
         for name in ("min_value", "max_value")
     ],
     ("non_numeric_int", dict(SPEC_JSON, n_users="two"),
-     "bad spec value: invalid literal for int() with base 10: 'two'"),
+     'bad spec value: n_users must be a number, got "two"'),
     ("non_numeric_float", dict(SPEC_JSON, sigma_lo="low"),
-     "bad spec value: could not convert string to float: 'low'"),
+     'bad spec value: sigma_lo must be a number, got "low"'),
     ("non_numeric_scale", _with_scale(max_value="top"),
-     "bad spec value: could not convert string to float: 'top'"),
+     'bad spec value: max_value must be a number, got "top"'),
     ("null_float", dict(SPEC_JSON, density=None),
-     "bad spec value: float() argument must be a string or a real number, not 'NoneType'"),
+     "bad spec value: density must be a number, got null"),
+    # a number in a JSON string is still a string
+    ("numeric_string_int", dict(SPEC_JSON, n_users="3"),
+     'bad spec value: n_users must be a number, got "3"'),
+    ("numeric_string_float", dict(SPEC_JSON, sigma_lo="0.3"),
+     'bad spec value: sigma_lo must be a number, got "0.3"'),
+    ("numeric_string_seed", dict(SPEC_JSON, seed="12"),
+     'bad spec value: seed must be a number, got "12"'),
     ("scale_value_error", _with_scale(min_value=5.0, max_value=1.0),
      "rating scale needs min_value < max_value, got [5.0, 1.0]"),
     ("fractional_int", dict(SPEC_JSON, n_users=2.7),
@@ -952,6 +959,28 @@ class TestPopulationSpec:
             "  ]\n"
             "}\n"
         )
+
+    def test_json_int_and_float_are_one_number(self, capsys, tmp_path, monkeypatch):
+        # JSON has one number type: 2 and 2.0 load alike in an int or a float field
+        specs = {
+            "floats": dict(SPEC_JSON, n_users=2.0, seed=77.0, sigma_lo=0),
+            "ints": dict(SPEC_JSON, n_users=2, seed=77, sigma_lo=0.0),
+        }
+        runs = []
+        for name, spec in specs.items():
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            result = run_cli(
+                capsys, "simulate", "--spec", json.dumps(spec), "--trials", "3", "--out-dir", "run"
+            )
+            files = {path.name: path.read_bytes() for path in sorted(Path("run").iterdir())}
+            runs.append((result, files))
+        assert runs[0] == runs[1]
+        (code, _, _), files = runs[0]
+        assert code == 0
+        assert sorted(files) == [
+            "feedback.csv", "manifest.json", "observations.csv", "predictions.csv"
+        ]
 
 
 OBS_HEADER = "user_id,item_id,trial,rating\n"
@@ -1314,13 +1343,14 @@ def _strategy_calls(settings):
     return calls
 
 
-def _spec(**counts):
-    """``PopulationSpec`` of ``SPEC_JSON`` with the given counts."""
+def _spec(**values):
+    """``PopulationSpec`` of ``SPEC_JSON`` with the given field values."""
     scale = RatingScale(**SPEC_JSON["scale"])
-    return PopulationSpec(**{**SPEC_JSON, "scale": scale, **counts})
+    return PopulationSpec(**{**SPEC_JSON, "scale": scale, **values})
 
 
-# Each bad count: (library call, command and options, spec counts,
+# Each bad count, and each bad real setting of a spec given as an int to the
+# library: (library call, command and options, spec field values,
 # UNCERTAIN_EVAL_THREADS, message).
 COUNT_RULES = {
     "samples 99": (
@@ -1347,6 +1377,15 @@ COUNT_RULES = {
     "threads 257": (
         resolve_thread_count, "rmse-dist", {}, "257",
         "UNCERTAIN_EVAL_THREADS must be <= 256, got 257",
+    ),
+    "density 0": (
+        lambda: _spec(density=0), "simulate", {"density": 0}, None,
+        "density must lie in (0, 1], got 0.0",
+    ),
+    "discrete_step 0": (
+        lambda: RatingScale(**dict(SPEC_JSON["scale"], discrete_step=0)), "simulate",
+        {"scale": dict(SPEC_JSON["scale"], discrete_step=0)}, None,
+        "discrete_step must be finite and > 0, got 0.0",
     ),
 }
 
@@ -1398,7 +1437,7 @@ class TestOneMessagePerRule:
 
     @pytest.mark.parametrize("rule", COUNT_RULES)
     def test_count_reads_the_same_everywhere(self, capsys, tmp_path, monkeypatch, rule):
-        call, command, counts, threads, message = COUNT_RULES[rule]
+        call, command, values, threads, message = COUNT_RULES[rule]
         if threads is not None:
             monkeypatch.setenv("UNCERTAIN_EVAL_THREADS", threads)
         # every count is rejected before any thread starts
@@ -1410,7 +1449,7 @@ class TestOneMessagePerRule:
         pred = tmp_path / "pred.csv"
         pred.write_text(PRED_HEADER + "u,i,3.0\n", encoding="utf-8")
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({**SPEC_JSON, **counts}), encoding="utf-8")
+        spec.write_text(json.dumps({**SPEC_JSON, **values}), encoding="utf-8")
         command, *options = command.split()
         argv = {
             "rmse-dist": ["--feedback", str(feedback), "--pred", str(pred)],

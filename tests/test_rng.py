@@ -1,22 +1,35 @@
-"""The integer rule of seeds and counts: a Python or numpy integer, not a bool."""
+"""The number rules: seeds and counts take a Python or numpy integer, real
+settings also a float, and neither a bool."""
+
+import math
 
 import numpy as np
 import pytest
 
 from uncertain_eval import (
     FeedbackDataset,
+    GaussianDistribution,
     InputError,
     McConfig,
     ObservationSet,
     PopulationSpec,
     PredictionSet,
     RatingScale,
+    confidence_interval,
     denoise_preprocess,
+    distinguishability_test,
     draw_trials,
     fit_roundtrip_check,
+    fit_uncertainty,
+    generate_population,
+    histogram,
+    predictor_noise_deviation,
+    rmse_distribution,
     run_strategy_comparison,
 )
-from uncertain_eval.rng import check_count, validate_seed
+from uncertain_eval.feedback import check_feedback, check_observation, check_prediction
+from uncertain_eval.metrics import check_tau
+from uncertain_eval.rng import check_count, check_real, validate_seed
 from uncertain_eval.strategies import check_strategy_request
 
 IDS = (["u"], ["i"])
@@ -25,9 +38,9 @@ DATA = FeedbackDataset.from_ids(*IDS, [3.0], [0.5])
 PRED = PredictionSet.from_ids(*IDS, [3.0])
 
 
-def _spec(**counts):
-    sizes = {"n_users": 2, "n_items": 2, **counts}
-    return PopulationSpec(**sizes, scale=RatingScale(1.0, 5.0, 1.0), sigma_lo=0.3, sigma_hi=0.8)
+def _spec(**settings):
+    settings = {"n_users": 2, "n_items": 2, "sigma_lo": 0.3, "sigma_hi": 0.8, **settings}
+    return PopulationSpec(**settings, scale=RatingScale(1.0, 5.0, 1.0))
 
 
 # Each count entry point: (name in its messages, call with a count, a legal count,
@@ -117,3 +130,204 @@ def test_seed_that_is_a_bool_rejected(seed):
     with pytest.raises(InputError) as info:
         validate_seed(seed)
     assert str(info.value) == f"seed must be an integer, got {type(seed).__name__}"
+
+
+def _typed(*values):
+    return [(type(value), value) for value in values]
+
+
+def _gaussian(g):
+    return _typed(g.mean, g.variance)
+
+
+def _scale(scale):
+    return _typed(scale.min_value, scale.max_value, scale.discrete_step)
+
+
+def _monte_carlo(cfg):
+    return _typed(cfg.predictor_tau), rmse_distribution(DATA, PRED, cfg).samples.tolist()
+
+
+def _population(spec):
+    truth, predictions = generate_population(spec)
+    stored = _typed(spec.sigma_lo, spec.sigma_hi, spec.density, spec.bias_lo, spec.bias_hi)
+    return stored, truth.mu.tolist(), truth.sigma.tolist(), predictions.values.tolist()
+
+
+def _same(result):
+    return result
+
+
+FLOOR = GaussianDistribution(0.0, 1.0)
+SINGLE = ObservationSet.from_ids(["u", "v", "v"], ["i", "i", "i"], [0, 0, 1], [3.0, 2.0, 4.0])
+
+# Each real entry point: (name in its messages, call with a value, a legal
+# value, what the call's result is compared by, whether None means "absent").
+# The legal values are not exact in float32, so that a setting computed with
+# in float32 reads differently from its float.
+REAL_ENTRY_POINTS = {
+    "GaussianDistribution mean": (
+        "mean", lambda v: GaussianDistribution(v, 1.0), 2.3, _gaussian, False,
+    ),
+    "GaussianDistribution variance": (
+        "variance", lambda v: GaussianDistribution(0.0, v), 0.7, _gaussian, False,
+    ),
+    "confidence_interval": (
+        "confidence level", lambda v: confidence_interval(FLOOR, v), 0.3, _typed, False,
+    ),
+    "distinguishability_test s1": (
+        "s1", lambda v: distinguishability_test(v, 3.0, FLOOR), 2.3, _same, False,
+    ),
+    "distinguishability_test s2": (
+        "s2", lambda v: distinguishability_test(3.0, v, FLOOR), 2.3, _same, False,
+    ),
+    "check_observation": ("rating value", lambda v: check_observation(0, v), 3.1, _same, False),
+    "check_feedback mu": ("mu", lambda v: check_feedback(v, 0.5), 3.1, _typed, False),
+    "check_feedback sigma": ("sigma", lambda v: check_feedback(3.0, v), 0.3, _typed, False),
+    "check_prediction": ("prediction", check_prediction, 2.9, _typed, False),
+    "check_tau": ("tau", check_tau, 0.3, _typed, False),
+    "predictor_noise_deviation mu": (
+        "mu", lambda v: predictor_noise_deviation(v, 0.5, 2.0, 0.25), 3.1, _gaussian, False,
+    ),
+    "predictor_noise_deviation sigma": (
+        "sigma", lambda v: predictor_noise_deviation(3.0, v, 2.0, 0.25), 0.3, _gaussian, False,
+    ),
+    "predictor_noise_deviation prediction": (
+        "prediction", lambda v: predictor_noise_deviation(3.0, 0.5, v, 0.25), 2.9, _gaussian,
+        False,
+    ),
+    "predictor_noise_deviation tau": (
+        "tau", lambda v: predictor_noise_deviation(3.0, 0.5, 2.0, v), 0.3, _gaussian, False,
+    ),
+    "McConfig": (
+        "tau", lambda v: McConfig(sample_count=100, seed=1, predictor_tau=v), 0.3,
+        _monte_carlo, True,
+    ),
+    "check_strategy_request threshold": (
+        "denoise threshold", lambda v: check_strategy_request(denoise_threshold=v), 1.3,
+        lambda settings: _typed(*settings), True,
+    ),
+    "check_strategy_request alpha": (
+        "alpha", lambda v: check_strategy_request(omit_alpha=v), 0.3,
+        lambda settings: _typed(*settings), True,
+    ),
+    "denoise_preprocess": (
+        "denoise threshold", lambda v: denoise_preprocess(OBS, None, v), 1.3,
+        lambda result: result.observations.value.tolist(), True,
+    ),
+    "run_strategy_comparison": (
+        "tau", lambda v: run_strategy_comparison(PRED, data=DATA, predictor_tau=v), 0.3, _same,
+        True,
+    ),
+    "RatingScale min_value": ("min_value", lambda v: RatingScale(v, 5.0), 1.1, _scale, False),
+    "RatingScale max_value": ("max_value", lambda v: RatingScale(1.0, v), 5.3, _scale, False),
+    # 4 / 0.1 is a whole number in float32 only: the float of np.float32(0.1) is no step of [1, 5]
+    "RatingScale discrete_step": (
+        "discrete_step", lambda v: RatingScale(1.0, 5.0, v), 0.1, _scale, True,
+    ),
+    "PopulationSpec density": ("density", lambda v: _spec(density=v), 0.3, _population, False),
+    "PopulationSpec sigma_lo": (
+        "sigma_lo", lambda v: _spec(sigma_lo=v), 0.1, _population, False,
+    ),
+    "PopulationSpec sigma_hi": ("sigma_hi", lambda v: _spec(sigma_hi=v), 1.3, _population, False),
+    "PopulationSpec bias_lo": (
+        "bias_lo", lambda v: _spec(bias_lo=v), -0.3, _population, False,
+    ),
+    "PopulationSpec bias_hi": ("bias_hi", lambda v: _spec(bias_hi=v), 0.3, _population, False),
+    "histogram": (
+        "bin width", lambda v: histogram([1.0, 2.0, 2.5], v), 0.3,
+        lambda bins: [column.tolist() for column in bins], False,
+    ),
+    "fit_uncertainty": (
+        "fixed sigma fallback", lambda v: fit_uncertainty(SINGLE, v), 0.3,
+        lambda data: data.sigma.tolist(), True,
+    ),
+}
+
+NOT_NUMBERS = {"bool": True, "str": "1", "NoneType": None}
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [
+        (entry, kind)
+        for entry, (*_, optional) in REAL_ENTRY_POINTS.items()
+        for kind in NOT_NUMBERS
+        if not (optional and kind == "NoneType")
+    ],
+)
+def test_real_that_is_no_number_rejected(entry, kind):
+    name, call, *_ = REAL_ENTRY_POINTS[entry]
+    with pytest.raises(InputError) as info:
+        call(NOT_NUMBERS[kind])
+    assert str(info.value) == f"{name} must be a number, got {kind}"
+
+
+def _outcome(entry, value):
+    """What the entry point makes of ``value``: its compared result, or its error."""
+    _, call, _, outcome, _ = REAL_ENTRY_POINTS[entry]
+    try:
+        return outcome(call(value))
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("number", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_numpy_number_reads_as_a_float(entry, number):
+    # np.int64 drops the legal value's fraction; where that breaks the rule,
+    # the int and its float give the same error
+    value = number(REAL_ENTRY_POINTS[entry][2])
+    assert _outcome(entry, value) == _outcome(entry, float(value))
+
+
+CHECK_REAL_FAULTS = [
+    (math.nan, "be finite", "x must be finite, got nan"),
+    (np.float64(-math.inf), "be finite", "x must be finite, got -inf"),
+    (-0.5, "be finite and >= 0", "x must be finite and >= 0, got -0.5"),
+    (math.inf, "be finite and >= 0", "x must be finite and >= 0, got inf"),
+    (0, "be finite and > 0", "x must be finite and > 0, got 0.0"),
+    (math.inf, "be finite and > 0", "x must be finite and > 0, got inf"),
+    (np.int64(-1), "be > 0", "x must be > 0, got -1.0"),
+    (math.nan, "be > 0", "x must be > 0, got nan"),
+    (1, "lie in (0, 1)", "x must lie in (0, 1), got 1.0"),
+    (np.float32(0.0), "lie in (0, 1)", "x must lie in (0, 1), got 0.0"),
+    (0, "lie in (0, 1]", "x must lie in (0, 1], got 0.0"),
+    (1.5, "lie in (0, 1]", "x must lie in (0, 1], got 1.5"),
+    (np.bool_(True), "be a number", "x must be a number, got bool"),
+    # an integer beyond float64 keeps no rule
+    (10**400, "be finite", "x must be finite, got inf"),
+    (10**400, "be > 0", "x must be > 0, got inf"),
+    (-(10**400), "be a number", "x must be a number, got -inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, rule, message", CHECK_REAL_FAULTS, ids=[message for *_, message in CHECK_REAL_FAULTS]
+)
+def test_check_real_messages(value, rule, message):
+    with pytest.raises(InputError) as info:
+        check_real(value, "x", rule)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, rule",
+    [
+        (-0.0, "be finite"),
+        (0, "be finite and >= 0"),
+        (5e-324, "be finite and > 0"),
+        (math.inf, "be > 0"),
+        (np.float32(0.5), "lie in (0, 1)"),
+        (1, "lie in (0, 1]"),
+        (-math.inf, "be a number"),
+        (np.uint64(2**64 - 1), "be a number"),
+    ],
+)
+def test_check_real_returns_a_python_float(value, rule):
+    number = check_real(value, "x", rule)
+    assert type(number) is float and number == value
+
+
+def test_nan_is_a_number():
+    assert math.isnan(check_real(math.nan, "x", "be a number"))
