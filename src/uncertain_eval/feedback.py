@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError, UnavailableError
-from .rng import check_real
+from .rng import check_column, check_index, check_index_column, check_real
 
 
 class Interner:
@@ -148,6 +148,11 @@ class _Columnar:
     @classmethod
     def from_ids(cls, users: Sequence[str], items: Sequence[str], *columns):
         """``from_columns`` of the rows' user and item ids, interned into a key table."""
+        if len(users) != len(items):
+            raise InputError(f"users and items differ in length: {len(users)} and {len(items)}")
+        for name, ids in (("user", users), ("item", items)):
+            if kinds := [type(x).__name__ for x in ids if not isinstance(x, str)]:
+                raise InputError(f"{name} id must be a str, got {kinds[0]}")
         return cls.from_columns(*KeyTable.intern(users, items), *columns)
 
 
@@ -158,9 +163,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def _pair_positions(keys: KeyTable, pair, aligned: str | None = None) -> np.ndarray:
     """``pair`` as positions in ``keys``; a set named ``aligned`` holds each exactly once."""
-    pair = np.asarray(pair, dtype=np.intp)
-    outside = (pair < 0) | (pair >= len(keys))
-    if outside.any():
+    numbers = np.asarray(pair)
+    if numbers.dtype.kind in "if" and (numbers < 0).any():  # outside the keys, not a bad index
+        raise InputError(f"pair {numbers[(numbers < 0).argmax()]} is outside the {len(keys)} keys")
+    pair = check_index_column(pair, "pair", len(pair))
+    if (outside := pair >= len(keys)).any():
         raise InputError(f"pair {pair[outside.argmax()]} is outside the {len(keys)} keys")
     if aligned is not None:
         counts = np.bincount(pair, minlength=len(keys))
@@ -174,7 +181,6 @@ def _pair_positions(keys: KeyTable, pair, aligned: str | None = None) -> np.ndar
 
 def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
     """Read-only column of ``n`` pairs holding row ``j`` at position ``pair[j]``."""
-    rows = np.asarray(rows)
     column = np.empty(n, dtype=rows.dtype)
     column[pair] = rows
     return _frozen(column)
@@ -182,13 +188,7 @@ def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
 
 def check_observation(trial: int, value: float) -> None:
     """Reject the trial and value of one observation row unless both are legal."""
-    # trials are stored as 64-bit integers
-    if trial % 1:
-        raise InputError(f"trial must be an integer, got {trial}")
-    if trial < 0:
-        raise InputError(f"trial must be non-negative, got {trial}")
-    if trial >= 2**63:
-        raise InputError(f"trial must be below 2**63, got {trial}")
+    check_index(trial, "trial")
     check_real(value, "rating value")
 
 
@@ -203,19 +203,8 @@ class ObservationSet(_Columnar):
     __slots__ = ("keys", "pair", "trial", "value")
 
     def _load(self, keys, pair, trial, value) -> None:
-        if np.asarray(trial).dtype.kind != "i":
-            # the int64 cast below wraps a uint64 of 2**63 or more and drops a
-            # float's fraction without raising: name the first such row (a nan
-            # or infinite trial has no remainder, and so is no integer)
-            with np.errstate(invalid="ignore"):
-                for t, v in zip(trial, value):
-                    check_observation(t, v)
-        trial = np.asarray(trial, dtype=np.int64)
-        value = np.asarray(value, dtype=float)
-        bad = (trial < 0) | ~np.isfinite(value)
-        if bad.any():
-            i = int(np.argmax(bad))
-            check_observation(int(trial[i]), float(value[i]))
+        trial = check_index_column(trial, "trial", len(pair))
+        value = check_column(value, "rating value", len(pair))
         pair = _pair_positions(keys, pair)
         # whether each row comes after the one before it in (pair, trial) order
         later = pair[1:] > pair[:-1]
@@ -283,21 +272,19 @@ class FeedbackDataset(_Columnar):
     """Collection of per-pair response models with unique keys.
 
     Held as the columns ``mu``, ``sigma`` and ``n_trials`` (0 where unknown,
-    the default of ``from_columns``), aligned to ``keys``. Where a dataset
-    stands for point ratings, ``mu`` holds them.
+    as when ``from_columns`` gets no such column), aligned to ``keys``.
+    Where a dataset stands for point ratings, ``mu`` holds them.
     """
 
     __slots__ = ("keys", "mu", "sigma", "n_trials")
 
-    def _load(self, keys, pair, mu, sigma, n_trials=0) -> None:
+    def _load(self, keys, pair, mu, sigma, n_trials=None) -> None:
         if not len(pair):
             raise InputError("feedback dataset must contain at least one entry")
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma >= 0))
-        if bad.any():
-            i = int(np.argmax(bad))
-            check_feedback(float(mu[i]), float(sigma[i]))
+        mu = check_column(mu, "mu", len(pair))
+        sigma = check_column(sigma, "sigma", len(pair), "be finite and >= 0")
+        unknown = np.zeros(len(pair), np.int64)
+        n_trials = unknown if n_trials is None else check_index_column(n_trials, "n_trials", len(pair))
         pair = _pair_positions(keys, pair, "feedback dataset")
         self.keys = keys
         self.mu, self.sigma, self.n_trials = (
@@ -329,10 +316,7 @@ class PredictionSet(_Columnar):
 
     def _load(self, keys: KeyTable, pair, values) -> None:
         pair = _pair_positions(keys, pair, "prediction")
-        values = np.asarray(values, dtype=float)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            check_prediction(float(values[np.argmax(bad)]))
+        values = check_column(values, "prediction", len(pair))
         self.keys = keys
         self.values = _scatter(pair, values, len(keys))
 

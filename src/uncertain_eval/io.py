@@ -346,11 +346,12 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique, key) ->
     """
     rows = _records(text)
     seen: set = set()
+    fields = list(zip(header, index, (str, str, *kinds)))
     try:
         next(rows)
         for row in rows:
             values = []
-            for column, j, kind in zip(header, index, (str, str, *kinds)):
+            for column, j, kind in fields:
                 if j >= len(row):
                     raise InputError("row has too few fields")
                 try:

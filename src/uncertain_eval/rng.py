@@ -34,14 +34,14 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
     return count
 
 
-_REAL_RULES = {
+_REAL_RULES = {  # each takes a float, or (but for "be a number") a float64 column
     "be a number": lambda x: True,
-    "be finite": math.isfinite,
-    "be finite and >= 0": lambda x: 0 <= x < math.inf,
-    "be finite and > 0": lambda x: 0 < x < math.inf,
+    "be finite": lambda x: (-math.inf < x) & (x < math.inf),
+    "be finite and >= 0": lambda x: (0 <= x) & (x < math.inf),
+    "be finite and > 0": lambda x: (0 < x) & (x < math.inf),
     "be > 0": lambda x: x > 0,
-    "lie in (0, 1)": lambda x: 0 < x < 1,
-    "lie in (0, 1]": lambda x: 0 < x <= 1,
+    "lie in (0, 1)": lambda x: (0 < x) & (x < 1),
+    "lie in (0, 1]": lambda x: (0 < x) & (x <= 1),
 }
 
 
@@ -55,6 +55,44 @@ def check_real(value: float, name: str, rule: str = "be finite") -> float:
     except OverflowError:  # an integer beyond float64 keeps no rule
         number = math.inf if value > 0 else -math.inf
     raise InputError(f"{name} must {rule}, got {number}")
+
+
+def check_index(value: int, name: str) -> int:
+    """The one rule of an index: a whole number in [0, 2**63), as given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{name} must be an integer, got {type(value).__name__}")
+    if value % 1:  # a nan or infinite float has no remainder, and so is no integer
+        raise InputError(f"{name} must be an integer, got {value}")
+    if value < 0:
+        raise InputError(f"{name} must be non-negative, got {value}")
+    if value >= 2**63:
+        raise InputError(f"{name} must be below 2**63, got {value}")
+    return value
+
+
+def _column(values, name: str, rows: int, row_rule, keeps, dtype) -> np.ndarray:
+    """``rows`` rows as ``dtype``: numbers tested at once by ``keeps``, others by ``row_rule``."""
+    numbers = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    values = values if numbers else np.array(values, object)  # rows as Python objects
+    if values.shape != (rows,):
+        raise InputError(f"{name} must have shape ({rows},), got {values.shape}")
+    if not numbers:
+        return np.array(list(map(row_rule, values)), dtype)
+    with np.errstate(invalid="ignore"):
+        if not (ok := keeps(values)).all():
+            row_rule(values[ok.argmin()])
+    return values.astype(dtype, copy=False)
+
+
+def check_column(values, name: str, rows: int, rule: str = "be finite") -> np.ndarray:
+    """The one rule of a real column: ``rows`` numbers that keep ``rule``, as float64."""
+    return _column(values, name, rows, lambda x: check_real(x, name, rule), _REAL_RULES[rule], float)
+
+
+def check_index_column(values, name: str, rows: int) -> np.ndarray:
+    """The one rule of an index column: ``rows`` whole numbers in [0, 2**63), as int64."""
+    whole = lambda c: (0 <= c) & (c < 2**63) & (c.dtype.kind != "f" or c % 1 == 0)  # int: no % 1
+    return _column(values, name, rows, lambda x: check_index(x, name), whole, np.int64)
 
 
 def validate_seed(seed: int, name: str = "seed") -> int:

@@ -1294,6 +1294,23 @@ VALUE_RULES = {
         lambda: fit_uncertainty(ObservationSet.from_ids(*IDS, [0], [3.0]), -1.0),
         "fit --fallback fixed:-1", OBS_HEADER, "u,i,0,3.0",
     ),
+    # the column rules, given the numpy columns a file reader builds
+    "trial column (index rule)": (
+        lambda: ObservationSet.from_ids(*IDS, np.array([-1]), np.array([3.0])),
+        "fit", OBS_HEADER, "u,i,-1,3.0",
+    ),
+    "rating column (be finite)": (
+        lambda: ObservationSet.from_ids(*IDS, np.array([0]), np.array([math.nan])),
+        "fit", OBS_HEADER, "u,i,0,nan",
+    ),
+    "mu column (be finite)": (
+        lambda: FeedbackDataset.from_ids(*IDS, np.array([-math.inf]), np.array([0.5])),
+        "distinguish", FEEDBACK_HEADER, "u,i,-inf,0.5",
+    ),
+    "sigma column (be finite and >= 0)": (
+        lambda: FeedbackDataset.from_ids(*IDS, np.array([3.0]), np.array([math.inf])),
+        "distinguish", FEEDBACK_HEADER, "u,i,3.0,inf",
+    ),
 }
 
 

@@ -308,3 +308,132 @@ def test_group_is_unique_on_both_sides_of_the_density_switch(data):
 def test_group_of_no_codes():
     distinct, rank = _group(np.array([], dtype=np.intp), 0)
     assert distinct.tolist() == [] and rank.tolist() == []
+
+
+# (build, columns, message in list form, message in ndarray form); every
+# list column is passed as it is and as ``np.array`` of it. None marks a
+# case without an ndarray form of its own: a list that numpy itself turns
+# into clean numbers or strings, or columns that are arrays already.
+COLUMN_FAULTS = {
+    # a row that is no number, in each loader
+    "rating '3.5'": (ObservationSet.from_ids, (["u"], ["i"], [0], ["3.5"]),
+                     "rating value must be a number, got str"),
+    "rating True": (ObservationSet.from_ids, (["u"], ["i"], [0], [True]),
+                    "rating value must be a number, got bool"),
+    "float trial, rating '3.5'": (ObservationSet.from_ids, (["u"], ["i"], [0.0], ["3.5"]),
+                                  "rating value must be a number, got str"),
+    "mu '3', sigma True": (FeedbackDataset.from_ids, (["u"], ["i"], ["3"], [True]),
+                           "mu must be a number, got str"),
+    "prediction True": (PredictionSet.from_ids, (["u"], ["i"], [True]),
+                        "prediction must be a number, got bool"),
+    "trial '0'": (ObservationSet.from_ids, (["u"], ["i"], ["0"], [3.0]),
+                  "trial must be an integer, got str"),
+    "trial None": (ObservationSet.from_ids, (["u"], ["i"], [None], [3.0]),
+                   "trial must be an integer, got NoneType"),
+    "trial True": (ObservationSet.from_ids, (["u"], ["i"], [True], [3.0]),
+                   "trial must be an integer, got bool"),
+    # a bool beside a float, and an int beyond float64
+    "prediction [True, 2.0]": (PredictionSet.from_ids, (["u", "v"], ["i", "i"], [True, 2.0]),
+                               "prediction must be a number, got bool", None),
+    "rating 10**400": (ObservationSet.from_ids, (["u"], ["i"], [0], [10**400]),
+                       "rating value must be finite, got inf"),
+    # one row per pair row, in one dimension
+    "one prediction for two pairs": (PredictionSet.from_ids, (["u", "v"], ["i", "i"], [1.0]),
+                                     "prediction must have shape (2,), got (1,)"),
+    "one rating for two trials": (
+        ObservationSet.from_ids, (["u", "v"], ["i", "i"], [0, 0], [1.0]),
+        "rating value must have shape (2,), got (1,)",
+    ),
+    "ratings in two dimensions": (ObservationSet.from_ids, (["u"], ["i"], [0], [[1.0]]),
+                                  "rating value must have shape (1,), got (1, 1)"),
+    "one sigma for two pairs": (
+        FeedbackDataset.from_ids, (["u", "v"], ["i", "i"], [1.0, 2.0], [0.5]),
+        "sigma must have shape (2,), got (1,)",
+    ),
+    # the id columns of from_ids
+    "more users than items": (PredictionSet.from_ids, (["u", "v"], ["i"], [1.0, 2.0]),
+                              "users and items differ in length: 2 and 1"),
+    "more items than users": (PredictionSet.from_ids, (["u"], ["i", "j"], [1.0, 2.0]),
+                              "users and items differ in length: 1 and 2"),
+    "int user ids": (PredictionSet.from_ids, ([1, 2], ["i", "i"], [1.0, 2.0]),
+                     "user id must be a str, got int", "user id must be a str, got int64"),
+    "an int beside a str id": (PredictionSet.from_ids, (["u", 2], ["i", "i"], [1.0, 2.0]),
+                               "user id must be a str, got int", None),
+    # pair and n_trials take the index rule
+    "fractional pair": (
+        PredictionSet.from_columns, (TestFromColumns.KEYS, [0.7, 1.2], [1.0, 2.0]),
+        "pair must be an integer, got 0.7",
+    ),
+    "text pair": (
+        PredictionSet.from_columns, (TestFromColumns.KEYS, ["0", "1"], [1.0, 2.0]),
+        "pair must be an integer, got str",
+    ),
+    "bool pair": (
+        PredictionSet.from_columns, (TestFromColumns.KEYS, [False, True], [1.0, 2.0]),
+        "pair must be an integer, got bool",
+    ),
+    "object pair beyond the keys": (
+        ObservationSet.from_columns,
+        (TestFromColumns.KEYS, np.array([0, 7], dtype=object), [0, 0], [1.0, 2.0]),
+        "pair 7 is outside the 2 keys", None,
+    ),
+    "aligned object pair beyond the keys": (
+        PredictionSet.from_columns,
+        (TestFromColumns.KEYS, np.array([0, 2], dtype=object), [1.0, 2.0]),
+        "pair 2 is outside the 2 keys", None,
+    ),
+    "negative n_trials": (FeedbackDataset.from_ids, (["u"], ["i"], [3.0], [0.5], [-3]),
+                          "n_trials must be non-negative, got -3"),
+    "fractional n_trials": (FeedbackDataset.from_ids, (["u"], ["i"], [3.0], [0.5], [1.5]),
+                            "n_trials must be an integer, got 1.5"),
+    "text n_trials": (FeedbackDataset.from_ids, (["u"], ["i"], [3.0], [0.5], ["x"]),
+                      "n_trials must be an integer, got str"),
+    "bool n_trials": (FeedbackDataset.from_ids, (["u"], ["i"], [3.0], [0.5], [True]),
+                      "n_trials must be an integer, got bool"),
+}
+
+
+def _column_fault_cases():
+    for case, (build, columns, message, *array_message) in COLUMN_FAULTS.items():
+        yield pytest.param(build, columns, message, id=f"{case}-list")
+        array_message = array_message[0] if array_message else message
+        if array_message is not None:
+            arrays = tuple(np.array(c) if isinstance(c, list) else c for c in columns)
+            yield pytest.param(build, arrays, array_message, id=f"{case}-ndarray")
+
+
+@pytest.mark.parametrize("build, columns, message", _column_fault_cases())
+def test_column_fault_names_its_column(build, columns, message):
+    with pytest.raises(InputError) as info:
+        build(*columns)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "form",
+    [list, np.array, lambda c: np.array(c, dtype=np.float32), lambda c: np.array(c, dtype=object)],
+    ids=["list", "ndarray", "float32", "object"],
+)
+def test_every_form_of_a_clean_column_loads_the_same(form):
+    keys = TestFromColumns.KEYS
+    obs = ObservationSet.from_columns(keys, form([1, 0]), form([2, 0]), form([4.0, 3.5]))
+    columns = [obs.pair.tolist(), obs.trial.tolist(), obs.value.tolist()]
+    assert columns == [[0, 1], [0, 2], [3.5, 4.0]]
+    assert (obs.trial.dtype, obs.value.dtype) == (np.int64, np.float64)
+    data = FeedbackDataset.from_columns(
+        keys, form([1, 0]), form([2.0, 1.0]), form([0.5, 0.0]), form([3, 1])
+    )
+    columns = [data.mu.tolist(), data.sigma.tolist(), data.n_trials.tolist()]
+    assert columns == [[1.0, 2.0], [0.0, 0.5], [1, 3]]
+    assert data.n_trials.dtype == np.int64
+
+
+def test_a_library_load_checks_column_by_column():
+    # a file reader names the first bad row; a library load names the first
+    # bad row of the first column it checks: trial before rating, mu before sigma
+    with pytest.raises(InputError) as info:
+        ObservationSet.from_ids(["u", "v"], ["i", "i"], [0, -1], [math.inf, 1.0])
+    assert str(info.value) == "trial must be non-negative, got -1"
+    with pytest.raises(InputError) as info:
+        FeedbackDataset.from_ids(["u", "v"], ["i", "i"], [1.0, math.inf], [-1.0, 0.5])
+    assert str(info.value) == "mu must be finite, got inf"
