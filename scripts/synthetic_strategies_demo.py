@@ -14,19 +14,70 @@ Run: python scripts/synthetic_strategies_demo.py [--out-dir DIR] [--seed N]
 
 import argparse
 import json
+import math
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from uncertain_eval import (
+    InputError,
     PopulationSpec,
     RatingScale,
     barrier_distribution,
     draw_trials,
     fit_uncertainty,
     generate_population,
-    histogram,
     run_strategy_comparison,
 )
-from uncertain_eval.io import write_feedback, write_histogram, write_observations
+from uncertain_eval.io import write_feedback, write_observations
+from uncertain_eval.rng import check_column, check_real
+
+HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "count"]
+
+# Largest histogram a call may allocate.
+MAX_HISTOGRAM_BINS = 1_000_000
+
+
+def histogram(values: Sequence[float], bin_width: float) -> tuple[np.ndarray, ...]:
+    """Contiguous fixed-width bins covering the observed range, as columns.
+
+    Returns ``(bin_lo, bin_hi, count)``, one entry per bin. Bins are
+    [lo, lo + width) anchored at the minimum; the bin count is
+    floor(span / width) + 1 so the maximum always falls inside the last
+    bin, and counts sum to the number of values. Each value must be a
+    finite number; edges beyond float64 raise ``InputError``.
+    """
+    bin_width = check_real(bin_width, "bin width", "be finite and > 0")
+    arr = check_column(values, "histogram value", len(values))
+    if arr.size == 0:
+        raise InputError("cannot build a histogram from zero observations")
+
+    lo = float(np.min(arr))
+    hi = float(np.max(arr))
+    # a span beyond float64 is counted in halves
+    span = hi - lo
+    bins = span / bin_width if math.isfinite(span) else (hi / 2 - lo / 2) / bin_width * 2
+    # compared before flooring, so an infinite bin count is caught too
+    if not bins < MAX_HISTOGRAM_BINS:
+        raise InputError(f"histogram would need more than {MAX_HISTOGRAM_BINS} bins")
+    n_bins = int(math.floor(bins)) + 1
+    # the last edge lies past the maximum; it and every edge below it must be finite
+    if not math.isfinite(lo + n_bins * bin_width):
+        raise InputError(
+            f"histogram edges overflow float64: values [{lo}, {hi}] in bins of width {bin_width}"
+        )
+    idx = np.floor((arr - lo) / bin_width).astype(int)
+    idx = np.clip(idx, 0, n_bins - 1)
+    edges = lo + np.arange(n_bins + 1) * bin_width
+    return edges[:-1], edges[1:], np.bincount(idx, minlength=n_bins)
+
+
+def write_histogram(path: Path, bins: Sequence[np.ndarray]) -> None:
+    """The ``histogram`` columns as CSV, each number the ``repr`` of its Python value."""
+    rows = [HISTOGRAM_HEADER, *zip(*(map(repr, column.tolist()) for column in bins))]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def main() -> None:

@@ -35,22 +35,18 @@ from .metrics import (
     resolve_thread_count,
     rmse,
     rmse_distribution,
-    variance_match_check,
 )
 from .simulate import (
     PopulationSpec,
     RatingScale,
     draw_trials,
-    fit_roundtrip_check,
     generate_population,
-    histogram,
 )
 from .strategies import (
     DenoiseResult,
     OmissionResult,
     denoise_preprocess,
     omit_insignificant,
-    predictor_noise_deviation,
     run_strategy_comparison,
 )
 
@@ -78,17 +74,13 @@ __all__ = [
     "CHUNK_SIZE",
     "rmse",
     "rmse_distribution",
-    "variance_match_check",
     "resolve_thread_count",
     "DenoiseResult",
     "OmissionResult",
     "denoise_preprocess",
-    "predictor_noise_deviation",
     "omit_insignificant",
     "run_strategy_comparison",
     "PopulationSpec",
     "generate_population",
     "draw_trials",
-    "histogram",
-    "fit_roundtrip_check",
 ]

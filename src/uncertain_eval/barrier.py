@@ -27,13 +27,11 @@ relation test flips at 1.644854 * sqrt(2) * std, a factor of about 1.68
 lower. Every distinguishable pair therefore also satisfies the relation
 test in the ordered direction, but not vice versa.
 
-The standard normal law comes from the standard library: the cdf is
-``0.5 * math.erfc(-z / sqrt(2))``, which keeps its relative accuracy in
-the far left tail where ``NormalDist().cdf`` cancels, and quantiles come
-from ``statistics.NormalDist().inv_cdf``. The 95% quantile is pinned to
-the correctly rounded double (scipy's ``norm.ppf(0.975)``) because
-``inv_cdf(0.975)`` lands one ulp lower and would move the interval bounds
-that ``distinguish`` reports.
+The standard normal cdf is ``0.5 * math.erfc(-z / sqrt(2))``, which keeps
+its relative accuracy in the far left tail. The one quantile, the
+two-sided 95% one, is pinned to the correctly rounded double (scipy's
+``norm.ppf(0.975)``): a quantile one ulp lower would move the interval
+bounds that ``distinguish`` reports.
 """
 
 from __future__ import annotations
@@ -89,22 +87,13 @@ def barrier_distribution(data: FeedbackDataset) -> GaussianDistribution:
     return GaussianDistribution(mean=mean, variance=variance)
 
 
-def confidence_interval(
-    g: GaussianDistribution, level: float = 0.95
-) -> tuple[float, float]:
-    """Two-sided interval ``mean +- z * std`` at the given coverage level.
+def confidence_interval(g: GaussianDistribution) -> tuple[float, float]:
+    """Two-sided 95% interval ``mean +- Z_TWO_SIDED_95 * std``.
 
-    At level 0.95 ``z`` is ``Z_TWO_SIDED_95``, the quantile the
-    distinguishability verdict uses, so interval and verdict agree.
+    Its quantile is the one the distinguishability verdict uses, so
+    interval and verdict agree.
     """
-    level = check_real(level, "confidence level", "lie in (0, 1)")
-    if level == 0.95:
-        z = Z_TWO_SIDED_95
-    else:
-        from statistics import NormalDist  # imported on use: most runs never need it
-
-        z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    margin = z * g.std
+    margin = Z_TWO_SIDED_95 * g.std
     return (g.mean - margin, g.mean + margin)
 
 

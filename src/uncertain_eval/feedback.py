@@ -162,11 +162,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _pair_positions(keys: KeyTable, pair, aligned: str | None = None) -> np.ndarray:
-    """``pair`` as positions in ``keys``; a set named ``aligned`` holds each exactly once."""
-    numbers = np.asarray(pair)
+    """``pair`` as positions in ``keys``; a set named ``aligned`` holds each exactly once.
+
+    ``pair`` is sized by its own shape: one row per element.
+    """
+    try:
+        numbers = np.asarray(pair)
+    except ValueError:  # rows of unequal shape, named by the index rule
+        numbers = np.array(pair, object)
     if numbers.dtype.kind in "if" and (numbers < 0).any():  # outside the keys, not a bad index
         raise InputError(f"pair {numbers[(numbers < 0).argmax()]} is outside the {len(keys)} keys")
-    pair = check_index_column(pair, "pair", len(pair))
+    pair = check_index_column(pair, "pair", numbers.size)
     if (outside := pair >= len(keys)).any():
         raise InputError(f"pair {pair[outside.argmax()]} is outside the {len(keys)} keys")
     if aligned is not None:
@@ -203,9 +209,9 @@ class ObservationSet(_Columnar):
     __slots__ = ("keys", "pair", "trial", "value")
 
     def _load(self, keys, pair, trial, value) -> None:
+        pair = _pair_positions(keys, pair)
         trial = check_index_column(trial, "trial", len(pair))
         value = check_column(value, "rating value", len(pair))
-        pair = _pair_positions(keys, pair)
         # whether each row comes after the one before it in (pair, trial) order
         later = pair[1:] > pair[:-1]
         later |= (pair[1:] == pair[:-1]) & (trial[1:] > trial[:-1])
@@ -279,13 +285,13 @@ class FeedbackDataset(_Columnar):
     __slots__ = ("keys", "mu", "sigma", "n_trials")
 
     def _load(self, keys, pair, mu, sigma, n_trials=None) -> None:
+        pair = _pair_positions(keys, pair, "feedback dataset")
         if not len(pair):
             raise InputError("feedback dataset must contain at least one entry")
         mu = check_column(mu, "mu", len(pair))
         sigma = check_column(sigma, "sigma", len(pair), "be finite and >= 0")
         unknown = np.zeros(len(pair), np.int64)
         n_trials = unknown if n_trials is None else check_index_column(n_trials, "n_trials", len(pair))
-        pair = _pair_positions(keys, pair, "feedback dataset")
         self.keys = keys
         self.mu, self.sigma, self.n_trials = (
             _scatter(pair, rows, len(keys)) for rows in (mu, sigma, n_trials)

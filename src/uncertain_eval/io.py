@@ -9,7 +9,6 @@ in any column order, and a repeated column is rejected:
     observations: user_id,item_id,trial,rating
     feedback:     user_id,item_id,mu,sigma
     predictions:  user_id,item_id,prediction
-    histogram:    bin_lo,bin_hi,count
     sample dump:  sample_index,score
 
 Reading turns a file into numpy columns in chunks. Text without ``"``
@@ -66,7 +65,6 @@ from .feedback import (
 OBSERVATION_HEADER = ["user_id", "item_id", "trial", "rating"]
 FEEDBACK_HEADER = ["user_id", "item_id", "mu", "sigma"]
 PREDICTION_HEADER = ["user_id", "item_id", "prediction"]
-HISTOGRAM_HEADER = ["bin_lo", "bin_hi", "count"]
 SAMPLE_DUMP_HEADER = ["sample_index", "score"]
 
 # Bytes per piece of plain text read, and rows per piece of other text read
@@ -402,11 +400,6 @@ def read_predictions(path: str | Path) -> PredictionSet:
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:
     _write_columns(path, PREDICTION_HEADER, (predictions.values,), predictions.keys)
-
-
-def write_histogram(path: str | Path, bins: Sequence[np.ndarray]) -> None:
-    """Write the ``(bin_lo, bin_hi, count)`` columns of ``simulate.histogram``."""
-    _write_columns(path, HISTOGRAM_HEADER, bins)
 
 
 def write_sample_dump(path: str | Path, samples: Sequence[float] | np.ndarray) -> None:

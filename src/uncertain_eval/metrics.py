@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import barrier_distribution
 from .errors import InputError
 from .feedback import FeedbackDataset, PredictionSet
 from .rng import check_count, check_real, child_rng, validate_seed
@@ -186,19 +185,3 @@ def rmse_distribution(
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise square_overflow(base, scale)
     return MetricScoreDistribution(samples, mean, variance, cfg.sample_count, cfg.seed)
-
-
-def variance_match_check(data: FeedbackDataset, cfg: McConfig) -> float:
-    """Relative gap between the Monte Carlo metric variance and the floor.
-
-    Predictions are pinned to mu internally, so the sampled deviations are
-    pure rating noise. Returns |Var_MC - Var_floor| / Var_floor; the match
-    only becomes tight for large datasets, small ones simply report a large
-    value.
-    """
-    floor = barrier_distribution(data).variance
-    if floor == 0.0:
-        raise InputError("variance match is undefined for an all-zero-sigma dataset")
-    predictions = PredictionSet.from_columns(data.keys, np.arange(data.N), data.mu)
-    mc = rmse_distribution(data, predictions, cfg)
-    return abs(mc.variance - floor) / floor

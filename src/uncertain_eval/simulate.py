@@ -12,26 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InputError
-from .feedback import (
-    FeedbackDataset,
-    KeyTable,
-    ObservationSet,
-    PredictionSet,
-    fit_uncertainty,
-)
+from .feedback import FeedbackDataset, KeyTable, ObservationSet, PredictionSet
 from .rng import check_count, check_real, child_rng, validate_seed
 
 # Stream keys so population parameters and trial draws never share bits.
 _POPULATION_STREAM = 0
 _TRIAL_STREAM = 1
-
-# Largest histogram a call may allocate.
-MAX_HISTOGRAM_BINS = 1_000_000
 
 # Largest population (n_users * n_items) and trial draw (pairs * trials) a
 # call may allocate: a few numpy columns per pair or row, two ids per pair.
@@ -200,57 +190,3 @@ def draw_trials(
     pair = np.repeat(np.arange(data.N), k)
     trial = np.tile(np.arange(k), data.N)
     return ObservationSet.from_columns(data.keys, pair, trial, values.ravel())
-
-
-def histogram(values: Iterable[float], bin_width: float) -> tuple[np.ndarray, ...]:
-    """Contiguous fixed-width bins covering the observed range, as columns.
-
-    Returns ``(bin_lo, bin_hi, count)``, one entry per bin. Bins are
-    [lo, lo + width) anchored at the minimum; the bin count is
-    floor(span / width) + 1 so the maximum always falls inside the last
-    bin, and counts sum to the number of values. Edges beyond float64
-    raise ``InputError``.
-    """
-    bin_width = check_real(bin_width, "bin width", "be finite and > 0")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise InputError("cannot build a histogram from zero observations")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("histogram values must be finite")
-
-    lo = float(np.min(arr))
-    hi = float(np.max(arr))
-    # a span beyond float64 is counted in halves
-    span = hi - lo
-    bins = span / bin_width if math.isfinite(span) else (hi / 2 - lo / 2) / bin_width * 2
-    # compared before flooring, so an infinite bin count is caught too
-    if not bins < MAX_HISTOGRAM_BINS:
-        raise InputError(f"histogram would need more than {MAX_HISTOGRAM_BINS} bins")
-    n_bins = int(math.floor(bins)) + 1
-    # the last edge lies past the maximum; it and every edge below it must be finite
-    if not math.isfinite(lo + n_bins * bin_width):
-        raise InputError(
-            f"histogram edges overflow float64: values [{lo}, {hi}] in bins of width {bin_width}"
-        )
-    idx = np.floor((arr - lo) / bin_width).astype(int)
-    idx = np.clip(idx, 0, n_bins - 1)
-    edges = lo + np.arange(n_bins + 1) * bin_width
-    return edges[:-1], edges[1:], np.bincount(idx, minlength=n_bins)
-
-
-def fit_roundtrip_check(spec: PopulationSpec, k: int) -> float:
-    """Generate, draw continuous trials, re-fit: the worst relative sigma error.
-
-    Only pairs with a true sigma of at least 0.1 enter the comparison; with
-    nothing above that floor the error is defined as 0. Small k gives large
-    errors, which are reported, not asserted.
-    """
-    k = check_count(k, "trials per pair", 2)
-    truth, _ = generate_population(spec)
-    obs = draw_trials(truth, k=k, seed=spec.seed)
-    fitted = fit_uncertainty(obs)
-
-    sigma_true = truth.sigma[fitted.keys.locate(truth.keys, "no generating model")]
-    compared = sigma_true >= 0.1
-    errors = np.abs(fitted.sigma[compared] - sigma_true[compared]) / sigma_true[compared]
-    return float(errors.max()) if errors.size else 0.0

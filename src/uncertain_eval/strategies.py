@@ -29,14 +29,7 @@ import numpy as np
 
 from .barrier import GaussianDistribution, barrier_distribution, distinguishability_test
 from .errors import InputError
-from .feedback import (
-    FeedbackDataset,
-    ObservationSet,
-    PredictionSet,
-    check_feedback,
-    check_prediction,
-    fit_uncertainty,
-)
+from .feedback import FeedbackDataset, ObservationSet, PredictionSet, fit_uncertainty
 from .metrics import check_tau, rmse, square_overflow
 from .rng import check_count, check_real, child_rng, validate_seed
 
@@ -217,27 +210,6 @@ def _redraw(rng, mu: float, sigma: float, retained: list[float], threshold: floa
     return None
 
 
-def predictor_noise_deviation(
-    mu: float, sigma: float, prediction: float, tau: float
-) -> GaussianDistribution:
-    """Law of the rating-minus-prediction deviation with prediction noise.
-
-    A rating N(mu, sigma^2) compared against an independent noisy
-    prediction N(pi, tau^2) deviates as N(mu - pi, sigma^2 + tau^2).
-    """
-    mu, sigma = check_feedback(mu, sigma)
-    prediction = check_prediction(prediction)
-    tau = check_tau(tau)
-    if not math.isfinite(sigma * sigma):
-        raise InputError(f"sigma squared must be finite, got sigma = {sigma}")
-    mean, variance = mu - prediction, sigma**2 + tau**2
-    if not math.isfinite(mean):
-        raise InputError(f"mu - prediction overflows float64: mu = {mu}, prediction = {prediction}")
-    if not math.isfinite(variance):
-        raise InputError(f"sigma^2 + tau^2 overflows float64: sigma = {sigma}, tau = {tau}")
-    return GaussianDistribution(mean=mean, variance=variance)
-
-
 def omit_insignificant(
     data: FeedbackDataset,
     predictions: PredictionSet,
@@ -281,7 +253,11 @@ def omit_insignificant(
 
 
 def _expected_rmse(d: np.ndarray, sigma: np.ndarray, tau: float) -> float:
-    # sqrt of the expected squared metric; exact for the Gaussian deviation law
+    """Root of the expected squared RMSE under the deviation law with prediction noise.
+
+    A rating N(mu, sigma^2) compared against an independent noisy
+    prediction N(pi, tau^2) deviates as N(d, sigma^2 + tau^2), d = mu - pi.
+    """
     with np.errstate(over="ignore"):
         mean_square = np.mean(d * d + sigma * sigma) + tau * tau
     if not math.isfinite(mean_square):

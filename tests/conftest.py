@@ -1,7 +1,10 @@
+import functools
+import importlib.util
 import os
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def child_env(**settings: str) -> dict[str, str]:
@@ -15,3 +18,13 @@ def child_env(**settings: str) -> dict[str, str]:
     return dict(
         os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error::RuntimeWarning", **settings
     )
+
+
+@functools.cache
+def synthetic_demo():
+    """``scripts/synthetic_strategies_demo.py`` imported as a module, for its histogram."""
+    path = ROOT / "scripts" / "synthetic_strategies_demo.py"
+    spec = importlib.util.spec_from_file_location("synthetic_strategies_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

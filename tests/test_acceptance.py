@@ -24,15 +24,13 @@ from uncertain_eval import (
     barrier_distribution,
     denoise_preprocess,
     distinguishability_test,
-    fit_roundtrip_check,
     omit_insignificant,
-    predictor_noise_deviation,
     relation_test,
     rmse_distribution,
-    variance_match_check,
 )
 
 from conftest import child_env
+from oracles import fit_roundtrip_check, predictor_noise_deviation, variance_match_check
 
 
 def report(capsys, criterion: str, ok: bool, detail: str) -> None:

@@ -89,7 +89,7 @@ class TestBarrierDistribution:
 
 class TestConfidenceInterval:
     def test_standard_normal(self):
-        low, high = confidence_interval(GaussianDistribution(0.0, 1.0), 0.95)
+        low, high = confidence_interval(GaussianDistribution(0.0, 1.0))
         assert low == pytest.approx(-1.959963984540054, abs=1e-9)
         assert high == pytest.approx(1.959963984540054, abs=1e-9)
         # six-decimal quantile quoted throughout: 1.959964
@@ -99,42 +99,21 @@ class TestConfidenceInterval:
         # scipy.stats.norm.ppf(0.975); statistics.NormalDist gives one ulp less
         assert Z_TWO_SIDED_95 == 1.959963984540054
         # the library interval and the distinguish verdict share one quantile
-        assert confidence_interval(GaussianDistribution(0.0, 1.0), 0.95) == (
+        assert confidence_interval(GaussianDistribution(0.0, 1.0)) == (
             -Z_TWO_SIDED_95,
             Z_TWO_SIDED_95,
         )
 
-    # scipy.stats.norm.ppf(0.5 + level / 2)
-    @pytest.mark.parametrize(
-        "level, z",
-        [
-            (0.5, 0.6744897501960817),
-            (0.8, 1.2815515655446004),
-            (0.9, 1.6448536269514722),
-            (0.99, 2.5758293035489004),
-            (0.999, 3.2905267314919255),
-        ],
-    )
-    def test_quantile_matches_scipy(self, level, z):
-        low, high = confidence_interval(GaussianDistribution(0.0, 1.0), level)
-        assert high == pytest.approx(z, rel=1e-15, abs=0)
-        assert low == -high
-
     def test_degenerate(self):
-        assert confidence_interval(GaussianDistribution(5.0, 0.0), 0.5) == (5.0, 5.0)
+        assert confidence_interval(GaussianDistribution(5.0, 0.0)) == (5.0, 5.0)
 
     def test_floor_scale_interval(self):
-        low, high = confidence_interval(GaussianDistribution(1.0, 0.00025), 0.95)
+        low, high = confidence_interval(GaussianDistribution(1.0, 0.00025))
         assert low == pytest.approx(0.9690102483847719, abs=1e-12)
         assert high == pytest.approx(1.030989751615228, abs=1e-12)
         # matches the 6-decimal hand computation 1 +- 1.959964 * 0.0158114
         assert low == pytest.approx(0.969010, abs=2e-6)
         assert high == pytest.approx(1.030990, abs=2e-6)
-
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
-    def test_level_out_of_range(self, level):
-        with pytest.raises(InputError):
-            confidence_interval(GaussianDistribution(0.0, 1.0), level)
 
 
 class TestDistinguishability:

@@ -24,13 +24,13 @@ from uncertain_eval import (
     draw_trials,
     fit_uncertainty,
     omit_insignificant,
-    predictor_noise_deviation,
     resolve_thread_count,
     run_strategy_comparison,
 )
 from uncertain_eval.cli import _load_population_spec, main
 
 from conftest import child_env
+from oracles import predictor_noise_deviation
 
 
 def run_cli(capsys, *argv):
@@ -104,8 +104,8 @@ def _python(*args, **kwargs):
     return subprocess.run([sys.executable, *map(str, args)], env=env, **kwargs)
 
 
-# What loads only where it is used: the Monte Carlo pool, a generated seed,
-# and a normal quantile other than the pinned 95% one.
+# What loads only where it is used: the Monte Carlo pool and a generated
+# seed. No normal quantile is computed, so ``statistics`` never loads.
 LAZY_PROBE = """
 import sys
 import uncertain_eval.cli as cli
@@ -113,11 +113,7 @@ lazy = ("concurrent.futures", "secrets", "statistics")
 print(*[name in sys.modules for name in lazy])
 import os
 import numpy as np
-from uncertain_eval import (
-    FeedbackDataset, GaussianDistribution, McConfig, PredictionSet, confidence_interval,
-    rmse_distribution,
-)
-print(*confidence_interval(GaussianDistribution(1.0, 4.0), 0.9))
+from uncertain_eval import FeedbackDataset, McConfig, PredictionSet, rmse_distribution
 users = [f"u{k}" for k in range(40)]
 data = FeedbackDataset.from_ids(users, ["i"] * 40, np.linspace(1, 5, 40), np.linspace(0, 1, 40))
 predictions = PredictionSet.from_ids(users, ["i"] * 40, np.full(40, 3.0))
@@ -133,13 +129,10 @@ print(*[name in sys.modules for name in lazy])
 def test_cli_imports_the_pool_seed_and_quantile_modules_only_when_used():
     proc = _python("-c", LAZY_PROBE, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    before, interval, same, after = proc.stdout.splitlines()
+    before, same, after = proc.stdout.splitlines()
     assert before == "False False False"
-    z = 1.6448536269514722  # the two-sided 90% quantile, scipy's norm.ppf(0.95)
-    low, high = map(float, interval.split())
-    assert (low, high) == pytest.approx((1.0 - 2.0 * z, 1.0 + 2.0 * z), rel=1e-15, abs=0)
     assert same == "True True"
-    assert after == "True True True"
+    assert after == "True True False"
 
 
 # ``fit`` and ``strategies`` run through ``main``; numpy loads ``numpy.ma``

@@ -391,6 +391,24 @@ COLUMN_FAULTS = {
     "bool n_trials": (FeedbackDataset.from_ids, (["u"], ["i"], [3.0], [0.5], [True]),
                       "n_trials must be an integer, got bool"),
 }
+# a ragged or scalar pair, in list (or int) and ndarray form, in each loader:
+# pair is checked first, sized by its own shape, so it sizes no other column
+COLUMN_FAULTS.update(
+    (f"{form} pair in {build.__self__.__name__}", (
+        build, (TestFromColumns.KEYS, pair, *[column[:rows] for column in columns]), message, None,
+    ))
+    for build, columns in (
+        (PredictionSet.from_columns, ([1.0, 2.0],)),
+        (ObservationSet.from_columns, ([0, 0], [1.0, 2.0])),
+        (FeedbackDataset.from_columns, ([1.0, 2.0], [0.5, 0.5])),
+    )
+    for form, pair, rows, message in (
+        ("ragged list", [[0], 1], 2, "pair must be an integer, got list"),
+        ("ragged ndarray", np.array([[0], 1], dtype=object), 2, "pair must be an integer, got list"),
+        ("int", 0, 1, "pair must have shape (1,), got ()"),
+        ("0-d ndarray", np.array(0), 1, "pair must have shape (1,), got ()"),
+    )
+)
 
 
 def _column_fault_cases():

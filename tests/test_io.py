@@ -25,11 +25,12 @@ from uncertain_eval.io import (
     read_observations,
     read_predictions,
     write_feedback,
-    write_histogram,
     write_observations,
     write_predictions,
     write_sample_dump,
 )
+
+from conftest import synthetic_demo
 
 
 def test_observation_roundtrip(tmp_path):
@@ -164,19 +165,6 @@ def test_sample_dump_format(tmp_path):
     write_sample_dump(path, [0.5, 1.25])
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["sample_index,score", "0,0.5", "1,1.25"]
-
-
-def test_histogram_format(tmp_path):
-    from uncertain_eval import histogram
-    from uncertain_eval.io import write_histogram
-
-    path = tmp_path / "hist.csv"
-    write_histogram(path, histogram([1.0, 2.0, 2.0, 5.0], 1.0))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "bin_lo,bin_hi,count"
-    assert lines[1] == "1.0,2.0,1"
-    assert lines[-1] == "5.0,6.0,1"
-    assert len(lines) == 6
 
 
 # Any character a UTF-8 file can hold, with the carriage return drawn often.
@@ -433,6 +421,7 @@ def test_writers_match_csv_writer(pairs, data, chunk_rows):
     samples = _column(data, n, numbers)
 
     users, items = keys.users.tolist(), keys.items.tolist()
+    demo = synthetic_demo()  # the histogram's writer lives in its demo
     cases = [
         (write_observations, obs, io.OBSERVATION_HEADER, zip(
             keys.users[obs.pair].tolist(), keys.items[obs.pair].tolist(),
@@ -441,7 +430,7 @@ def test_writers_match_csv_writer(pairs, data, chunk_rows):
          zip(users, items, feedback.mu.tolist(), feedback.sigma.tolist())),
         (write_predictions, predictions, io.PREDICTION_HEADER,
          zip(users, items, predictions.values.tolist())),
-        (write_histogram, bins, io.HISTOGRAM_HEADER, zip(mu, sigma, counts)),
+        (demo.write_histogram, bins, demo.HISTOGRAM_HEADER, zip(mu, sigma, counts)),
         (write_sample_dump, samples, io.SAMPLE_DUMP_HEADER, enumerate(samples)),
     ]
     with mock.patch.object(io, "_CHUNK_ROWS", chunk_rows):

@@ -14,10 +14,11 @@ from uncertain_eval import (
     PredictionSet,
     rmse,
     rmse_distribution,
-    variance_match_check,
 )
 from uncertain_eval import metrics
 from uncertain_eval.metrics import MAX_SAMPLE_COUNT, MAX_THREADS, resolve_thread_count
+
+from oracles import variance_match_check
 
 
 def make_dataset(rows) -> FeedbackDataset:

@@ -15,15 +15,11 @@ from uncertain_eval import (
     PopulationSpec,
     PredictionSet,
     RatingScale,
-    confidence_interval,
     denoise_preprocess,
     distinguishability_test,
     draw_trials,
-    fit_roundtrip_check,
     fit_uncertainty,
     generate_population,
-    histogram,
-    predictor_noise_deviation,
     rmse_distribution,
     run_strategy_comparison,
 )
@@ -31,6 +27,9 @@ from uncertain_eval.feedback import check_feedback, check_observation, check_pre
 from uncertain_eval.metrics import check_tau
 from uncertain_eval.rng import check_count, check_real, validate_seed
 from uncertain_eval.strategies import check_strategy_request
+
+from conftest import synthetic_demo
+from oracles import fit_roundtrip_check, predictor_noise_deviation
 
 IDS = (["u"], ["i"])
 OBS = ObservationSet.from_ids(["u", "u"], ["i", "i"], [0, 1], [3.0, 5.0])
@@ -172,9 +171,6 @@ REAL_ENTRY_POINTS = {
     "GaussianDistribution variance": (
         "variance", lambda v: GaussianDistribution(0.0, v), 0.7, _gaussian, False,
     ),
-    "confidence_interval": (
-        "confidence level", lambda v: confidence_interval(FLOOR, v), 0.3, _typed, False,
-    ),
     "distinguishability_test s1": (
         "s1", lambda v: distinguishability_test(v, 3.0, FLOOR), 2.3, _same, False,
     ),
@@ -235,7 +231,7 @@ REAL_ENTRY_POINTS = {
     ),
     "PopulationSpec bias_hi": ("bias_hi", lambda v: _spec(bias_hi=v), 0.3, _population, False),
     "histogram": (
-        "bin width", lambda v: histogram([1.0, 2.0, 2.5], v), 0.3,
+        "bin width", lambda v: synthetic_demo().histogram([1.0, 2.0, 2.5], v), 0.3,
         lambda bins: [column.tolist() for column in bins], False,
     ),
     "fit_uncertainty": (

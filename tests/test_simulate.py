@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uncertain_eval import (
     FeedbackDataset,
@@ -12,11 +10,11 @@ from uncertain_eval import (
     PopulationSpec,
     RatingScale,
     draw_trials,
-    fit_roundtrip_check,
     generate_population,
-    histogram,
 )
 from uncertain_eval.simulate import MAX_OBSERVATION_ROWS, MAX_POPULATION_PAIRS
+
+from oracles import fit_roundtrip_check
 
 SCALE = RatingScale(1.0, 5.0, discrete_step=1.0)
 
@@ -181,69 +179,6 @@ class TestDrawTrials:
         assert residuals.size >= 100000
         assert abs(float(np.mean(residuals))) < 0.02
         assert abs(float(np.var(residuals)) - 1.0) < 0.02
-
-
-class TestHistogram:
-    def test_single_bin(self):
-        lo, hi, count = histogram([3.0, 3.0, 3.0], 1.0)
-        assert len(count) == 1
-        assert lo[0] == 3.0 and hi[0] == 4.0
-        assert count[0] == 3
-
-    def test_hand_binning(self):
-        lo, _, count = histogram([1.0, 2.0, 2.0, 5.0], 1.0)
-        assert count.tolist() == [1, 2, 0, 0, 1]
-        assert lo[0] == 1.0
-        assert lo[-1] == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            histogram([], 1.0)
-
-    def test_bin_count_is_bounded(self):
-        # 1e15 bins would be needed; rejected before anything is allocated
-        with pytest.raises(InputError, match="bins"):
-            histogram([0.0, 1e12], 1e-3)
-        # a span that overflows to inf is rejected the same way
-        with pytest.raises(InputError, match="bins"):
-            histogram([-1e308, 1e308], 1.0)
-
-    # the last edge, lo + bins * width, lies beyond float64; the second span does too
-    @pytest.mark.parametrize(
-        "values, width, message",
-        [
-            ([1.7e308, 1.79e308], 1e307, "values [1.7e+308, 1.79e+308] in bins of width 1e+307"),
-            ([-1.7e308, 1.7e308], 1e308, "values [-1.7e+308, 1.7e+308] in bins of width 1e+308"),
-        ],
-        ids=["last_edge", "span"],
-    )
-    def test_edges_beyond_float64_rejected(self, values, width, message):
-        with pytest.raises(InputError) as info:
-            histogram(values, width)
-        assert str(info.value) == f"histogram edges overflow float64: {message}"
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(InputError, match="^histogram values must be finite$"):
-            histogram([1.0, math.nan], 1.0)
-
-    def test_bad_width_rejected(self):
-        with pytest.raises(InputError):
-            histogram([1.0, 2.0], 0.0)
-        with pytest.raises(InputError):
-            histogram([1.0, 2.0], -0.5)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-100, max_value=100, allow_nan=False),
-            min_size=1,
-            max_size=200,
-        ),
-        st.floats(min_value=0.01, max_value=10, allow_nan=False),
-    )
-    @settings(max_examples=150)
-    def test_counts_sum_to_observation_count(self, values, width):
-        _, _, count = histogram(values, width)
-        assert count.sum() == len(values)
 
 
 class TestFitRoundtrip:

@@ -19,9 +19,10 @@ from uncertain_eval import (
     draw_trials,
     generate_population,
     omit_insignificant,
-    predictor_noise_deviation,
     run_strategy_comparison,
 )
+
+from oracles import predictor_noise_deviation
 
 
 def obs_from_groups(groups: dict[str, list[float]]) -> ObservationSet:
@@ -412,6 +413,28 @@ class TestStrategyComparison:
         (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=0.0)
         assert report["score_after"] == report["score_before"]
         assert not report["distinguishable"]
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+    def test_predictor_noise_row_follows_the_deviation_law(self, tau):
+        # biased pairs of distinct spreads: the row is the expected metric
+        # under each pair's oracle deviation law
+        rows = [("a", 2.0, 0.2, 0.5), ("b", 3.5, 0.7, -1.25), ("c", 4.0, 1.3, 0.75)]
+        data = dataset([(user, mu, sigma) for user, mu, sigma, _ in rows])
+        predictions = predictions_of({user: mu - bias for user, mu, _, bias in rows})
+        (report,) = run_strategy_comparison(predictions, data=data, predictor_tau=tau)
+
+        def expected_rmse(tau):
+            laws = [
+                predictor_noise_deviation(mu, sigma, mu - bias, tau) for _, mu, sigma, bias in rows
+            ]
+            return math.sqrt(np.mean([law.mean**2 + law.variance for law in laws])), laws
+
+        after, laws = expected_rmse(tau)
+        before, _ = expected_rmse(0.0)
+        assert report["score_after"] == pytest.approx(after, rel=1e-12, abs=0)
+        assert report["score_before"] == pytest.approx(before, rel=1e-12, abs=0)
+        variance = np.mean([law.variance for law in laws])
+        assert report["mean_deviation_variance"] == pytest.approx(variance, rel=1e-12, abs=0)
 
     def test_small_denoise_gap_stays_inside_floor(self):
         # spread-heavy dataset: the de-noised score moves, but far less than
