@@ -18,7 +18,7 @@ from .barrier import (
     distinguishability_test,
     relation_test,
 )
-from .errors import InputError, UnavailableError
+from .errors import InputError
 from .feedback import (
     FeedbackDataset,
     KeyTable,
@@ -53,7 +53,6 @@ from .strategies import (
 __all__ = [
     "__version__",
     "InputError",
-    "UnavailableError",
     "RatingScale",
     "KeyTable",
     "ObservationSet",

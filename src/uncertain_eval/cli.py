@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .barrier import barrier_distribution, distinguishability_test
-from .errors import InputError, UnavailableError
+from .errors import InputError
 from .feedback import fit_uncertainty, pooled_sigma
 from .io import (
     read_feedback,
@@ -34,8 +34,8 @@ from .io import (
     write_sample_dump,
 )
 from .metrics import McConfig, rmse_distribution
-from .rng import check_count, check_real
-from .simulate import PopulationSpec, draw_trials, generate_population
+from .rng import check_real
+from .simulate import PopulationSpec, check_draw_size, draw_trials, generate_population
 from .strategies import check_strategy_request, run_strategy_comparison
 
 
@@ -87,12 +87,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     obs = read_observations(args.obs)
     data = fit_uncertainty(obs, fallback)
     write_feedback(args.out, data)
-
-    try:
-        pooled = pooled_sigma(data)
-    except UnavailableError:
-        pooled = None
-
     _write_manifest(
         Path(str(args.out) + ".manifest.json"),
         "fit",
@@ -101,7 +95,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         outputs=[str(args.out)],
     )
     _log(f"wrote {args.out}")
-    _print_json({"n": data.N, "pooled_sigma": pooled})
+    _print_json({"n": data.N, "pooled_sigma": pooled_sigma(data)})
     return 0
 
 
@@ -154,6 +148,8 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
         omit_alpha=args.omit_alpha,
     )
     check_strategy_request(**settings)
+    if args.obs is None and args.denoise_threshold is not None:
+        raise InputError("de-noising needs raw repeated-trial observations")
 
     observations = read_observations(args.obs) if args.obs is not None else None
     feedback = read_feedback(args.feedback) if args.feedback is not None else None
@@ -227,7 +223,7 @@ def _load_population_spec(text: str) -> PopulationSpec:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_population_spec(args.spec)
-    check_count(args.trials, "trials per pair", 1)
+    check_draw_size(spec.n_pairs, args.trials)
 
     truth, predictions = generate_population(spec)
     scale = spec.scale if args.discretise else None
@@ -345,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, UnavailableError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

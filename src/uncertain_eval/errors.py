@@ -1,9 +1,5 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
 class InputError(ValueError):
-    """Malformed or out-of-contract input. The CLI maps this to exit code 2."""
-
-
-class UnavailableError(RuntimeError):
-    """A requested quantity cannot be computed from the data at hand."""
+    """Malformed or out-of-contract input, or a quantity it cannot give; the CLI exits 2."""

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError, UnavailableError
+from .errors import InputError
 from .rng import check_column, check_index, check_index_column, check_real
 
 
@@ -340,11 +340,11 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     mu is the sample mean and sigma the sample standard deviation with the
     n-1 correction; a pair whose mu or sigma overflows float64 raises
     ``InputError``. Pairs observed only once receive sigma ``fallback``;
-    None (the default) borrows the pooled spread of the multi-trial pairs,
-    and fails when the data contains no multi-trial pair to pool from.
-    Pairs with k trials are fitted together as the rows of one
-    (pairs x k) matrix, which sums each pair's values in the same order as
-    numpy does for that pair alone.
+    None (the default) borrows ``pooled_sigma``, and raises ``InputError``
+    when the data contains no multi-trial pair to pool from. Pairs with k
+    trials are fitted together as the rows of one (pairs x k) matrix, which
+    sums each pair's values in the same order as numpy does for that pair
+    alone.
     """
     if fallback is not None:
         fallback = check_real(fallback, "fixed sigma fallback", "be finite and >= 0")
@@ -374,27 +374,29 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
 
     single = n_trials == 1
     if single.any():
-        if fallback is not None:
-            # + 0.0 turns a -0.0 fallback into 0.0
-            sigma[single] = fallback + 0.0
-        elif single.all():
-            raise UnavailableError(
-                "pooled sigma fallback needs at least one pair with >= 2 trials"
-            )
-        else:
-            sigma[single] = _root_mean_square(sigma[~single])
+        if fallback is None:
+            fallback = _pooled(sigma, ~single)
+        if fallback is None:
+            raise InputError("pooled sigma fallback needs at least one pair with >= 2 trials")
+        # + 0.0 turns a -0.0 fallback into 0.0
+        sigma[single] = fallback + 0.0
     return FeedbackDataset.from_columns(obs.keys, np.arange(n), mu, sigma, n_trials)
 
 
-def _root_mean_square(sigma: np.ndarray) -> float:
-    return math.sqrt(float(np.mean(sigma * sigma)))
-
-
-def pooled_sigma(data: FeedbackDataset) -> float:
-    """Root mean square of sigma over entries fitted from >= 2 trials."""
-    multi = data.n_trials >= 2
+def _pooled(sigma: np.ndarray, multi: np.ndarray) -> float | None:
+    """Root mean square of ``sigma`` over the pairs ``multi``, or None without any; where
+    the squares overflow float64, of the sigmas scaled by the largest, and so finite."""
     if not multi.any():
-        raise UnavailableError(
-            "pooled sigma is unavailable: no entries fitted from >= 2 trials"
-        )
-    return _root_mean_square(data.sigma[multi])
+        return None
+    sigma = sigma[multi]
+    with np.errstate(over="ignore"):
+        mean_square = float(np.mean(sigma * sigma))
+    if math.isfinite(mean_square):
+        return math.sqrt(mean_square)
+    top = float(sigma.max())
+    return top * math.sqrt(float(np.mean((sigma / top) ** 2)))
+
+
+def pooled_sigma(data: FeedbackDataset) -> float | None:
+    """Root mean square of sigma over entries fitted from >= 2 trials; None without any."""
+    return _pooled(data.sigma, data.n_trials >= 2)

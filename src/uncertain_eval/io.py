@@ -88,7 +88,7 @@ _BOM = "\ufeff".encode()
 _SPECIAL = re.compile('[,"\n\r]')
 
 # What a failed conversion or check raises on the vectorised path.
-_FAULTS = (InputError, ValueError, OverflowError, csv.Error)
+_FAULTS = (ValueError, OverflowError, csv.Error)  # an InputError is a ValueError
 
 
 def _records(text: str) -> Iterator[list[str]]:

@@ -79,7 +79,6 @@ class MetricScoreDistribution:
     mean: float
     variance: float
     sample_count: int
-    seed: int
 
 
 def resolve_thread_count() -> int:
@@ -184,4 +183,4 @@ def rmse_distribution(
         mean, variance = float(np.mean(samples)), float(np.var(samples, ddof=1))
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise square_overflow(base, scale)
-    return MetricScoreDistribution(samples, mean, variance, cfg.sample_count, cfg.seed)
+    return MetricScoreDistribution(samples, mean, variance, cfg.sample_count)

@@ -95,10 +95,10 @@ def check_index_column(values, name: str, rows: int) -> np.ndarray:
     return _column(values, name, rows, lambda x: check_index(x, name), whole, np.int64)
 
 
-def validate_seed(seed: int, name: str = "seed") -> int:
-    value = _integer(seed, name)
+def validate_seed(seed: int) -> int:
+    value = _integer(seed, "seed")
     if not 0 <= value < _SEED_MAX:
-        raise InputError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return value
 
 

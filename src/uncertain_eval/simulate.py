@@ -120,6 +120,19 @@ class PopulationSpec:
             )
         validate_seed(self.seed)
 
+    @property
+    def n_pairs(self) -> int:
+        """The number of pairs drawn: ceil(density * n_users * n_items)."""
+        return math.ceil(self.density * (self.n_users * self.n_items))
+
+
+def check_draw_size(pairs: int, k: int) -> int:
+    """The one rule of a draw's size: k >= 1 trials, pairs x k <= MAX_OBSERVATION_ROWS rows."""
+    k = check_count(k, "trials per pair", 1)
+    if pairs * k > MAX_OBSERVATION_ROWS:
+        raise InputError(f"{pairs} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} observation rows")
+    return k
+
 
 def _pair_ids(n: int, prefix: str) -> list[str]:
     width = len(str(n))
@@ -129,7 +142,7 @@ def _pair_ids(n: int, prefix: str) -> list[str]:
 def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, PredictionSet]:
     """Draw a population of ceil(density * n_users * n_items) pairs, and its predictions."""
     total = spec.n_users * spec.n_items
-    n_pairs = math.ceil(spec.density * total)
+    n_pairs = spec.n_pairs
 
     rng = child_rng(spec.seed, _POPULATION_STREAM)
     if n_pairs == total:
@@ -163,11 +176,7 @@ def draw_trials(
     value outside the nominal range. A draw beyond float64 raises
     ``InputError`` naming its pair. The returned set carries no scale.
     """
-    k = check_count(k, "trials per pair", 1)
-    if data.N * k > MAX_OBSERVATION_ROWS:
-        raise InputError(
-            f"{data.N} pairs x {k} trials exceed {MAX_OBSERVATION_ROWS} observation rows"
-        )
+    k = check_draw_size(data.N, k)
     validate_seed(seed)
     if scale is not None and scale.discrete_step is None:
         raise InputError("discretise requires a scale with a discrete_step")

@@ -50,7 +50,7 @@ class DenoiseResult:
 @dataclass(frozen=True, slots=True)
 class OmissionResult:
     """``retained_keys`` holds, sorted, the position of each retained pair in
-    the point ratings' key table."""
+    the scored dataset's key table."""
 
     retained_keys: np.ndarray
     filtered_rmse: float | None
@@ -211,27 +211,23 @@ def _redraw(rng, mu: float, sigma: float, retained: list[float], threshold: floa
 
 
 def omit_insignificant(
-    data: FeedbackDataset,
-    predictions: PredictionSet,
-    point_ratings: FeedbackDataset,
-    alpha: float = 0.05,
+    data: FeedbackDataset, predictions: PredictionSet, alpha: float = 0.05
 ) -> OmissionResult:
     """Keep only deviations the pair's spread cannot explain.
 
-    Per pair of ``point_ratings``, whose ``mu`` holds the ratings,
+    Per pair of ``data``, whose ``mu`` holds the point ratings,
     d = rating - prediction is z-tested two-sided against N(0, sigma^2)
-    with the pair's sigma from ``data``; pairs with p < alpha are retained
-    and scored. Pairs with sigma = 0 are retained for any nonzero deviation
+    with the pair's own sigma; pairs with p < alpha are retained and
+    scored. Pairs with sigma = 0 are retained for any nonzero deviation
     (p = 0). With nothing retained the filtered score is None, never 0.
     """
     _, _, alpha = check_strategy_request(omit_alpha=alpha)
-    keys = point_ratings.keys
-    sigma = data.sigma[keys.locate(data.keys, "no feedback entry")]
+    sigma = data.sigma
     # a deviation beyond float64 has p = 0, and its square fails the check below
     with np.errstate(over="ignore"):
-        d = point_ratings.mu - predictions.aligned(keys)
+        d = data.mu - predictions.aligned(data.keys)
 
-        p = np.ones(len(keys), dtype=float)
+        p = np.ones(data.N, dtype=float)
         positive = sigma > 0
         # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc
         z = np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5)
@@ -304,12 +300,12 @@ def run_strategy_comparison(
     and, for the de-noising strategy's redraw policy, the generating model
     the removed ratings are drawn from; de-noising, requested by a
     ``denoise_threshold`` and run by ``denoise_preprocess`` with the other
-    ``denoise_`` settings, also needs the raw observations. Both fits, of
-    ``observations`` and of the de-noised observations, use the pooled
-    sigma fallback. Before-scores are point RMSE over the dataset's central
-    tendencies, except for predictor noise where before/after are the
-    expected metric at tau = 0 and tau, so that the tau = 0 limit is an
-    exact identity.
+    ``denoise_`` settings, also needs the raw observations (checked before
+    any fit). Both fits, of ``observations`` and of the de-noised
+    observations, use the pooled sigma fallback. Before-scores are point
+    RMSE over the dataset's central tendencies, except for predictor noise
+    where before/after are the expected metric at tau = 0 and tau, so that
+    the tau = 0 limit is an exact identity.
 
     Each strategy run gives one dict, in the order denoise, predictor
     noise, omission, with the keys ``strategy``, ``score_before``,
@@ -325,9 +321,12 @@ def run_strategy_comparison(
         predictor_tau=predictor_tau,
         omit_alpha=omit_alpha,
     )
-    if data is None:
-        if observations is None:
+    if observations is None:
+        if data is None:
             raise InputError("need observations or a fitted dataset")
+        if denoise_threshold is not None:
+            raise InputError("de-noising needs raw repeated-trial observations")
+    if data is None:
         data = fit_uncertainty(observations)
 
     floor = barrier_distribution(data)
@@ -336,8 +335,6 @@ def run_strategy_comparison(
     reports: list[dict] = []
 
     if denoise_threshold is not None:
-        if observations is None:
-            raise InputError("de-noising needs raw repeated-trial observations")
         result = denoise_preprocess(
             observations,
             data,
@@ -360,7 +357,7 @@ def run_strategy_comparison(
         )
 
     if omit_alpha is not None:
-        result = omit_insignificant(data, predictions, data, omit_alpha)
+        result = omit_insignificant(data, predictions, omit_alpha)
         reports.append(
             _report(
                 "omission", score_point, result.filtered_rmse, floor,

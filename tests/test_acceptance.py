@@ -177,7 +177,6 @@ def test_criterion_07_omission_calibration(capsys):
     sigma_rng = np.random.default_rng(700)
     sigmas = sigma_rng.uniform(0.3, 1.2, n)
     data = dataset_from_sigmas(sigmas)
-    ratings = data  # the point ratings are the dataset's mu
 
     in_band = 0
     fractions = []
@@ -185,7 +184,7 @@ def test_criterion_07_omission_calibration(capsys):
         rng = np.random.default_rng(9000 + rep)
         deviations = rng.standard_normal(n) * sigmas
         predictions = PredictionSet.from_columns(data.keys, np.arange(n), 3.0 - deviations)
-        result = omit_insignificant(data, predictions, ratings, 0.05)
+        result = omit_insignificant(data, predictions, 0.05)
         fractions.append(result.retained_fraction)
         if 0.04 <= result.retained_fraction <= 0.06:
             in_band += 1

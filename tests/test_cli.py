@@ -27,6 +27,7 @@ from uncertain_eval import (
     resolve_thread_count,
     run_strategy_comparison,
 )
+from uncertain_eval import cli
 from uncertain_eval.cli import _load_population_spec, main
 
 from conftest import child_env
@@ -259,6 +260,34 @@ class TestFit:
             assert code == 0
             written[fallback] = out.read_bytes()
         assert written["fixed:-0"] == written["zero"]
+
+    def test_all_single_trial_pairs_with_pooled_fallback_exits_2(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "user_id,item_id,trial,rating\nu1,i1,0,3.0\nu2,i1,0,4.0\n", encoding="utf-8"
+        )
+        out = tmp_path / "feedback.csv"
+        code, stdout, stderr = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: pooled sigma fallback needs at least one pair with >= 2 trials\n"
+        assert list(tmp_path.iterdir()) == [obs]
+
+    # Two 2-trial pairs rated +-7.07e153 have sigma 9.998e153, whose square
+    # overflows float64; their root mean square does not.
+    BIG_SPREAD = "u1,i1,0,7.07e153\nu1,i1,1,-7.07e153\nu2,i1,0,7.07e153\nu2,i1,1,-7.07e153\n"
+
+    @pytest.mark.parametrize("single", ["", "u3,i1,0,1.0\n"], ids=["multi", "with single"])
+    def test_pooled_sigma_beyond_the_square_of_float64(self, capsys, tmp_path, single):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(OBS_HEADER + self.BIG_SPREAD + single, encoding="utf-8")
+        out = tmp_path / "feedback.csv"
+        code, stdout, stderr = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(out))
+        assert code == 0
+        assert stderr == f"wrote {out}\n"
+        n = 3 if single else 2
+        assert json.loads(stdout) == {"n": n, "pooled_sigma": 9.998489885977782e153}
+        sigmas = [line.rsplit(",", 1)[1] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert sigmas == ["sigma"] + ["9.998489885977782e+153"] * n
 
     def test_missing_column_exits_2(self, capsys, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -898,6 +927,16 @@ class TestPopulationSpec:
         assert stderr.startswith(f"error: 4 pairs x {10**12} trials exceed ")
         assert not (tmp_path / "run").exists()
 
+    def test_draw_size_is_checked_before_the_population_is_drawn(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "generate_population", lambda spec: calls.append(spec))
+        spec = dict(SPEC_JSON, n_users=10_000, n_items=1000)
+        code, stdout, stderr = self._simulate(capsys, tmp_path, spec, "--trials", "6")
+        assert (code, stdout, calls) == (2, "", [])
+        assert stderr == "error: 10000000 pairs x 6 trials exceed 50000000 observation rows\n"
+
     def test_null_discrete_step_is_continuous(self, capsys, tmp_path):
         code, _, _ = self._simulate(capsys, tmp_path, _with_scale(discrete_step=None))
         assert code == 0
@@ -1162,6 +1201,10 @@ class TestMalformedInput:
          "scores must be finite, got s1=nan, s2=1.0"),
         (["distinguish", "--feedback", "{feedback}", "--s1", "1.7e308", "--s2", "1.7e308"],
          "the scores' midpoint must be finite, got s1=1.7e+308, s2=1.7e+308"),
+        # missing files: de-noising without --obs is refused before any read
+        (["strategies", "--feedback", "{dir}/nope.csv", "--pred", "{dir}/nope.csv",
+          "--denoise-threshold", "1"],
+         "de-noising needs raw repeated-trial observations"),
     ]
 
     @pytest.mark.parametrize("argv, message", ARGUMENT_FAULTS)
@@ -1349,7 +1392,7 @@ def _strategy_calls(settings):
         denoise = {name.removeprefix("denoise_"): value for name, value in settings.items()}
         calls.append(lambda: denoise_preprocess(obs, data, **{"threshold": None, **denoise}))
     if not settings.keys() - {"omit_alpha"}:
-        calls.append(lambda: omit_insignificant(data, pred, data, settings.get("omit_alpha")))
+        calls.append(lambda: omit_insignificant(data, pred, settings.get("omit_alpha")))
     return calls
 
 

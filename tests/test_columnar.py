@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from uncertain_eval import (
     FeedbackDataset,
+    InputError,
     ObservationSet,
-    UnavailableError,
     denoise_preprocess,
     fit_uncertainty,
 )
@@ -83,7 +83,7 @@ def reference_fit(groups, fallback: float | None):
     else:
         single = None
     if single is None and None in sigma:
-        raise UnavailableError("no multi-trial pair to pool from")
+        raise InputError("no multi-trial pair to pool from")
     sigma = [single if s is None else s for s in sigma]
     return keys, mu, sigma, n_trials
 
@@ -162,8 +162,8 @@ class TestFitMatchesReference:
         obs = shuffled_set(groups, rnd)
         try:
             keys, mu, sigma, n_trials = reference_fit(groups, fallback)
-        except UnavailableError:
-            with pytest.raises(UnavailableError):
+        except InputError:
+            with pytest.raises(InputError):
                 fit_uncertainty(obs, fallback)
             return
         data = fit_uncertainty(obs, fallback)

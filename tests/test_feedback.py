@@ -12,7 +12,6 @@ from uncertain_eval import (
     ObservationSet,
     PredictionSet,
     RatingScale,
-    UnavailableError,
     fit_uncertainty,
     pooled_sigma,
 )
@@ -205,7 +204,7 @@ class TestSigmaFallback:
         )
 
     def test_pooled_policy_unavailable_without_multi_trial_pairs(self):
-        with pytest.raises(UnavailableError):
+        with pytest.raises(InputError):
             fit_uncertainty(make_obs({"a": [4.0], "b": [2.0]}))
 
     def test_parse(self):
@@ -240,10 +239,8 @@ class TestPooledSigma:
         )
 
     def test_unavailable_without_multi_trial_entries(self):
-        with pytest.raises(UnavailableError):
-            pooled_sigma(self._dataset([0.5, 1.5], n_trials=1))
-        with pytest.raises(UnavailableError):
-            pooled_sigma(self._dataset([0.5], n_trials=None))
+        assert pooled_sigma(self._dataset([0.5, 1.5], n_trials=1)) is None
+        assert pooled_sigma(self._dataset([0.5], n_trials=None)) is None
 
 
 group_values = st.lists(

@@ -274,43 +274,43 @@ class TestPredictorNoiseDeviation:
 
 
 def omission_fixture(sigmas, deviations):
-    """Dataset, predictions and point ratings; the dataset's mu are the ratings."""
+    """Dataset and predictions; the dataset's mu are the point ratings."""
     users = [f"u{i:05d}" for i in range(len(sigmas))]
     data = dataset([(u, 3.0, float(s)) for u, s in zip(users, sigmas)])
     predictions = predictions_of({u: 3.0 - float(d) for u, d in zip(users, deviations)})
-    return data, predictions, data
+    return data, predictions
 
 
 class TestOmission:
     def test_zero_deviation_not_retained(self):
-        data, predictions, ratings = omission_fixture([0.5], [0.0])
-        result = omit_insignificant(data, predictions, ratings)
+        data, predictions = omission_fixture([0.5], [0.0])
+        result = omit_insignificant(data, predictions)
         assert not len(result.retained_keys)
         assert result.filtered_rmse is None
         assert result.retained_fraction == 0.0
 
     def test_large_deviation_retained(self):
         # |z| = 1.2 / 0.5 = 2.4, p = 0.0164 < 0.05
-        data, predictions, ratings = omission_fixture([0.5], [1.2])
-        result = omit_insignificant(data, predictions, ratings)
+        data, predictions = omission_fixture([0.5], [1.2])
+        result = omit_insignificant(data, predictions)
         assert len(result.retained_keys) == 1
         assert result.filtered_rmse == pytest.approx(1.2, abs=1e-12)
 
     def test_borderline_deviation_not_retained(self):
         # |z| = 0.9 / 0.5 = 1.8 < 1.959964
-        data, predictions, ratings = omission_fixture([0.5], [0.9])
-        result = omit_insignificant(data, predictions, ratings)
+        data, predictions = omission_fixture([0.5], [0.9])
+        result = omit_insignificant(data, predictions)
         assert not len(result.retained_keys)
 
     def test_overflowing_filtered_score_rejected(self):
-        data, predictions, ratings = omission_fixture([0.5, 0.5], [1.2, 1e200])
+        data, predictions = omission_fixture([0.5, 0.5], [1.2, 1e200])
         with pytest.raises(InputError) as info:
-            omit_insignificant(data, predictions, ratings)
+            omit_insignificant(data, predictions)
         assert str(info.value) == "squared deviations overflow float64: |mu - prediction| up to 1e+200"
 
     def test_zero_sigma_any_deviation_is_significant(self):
-        data, predictions, ratings = omission_fixture([0.0, 0.0], [0.001, 0.0])
-        result = omit_insignificant(data, predictions, ratings)
+        data, predictions = omission_fixture([0.0, 0.0], [0.001, 0.0])
+        result = omit_insignificant(data, predictions)
         assert len(result.retained_keys) == 1
 
     def test_null_calibration(self):
@@ -318,17 +318,17 @@ class TestOmission:
         n = 10000
         sigmas = rng.uniform(0.3, 1.2, n)
         deviations = rng.standard_normal(n) * sigmas
-        data, predictions, ratings = omission_fixture(sigmas, deviations)
-        result = omit_insignificant(data, predictions, ratings, 0.05)
+        data, predictions = omission_fixture(sigmas, deviations)
+        result = omit_insignificant(data, predictions, 0.05)
         assert 0.04 <= result.retained_fraction <= 0.06
 
     def test_retained_set_monotone_in_alpha(self):
         rng = np.random.default_rng(55)
         sigmas = rng.uniform(0.2, 1.0, 300)
         deviations = rng.standard_normal(300) * sigmas
-        data, predictions, ratings = omission_fixture(sigmas, deviations)
-        tight = omit_insignificant(data, predictions, ratings, 0.01)
-        loose = omit_insignificant(data, predictions, ratings, 0.10)
+        data, predictions = omission_fixture(sigmas, deviations)
+        tight = omit_insignificant(data, predictions, 0.01)
+        loose = omit_insignificant(data, predictions, 0.10)
         assert set(tight.retained_keys.tolist()) <= set(loose.retained_keys.tolist())
 
     # |d| / sigma just either side of the two-sided critical value, which
@@ -342,9 +342,9 @@ class TestOmission:
     def test_retained_set_pinned_to_scipy(self, alpha, below, above):
         sigmas = [0.5, 0.5, 2.0, 2.0]
         deviations = [0.5 * below, 0.5 * above, -2.0 * below, -2.0 * above]
-        data, predictions, ratings = omission_fixture(sigmas, deviations)
-        result = omit_insignificant(data, predictions, ratings, alpha)
-        assert set(ratings.keys.users[result.retained_keys]) == {"u00001", "u00003"}
+        data, predictions = omission_fixture(sigmas, deviations)
+        result = omit_insignificant(data, predictions, alpha)
+        assert set(data.keys.users[result.retained_keys]) == {"u00001", "u00003"}
 
     @given(
         st.lists(
@@ -360,12 +360,12 @@ class TestOmission:
     @settings(max_examples=200, deadline=None)
     def test_retained_set_matches_per_pair_erfc(self, rows, alpha):
         sigmas, deviations = zip(*rows)
-        data, predictions, ratings = omission_fixture(sigmas, deviations)
-        result = omit_insignificant(data, predictions, ratings, alpha)
+        data, predictions = omission_fixture(sigmas, deviations)
+        result = omit_insignificant(data, predictions, alpha)
         expected = []
         predicted = predictions.aligned(data.keys)
         for i, entry in enumerate(data.entries):
-            d = ratings.mu[i] - predicted[i]
+            d = data.mu[i] - predicted[i]
             if entry.sigma > 0:
                 p = math.erfc(abs(d) / entry.sigma * math.sqrt(0.5))
             else:
@@ -375,11 +375,11 @@ class TestOmission:
         assert result.retained_keys.tolist() == expected
 
     def test_bad_alpha_rejected(self):
-        data, predictions, ratings = omission_fixture([0.5], [0.0])
+        data, predictions = omission_fixture([0.5], [0.0])
         with pytest.raises(InputError):
-            omit_insignificant(data, predictions, ratings, 0.0)
+            omit_insignificant(data, predictions, 0.0)
         with pytest.raises(InputError):
-            omit_insignificant(data, predictions, ratings, 1.0)
+            omit_insignificant(data, predictions, 1.0)
 
 
 class TestStrategyComparison:
@@ -459,7 +459,7 @@ class TestStrategyComparison:
         rng = np.random.default_rng(12)
         sigmas = rng.uniform(0.3, 1.0, 500)
         deviations = rng.standard_normal(500) * sigmas
-        data, predictions, _ = omission_fixture(sigmas, deviations)
+        data, predictions = omission_fixture(sigmas, deviations)
         (report,) = run_strategy_comparison(
             predictions, data=data, omit_alpha=0.05
         )
@@ -492,6 +492,12 @@ class TestStrategyComparison:
         predictions = predictions_of({"a": 2.0})
         with pytest.raises(InputError, match="^need observations or a fitted dataset$"):
             run_strategy_comparison(predictions, predictor_tau=1.0)
+
+    def test_denoise_without_observations_rejected_before_scoring(self):
+        data = dataset([("a", 2.0, 0.5), ("b", 4.0, 0.5)])
+        predictions = predictions_of({"a": 2.0})  # none for b, so scoring would fail
+        with pytest.raises(InputError, match="^de-noising needs raw repeated-trial observations$"):
+            run_strategy_comparison(predictions, data=data, denoise_threshold=1.0)
 
     def test_bad_tau_rejected_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
