@@ -217,7 +217,8 @@ def _load_population_spec(text: str) -> PopulationSpec:
         raise InputError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("spec must be a JSON object")
-    raw.setdefault("seed", _generate_seed())
+    if "seed" not in raw:
+        raw["seed"] = _generate_seed()
     return _from_json(PopulationSpec, raw, "spec")
 
 

@@ -131,12 +131,35 @@ class KeyTable:
 class _Columnar:
     """A data set held as columns.
 
-    ``from_columns`` takes the arguments of the subclass's ``_load``, which
-    validates them; ``from_ids`` takes each row's user and item id instead
-    of ``keys`` and ``pair``.
+    ``COLUMNS`` is the one declaration of the value columns after ``pair``:
+    each column's name and its rule, a ``check_real`` rule or None for the
+    index rule. The subclass's ``_load`` checks those columns by it, and
+    ``check_row`` checks one row's values by it, with the same messages.
+    ``from_columns`` takes the arguments of ``_load``; ``from_ids`` takes
+    each row's user and item id instead of ``keys`` and ``pair``.
     """
 
     __slots__ = ()
+    COLUMNS: tuple[tuple[str, str | None], ...] = ()
+
+    @classmethod
+    def check_row(cls, *values) -> None:
+        """Reject one row's values, in ``COLUMNS`` order, unless each keeps its rule."""
+        for (name, rule), value in zip(cls.COLUMNS, values):
+            if rule is None:
+                check_index(value, name)
+            else:
+                check_real(value, name, rule)
+
+    @classmethod
+    def _checked(cls, rows: int, *values) -> list[np.ndarray]:
+        """``values`` as the ``COLUMNS`` of ``rows`` rows, each checked by its rule."""
+        return [
+            check_index_column(column, name, rows)
+            if rule is None
+            else check_column(column, name, rows, rule)
+            for (name, rule), column in zip(cls.COLUMNS, values)
+        ]
 
     @classmethod
     def from_columns(cls, *columns):
@@ -192,12 +215,6 @@ def _scatter(pair: np.ndarray, rows, n: int) -> np.ndarray:
     return _frozen(column)
 
 
-def check_observation(trial: int, value: float) -> None:
-    """Reject the trial and value of one observation row unless both are legal."""
-    check_index(trial, "trial")
-    check_real(value, "rating value")
-
-
 class ObservationSet(_Columnar):
     """Raw repeated-trial ratings.
 
@@ -207,11 +224,11 @@ class ObservationSet(_Columnar):
     """
 
     __slots__ = ("keys", "pair", "trial", "value")
+    COLUMNS = (("trial", None), ("rating value", "be finite"))
 
     def _load(self, keys, pair, trial, value) -> None:
         pair = _pair_positions(keys, pair)
-        trial = check_index_column(trial, "trial", len(pair))
-        value = check_column(value, "rating value", len(pair))
+        trial, value = self._checked(len(pair), trial, value)
         # whether each row comes after the one before it in (pair, trial) order
         later = pair[1:] > pair[:-1]
         later |= (pair[1:] == pair[:-1]) & (trial[1:] > trial[:-1])
@@ -269,11 +286,6 @@ class UncertainFeedback:
     n_trials: int | None = None
 
 
-def check_feedback(mu: float, sigma: float) -> tuple[float, float]:
-    """The parameters of one response model, as floats, unless either is illegal."""
-    return check_real(mu, "mu"), check_real(sigma, "sigma", "be finite and >= 0")
-
-
 class FeedbackDataset(_Columnar):
     """Collection of per-pair response models with unique keys.
 
@@ -283,13 +295,14 @@ class FeedbackDataset(_Columnar):
     """
 
     __slots__ = ("keys", "mu", "sigma", "n_trials")
+    # no file carries n_trials, so it is checked apart
+    COLUMNS = (("mu", "be finite"), ("sigma", "be finite and >= 0"))
 
     def _load(self, keys, pair, mu, sigma, n_trials=None) -> None:
         pair = _pair_positions(keys, pair, "feedback dataset")
         if not len(pair):
             raise InputError("feedback dataset must contain at least one entry")
-        mu = check_column(mu, "mu", len(pair))
-        sigma = check_column(sigma, "sigma", len(pair), "be finite and >= 0")
+        mu, sigma = self._checked(len(pair), mu, sigma)
         unknown = np.zeros(len(pair), np.int64)
         n_trials = unknown if n_trials is None else check_index_column(n_trials, "n_trials", len(pair))
         self.keys = keys
@@ -310,19 +323,15 @@ class FeedbackDataset(_Columnar):
         return tuple(map(UncertainFeedback, keys, mu, sigma, n_trials))
 
 
-def check_prediction(value: float) -> float:
-    """One prediction, as a float, unless it is not finite."""
-    return check_real(value, "prediction")
-
-
 class PredictionSet(_Columnar):
     """Model-based prediction per pair, as ``values`` aligned to ``keys``."""
 
     __slots__ = ("keys", "values")
+    COLUMNS = (("prediction", "be finite"),)
 
     def _load(self, keys: KeyTable, pair, values) -> None:
         pair = _pair_positions(keys, pair, "prediction")
-        values = check_column(values, "prediction", len(pair))
+        (values,) = self._checked(len(pair), values)
         self.keys = keys
         self.values = _scatter(pair, values, len(keys))
 

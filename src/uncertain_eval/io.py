@@ -24,14 +24,18 @@ Longer fields, and every field of a piece that holds a NUL byte, are split
 from the decoded text with ``str.split``. Any other text goes through
 ``csv.reader``. Both reject a field longer than ``csv.field_size_limit()``.
 A split column of numbers whose texts repeat, judged from a sample of a
-piece's fields, is converted once per distinct text. The columns go to
-the data set's ``from_columns``, which checks them vectorised. Only when a
-conversion or a check fails does a second pass walk the rows through
-``csv.reader`` to name the first bad one as ``path:line``. Every format
-checks a row in one order: its fields in header order, each present
-(``row has too few fields``) and converted (``bad <column> value``), then
-the data set's rule on the row's values, then a repeated key (the pair,
-or for observations the pair and trial), then ``row has too many fields``.
+piece's fields, is converted once per distinct text. A number column is
+parsed as ``int`` under the index rule of the data set's ``COLUMNS`` and as
+``float`` otherwise. The columns go to the data set's ``from_columns``,
+which checks them vectorised by ``COLUMNS``. Only when a conversion or a
+check fails does a second pass walk the rows through ``csv.reader`` to
+name the first bad one as ``path:line``. Every format checks a row in one
+order: its fields in header order, each present (``row has too few
+fields``) and converted (``bad <column> value``), then the data set's
+``check_row`` on the row's values, the same rules in the same order, then
+a repeated key (the pair, or for observations the pair and trial), then
+``row has too many fields``. The headers and the repeated-key rule are
+decisions of the file format, and are set here.
 
 Writing goes the other way, one column at a time: each distinct id is
 quoted once, each distinct number (by bit pattern) is formatted once with
@@ -46,21 +50,12 @@ import re
 from io import StringIO
 from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .feedback import (
-    FeedbackDataset,
-    Interner,
-    KeyTable,
-    ObservationSet,
-    PredictionSet,
-    check_feedback,
-    check_observation,
-    check_prediction,
-)
+from .feedback import FeedbackDataset, Interner, KeyTable, ObservationSet, PredictionSet
 
 OBSERVATION_HEADER = ["user_id", "item_id", "trial", "rating"]
 FEEDBACK_HEADER = ["user_id", "item_id", "mu", "sigma"]
@@ -273,21 +268,16 @@ def _csv_pieces(rows: Iterator[list[str]], width: int, columns) -> Iterator[list
         yield [column.convert(flat[j::width]) for j, column in columns]
 
 
-def _read(
-    path: str | Path,
-    header: Sequence[str],
-    kinds: Sequence[type],
-    build: Callable,
-    rule: Callable[..., None],
-    unique: str,
-    key: int = 2,
-):
-    """``build(keys, pair, *numeric columns)`` of the CSV at ``path``.
+def _read(path: str | Path, header: Sequence[str], cls, unique: str, key: int = 2):
+    """``cls.from_columns(keys, pair, *numeric columns)`` of the CSV at ``path``.
 
-    ``rule`` checks the numbers of one row, and ``unique`` names a row whose
-    first ``key`` fields may appear only once. Both run only when reading
-    or ``build`` fails, to name the first row that breaks them.
+    ``header`` names the ids, then the columns of ``cls.COLUMNS``, each
+    parsed as ``int`` under the index rule and as ``float`` otherwise.
+    ``unique`` names a row whose first ``key`` fields may appear only once.
+    ``cls.check_row`` and that rule run only when reading or
+    ``from_columns`` fails, to name the first row that breaks them.
     """
+    kinds = (str, str, *(int if rule is None else float for _, rule in cls.COLUMNS))
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -315,7 +305,7 @@ def _read(
     except csv.Error as exc:
         raise InputError(f"{path}:{rows.line_num}: {exc}") from None
     index = _positions(path, header, got)
-    columns = [(j, _Column(kind)) for j, kind in zip(index, (str, str, *kinds))]
+    columns = [(j, _Column(kind)) for j, kind in zip(index, kinds)]
     if plain:
         pieces = _split_pieces(data, end, len(header), columns)
     else:
@@ -327,24 +317,24 @@ def _read(
         user_codes, item_codes, *numbers = parts
         (_, users), (_, items) = columns[:2]
         ranked = users.names.ranked(user_codes), items.names.ranked(item_codes)
-        return build(*KeyTable.from_codes(*ranked), *numbers)
+        return cls.from_columns(*KeyTable.from_codes(*ranked), *numbers)
     except _FAULTS:
-        _diagnose(
-            path, data.decode() if plain else text, header, index, kinds, rule, unique, key
-        )
+        text = data.decode() if plain else text
+        _diagnose(path, text, header, index, kinds, cls.check_row, unique, key)
         raise
 
 
-def _diagnose(path: Path, text: str, header, index, kinds, rule, unique, key) -> None:
+def _diagnose(path: Path, text: str, header, index, kinds, check_row, unique, key) -> None:
     """Raise the ``path:line`` error of the first row that breaks a row rule.
 
     Each row is checked in one order: its fields in ``header`` order, each
-    present and converted by its kind, then ``rule`` on its numbers, then
-    the uniqueness of its first ``key`` values, then its width.
+    present and converted by its kind, then the data set's ``check_row`` on
+    its numbers, then the uniqueness of its first ``key`` values, then its
+    width.
     """
     rows = _records(text)
     seen: set = set()
-    fields = list(zip(header, index, (str, str, *kinds)))
+    fields = list(zip(header, index, kinds))
     try:
         next(rows)
         for row in rows:
@@ -357,7 +347,7 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique, key) ->
                 except ValueError:
                     raise InputError(f"bad {column} value {row[j]!r}") from None
             user, item, *numbers = values
-            rule(*numbers)
+            check_row(*numbers)
             row_key = tuple(values[:key])
             if row_key in seen:
                 named = "".join(f" {c} {v}" for c, v in zip(header[2:key], numbers))
@@ -370,10 +360,7 @@ def _diagnose(path: Path, text: str, header, index, kinds, rule, unique, key) ->
 
 
 def read_observations(path: str | Path) -> ObservationSet:
-    return _read(
-        path, OBSERVATION_HEADER, (int, float), ObservationSet.from_columns,
-        check_observation, "observation", 3,
-    )
+    return _read(path, OBSERVATION_HEADER, ObservationSet, "observation", 3)
 
 
 def write_observations(path: str | Path, obs: ObservationSet) -> None:
@@ -381,10 +368,7 @@ def write_observations(path: str | Path, obs: ObservationSet) -> None:
 
 
 def read_feedback(path: str | Path) -> FeedbackDataset:
-    return _read(
-        path, FEEDBACK_HEADER, (float, float), FeedbackDataset.from_columns,
-        check_feedback, "feedback",
-    )
+    return _read(path, FEEDBACK_HEADER, FeedbackDataset, "feedback")
 
 
 def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
@@ -392,10 +376,7 @@ def write_feedback(path: str | Path, data: FeedbackDataset) -> None:
 
 
 def read_predictions(path: str | Path) -> PredictionSet:
-    return _read(
-        path, PREDICTION_HEADER, (float,), PredictionSet.from_columns,
-        check_prediction, "prediction",
-    )
+    return _read(path, PREDICTION_HEADER, PredictionSet, "prediction")
 
 
 def write_predictions(path: str | Path, predictions: PredictionSet) -> None:

@@ -23,9 +23,8 @@ from uncertain_eval import (
     generate_population,
     rmse_distribution,
 )
-from uncertain_eval.feedback import check_feedback, check_prediction
 from uncertain_eval.metrics import check_tau
-from uncertain_eval.rng import check_count
+from uncertain_eval.rng import check_count, check_real
 
 
 def variance_match_check(data: FeedbackDataset, cfg: McConfig) -> float:
@@ -70,8 +69,9 @@ def predictor_noise_deviation(
     A rating N(mu, sigma^2) compared against an independent noisy
     prediction N(pi, tau^2) deviates as N(mu - pi, sigma^2 + tau^2).
     """
-    mu, sigma = check_feedback(mu, sigma)
-    prediction = check_prediction(prediction)
+    mu = check_real(mu, "mu")
+    sigma = check_real(sigma, "sigma", "be finite and >= 0")
+    prediction = check_real(prediction, "prediction")
     tau = check_tau(tau)
     if not math.isfinite(sigma * sigma):
         raise InputError(f"sigma squared must be finite, got sigma = {sigma}")

@@ -106,12 +106,14 @@ def _python(*args, **kwargs):
 
 
 # What loads only where it is used: the Monte Carlo pool and a generated
-# seed. No normal quantile is computed, so ``statistics`` never loads.
+# seed, which a spec that holds a seed does not need. No normal quantile is
+# computed, so ``statistics`` never loads.
 LAZY_PROBE = """
 import sys
 import uncertain_eval.cli as cli
 lazy = ("concurrent.futures", "secrets", "statistics")
 print(*[name in sys.modules for name in lazy])
+print(cli._load_population_spec(sys.argv[1]).seed, "secrets" in sys.modules)
 import os
 import numpy as np
 from uncertain_eval import FeedbackDataset, McConfig, PredictionSet, rmse_distribution
@@ -128,10 +130,11 @@ print(*[name in sys.modules for name in lazy])
 
 
 def test_cli_imports_the_pool_seed_and_quantile_modules_only_when_used():
-    proc = _python("-c", LAZY_PROBE, capture_output=True, text=True)
+    proc = _python("-c", LAZY_PROBE, json.dumps(SPEC_JSON), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    before, same, after = proc.stdout.splitlines()
+    before, seeded, same, after = proc.stdout.splitlines()
     assert before == "False False False"
+    assert seeded == "77 False"
     assert same == "True True"
     assert after == "True True False"
 

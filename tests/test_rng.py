@@ -23,7 +23,6 @@ from uncertain_eval import (
     rmse_distribution,
     run_strategy_comparison,
 )
-from uncertain_eval.feedback import check_feedback, check_observation, check_prediction
 from uncertain_eval.metrics import check_tau
 from uncertain_eval.rng import check_count, check_real, validate_seed
 from uncertain_eval.strategies import check_strategy_request
@@ -177,10 +176,16 @@ REAL_ENTRY_POINTS = {
     "distinguishability_test s2": (
         "s2", lambda v: distinguishability_test(3.0, v, FLOOR), 2.3, _same, False,
     ),
-    "check_observation": ("rating value", lambda v: check_observation(0, v), 3.1, _same, False),
-    "check_feedback mu": ("mu", lambda v: check_feedback(v, 0.5), 3.1, _typed, False),
-    "check_feedback sigma": ("sigma", lambda v: check_feedback(3.0, v), 0.3, _typed, False),
-    "check_prediction": ("prediction", check_prediction, 2.9, _typed, False),
+    "ObservationSet.check_row": (
+        "rating value", lambda v: ObservationSet.check_row(0, v), 3.1, _same, False,
+    ),
+    "FeedbackDataset.check_row mu": (
+        "mu", lambda v: FeedbackDataset.check_row(v, 0.5), 3.1, _same, False,
+    ),
+    "FeedbackDataset.check_row sigma": (
+        "sigma", lambda v: FeedbackDataset.check_row(3.0, v), 0.3, _same, False,
+    ),
+    "PredictionSet.check_row": ("prediction", PredictionSet.check_row, 2.9, _same, False),
     "check_tau": ("tau", check_tau, 0.3, _typed, False),
     "predictor_noise_deviation mu": (
         "mu", lambda v: predictor_noise_deviation(v, 0.5, 2.0, 0.25), 3.1, _gaussian, False,
