@@ -111,10 +111,8 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     ``barrier_variance``, ``shift_mean``, ``ci_low``, ``ci_high``,
     ``distinguishable``, ``z_gap``.
     """
-    s1 = check_real(s1, "s1", "be a number")
-    s2 = check_real(s2, "s2", "be a number")
-    if not (math.isfinite(s1) and math.isfinite(s2)):
-        raise InputError(f"scores must be finite, got s1={s1}, s2={s2}")
+    s1 = check_real(s1, "s1")
+    s2 = check_real(s2, "s2")
     shift = 0.5 * (s1 + s2)
     if not math.isfinite(shift):
         raise InputError(f"the scores' midpoint must be finite, got s1={s1}, s2={s2}")

@@ -83,7 +83,8 @@ class KeyTable:
     Pairs are sorted by user id, then by item id, both by code point, as
     ``(user, item)`` tuples sort. Columns aligned to the table hold the
     value of pair ``i`` at position ``i``; row-form columns carry a ``pair``
-    array of positions.
+    array of positions. The constructor takes its columns as given: ``intern``
+    and ``from_codes`` are how a canonical table is made.
     """
 
     users: np.ndarray
@@ -187,15 +188,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _pair_positions(keys: KeyTable, pair, aligned: str | None = None) -> np.ndarray:
     """``pair`` as positions in ``keys``; a set named ``aligned`` holds each exactly once.
 
-    ``pair`` is sized by its own shape: one row per element.
+    ``pair`` is sized by its own shape: one row per element, rows of unequal
+    shape being elements that the index rule names.
     """
-    try:
-        numbers = np.asarray(pair)
-    except ValueError:  # rows of unequal shape, named by the index rule
-        numbers = np.array(pair, object)
-    if numbers.dtype.kind in "if" and (numbers < 0).any():  # outside the keys, not a bad index
-        raise InputError(f"pair {numbers[(numbers < 0).argmax()]} is outside the {len(keys)} keys")
-    pair = check_index_column(pair, "pair", numbers.size)
+    pair = pair if isinstance(pair, np.ndarray) else np.array(pair, object)
+    pair = check_index_column(pair, "pair", pair.size)
     if (outside := pair >= len(keys)).any():
         raise InputError(f"pair {pair[outside.argmax()]} is outside the {len(keys)} keys")
     if aligned is not None:

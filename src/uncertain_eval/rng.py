@@ -3,8 +3,8 @@
 Every stochastic operation in the package derives its generator from a user
 seed plus an integer key path (chunk index, pair index, group index, ...).
 Results therefore depend only on (seed, key), never on scheduling, thread
-count, or call order. Seeds and counts share one integer test: a Python or
-numpy integer, not a ``bool``; a real setting may also be a float.
+count, or call order. A seed is a count in [0, 2**64): a Python or numpy
+integer, not a ``bool``; a real setting may also be a float.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ import numpy as np
 
 from .errors import InputError
 
-_SEED_MAX = 2**64
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
-
 
 def check_count(value: int, name: str, low: int, high: int | None = None) -> int:
     """The one rule of a count setting: an integer in [low, high], as an ``int``."""
-    count = _integer(value, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {type(value).__name__}")
+    count = int(value)
     if count < low:
         raise InputError(f"{name} must be >= {low}, got {count}")
     if high is not None and count > high:
@@ -96,10 +90,8 @@ def check_index_column(values, name: str, rows: int) -> np.ndarray:
 
 
 def validate_seed(seed: int) -> int:
-    value = _integer(seed, "seed")
-    if not 0 <= value < _SEED_MAX:
-        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return value
+    """The one rule of a seed: a count in [0, 2**64)."""
+    return check_count(seed, "seed", 0, 2**64 - 1)
 
 
 def child_rng(seed: int, *key: int) -> np.random.Generator:

@@ -39,9 +39,7 @@ class RatingScale:
 
     def __post_init__(self) -> None:
         for name in ("min_value", "max_value"):
-            object.__setattr__(self, name, check_real(getattr(self, name), name, "be a number"))
-        if not (math.isfinite(self.min_value) and math.isfinite(self.max_value)):
-            raise InputError("rating scale bounds must be finite")
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         if not self.min_value < self.max_value:
             raise InputError(
                 f"rating scale needs min_value < max_value, got "
@@ -93,15 +91,16 @@ class PopulationSpec:
                 f"n_users * n_items must be <= {MAX_POPULATION_PAIRS}, got "
                 f"{self.n_users} * {self.n_items}"
             )
-        for name in ("sigma_lo", "sigma_hi", "bias_lo", "bias_hi"):
-            object.__setattr__(self, name, check_real(getattr(self, name), name, "be a number"))
-        if not 0 <= self.sigma_lo <= self.sigma_hi < math.inf:
+        for name in ("sigma_lo", "sigma_hi"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, "be finite and >= 0"))
+        if self.sigma_lo > self.sigma_hi:
             raise InputError(
-                f"sigma prior needs 0 <= sigma_lo <= sigma_hi, got "
-                f"[{self.sigma_lo}, {self.sigma_hi}]"
+                f"sigma prior needs sigma_lo <= sigma_hi, got [{self.sigma_lo}, {self.sigma_hi}]"
             )
         object.__setattr__(self, "density", check_real(self.density, "density", "lie in (0, 1]"))
-        if not -math.inf < self.bias_lo <= self.bias_hi < math.inf:
+        for name in ("bias_lo", "bias_hi"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        if self.bias_lo > self.bias_hi:
             raise InputError(
                 f"bias prior needs bias_lo <= bias_hi, got "
                 f"[{self.bias_lo}, {self.bias_hi}]"
@@ -153,12 +152,10 @@ def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, Predicti
     sigma = rng.uniform(spec.sigma_lo, spec.sigma_hi, n_pairs)
     bias = rng.uniform(spec.bias_lo, spec.bias_hi, n_pairs)
 
-    # zero-padded ids sort like their numbers, so sorted cells are already
-    # in key order and the table needs no interning
+    # zero-padded ids sort like their numbers, so they are already ranked
     users = np.array(_pair_ids(spec.n_users, "u"), dtype=object)
     items = np.array(_pair_ids(spec.n_items, "i"), dtype=object)
-    keys = KeyTable(users[chosen // spec.n_items], items[chosen % spec.n_items])
-    pair = np.arange(n_pairs)
+    keys, pair = KeyTable.from_codes((users, chosen // spec.n_items), (items, chosen % spec.n_items))
     return (
         FeedbackDataset.from_columns(keys, pair, mu, sigma),
         PredictionSet.from_columns(keys, pair, mu + bias),

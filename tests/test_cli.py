@@ -29,6 +29,7 @@ from uncertain_eval import (
 )
 from uncertain_eval import cli
 from uncertain_eval.cli import _load_population_spec, main
+from uncertain_eval.rng import validate_seed
 
 from conftest import child_env
 from oracles import predictor_noise_deviation
@@ -879,7 +880,15 @@ SPEC_FAULTS = [
      "predictions overflow float64: scale [1e+308, 1.7e+308] plus bias [1e+308, 1e+308]"),
     # JSON text -Infinity, which Python's JSON reader accepts
     ("infinite_scale_bound", _with_scale(min_value=-math.inf),
-     "rating scale bounds must be finite"),
+     "min_value must be finite, got -inf"),
+    ("infinite_sigma_bound", dict(SPEC_JSON, sigma_hi=math.inf),
+     "sigma_hi must be finite and >= 0, got inf"),
+    ("negative_sigma_bound", dict(SPEC_JSON, sigma_lo=-0.1),
+     "sigma_lo must be finite and >= 0, got -0.1"),
+    ("inverted_sigma", dict(SPEC_JSON, sigma_lo=0.8, sigma_hi=0.3),
+     "sigma prior needs sigma_lo <= sigma_hi, got [0.8, 0.3]"),
+    ("infinite_bias_bound", dict(SPEC_JSON, bias_lo=-math.inf),
+     "bias_lo must be finite, got -inf"),
 ]
 
 
@@ -1201,7 +1210,7 @@ class TestMalformedInput:
           "--denoise-resampler", "mean"],
          "unknown resampler 'mean'; expected median or redraw"),
         (["distinguish", "--feedback", "{feedback}", "--s1", "nan", "--s2", "1"],
-         "scores must be finite, got s1=nan, s2=1.0"),
+         "s1 must be finite, got nan"),
         (["distinguish", "--feedback", "{feedback}", "--s1", "1.7e308", "--s2", "1.7e308"],
          "the scores' midpoint must be finite, got s1=1.7e+308, s2=1.7e+308"),
         # missing files: de-noising without --obs is refused before any read
@@ -1374,7 +1383,7 @@ STRATEGY_SETTINGS = {
     ),
     "seed -1": (
         {"denoise_threshold": 1.0, "denoise_seed": -1}, "--denoise-threshold 1 --denoise-seed -1",
-        "seed must be a 64-bit unsigned integer, got -1",
+        "seed must be >= 0, got -1",
     ),
     "alpha 0": ({"omit_alpha": 0.0}, "--omit-alpha 0", "alpha must lie in (0, 1), got 0.0"),
     "alpha 1": ({"omit_alpha": 1.0}, "--omit-alpha 1", "alpha must lie in (0, 1), got 1.0"),
@@ -1514,6 +1523,37 @@ class TestOneMessagePerRule:
         code, stdout, stderr = run_cli(capsys, command, *argv, *options)
         assert (code, stdout) == (2, "")
         assert [str(info.value), stderr] == [message, f"error: {message}\n"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (2**64, f"seed must be <= {2**64 - 1}, got {2**64}")],
+        ids=["-1", "2**64"],
+    )
+    def test_seed_reads_the_same_everywhere(self, capsys, tmp_path, seed, message):
+        messages = []
+        for call in (
+            lambda: validate_seed(seed),
+            lambda: McConfig(sample_count=100, seed=seed),
+            lambda: _spec(seed=seed),
+        ):
+            with pytest.raises(InputError) as info:
+                call()
+            messages.append(str(info.value))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(SPEC_JSON, seed=seed)), encoding="utf-8")
+        # the data files are missing: the seed is checked before any is read
+        missing = str(tmp_path / "missing.csv")
+        for argv in (
+            ["rmse-dist", "--feedback", missing, "--pred", missing, "--seed", str(seed)],
+            ["strategies", "--obs", missing, "--pred", missing, "--denoise-threshold", "1",
+             "--denoise-seed", str(seed)],
+            ["simulate", "--spec", str(spec), "--out-dir", str(tmp_path / "run")],
+        ):
+            code, stdout, stderr = run_cli(capsys, *argv)
+            assert (code, stdout) == (2, "")
+            messages.append(stderr.removeprefix("error: ").removesuffix("\n"))
+        assert messages == [message] * 6
         assert not (tmp_path / "run").exists()
 
     def test_prediction_rule_agrees(self, capsys, tmp_path):

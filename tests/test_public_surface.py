@@ -1,7 +1,9 @@
 """The package's public names: ``__all__`` is exactly what ``__init__`` offers."""
 
 import ast
+import importlib
 import inspect
+import tomllib
 from pathlib import Path
 
 import uncertain_eval
@@ -65,3 +67,12 @@ def test_every_public_name_is_reached():
     users += (ROOT / "scripts").glob("*.py")
     reached = set().union(*map(_references, users))
     assert sorted(set(uncertain_eval.__all__) - reached) == []
+
+
+def test_console_script_resolves_to_the_cli():
+    # the entry from which an install makes the ``uncertain-eval`` command
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"uncertain-eval": "uncertain_eval.cli:entrypoint"}
+    module, _, name = scripts["uncertain-eval"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

@@ -517,7 +517,7 @@ class TestStrategyComparison:
     @pytest.mark.parametrize("setting, message", [
         ({"denoise_max_iterations": 0}, "max_iterations must be >= 1, got 0"),
         ({"denoise_resampler": "mean"}, "unknown resampler 'mean'; expected median or redraw"),
-        ({"denoise_seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+        ({"denoise_seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_bad_denoise_setting_rejected_without_a_threshold(self, monkeypatch, setting, message):
         def no_fit(*args, **kwargs):
