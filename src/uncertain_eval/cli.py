@@ -167,7 +167,8 @@ def _from_json(cls, raw: dict, name: str):
     """Build the dataclass ``cls`` from the JSON object ``raw`` by its declared fields.
 
     Fields without a default are required; a dataclass field is a nested object.
-    A number field takes a JSON number (``null`` if it admits None), an ``int`` field no fraction.
+    An integral number in an ``int`` field reads as an ``int``; every other
+    value goes to ``cls`` as given, and only its rules check it.
     """
     declared = fields(cls)
     types = typing.get_type_hints(cls)
@@ -178,42 +179,35 @@ def _from_json(cls, raw: dict, name: str):
     for f in declared:
         if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
             raise InputError(f"{name} is missing required field {f.name!r}")
-    values = {}
-    for key in (key for key in names if key in raw):
-        value, kind = raw[key], types[key]
+    values = dict(raw)
+    for key, value in raw.items():
+        kind = types[key]
         if is_dataclass(kind):
             if not isinstance(value, dict):
                 raise InputError(f"{name} field {key!r} must be a JSON object")
             values[key] = _from_json(kind, value, key)
-        elif value is None and type(None) in typing.get_args(kind):
-            values[key] = None
-        else:
-            # ``float | None`` converts with its first member
-            convert = (typing.get_args(kind) or (kind,))[0]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InputError(f"bad spec value: {key} must be a number, got {json.dumps(value)}")
-            if convert is int and isinstance(value, float) and value % 1 > 0:
-                raise InputError(f"bad spec value: {key} must be an integer, got {value}")
-            try:
-                values[key] = convert(value)
-            except (ValueError, OverflowError) as exc:
-                raise InputError(f"bad spec value: {exc}") from exc
+        elif kind is int and isinstance(value, float) and value.is_integer():
+            values[key] = int(value)
     return cls(**values)
 
 
 def _load_population_spec(text: str) -> PopulationSpec:
     """Parse a population spec from inline JSON or a JSON file path.
 
-    An omitted seed is generated here, so the spec always records one.
+    A file is read as the CSV readers read theirs: a leading UTF-8 byte-order
+    mark is skipped, and a file that cannot be read or decoded exits with
+    ``cannot read <path>: <reason>``. An omitted seed is generated here, so
+    the spec always records one.
     """
-    candidate = Path(text)
     if not text.lstrip().startswith("{"):
-        if not candidate.is_file():
-            raise InputError(f"spec file not found: {text}")
-        text = candidate.read_text(encoding="utf-8")
+        path = Path(text)
+        try:
+            text = path.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
         raise InputError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("spec must be a JSON object")

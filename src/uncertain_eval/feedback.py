@@ -83,12 +83,27 @@ class KeyTable:
     Pairs are sorted by user id, then by item id, both by code point, as
     ``(user, item)`` tuples sort. Columns aligned to the table hold the
     value of pair ``i`` at position ``i``; row-form columns carry a ``pair``
-    array of positions. The constructor takes its columns as given: ``intern``
-    and ``from_codes`` are how a canonical table is made.
+    array of positions. The constructor checks that order and raises
+    ``InputError`` on the first pair that breaks it; ``intern`` and
+    ``from_codes`` make a canonical table from rows in any order.
     """
 
     users: np.ndarray
     items: np.ndarray
+
+    def __post_init__(self) -> None:
+        users, items = np.asarray(self.users, object), np.asarray(self.items, object)
+        if len(users) != len(items):
+            raise InputError(
+                f"key table needs one item per user, got {len(users)} users and {len(items)} items"
+            )
+        after = (users[1:] > users[:-1]) | ((users[1:] == users[:-1]) & (items[1:] > items[:-1]))
+        if not after.all():
+            i = int(after.argmin())
+            raise InputError(
+                f"key table pairs must strictly increase, got {users[i + 1]}/{items[i + 1]} "
+                f"after {users[i]}/{items[i]}"
+            )
 
     @classmethod
     def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:

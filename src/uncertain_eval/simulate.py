@@ -53,6 +53,8 @@ class RatingScale:
             step = check_real(self.discrete_step, "discrete_step", "be finite and > 0")
             object.__setattr__(self, "discrete_step", step)
             steps = self.span / step
+            if not math.isfinite(steps):
+                raise InputError(f"rating scale step count overflows float64: {self.span} / {step}")
             if abs(steps - round(steps)) > 1e-9:
                 raise InputError(
                     "scale span must be an integer multiple of discrete_step"

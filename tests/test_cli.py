@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -837,32 +838,32 @@ SPEC_FAULTS = [
         for name in ("min_value", "max_value")
     ],
     ("non_numeric_int", dict(SPEC_JSON, n_users="two"),
-     'bad spec value: n_users must be a number, got "two"'),
+     "n_users must be an integer, got str"),
     ("non_numeric_float", dict(SPEC_JSON, sigma_lo="low"),
-     'bad spec value: sigma_lo must be a number, got "low"'),
+     "sigma_lo must be a number, got str"),
     ("non_numeric_scale", _with_scale(max_value="top"),
-     'bad spec value: max_value must be a number, got "top"'),
+     "max_value must be a number, got str"),
     ("null_float", dict(SPEC_JSON, density=None),
-     "bad spec value: density must be a number, got null"),
+     "density must be a number, got NoneType"),
     # a number in a JSON string is still a string
     ("numeric_string_int", dict(SPEC_JSON, n_users="3"),
-     'bad spec value: n_users must be a number, got "3"'),
+     "n_users must be an integer, got str"),
     ("numeric_string_float", dict(SPEC_JSON, sigma_lo="0.3"),
-     'bad spec value: sigma_lo must be a number, got "0.3"'),
+     "sigma_lo must be a number, got str"),
     ("numeric_string_seed", dict(SPEC_JSON, seed="12"),
-     'bad spec value: seed must be a number, got "12"'),
+     "seed must be an integer, got str"),
     ("scale_value_error", _with_scale(min_value=5.0, max_value=1.0),
      "rating scale needs min_value < max_value, got [5.0, 1.0]"),
     ("fractional_int", dict(SPEC_JSON, n_users=2.7),
-     "bad spec value: n_users must be an integer, got 2.7"),
+     "n_users must be an integer, got float"),
     ("fractional_seed", dict(SPEC_JSON, seed=77.5),
-     "bad spec value: seed must be an integer, got 77.5"),
+     "seed must be an integer, got float"),
     ("boolean_int", dict(SPEC_JSON, n_items=True),
-     "bad spec value: n_items must be a number, got true"),
+     "n_items must be an integer, got bool"),
     ("boolean_float", dict(SPEC_JSON, sigma_lo=False),
-     "bad spec value: sigma_lo must be a number, got false"),
+     "sigma_lo must be a number, got bool"),
     ("boolean_scale", _with_scale(discrete_step=True),
-     "bad spec value: discrete_step must be a number, got true"),
+     "discrete_step must be a number, got bool"),
     ("zero_users", dict(SPEC_JSON, n_users=0), "n_users must be >= 1, got 0"),
     ("zero_items", dict(SPEC_JSON, n_items=0), "n_items must be >= 1, got 0"),
     ("inverted_bias", dict(SPEC_JSON, bias_lo=0.5, bias_hi=0.1),
@@ -889,6 +890,49 @@ SPEC_FAULTS = [
      "sigma prior needs sigma_lo <= sigma_hi, got [0.8, 0.3]"),
     ("infinite_bias_bound", dict(SPEC_JSON, bias_lo=-math.inf),
      "bias_lo must be finite, got -inf"),
+    ("step_count_beyond_float64", _with_scale(discrete_step=1e-320),
+     "rating scale step count overflows float64: 4.0 / 1e-320"),
+]
+
+
+def _spec_file(data: bytes):
+    def write(directory, monkeypatch):
+        path = directory / "spec.json"
+        path.write_bytes(data)
+        return str(path)
+
+    return write
+
+
+def _unreadable_spec(directory, monkeypatch):
+    # a mode bit would not stop a suite that runs as root
+    def denied(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    return str(directory / "spec.json")
+
+
+def _os_fault(code):
+    return f"cannot read {{spec}}: [Errno {code}] {os.strerror(code)}: '{{spec}}'"
+
+
+# Each spec file or text that breaks the read or JSON rules: (id, writer of
+# the --spec argument in a directory, message with {spec} for that argument).
+HOSTILE_SPECS = [
+    ("name_beyond_255_bytes", lambda directory, _: str(directory / ("s" * 300)),
+     _os_fault(errno.ENAMETOOLONG)),
+    ("not_utf8", _spec_file(b'{"n_users": "\xff"}'),
+     "cannot read {spec}: 'utf-8' codec can't decode byte 0xff in position 13: "
+     "invalid start byte"),
+    ("unreadable", _unreadable_spec, _os_fault(errno.EACCES)),
+    ("directory", lambda directory, _: str(directory), _os_fault(errno.EISDIR)),
+    ("deep_nesting", _spec_file(b"[" * 200_000),
+     "spec is not valid JSON: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
+    ("integer_beyond_4300_digits", _spec_file(b'{"n_users": ' + b"1" * 5000 + b"}"),
+     "spec is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
 ]
 
 
@@ -916,15 +960,40 @@ class TestPopulationSpec:
     @pytest.mark.parametrize(
         "spec, message",
         [
-            (dict(SPEC_JSON, n_users=1e400), "cannot convert float infinity to integer"),
-            (dict(SPEC_JSON, sigma_hi=10**400), "int too large to convert to float"),
+            (dict(SPEC_JSON, n_users=1e400), "n_users must be an integer, got float"),
+            (dict(SPEC_JSON, sigma_hi=10**400), "sigma_hi must be finite and >= 0, got inf"),
         ],
         ids=["infinite_int", "huge_float"],
     )
     def test_overflowing_value_exits_2(self, capsys, tmp_path, spec, message):
         code, _, stderr = self._simulate(capsys, tmp_path, spec)
         assert code == 2
-        assert stderr == f"error: bad spec value: {message}\n"
+        assert stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "write, message", [f[1:] for f in HOSTILE_SPECS], ids=[f[0] for f in HOSTILE_SPECS]
+    )
+    def test_hostile_spec_exits_2(self, capsys, tmp_path, monkeypatch, write, message):
+        spec = write(tmp_path, monkeypatch)
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--spec", spec, "--out-dir", str(tmp_path / "run")
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {message.replace('{spec}', spec)}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, monkeypatch):
+        # a spec file is read as the CSV readers read theirs
+        runs = []
+        for name, mark in (("plain", b""), ("marked", "\ufeff".encode())):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("spec.json").write_bytes(mark + json.dumps(SPEC_JSON).encode())
+            result = run_cli(capsys, "simulate", "--spec", "spec.json", "--out-dir", "run")
+            files = {path.name: path.read_bytes() for path in sorted(Path("run").iterdir())}
+            runs.append((result, files))
+        assert runs[0][0][0] == 0
+        assert runs[1] == runs[0]
 
     def test_population_above_bound_exits_2(self, capsys, tmp_path):
         code, _, stderr = self._simulate(
@@ -1194,7 +1263,8 @@ class TestMalformedInput:
         (["simulate", "--spec", json.dumps(SPEC_JSON), "--trials", "0", "--out-dir", "{dir}/run"],
          "trials per pair must be >= 1, got 0"),
         (["simulate", "--spec", "{dir}/missing.json", "--out-dir", "{dir}/run"],
-         "spec file not found: {dir}/missing.json"),
+         "cannot read {dir}/missing.json: "
+         "[Errno 2] No such file or directory: '{dir}/missing.json'"),
         (["simulate", "--spec", "{bad", "--out-dir", "{dir}/run"],
          "spec is not valid JSON: Expecting property name enclosed in double quotes: "
          "line 1 column 2 (char 1)"),
@@ -1414,9 +1484,9 @@ def _spec(**values):
     return PopulationSpec(**{**SPEC_JSON, "scale": scale, **values})
 
 
-# Each bad count, and each bad real setting of a spec given as an int to the
-# library: (library call, command and options, spec field values,
-# UNCERTAIN_EVAL_THREADS, message).
+# Each bad count, each bad real setting of a spec given as an int to the
+# library, and each spec value of the wrong kind: (library call, command and
+# options, spec field values, UNCERTAIN_EVAL_THREADS, message).
 COUNT_RULES = {
     "samples 99": (
         lambda: McConfig(sample_count=99, seed=1), "rmse-dist --samples 99", {}, None,
@@ -1452,7 +1522,37 @@ COUNT_RULES = {
         {"scale": dict(SPEC_JSON["scale"], discrete_step=0)}, None,
         "discrete_step must be finite and > 0, got 0.0",
     ),
+    "string n_users": (
+        lambda: _spec(n_users="two"), "simulate", {"n_users": "two"}, None,
+        "n_users must be an integer, got str",
+    ),
+    "string max_value": (
+        lambda: RatingScale(**dict(SPEC_JSON["scale"], max_value="top")), "simulate",
+        {"scale": dict(SPEC_JSON["scale"], max_value="top")}, None,
+        "max_value must be a number, got str",
+    ),
+    "boolean n_items": (
+        lambda: _spec(n_items=True), "simulate", {"n_items": True}, None,
+        "n_items must be an integer, got bool",
+    ),
+    "boolean sigma_lo": (
+        lambda: _spec(sigma_lo=False), "simulate", {"sigma_lo": False}, None,
+        "sigma_lo must be a number, got bool",
+    ),
+    "null density": (
+        lambda: _spec(density=None), "simulate", {"density": None}, None,
+        "density must be a number, got NoneType",
+    ),
+    "fraction n_users": (
+        lambda: _spec(n_users=2.5), "simulate", {"n_users": 2.5}, None,
+        "n_users must be an integer, got float",
+    ),
+    "fraction seed": (
+        lambda: _spec(seed=77.5), "simulate", {"seed": 77.5}, None,
+        "seed must be an integer, got float",
+    ),
 }
+
 
 
 def _no_thread(thread):

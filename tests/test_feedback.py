@@ -40,6 +40,45 @@ class TestRatingScale:
     def test_accepts_valid_step(self):
         assert RatingScale(1.0, 5.0, discrete_step=0.5).span == 4.0
 
+    @pytest.mark.parametrize(
+        "bounds, step",
+        [((0.0, 1e300), 1e-10), ((1.0, 5.0), 1e-320)],
+        ids=["wide span", "subnormal step"],
+    )
+    def test_step_count_beyond_float64_rejected(self, bounds, step):
+        with pytest.raises(InputError) as info:
+            RatingScale(*bounds, discrete_step=step)
+        span = bounds[1] - bounds[0]
+        assert str(info.value) == f"rating scale step count overflows float64: {span} / {step}"
+
+
+class TestKeyTable:
+    """The constructor takes only a canonical table: pairs strictly increasing."""
+
+    @pytest.mark.parametrize(
+        "users, items, message",
+        [
+            (["u", "u"], ["i", "i"], "key table pairs must strictly increase, got u/i after u/i"),
+            (["b", "a"], ["i", "i"], "key table pairs must strictly increase, got a/i after b/i"),
+            (["a", "a", "a"], ["i", "k", "j"],
+             "key table pairs must strictly increase, got a/j after a/k"),
+            # by code point, "B" sorts before "a"
+            (["a", "B"], ["i", "i"], "key table pairs must strictly increase, got B/i after a/i"),
+            (["u", "v"], ["i"], "key table needs one item per user, got 2 users and 1 items"),
+        ],
+        ids=["repeated", "users unsorted", "items unsorted", "code point", "unequal lengths"],
+    )
+    def test_non_canonical_table_rejected(self, users, items, message):
+        for column in (list, lambda names: np.array(names, dtype=object)):
+            with pytest.raises(InputError) as info:
+                KeyTable(column(users), column(items))
+            assert str(info.value) == message
+
+    def test_canonical_table_accepted(self):
+        table = KeyTable(np.array(["B", "a", "a"], object), np.array(["z", "i", "j"], object))
+        assert len(table) == 3
+        assert len(KeyTable(np.array([], object), np.array([], object))) == 0
+
 
 class TestFitUncertainty:
     def test_zero_spread_group(self):
