@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
 from .feedback import FeedbackDataset
 from .rng import check_real
 
@@ -74,14 +73,8 @@ def barrier_distribution(data: FeedbackDataset) -> GaussianDistribution:
     """
     sigmas = data.sigma
     n = data.N
-    with np.errstate(over="ignore"):
-        sum_sq = float(np.sum(sigmas**2))
-        sum_fourth = float(np.sum(sigmas**4))
-    # a finite sum of fourth powers bounds the sum of squares and the result
-    if not math.isfinite(sum_fourth):
-        raise InputError(
-            f"sigma {float(sigmas.max())} is too large: the noise floor overflows float64"
-        )
+    sum_sq = float(np.sum(sigmas**2))
+    sum_fourth = float(np.sum(sigmas**4))
     mean = math.sqrt(sum_sq / n)
     variance = (sum_fourth / sum_sq) / (2.0 * n) if sum_sq > 0 else 0.0
     return GaussianDistribution(mean=mean, variance=variance)
@@ -104,8 +97,8 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     |s1 - s2| > 2 * z * std, with ``z_gap`` = |s1 - s2| / (2 * std); the
     interval ``ci_low``, ``ci_high`` is ``confidence_interval`` of the shifted
     floor, with the same z and std, so verdict and coverage cannot disagree
-    at boundaries; a midpoint that overflows float64 raises ``InputError``,
-    and a gap that does is taken in halves. A degenerate floor (std = 0)
+    at boundaries. Midpoint and gap are taken in halves, so any two finite
+    scores have both. A degenerate floor (std = 0)
     distinguishes any two unequal scores, with an infinite z_gap. The
     dict's keys, in order: ``s1``, ``s2``, ``barrier_mean``,
     ``barrier_variance``, ``shift_mean``, ``ci_low``, ``ci_high``,
@@ -113,17 +106,12 @@ def distinguishability_test(s1: float, s2: float, floor: GaussianDistribution) -
     """
     s1 = check_real(s1, "s1")
     s2 = check_real(s2, "s2")
-    shift = 0.5 * (s1 + s2)
-    if not math.isfinite(shift):
-        raise InputError(f"the scores' midpoint must be finite, got s1={s1}, s2={s2}")
+    shift = s1 / 2 + s2 / 2
     std = floor.std
     ci_low, ci_high = confidence_interval(GaussianDistribution(shift, floor.variance))
-    gap = abs(s1 - s2)
     if std == 0.0:
-        z_gap = 0.0 if gap == 0.0 else math.inf
-    elif math.isfinite(gap):
-        z_gap = gap / (2.0 * std)
-    else:  # a gap beyond float64, taken in halves
+        z_gap = 0.0 if s1 == s2 else math.inf
+    else:
         z_gap = abs(s1 / 2 - s2 / 2) / std
     return {
         "s1": s1,
@@ -143,21 +131,16 @@ def relation_test(S1: GaussianDistribution, S2: GaussianDistribution) -> dict:
 
     Independence is assumed; no joint law of the two scores is available.
     Two point masses at the same value give p = 0.5 and a negative verdict.
-    A gap or variance sum beyond float64 is taken in halves.
+    Gap and variance sum are taken in halves, so any two laws have both.
     """
-    variance = S1.variance + S2.variance
-    diff = S1.mean - S2.mean
-    if variance == 0.0:
-        if diff == 0.0:
+    if S1.variance + S2.variance == 0.0:
+        if S1.mean == S2.mean:
             p_opposite = 0.5
         else:
-            p_opposite = 0.0 if diff < 0 else 1.0
+            p_opposite = 0.0 if S1.mean < S2.mean else 1.0
     else:
-        if math.isfinite(variance):
-            std = math.sqrt(variance)
-        else:
-            std = 2.0 * math.sqrt(S1.variance / 4 + S2.variance / 4)
-        z = diff / std if math.isfinite(diff) else (S1.mean / 2 - S2.mean / 2) / (std / 2)
+        std = 2.0 * math.sqrt(S1.variance / 4 + S2.variance / 4)
+        z = (S1.mean / 2 - S2.mean / 2) / (std / 2)
         p_opposite = 0.5 * math.erfc(-z * math.sqrt(0.5))
     return {"p_opposite": p_opposite, "holds": p_opposite < RELATION_ALPHA}
 

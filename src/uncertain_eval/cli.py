@@ -79,7 +79,7 @@ def _parse_fallback(text: str) -> float | None:
         value = float(text.split(":", 1)[1])
     except ValueError as exc:
         raise InputError(f"bad fixed fallback value in {text!r}") from exc
-    return check_real(value, "fixed sigma fallback", "be finite and >= 0")
+    return check_real(value, "fixed sigma fallback", "lie in [0, 1e+50]")
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

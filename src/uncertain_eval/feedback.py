@@ -231,12 +231,12 @@ class ObservationSet(_Columnar):
     """Raw repeated-trial ratings.
 
     Held as the columns ``pair`` (position in ``keys``), ``trial`` and
-    ``value``, sorted by (pair, trial). Any finite value is legal, and a
-    key may have no rows.
+    ``value``, sorted by (pair, trial). Any value in [-1e50, 1e50] is
+    legal, and a key may have no rows.
     """
 
     __slots__ = ("keys", "pair", "trial", "value")
-    COLUMNS = (("trial", None), ("rating value", "be finite"))
+    COLUMNS = (("trial", None), ("rating value", "lie in [-1e+50, 1e+50]"))
 
     def _load(self, keys, pair, trial, value) -> None:
         pair = _pair_positions(keys, pair)
@@ -308,7 +308,7 @@ class FeedbackDataset(_Columnar):
 
     __slots__ = ("keys", "mu", "sigma", "n_trials")
     # no file carries n_trials, so it is checked apart
-    COLUMNS = (("mu", "be finite"), ("sigma", "be finite and >= 0"))
+    COLUMNS = (("mu", "lie in [-1e+50, 1e+50]"), ("sigma", "lie in [0, 1e+50]"))
 
     def _load(self, keys, pair, mu, sigma, n_trials=None) -> None:
         pair = _pair_positions(keys, pair, "feedback dataset")
@@ -339,7 +339,7 @@ class PredictionSet(_Columnar):
     """Model-based prediction per pair, as ``values`` aligned to ``keys``."""
 
     __slots__ = ("keys", "values")
-    COLUMNS = (("prediction", "be finite"),)
+    COLUMNS = (("prediction", "lie in [-1e+50, 1e+50]"),)
 
     def _load(self, keys: KeyTable, pair, values) -> None:
         pair = _pair_positions(keys, pair, "prediction")
@@ -359,8 +359,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     """Estimate (mu, sigma) per pair from repeated trials.
 
     mu is the sample mean and sigma the sample standard deviation with the
-    n-1 correction; a pair whose mu or sigma overflows float64 raises
-    ``InputError``. Pairs observed only once receive sigma ``fallback``;
+    n-1 correction. Pairs observed only once receive sigma ``fallback``;
     None (the default) borrows ``pooled_sigma``, and raises ``InputError``
     when the data contains no multi-trial pair to pool from. Pairs with k
     trials are fitted together as the rows of one (pairs x k) matrix, which
@@ -368,7 +367,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     alone.
     """
     if fallback is not None:
-        fallback = check_real(fallback, "fixed sigma fallback", "be finite and >= 0")
+        fallback = check_real(fallback, "fixed sigma fallback", "lie in [0, 1e+50]")
     if not len(obs):
         raise InputError("cannot fit an empty observation set")
 
@@ -379,19 +378,12 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     if not n_trials.all():
         i = int(n_trials.argmin())
         raise InputError(f"no observations for {obs.keys.users[i]}/{obs.keys.items[i]}")
-    # ratings near the float64 limit overflow a sum or a square, checked
-    # below; single-trial pairs hold sigma 0 until their fallback
-    with np.errstate(over="ignore"):
-        for pairs, rows in obs.blocks():
-            block = obs.value[rows]
-            mu[pairs] = block.mean(axis=1)
-            if rows.shape[1] >= 2:
-                sigma[pairs] = block.std(axis=1, ddof=1)
-    bad = ~(np.isfinite(mu) & np.isfinite(sigma))
-    if bad.any():
-        i = int(np.argmax(bad))
-        which = "sigma" if math.isfinite(mu[i]) else "mu"
-        raise InputError(f"{which} of {obs.keys.users[i]}/{obs.keys.items[i]} overflows float64")
+    # single-trial pairs hold sigma 0 until their fallback
+    for pairs, rows in obs.blocks():
+        block = obs.value[rows]
+        mu[pairs] = block.mean(axis=1)
+        if rows.shape[1] >= 2:
+            sigma[pairs] = block.std(axis=1, ddof=1)
 
     single = n_trials == 1
     if single.any():
@@ -405,17 +397,11 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
 
 
 def _pooled(sigma: np.ndarray, multi: np.ndarray) -> float | None:
-    """Root mean square of ``sigma`` over the pairs ``multi``, or None without any; where
-    the squares overflow float64, of the sigmas scaled by the largest, and so finite."""
+    """Root mean square of ``sigma`` over the pairs ``multi``, or None without any."""
     if not multi.any():
         return None
     sigma = sigma[multi]
-    with np.errstate(over="ignore"):
-        mean_square = float(np.mean(sigma * sigma))
-    if math.isfinite(mean_square):
-        return math.sqrt(mean_square)
-    top = float(sigma.max())
-    return top * math.sqrt(float(np.mean((sigma / top) ** 2)))
+    return math.sqrt(float(np.mean(sigma * sigma)))
 
 
 def pooled_sigma(data: FeedbackDataset) -> float | None:

@@ -28,6 +28,10 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
     return count
 
 
+# Largest magnitude of a rating, spread, prediction or real setting: the
+# fourth powers of up to 10**100 such values sum below float64's maximum.
+MAX_MAGNITUDE = 1e50
+
 _REAL_RULES = {  # each takes a float, or (but for "be a number") a float64 column
     "be a number": lambda x: True,
     "be finite": lambda x: (-math.inf < x) & (x < math.inf),
@@ -36,6 +40,9 @@ _REAL_RULES = {  # each takes a float, or (but for "be a number") a float64 colu
     "be > 0": lambda x: x > 0,
     "lie in (0, 1)": lambda x: (0 < x) & (x < 1),
     "lie in (0, 1]": lambda x: (0 < x) & (x <= 1),
+    "lie in [-1e+50, 1e+50]": lambda x: (-MAX_MAGNITUDE <= x) & (x <= MAX_MAGNITUDE),
+    "lie in [0, 1e+50]": lambda x: (0 <= x) & (x <= MAX_MAGNITUDE),
+    "lie in (0, 1e+50]": lambda x: (0 < x) & (x <= MAX_MAGNITUDE),
 }
 
 
@@ -80,6 +87,8 @@ def _column(values, name: str, rows: int, row_rule, keeps, dtype) -> np.ndarray:
 
 def check_column(values, name: str, rows: int, rule: str = "be finite") -> np.ndarray:
     """The one rule of a real column: ``rows`` numbers that keep ``rule``, as float64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        values = values.astype(float, copy=False)  # float32 reads the bound 1e50 as inf
     return _column(values, name, rows, lambda x: check_real(x, name, rule), _REAL_RULES[rule], float)
 
 

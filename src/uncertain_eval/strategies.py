@@ -30,7 +30,7 @@ import numpy as np
 from .barrier import GaussianDistribution, barrier_distribution, distinguishability_test
 from .errors import InputError
 from .feedback import FeedbackDataset, ObservationSet, PredictionSet, fit_uncertainty
-from .metrics import check_tau, rmse, square_overflow
+from .metrics import check_tau, rmse
 from .rng import check_count, check_real, child_rng, validate_seed
 
 @dataclass(frozen=True, slots=True)
@@ -58,42 +58,25 @@ class OmissionResult:
 
 
 def _spread(block: np.ndarray) -> np.ndarray:
-    """Row ranges; a range beyond float64 is infinite, and so beyond any threshold."""
-    with np.errstate(over="ignore"):
-        return block.max(axis=1) - block.min(axis=1)
+    """Row ranges."""
+    return block.max(axis=1) - block.min(axis=1)
 
 
 def _median(block: np.ndarray) -> np.ndarray:
     """Row medians as ``statistics.median`` takes them, down to the sign of a zero.
 
-    The mean of the two middle values is their halved sum, or where that
-    sum overflows float64, the sum of their halves.
+    The mean of the two middle values is their halved sum.
     """
     ordered = np.sort(block, axis=1, kind="stable")
     mid = block.shape[1] // 2
     if block.shape[1] % 2:
         return ordered[:, mid]
-    low, high = ordered[:, mid - 1], ordered[:, mid]
-    with np.errstate(over="ignore"):
-        total = low + high
-    return np.where(np.isfinite(total), total / 2, low / 2 + high / 2)
+    return (ordered[:, mid - 1] + ordered[:, mid]) / 2
 
 
 def _farthest(block: np.ndarray, med: np.ndarray) -> np.ndarray:
-    """Per row, the trial farthest from the row's median, the lowest on ties.
-
-    A distance beyond float64 is infinite. Infinite distances lie on one
-    side of the median only, below it when the median is positive, and the
-    most extreme rating on that side is the farthest.
-    """
-    with np.errstate(over="ignore"):
-        distance = np.abs(block - med[:, None])
-    far = distance.argmax(axis=1)
-    beyond = np.isinf(distance[np.arange(len(far)), far])
-    if beyond.any():
-        rows = block[beyond]
-        far[beyond] = np.where(med[beyond] > 0, rows.argmin(axis=1), rows.argmax(axis=1))
-    return far
+    """Per row, the trial farthest from the row's median, the lowest on ties."""
+    return np.abs(block - med[:, None]).argmax(axis=1)
 
 
 def check_strategy_request(
@@ -204,7 +187,6 @@ def _redraw(rng, mu: float, sigma: float, retained: list[float], threshold: floa
     """A draw from N(mu, sigma^2) within ``threshold`` of every retained value."""
     for _ in range(attempts):
         draw = float(rng.normal(mu, sigma))
-        # a distance beyond float64 is infinite, and so beyond any threshold
         if all(abs(draw - r) <= threshold for r in retained):
             return draw
     return None
@@ -223,24 +205,19 @@ def omit_insignificant(
     """
     _, _, alpha = check_strategy_request(omit_alpha=alpha)
     sigma = data.sigma
-    # a deviation beyond float64 has p = 0, and its square fails the check below
+    d = data.mu - predictions.aligned(data.keys)
+
+    p = np.ones(data.N, dtype=float)
+    positive = sigma > 0
+    # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc.
+    # Over a spread near 0, z is beyond float64, and p is 0.
     with np.errstate(over="ignore"):
-        d = data.mu - predictions.aligned(data.keys)
-
-        p = np.ones(data.N, dtype=float)
-        positive = sigma > 0
-        # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc
         z = np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5)
-        p[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
-        p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
+    p[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
+    p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
 
-        retained = p < alpha
-        if retained.any():
-            filtered = float(np.sqrt(np.mean(d[retained] ** 2)))
-        else:
-            filtered = None
-    if filtered is not None and not math.isfinite(filtered):
-        raise square_overflow(d[retained])
+    retained = p < alpha
+    filtered = float(np.sqrt(np.mean(d[retained] ** 2))) if retained.any() else None
     return OmissionResult(
         retained_keys=np.flatnonzero(retained),
         filtered_rmse=filtered,
@@ -254,11 +231,7 @@ def _expected_rmse(d: np.ndarray, sigma: np.ndarray, tau: float) -> float:
     A rating N(mu, sigma^2) compared against an independent noisy
     prediction N(pi, tau^2) deviates as N(d, sigma^2 + tau^2), d = mu - pi.
     """
-    with np.errstate(over="ignore"):
-        mean_square = np.mean(d * d + sigma * sigma) + tau * tau
-    if not math.isfinite(mean_square):
-        raise square_overflow(d, np.hypot(sigma, tau))
-    return float(np.sqrt(mean_square))
+    return float(np.sqrt(np.mean(d * d + sigma * sigma) + tau * tau))
 
 
 def _report(

@@ -6,8 +6,6 @@ against the closed-form floor, the fitted spreads against the generating
 ones, and the per-pair deviation law against the predictor-noise row.
 """
 
-import math
-
 import numpy as np
 
 from uncertain_eval import (
@@ -69,15 +67,8 @@ def predictor_noise_deviation(
     A rating N(mu, sigma^2) compared against an independent noisy
     prediction N(pi, tau^2) deviates as N(mu - pi, sigma^2 + tau^2).
     """
-    mu = check_real(mu, "mu")
-    sigma = check_real(sigma, "sigma", "be finite and >= 0")
-    prediction = check_real(prediction, "prediction")
+    mu = check_real(mu, "mu", "lie in [-1e+50, 1e+50]")
+    sigma = check_real(sigma, "sigma", "lie in [0, 1e+50]")
+    prediction = check_real(prediction, "prediction", "lie in [-1e+50, 1e+50]")
     tau = check_tau(tau)
-    if not math.isfinite(sigma * sigma):
-        raise InputError(f"sigma squared must be finite, got sigma = {sigma}")
-    mean, variance = mu - prediction, sigma**2 + tau**2
-    if not math.isfinite(mean):
-        raise InputError(f"mu - prediction overflows float64: mu = {mu}, prediction = {prediction}")
-    if not math.isfinite(variance):
-        raise InputError(f"sigma^2 + tau^2 overflows float64: sigma = {sigma}, tau = {tau}")
-    return GaussianDistribution(mean=mean, variance=variance)
+    return GaussianDistribution(mean=mu - prediction, variance=sigma**2 + tau**2)

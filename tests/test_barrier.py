@@ -193,9 +193,11 @@ class TestDistinguishability:
         if not small["distinguishable"]:
             assert not large["distinguishable"]
 
-    def test_midpoint_beyond_float64_rejected(self):
-        with pytest.raises(InputError, match="must be finite"):
-            distinguishability_test(1.7e308, 1.7e308, barrier_from_variance(0.00025))
+    def test_midpoint_beyond_float64_is_taken_in_halves(self):
+        # s1 + s2 = 3.4e308 overflows float64; the sum of their halves does not
+        report = distinguishability_test(1.7e308, 1.7e308, barrier_from_variance(0.00025))
+        assert report["shift_mean"] == 1.7e308
+        assert (report["z_gap"], report["distinguishable"]) == (0.0, False)
 
     def test_gap_beyond_float64_is_taken_in_halves(self):
         # |s1 - s2| = 3.4e308 overflows float64; half of it over std 2 does not

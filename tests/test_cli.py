@@ -277,22 +277,20 @@ class TestFit:
         assert stderr == "error: pooled sigma fallback needs at least one pair with >= 2 trials\n"
         assert list(tmp_path.iterdir()) == [obs]
 
-    # Two 2-trial pairs rated +-7.07e153 have sigma 9.998e153, whose square
-    # overflows float64; their root mean square does not.
+    # Two 2-trial pairs rated +-7.07e153 would have sigma 9.998e153, whose
+    # square overflows float64; the ratings lie outside the domain.
     BIG_SPREAD = "u1,i1,0,7.07e153\nu1,i1,1,-7.07e153\nu2,i1,0,7.07e153\nu2,i1,1,-7.07e153\n"
 
     @pytest.mark.parametrize("single", ["", "u3,i1,0,1.0\n"], ids=["multi", "with single"])
-    def test_pooled_sigma_beyond_the_square_of_float64(self, capsys, tmp_path, single):
+    def test_spread_beyond_the_square_of_float64_exits_2(self, capsys, tmp_path, single):
         obs = tmp_path / "obs.csv"
         obs.write_text(OBS_HEADER + self.BIG_SPREAD + single, encoding="utf-8")
         out = tmp_path / "feedback.csv"
         code, stdout, stderr = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(out))
-        assert code == 0
-        assert stderr == f"wrote {out}\n"
-        n = 3 if single else 2
-        assert json.loads(stdout) == {"n": n, "pooled_sigma": 9.998489885977782e153}
-        sigmas = [line.rsplit(",", 1)[1] for line in out.read_text(encoding="utf-8").splitlines()]
-        assert sigmas == ["sigma"] + ["9.998489885977782e+153"] * n
+        assert (code, stdout) == (2, "")
+        message = "rating value must lie in [-1e+50, 1e+50], got 7.07e+153"
+        assert stderr == f"error: {obs}:2: {message}\n"
+        assert list(tmp_path.iterdir()) == [obs]
 
     def test_missing_column_exits_2(self, capsys, tmp_path):
         obs = tmp_path / "obs.csv"
@@ -387,6 +385,18 @@ class TestDistinguish:
         assert report["distinguishable"] is True
         assert report["z_gap"] == float("inf")
 
+    def test_midpoint_beyond_float64_is_taken_in_halves(self, capsys, tmp_path):
+        # s1 + s2 overflows float64; the sum of their halves does not
+        feedback = tmp_path / "feedback.csv"
+        write_uniform_feedback(feedback)
+        code, stdout, stderr = run_cli(
+            capsys, "distinguish", "--feedback", str(feedback), "--s1", "1.7e308", "--s2", "1.7e308"
+        )
+        assert (code, stderr) == (0, "")
+        report = json.loads(stdout)
+        assert (report["shift_mean"], report["z_gap"]) == (1.7e308, 0.0)
+        assert report["distinguishable"] is False
+
 
 class TestRmseDist:
     def test_bad_tau_exits_2_before_reading(self, capsys, tmp_path):
@@ -398,7 +408,7 @@ class TestRmseDist:
             "--tau", "-1",
         )
         assert code == 2
-        assert stderr == "error: tau must be finite and >= 0, got -1.0\n"
+        assert stderr == "error: tau must lie in [0, 1e+50], got -1.0\n"
 
     def _write_inputs(self, tmp_path, n=200):
         feedback = tmp_path / "feedback.csv"
@@ -617,7 +627,7 @@ class TestStrategies:
             "--tau", "-1",
         )
         assert code == 2
-        assert stderr == "error: tau must be finite and >= 0, got -1.0\n"
+        assert stderr == "error: tau must lie in [0, 1e+50], got -1.0\n"
 
     def test_no_strategy_exits_2_before_reading(self, capsys, tmp_path):
         code, _, stderr = run_cli(
@@ -772,7 +782,7 @@ class TestSimulate:
 
 
 class TestDrawsBeyondFloat64:
-    """Trial draws near the float64 limit: named where they overflow, clamped where discretised."""
+    """Trial draws at the domain's edge: rejected where they leave it, clamped where discretised."""
 
     def _simulate(self, tmp_path, spec, *options):
         return _python(
@@ -780,25 +790,37 @@ class TestDrawsBeyondFloat64:
             "--out-dir", tmp_path / "run", *options, capture_output=True, text=True,
         )
 
-    def test_overflowing_draw_names_its_pair(self, tmp_path):
+    def test_spread_beyond_the_domain_exits_2(self, tmp_path):
+        # a spread whose draws would overflow float64 is refused with the spec
         spec = dict(SPEC_JSON, sigma_lo=1e308, sigma_hi=1.7e308, seed=1)
         proc = self._simulate(tmp_path, spec)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "error: trial draws of u1/i1 overflow float64\n"
+        assert proc.stderr == "error: sigma_lo must lie in [0, 1e+50], got 1e+308\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_draw_beyond_the_domain_exits_2(self, tmp_path):
+        # the spec lies in the domain; some of its draws do not
+        scale = {"min_value": 9e49, "max_value": 1e50}
+        spec = dict(SPEC_JSON, scale=scale, sigma_lo=1e50, sigma_hi=1e50, seed=1)
+        proc = self._simulate(tmp_path, spec)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: rating value must lie in [-1e+50, 1e+50], got 3.4555836647504996e+50\n"
+        )
         assert not (tmp_path / "run").exists()
 
     def test_discretising_beyond_float64_clamps_to_the_scale(self, tmp_path):
         # some draws lie so far above the scale's minimum that discretising
         # them overflows float64; no draw is beyond float64 itself
-        scale = {"min_value": -1e308, "max_value": 0.0, "discrete_step": 1e307}
-        spec = dict(SPEC_JSON, scale=scale, sigma_lo=5e307, sigma_hi=5e307, seed=1)
+        scale = {"min_value": -1e50, "max_value": 0.0, "discrete_step": 1e-258}
+        spec = dict(SPEC_JSON, scale=scale, sigma_lo=5e49, sigma_hi=5e49, seed=1)
         proc = self._simulate(tmp_path, spec, "--discretise")
         assert proc.returncode == 0, proc.stderr
         assert "Warning" not in proc.stderr
         rows = (tmp_path / "run" / "observations.csv").read_text(encoding="utf-8").splitlines()
         ratings = [float(row.split(",")[3]) for row in rows[1:]]
         assert len(ratings) == 16
-        assert min(ratings) >= -1e308 and max(ratings) == 0.0
+        assert min(ratings) >= -1e50 and max(ratings) == 0.0
 
 
 def test_readme_spec_example_matches_schema():
@@ -868,28 +890,33 @@ SPEC_FAULTS = [
     ("zero_items", dict(SPEC_JSON, n_items=0), "n_items must be >= 1, got 0"),
     ("inverted_bias", dict(SPEC_JSON, bias_lo=0.5, bias_hi=0.1),
      "bias prior needs bias_lo <= bias_hi, got [0.5, 0.1]"),
+    # values whose span or sum would overflow float64 lie outside the domain
     ("scale_span_beyond_float64", _with_scale(min_value=-1.7e308, max_value=1.7e308),
-     "rating scale span overflows float64: [-1.7e+308, 1.7e+308]"),
+     "min_value must lie in [-1e+50, 1e+50], got -1.7e+308"),
     ("continuous_scale_span_beyond_float64",
      dict(SPEC_JSON, scale={"min_value": -1.7e308, "max_value": 1.7e308}),
-     "rating scale span overflows float64: [-1.7e+308, 1.7e+308]"),
+     "min_value must lie in [-1e+50, 1e+50], got -1.7e+308"),
     ("bias_span_beyond_float64", dict(SPEC_JSON, bias_lo=-1e308, bias_hi=1e308),
-     "bias prior span overflows float64: [-1e+308, 1e+308]"),
+     "bias_lo must lie in [-1e+50, 1e+50], got -1e+308"),
     ("predictions_beyond_float64",
      dict(SPEC_JSON, scale={"min_value": 1e308, "max_value": 1.7e308},
           bias_lo=1e308, bias_hi=1e308),
-     "predictions overflow float64: scale [1e+308, 1.7e+308] plus bias [1e+308, 1e+308]"),
+     "min_value must lie in [-1e+50, 1e+50], got 1e+308"),
+    # the spec lies in the domain; the predictions it makes do not
+    ("predictions_beyond_the_domain",
+     dict(SPEC_JSON, scale={"min_value": 9e49, "max_value": 1e50}, bias_lo=1e50, bias_hi=1e50),
+     "prediction must lie in [-1e+50, 1e+50], got 1.9009047747647157e+50"),
     # JSON text -Infinity, which Python's JSON reader accepts
     ("infinite_scale_bound", _with_scale(min_value=-math.inf),
-     "min_value must be finite, got -inf"),
+     "min_value must lie in [-1e+50, 1e+50], got -inf"),
     ("infinite_sigma_bound", dict(SPEC_JSON, sigma_hi=math.inf),
-     "sigma_hi must be finite and >= 0, got inf"),
+     "sigma_hi must lie in [0, 1e+50], got inf"),
     ("negative_sigma_bound", dict(SPEC_JSON, sigma_lo=-0.1),
-     "sigma_lo must be finite and >= 0, got -0.1"),
+     "sigma_lo must lie in [0, 1e+50], got -0.1"),
     ("inverted_sigma", dict(SPEC_JSON, sigma_lo=0.8, sigma_hi=0.3),
      "sigma prior needs sigma_lo <= sigma_hi, got [0.8, 0.3]"),
     ("infinite_bias_bound", dict(SPEC_JSON, bias_lo=-math.inf),
-     "bias_lo must be finite, got -inf"),
+     "bias_lo must lie in [-1e+50, 1e+50], got -inf"),
     ("step_count_beyond_float64", _with_scale(discrete_step=1e-320),
      "rating scale step count overflows float64: 4.0 / 1e-320"),
 ]
@@ -961,7 +988,7 @@ class TestPopulationSpec:
         "spec, message",
         [
             (dict(SPEC_JSON, n_users=1e400), "n_users must be an integer, got float"),
-            (dict(SPEC_JSON, sigma_hi=10**400), "sigma_hi must be finite and >= 0, got inf"),
+            (dict(SPEC_JSON, sigma_hi=10**400), "sigma_hi must lie in [0, 1e+50], got inf"),
         ],
         ids=["infinite_int", "huge_float"],
     )
@@ -1116,7 +1143,7 @@ class TestMalformedInput:
     def test_non_finite_rating(self, capsys, tmp_path, text):
         code, stderr = self._fit(capsys, tmp_path, f"u,i,0,3.0\nu,i,1,{text}\n")
         assert code == 2
-        assert stderr == f"error: OBS:3: rating value must be finite, got {text}\n"
+        assert stderr == f"error: OBS:3: rating value must lie in [-1e+50, 1e+50], got {text}\n"
 
     def test_negative_trial(self, capsys, tmp_path):
         code, stderr = self._fit(capsys, tmp_path, "u,i,0,3.0\nu,i,-1,3.0\n")
@@ -1148,7 +1175,7 @@ class TestMalformedInput:
             capsys, "distinguish", "--feedback", str(feedback), "--s1", "1", "--s2", "2"
         )
         assert code == 2
-        assert stderr == f"error: {feedback}:3: mu must be finite, got nan\n"
+        assert stderr == f"error: {feedback}:3: mu must lie in [-1e+50, 1e+50], got nan\n"
 
     def _strategies(self, capsys, tmp_path, pred_body):
         feedback = tmp_path / "feedback.csv"
@@ -1168,7 +1195,7 @@ class TestMalformedInput:
     def test_non_finite_prediction_names_line(self, capsys, tmp_path):
         code, stderr = self._strategies(capsys, tmp_path, "u,a,3.0\nu,b,nan\n")
         assert code == 2
-        assert stderr == "error: PRED:3: prediction must be finite, got nan\n"
+        assert stderr == "error: PRED:3: prediction must lie in [-1e+50, 1e+50], got nan\n"
 
     def test_duplicate_prediction_with_bad_value(self, capsys, tmp_path):
         # the value is converted before the pair is checked for a repeat
@@ -1219,14 +1246,14 @@ class TestMalformedInput:
 
     # Row faults of an observation file, each with the line reported first.
     ROW_FAULTS = [
-        ("u,i,0,3.0\nu,i,1,nan\n", "3: rating value must be finite, got nan"),
+        ("u,i,0,3.0\nu,i,1,nan\n", "3: rating value must lie in [-1e+50, 1e+50], got nan"),
         ("u,i,0,3.0\nu,i,-1,3.0\n", "3: trial must be non-negative, got -1"),
         (f"u,i,{2**63},3.0\n", f"2: trial must be below 2**63, got {2**63}"),
         ("u,i,0,3.0\nu,i,x\nu,i,1,nan\n", "3: bad trial value 'x'"),
         ("u,i,0,3.0\nu,i\n", "3: row has too few fields"),
         ("u,i,0,3.0\nu,i,1,3.0,4.0\n", "3: row has too many fields"),
         ("u,i,0,3.0\n\n", "3: row has too few fields"),
-        ("u,i,0,3.0\nu,i,1,nan", "3: rating value must be finite, got nan"),
+        ("u,i,0,3.0\nu,i,1,nan", "3: rating value must lie in [-1e+50, 1e+50], got nan"),
         ("", " no data rows"),
         # two faults in one row: every field is read before the value rule runs
         ("u,i,0,3.0\nu,i,-1,x\n", "3: bad rating value 'x'"),
@@ -1281,8 +1308,8 @@ class TestMalformedInput:
          "unknown resampler 'mean'; expected median or redraw"),
         (["distinguish", "--feedback", "{feedback}", "--s1", "nan", "--s2", "1"],
          "s1 must be finite, got nan"),
-        (["distinguish", "--feedback", "{feedback}", "--s1", "1.7e308", "--s2", "1.7e308"],
-         "the scores' midpoint must be finite, got s1=1.7e+308, s2=1.7e+308"),
+        (["distinguish", "--feedback", "{feedback}", "--s1", "1", "--s2", "inf"],
+         "s2 must be finite, got inf"),
         # missing files: de-noising without --obs is refused before any read
         (["strategies", "--feedback", "{dir}/nope.csv", "--pred", "{dir}/nope.csv",
           "--denoise-threshold", "1"],
@@ -1417,15 +1444,15 @@ VALUE_RULES = {
         lambda: ObservationSet.from_ids(*IDS, np.array([-1]), np.array([3.0])),
         "fit", OBS_HEADER, "u,i,-1,3.0",
     ),
-    "rating column (be finite)": (
+    "rating column (bounded)": (
         lambda: ObservationSet.from_ids(*IDS, np.array([0]), np.array([math.nan])),
         "fit", OBS_HEADER, "u,i,0,nan",
     ),
-    "mu column (be finite)": (
+    "mu column (bounded)": (
         lambda: FeedbackDataset.from_ids(*IDS, np.array([-math.inf]), np.array([0.5])),
         "distinguish", FEEDBACK_HEADER, "u,i,-inf,0.5",
     ),
-    "sigma column (be finite and >= 0)": (
+    "sigma column (bounded, >= 0)": (
         lambda: FeedbackDataset.from_ids(*IDS, np.array([3.0]), np.array([math.inf])),
         "distinguish", FEEDBACK_HEADER, "u,i,3.0,inf",
     ),
@@ -1458,7 +1485,7 @@ STRATEGY_SETTINGS = {
     "alpha 0": ({"omit_alpha": 0.0}, "--omit-alpha 0", "alpha must lie in (0, 1), got 0.0"),
     "alpha 1": ({"omit_alpha": 1.0}, "--omit-alpha 1", "alpha must lie in (0, 1), got 1.0"),
     "alpha nan": ({"omit_alpha": math.nan}, "--omit-alpha nan", "alpha must lie in (0, 1), got nan"),
-    "tau -1": ({"predictor_tau": -1.0}, "--tau -1", "tau must be finite and >= 0, got -1.0"),
+    "tau -1": ({"predictor_tau": -1.0}, "--tau -1", "tau must lie in [0, 1e+50], got -1.0"),
     "no strategy": ({}, "", "no strategy requested"),
 }
 
@@ -1520,7 +1547,7 @@ COUNT_RULES = {
     "discrete_step 0": (
         lambda: RatingScale(**dict(SPEC_JSON["scale"], discrete_step=0)), "simulate",
         {"scale": dict(SPEC_JSON["scale"], discrete_step=0)}, None,
-        "discrete_step must be finite and > 0, got 0.0",
+        "discrete_step must lie in (0, 1e+50], got 0.0",
     ),
     "string n_users": (
         lambda: _spec(n_users="two"), "simulate", {"n_users": "two"}, None,
@@ -1550,6 +1577,69 @@ COUNT_RULES = {
     "fraction seed": (
         lambda: _spec(seed=77.5), "simulate", {"seed": 77.5}, None,
         "seed must be an integer, got float",
+    ),
+}
+
+
+# Each bounded input at 2e50, one past the domain: (library call, command
+# with {obs}, {feedback}, {pred} and {dir} for its files, the file row or
+# spec field values that hold 2e50, message). A file names its line first.
+BOUNDED_INPUTS = {
+    "rating": (
+        lambda: ObservationSet.from_ids(*IDS, [0], [2e50]),
+        "fit --obs {obs} --out {dir}/out.csv", {"obs": "u,i,0,2e50"},
+        "rating value must lie in [-1e+50, 1e+50], got 2e+50",
+    ),
+    "mu": (
+        lambda: FeedbackDataset.from_ids(*IDS, [2e50], [0.5]),
+        "distinguish --feedback {feedback} --s1 1 --s2 2", {"feedback": "u,i,2e50,0.5"},
+        "mu must lie in [-1e+50, 1e+50], got 2e+50",
+    ),
+    "sigma": (
+        lambda: FeedbackDataset.from_ids(*IDS, [3.0], [2e50]),
+        "distinguish --feedback {feedback} --s1 1 --s2 2", {"feedback": "u,i,3.0,2e50"},
+        "sigma must lie in [0, 1e+50], got 2e+50",
+    ),
+    "prediction": (
+        lambda: PredictionSet.from_ids(*IDS, [2e50]),
+        "rmse-dist --feedback {feedback} --pred {pred}", {"pred": "u,i,2e50"},
+        "prediction must lie in [-1e+50, 1e+50], got 2e+50",
+    ),
+    "tau of McConfig": (
+        lambda: McConfig(sample_count=100, seed=1, predictor_tau=2e50),
+        "rmse-dist --feedback {feedback} --pred {pred} --tau 2e50", {},
+        "tau must lie in [0, 1e+50], got 2e+50",
+    ),
+    "tau of strategies": (
+        lambda: run_strategy_comparison(
+            PredictionSet.from_ids(*IDS, [3.0]),
+            data=FeedbackDataset.from_ids(*IDS, [3.0], [0.5]), predictor_tau=2e50,
+        ),
+        "strategies --feedback {feedback} --pred {pred} --tau 2e50", {},
+        "tau must lie in [0, 1e+50], got 2e+50",
+    ),
+    "fixed fallback": (
+        lambda: fit_uncertainty(ObservationSet.from_ids(*IDS, [0], [3.0]), 2e50),
+        "fit --obs {obs} --out {dir}/out.csv --fallback fixed:2e50", {},
+        "fixed sigma fallback must lie in [0, 1e+50], got 2e+50",
+    ),
+    "scale bound": (
+        lambda: RatingScale(**dict(SPEC_JSON["scale"], max_value=2e50)),
+        "simulate", {"scale": dict(SPEC_JSON["scale"], max_value=2e50)},
+        "max_value must lie in [-1e+50, 1e+50], got 2e+50",
+    ),
+    "sigma_hi": (
+        lambda: _spec(sigma_hi=2e50), "simulate", {"sigma_hi": 2e50},
+        "sigma_hi must lie in [0, 1e+50], got 2e+50",
+    ),
+    "bias_lo": (
+        lambda: _spec(bias_lo=2e50), "simulate", {"bias_lo": 2e50},
+        "bias_lo must lie in [-1e+50, 1e+50], got 2e+50",
+    ),
+    "discrete_step": (
+        lambda: RatingScale(**dict(SPEC_JSON["scale"], discrete_step=2e50)),
+        "simulate", {"scale": dict(SPEC_JSON["scale"], discrete_step=2e50)},
+        "discrete_step must lie in (0, 1e+50], got 2e+50",
     ),
 }
 
@@ -1675,11 +1765,36 @@ class TestOneMessagePerRule:
         )
         assert code == 2
         messages.append(stderr.removeprefix(f"error: {pred}:2: ").removesuffix("\n"))
-        assert messages == ["prediction must be finite, got nan"] * 3
+        assert messages == ["prediction must lie in [-1e+50, 1e+50], got nan"] * 3
+
+    @pytest.mark.parametrize("bounded", BOUNDED_INPUTS)
+    def test_bound_reads_the_same_everywhere(self, capsys, tmp_path, bounded):
+        call, command, values, message = BOUNDED_INPUTS[bounded]
+        with pytest.raises(InputError) as info:
+            call()
+        rows = {"obs": "u,i,0,3.0", "feedback": "u,i,3.0,0.5", "pred": "u,i,3.0"}
+        headers = {"obs": OBS_HEADER, "feedback": FEEDBACK_HEADER, "pred": PRED_HEADER}
+        paths = {name: tmp_path / f"{name}.csv" for name in rows}
+        for name, path in paths.items():
+            path.write_text(headers[name] + values.get(name, rows[name]) + "\n", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC_JSON, **values}), encoding="utf-8")
+        argv = command.format(dir=tmp_path, **paths).split()
+        if argv[0] == "simulate":
+            argv += ["--spec", str(spec), "--out-dir", str(tmp_path / "run")]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        line = "".join(f"{paths[name]}:2: " for name in values if name in paths)
+        assert [str(info.value), stderr] == [message, f"error: {line}{message}\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "feedback.csv", "obs.csv", "pred.csv", "spec.json"
+        ]
 
 
 class TestSquareOverflow:
-    """A square beyond float64 exits 2 with one line and prints nothing."""
+    """An input whose square would overflow float64 lies outside the domain: it
+    exits 2 with one line naming it, its file line or its setting, and prints
+    nothing."""
 
     @pytest.mark.parametrize(
         "command, tau",
@@ -1693,22 +1808,18 @@ class TestSquareOverflow:
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: tau squared must be finite, got tau = {float(tau)}\n"
+        assert proc.stderr == f"error: tau must lie in [0, 1e+50], got {float(tau)}\n"
 
     @pytest.mark.parametrize(
-        "command, options, message",
+        "command, options",
         [
-            ("distinguish", ["--s1", "1", "--s2", "2"],
-             "sigma 1e+200 is too large: the noise floor overflows float64"),
-            ("strategies", ["--omit-alpha", "0.05"],
-             "sigma 1e+200 is too large: the noise floor overflows float64"),
-            ("rmse-dist", ["--samples", "4096", "--seed", "3"],
-             "squared deviations overflow float64: |mu - prediction| up to 0.5, "
-             "deviation std up to 1e+200"),
+            ("distinguish", ["--s1", "1", "--s2", "2"]),
+            ("strategies", ["--omit-alpha", "0.05"]),
+            ("rmse-dist", ["--samples", "4096", "--seed", "3"]),
         ],
         ids=["distinguish", "strategies", "rmse-dist"],
     )
-    def test_sigma_beyond_the_floor(self, tmp_path, command, options, message):
+    def test_sigma_beyond_the_floor(self, tmp_path, command, options):
         feedback, pred = tmp_path / "feedback.csv", tmp_path / "pred.csv"
         feedback.write_text(FEEDBACK_HEADER + "u1,i,3.0,0.5\nu2,i,3.0,1e200\n", encoding="utf-8")
         pred.write_text(PRED_HEADER + "u1,i,3.0\nu2,i,3.5\n", encoding="utf-8")
@@ -1717,7 +1828,7 @@ class TestSquareOverflow:
             "-m", "uncertain_eval", command, *argv, *options, capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: {message}\n"
+        assert proc.stderr == f"error: {feedback}:3: sigma must lie in [0, 1e+50], got 1e+200\n"
 
     OBSERVATIONS = "".join(f"u{u},i,{t},{3.0 + t / 2}\n" for u in (1, 2) for t in range(3))
     FEEDBACK = "u1,i,3.0,0.5\nu2,i,3.0,0.5\n"
@@ -1745,9 +1856,9 @@ class TestSquareOverflow:
     def test_point_score(self, tmp_path, options):
         proc = self._strategies(tmp_path, "u1,i,3.0\nu2,i,-1e200\n", *options)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            "error: squared deviations overflow float64: |mu - prediction| up to 1e+200\n"
-        )
+        pred = tmp_path / "pred.csv"
+        message = "prediction must lie in [-1e+50, 1e+50], got -1e+200"
+        assert proc.stderr == f"error: {pred}:3: {message}\n"
 
     def test_score_with_predictor_noise(self, tmp_path):
         # every square is finite; the mean square plus tau squared is not
@@ -1755,10 +1866,7 @@ class TestSquareOverflow:
             tmp_path, "u1,i,-4e153\nu2,i,-4e153\n", "--feedback", "{feedback}", "--tau", "1.3e154"
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            "error: squared deviations overflow float64: |mu - prediction| up to 4e+153, "
-            "deviation std up to 1.3e+154\n"
-        )
+        assert proc.stderr == "error: tau must lie in [0, 1e+50], got 1.3e+154\n"
 
     def test_deviation_beyond_float64(self, tmp_path):
         feedback, pred = tmp_path / "feedback.csv", tmp_path / "pred.csv"
@@ -1769,21 +1877,23 @@ class TestSquareOverflow:
             "--samples", "1024", "--seed", "3", capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            "error: squared deviations overflow float64: |mu - prediction| up to inf, "
-            "deviation std up to 0.5\n"
-        )
+        assert proc.stderr == f"error: {feedback}:2: mu must lie in [-1e+50, 1e+50], got 1e+308\n"
 
+    # ratings whose sigma or mu would overflow float64 name their line, and
+    # ratings at the domain's edge whose sigma lies beyond it name the column
     @pytest.mark.parametrize(
         "ratings, message",
-        [(("1e200", "-1e200"), "sigma of u1/i overflows float64"),
-         (("1.5e308", "1.5e308"), "mu of u1/i overflows float64")],
-        ids=["sigma", "mu"],
+        [(("1e200", "-1e200"), "{obs}:2: rating value must lie in [-1e+50, 1e+50], got 1e+200"),
+         (("1.5e308", "1.5e308"),
+          "{obs}:2: rating value must lie in [-1e+50, 1e+50], got 1.5e+308"),
+         (("1e50", "1e50", "-1e50"),
+          "sigma must lie in [0, 1e+50], got 1.1547005383792515e+50")],
+        ids=["sigma", "mu", "edge"],
     )
     @pytest.mark.parametrize("command", ["fit", "strategies"])
-    def test_fit_names_the_pair(self, tmp_path, command, ratings, message):
+    def test_fit_beyond_the_domain_exits_2(self, tmp_path, command, ratings, message):
         rows = self.OBSERVATIONS.splitlines(keepends=True)
-        rows[:2] = [f"u1,i,{t},{r}\n" for t, r in enumerate(ratings)]
+        rows[: len(ratings)] = [f"u1,i,{t},{r}\n" for t, r in enumerate(ratings)]
         observations = "".join(rows)
         if command == "fit":
             obs = tmp_path / "obs.csv"
@@ -1798,11 +1908,10 @@ class TestSquareOverflow:
                 observations=observations,
             )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: {message}\n"
+        assert proc.stderr == f"error: {message.format(obs=tmp_path / 'obs.csv')}\n"
 
     def test_denoise_median_beyond_float64(self, tmp_path):
-        # the two middle ratings sum beyond float64, their mean does not; the
-        # refit of the de-noised ratings then overflows
+        # the two middle ratings would sum beyond float64; they lie outside the domain
         ratings = ("1.5e308", "1.6e308", "1.7e308", "3")
         observations = "".join(f"u1,i,{t},{r}\n" for t, r in enumerate(ratings))
         observations += "".join(self.OBSERVATIONS.splitlines(keepends=True)[3:])
@@ -1811,7 +1920,38 @@ class TestSquareOverflow:
             "--denoise-threshold", "1", observations=observations,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == "error: mu of u1/i overflows float64\n"
+        message = "rating value must lie in [-1e+50, 1e+50], got 1.5e+308"
+        assert proc.stderr == f"error: {tmp_path / 'obs.csv'}:2: {message}\n"
+
+
+class TestDomainCorners:
+    """Inputs at the domain's corners run clean: no command overflows float64."""
+
+    def test_every_command_exits_0(self, tmp_path):
+        # ratings of +-7e49 with a single-trial pair, predictions of +-1e50
+        obs, feedback, pred = (tmp_path / name for name in ("obs.csv", "feedback.csv", "pred.csv"))
+        ratings = {"u1": [7e49, -7e49, 7e49], "u2": [-7e49, -7e49, 7e49, 7e49], "u3": [7e49]}
+        rows = [f"{u},i,{t},{r!r}\n" for u, values in ratings.items() for t, r in enumerate(values)]
+        obs.write_text(OBS_HEADER + "".join(rows), encoding="utf-8")
+        pred.write_text(PRED_HEADER + "u1,i,1e50\nu2,i,-1e50\nu3,i,-1e50\n", encoding="utf-8")
+        commands = [
+            ["fit", "--obs", obs, "--out", feedback, "--fallback", "fixed:1e50"],
+            ["distinguish", "--feedback", feedback, "--s1", "1.7e308", "--s2=-1.7e308"],
+            *[
+                ["strategies", "--obs", obs, "--feedback", feedback, "--pred", pred,
+                 "--denoise-threshold", "1", "--denoise-resampler", resampler,
+                 "--tau", "1e50", "--omit-alpha", "0.05"]
+                for resampler in ("median", "redraw")
+            ],
+            ["rmse-dist", "--feedback", feedback, "--pred", pred, "--tau", "1e50",
+             "--samples", "1024", "--seed", "3"],
+        ]
+        for argv in commands:
+            # a RuntimeWarning, as of an overflow, would end the child with exit 1
+            proc = _python("-m", "uncertain_eval", *argv, capture_output=True, text=True)
+            assert proc.returncode == 0, (argv[0], proc.stderr)
+        rows = feedback.read_text(encoding="utf-8").splitlines()[1:]
+        assert max(float(row.split(",")[3]) for row in rows) == 1e50
 
 
 class TestUnwritableOutput:

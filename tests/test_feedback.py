@@ -42,7 +42,7 @@ class TestRatingScale:
 
     @pytest.mark.parametrize(
         "bounds, step",
-        [((0.0, 1e300), 1e-10), ((1.0, 5.0), 1e-320)],
+        [((0.0, 1e50), 1e-260), ((1.0, 5.0), 1e-320)],
         ids=["wide span", "subnormal step"],
     )
     def test_step_count_beyond_float64_rejected(self, bounds, step):
@@ -101,17 +101,23 @@ class TestFitUncertainty:
     @pytest.mark.parametrize(
         "values, message",
         [
-            ([1e200, -1e200, 3.0], "sigma of b/i1 overflows float64"),
-            ([1.5e308, 1.5e308], "mu of b/i1 overflows float64"),
+            ([1e200, -1e200, 3.0], "rating value must lie in [-1e+50, 1e+50], got 1e+200"),
+            ([1.5e308, 1.5e308], "rating value must lie in [-1e+50, 1e+50], got 1.5e+308"),
         ],
         ids=["sigma", "mu"],
     )
-    def test_overflow_names_the_pair(self, values, message):
-        # the first pair in key order whose fit leaves float64 is named, with no numpy warning
-        obs = make_obs({"c": [1e200, -1e200], "b": values, "a": [2.0, 4.0]})
+    def test_ratings_beyond_the_domain_rejected(self, values, message):
+        # ratings whose sigma or mu would leave float64 lie outside the domain
+        with pytest.raises(InputError) as info:
+            make_obs({"b": values, "a": [2.0, 4.0]})
+        assert str(info.value) == message
+
+    def test_fit_beyond_the_domain_rejected(self):
+        # ratings at the domain's edge whose sigma lies beyond it, with no numpy warning
+        obs = make_obs({"b": [1e50, 1e50, -1e50], "a": [2.0, 4.0]})
         with pytest.raises(InputError) as info:
             fit_uncertainty(obs)
-        assert str(info.value) == message
+        assert str(info.value) == "sigma must lie in [0, 1e+50], got 1.1547005383792515e+50"
 
     def test_output_counts_distinct_keys(self):
         data = fit_uncertainty(make_obs({"a": [1, 2], "b": [3, 4], "c": [5, 5]}))
@@ -380,7 +386,7 @@ COLUMN_FAULTS = {
     "prediction [True, 2.0]": (PredictionSet.from_ids, (["u", "v"], ["i", "i"], [True, 2.0]),
                                "prediction must be a number, got bool", None),
     "rating 10**400": (ObservationSet.from_ids, (["u"], ["i"], [0], [10**400]),
-                       "rating value must be finite, got inf"),
+                       "rating value must lie in [-1e+50, 1e+50], got inf"),
     # one row per pair row, in one dimension
     "one prediction for two pairs": (PredictionSet.from_ids, (["u", "v"], ["i", "i"], [1.0]),
                                      "prediction must have shape (2,), got (1,)"),
@@ -490,6 +496,15 @@ def test_every_form_of_a_clean_column_loads_the_same(form):
     assert data.n_trials.dtype == np.int64
 
 
+def test_a_float32_column_is_bounded_in_float64():
+    # in float32 the bound 1e50 reads as inf, with an overflow warning that
+    # the suite turns into an error; the rule tests the float64 values
+    keys = TestFromColumns.KEYS
+    edge = np.array([3e38, -3e38], dtype=np.float32)
+    data = FeedbackDataset.from_columns(keys, [1, 0], edge, np.abs(edge))
+    assert data.mu.tolist() == edge[::-1].astype(float).tolist()
+
+
 def test_a_library_load_checks_column_by_column():
     # a file reader names the first bad row; a library load names the first
     # bad row of the first column it checks: trial before rating, mu before sigma
@@ -498,4 +513,4 @@ def test_a_library_load_checks_column_by_column():
     assert str(info.value) == "trial must be non-negative, got -1"
     with pytest.raises(InputError) as info:
         FeedbackDataset.from_ids(["u", "v"], ["i", "i"], [1.0, math.inf], [-1.0, 0.5])
-    assert str(info.value) == "mu must be finite, got inf"
+    assert str(info.value) == "mu must lie in [-1e+50, 1e+50], got inf"

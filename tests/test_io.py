@@ -20,6 +20,7 @@ from uncertain_eval import (
     PredictionSet,
 )
 from uncertain_eval.feedback import Interner
+from uncertain_eval.rng import MAX_MAGNITUDE
 from uncertain_eval.io import (
     read_feedback,
     read_observations,
@@ -150,7 +151,7 @@ def test_degenerate_scale_inference(tmp_path):
     assert obs.value.tolist() == [3.0, 3.0]
 
 
-@pytest.mark.parametrize("value", [2.0**53, -(2.0**60), sys.float_info.max, -sys.float_info.max])
+@pytest.mark.parametrize("value", [2.0**53, -(2.0**60), MAX_MAGNITUDE, -MAX_MAGNITUDE])
 def test_degenerate_scale_inference_beyond_unit_spacing(tmp_path, value):
     path = tmp_path / "obs.csv"
     path.write_text(
@@ -158,6 +159,17 @@ def test_degenerate_scale_inference_beyond_unit_spacing(tmp_path, value):
     )
     obs = read_observations(path)
     assert obs.value.tolist() == [value, value]
+
+
+@pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max])
+def test_rating_beyond_the_domain_names_its_line(tmp_path, value):
+    path = tmp_path / "obs.csv"
+    path.write_text(
+        f"user_id,item_id,trial,rating\nu,i,0,3.0\nu,i,1,{value!r}\n", encoding="utf-8"
+    )
+    with pytest.raises(InputError) as info:
+        read_observations(path)
+    assert str(info.value) == f"{path}:3: rating value must lie in [-1e+50, 1e+50], got {value}"
 
 
 def test_sample_dump_format(tmp_path):
@@ -170,6 +182,9 @@ def test_sample_dump_format(tmp_path):
 # Any character a UTF-8 file can hold, with the carriage return drawn often.
 id_chars = st.one_of(st.just("\r"), st.characters(blacklist_categories=("Cs",)))
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# The values a data set holds; ``test_texts_round_trip_any_float`` takes the
+# writers' number texts over all of ``finite``.
+bounded = st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)
 
 
 def _pairs(chars, max_size=6):
@@ -218,7 +233,7 @@ WRITERS = [
 @settings(max_examples=60, deadline=None)
 @given(_pairs(id_chars), st.data())
 def test_written_ids_read_back_unchanged(pairs, data):
-    values = np.array(data.draw(st.lists(finite, min_size=len(pairs), max_size=len(pairs))))
+    values = np.array(data.draw(st.lists(bounded, min_size=len(pairs), max_size=len(pairs))))
     for written, (write, read, columns) in zip(_three_sets(pairs, values), WRITERS):
         loaded = _read(read, _written(write, written))
         assert _keys(loaded) == _keys(written)
@@ -279,7 +294,7 @@ def _encodings(header: str, rows: list[list[str]]) -> dict[str, str]:
 )
 def test_tokenisers_agree(pairs, data, chunk_chars, chunk_rows):
     n = len(pairs)
-    numbers = st.lists(finite, min_size=n, max_size=n)
+    numbers = st.lists(bounded, min_size=n, max_size=n)
     mu, sigma = data.draw(numbers), [abs(x) for x in data.draw(numbers)]
     trials = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
     files = [
@@ -377,11 +392,13 @@ writer_ids = st.text(
     ),
     max_size=4,
 )
-edge_floats = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-     -1.7976931348623157e308, 1e-300, 1e300, 1e16, 1e-5, 0.1]
+edge_floats = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e16, 1e-5, 0.1]
+# data set values, up to the domain's bound, and any float, as a sample dump takes
+numbers = st.one_of(st.sampled_from(edge_floats + [MAX_MAGNITUDE, -MAX_MAGNITUDE]), bounded)
+any_numbers = st.one_of(
+    st.sampled_from(edge_floats + [1.7976931348623157e308, -1.7976931348623157e308, 1e300]),
+    finite,
 )
-numbers = st.one_of(edge_floats, finite)
 
 
 def _column(data, n: int, values) -> list:
@@ -390,6 +407,18 @@ def _column(data, n: int, values) -> list:
         return data.draw(st.lists(values, min_size=n, max_size=n, unique_by=repr))
     pool = data.draw(st.lists(values, min_size=1, max_size=3))
     return data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_texts_round_trip_any_float(data):
+    # the writers' number texts over all of float64: the repr of each value,
+    # made once per bit pattern
+    values = _column(data, data.draw(st.integers(1, 8)), any_numbers)
+    column = np.array(values, dtype=float)
+    texts = io._texts(column)
+    assert texts == [repr(v) for v in values]
+    assert np.array(list(map(float, texts))).tobytes() == column.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -418,7 +447,7 @@ def test_writers_match_csv_writer(pairs, data, chunk_rows):
     bins = (
         np.array(mu, dtype=float), np.array(sigma, dtype=float), np.array(counts, dtype=np.int64)
     )
-    samples = _column(data, n, numbers)
+    samples = _column(data, n, any_numbers)
 
     users, items = keys.users.tolist(), keys.items.tolist()
     demo = synthetic_demo()  # the histogram's writer lives in its demo

@@ -71,10 +71,17 @@ class TestPointRmse:
         assert score == pytest.approx(1.5811388300841898, abs=1e-12)
 
     def test_overflowing_sum_rejected(self):
-        ratings = point_ratings([("u", "i1", 4.0), ("u", "i2", 2.0)])
+        # a deviation whose square would overflow float64 lies outside the domain
         with pytest.raises(InputError) as info:
-            rmse(predictions_of([("u", "i1", 3.0), ("u", "i2", -1e200)]), ratings)
-        assert str(info.value) == "squared deviations overflow float64: |mu - prediction| up to 1e+200"
+            predictions_of([("u", "i1", 3.0), ("u", "i2", -1e200)])
+        assert str(info.value) == "prediction must lie in [-1e+50, 1e+50], got -1e+200"
+
+    def test_deviations_across_the_domain(self):
+        score = rmse(
+            predictions_of([("u", "i1", 1e50), ("u", "i2", -1e50)]),
+            point_ratings([("u", "i1", -1e50), ("u", "i2", 1e50)]),
+        )
+        assert score == 2e50
 
     def test_empty_ratings_rejected(self):
         with pytest.raises(InputError):

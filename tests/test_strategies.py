@@ -60,26 +60,31 @@ class TestDenoise:
         assert group_values(result, "u") == [3.0, 3.2]
         assert not len(result.unconverged_keys)
 
-    # the range of the second group is beyond float64, and so beyond any threshold
-    @pytest.mark.parametrize("group", [[1.0, 5.0, 3.0], [1.5e308, -1.5e308, 3.0]])
+    # the second group spans the whole domain
+    @pytest.mark.parametrize("group", [[1.0, 5.0, 3.0], [1e50, -1e50, 3.0]])
     def test_collapses_to_median_in_two_passes(self, group):
         obs = obs_from_groups({"u": group})
         result = denoise_preprocess(obs, None, threshold=1.0)
         assert group_values(result, "u") == [3.0, 3.0, 3.0]
         assert not len(result.unconverged_keys)
 
-    # the distances of both negative ratings from the median are beyond
-    # float64; the more extreme rating is the farther, and a redraw near the
-    # median is still beyond the threshold from the one that stays
+    # the distances of both negative ratings from the median are near twice
+    # the domain's bound; the more extreme rating is the farther, and a redraw
+    # near the median is still beyond the threshold from the one that stays
     @pytest.mark.parametrize("resampler", ["median", "redraw"])
-    def test_distance_beyond_float64_removes_the_most_extreme_rating(self, resampler):
-        obs = obs_from_groups({"u": [-1.6e308, -1.7e308, 1e308, 1e308, 1e308]})
-        truth = dataset([("u", 1e308, 1.0)])
+    def test_distance_across_the_domain_removes_the_most_extreme_rating(self, resampler):
+        obs = obs_from_groups({"u": [-9e49, -1e50, 1e50, 1e50, 1e50]})
+        truth = dataset([("u", 1e50, 1.0)])
         result = denoise_preprocess(
             obs, truth, threshold=1.0, max_iterations=1, resampler=resampler
         )
-        assert group_values(result, "u") == [-1.6e308, 1e308, 1e308, 1e308, 1e308]
+        assert group_values(result, "u") == [-9e49, 1e50, 1e50, 1e50, 1e50]
         assert result.unconverged_keys.tolist() == [0]
+
+    def test_distance_beyond_float64_lies_outside_the_domain(self):
+        with pytest.raises(InputError) as info:
+            obs_from_groups({"u": [-1.6e308, -1.7e308, 1e308, 1e308, 1e308]})
+        assert str(info.value) == "rating value must lie in [-1e+50, 1e+50], got -1.6e+308"
 
     def test_single_pass_replacement(self):
         obs = obs_from_groups({"u": [2.0, 2.0, 2.0, 5.0]})
@@ -248,8 +253,8 @@ class TestPredictorNoiseDeviation:
     @pytest.mark.parametrize(
         "sigma, tau, message",
         [
-            (0.5, 1e160, "tau squared must be finite, got tau = 1e+160"),
-            (1e200, 1.0, "sigma squared must be finite, got sigma = 1e+200"),
+            (0.5, 1e160, "tau must lie in [0, 1e+50], got 1e+160"),
+            (1e200, 1.0, "sigma must lie in [0, 1e+50], got 1e+200"),
         ],
     )
     def test_rejects_a_square_beyond_float64(self, sigma, tau, message):
@@ -260,10 +265,8 @@ class TestPredictorNoiseDeviation:
     @pytest.mark.parametrize(
         "law, message",
         [
-            ((1.7e308, 1.0, -1.7e308, 1.0),
-             "mu - prediction overflows float64: mu = 1.7e+308, prediction = -1.7e+308"),
-            ((1.0, 1e154, 0.0, 1e154),
-             "sigma^2 + tau^2 overflows float64: sigma = 1e+154, tau = 1e+154"),
+            ((1.7e308, 1.0, -1.7e308, 1.0), "mu must lie in [-1e+50, 1e+50], got 1.7e+308"),
+            ((1.0, 1e154, 0.0, 1e154), "sigma must lie in [0, 1e+50], got 1e+154"),
         ],
         ids=["mean", "variance"],
     )
@@ -303,10 +306,16 @@ class TestOmission:
         assert not len(result.retained_keys)
 
     def test_overflowing_filtered_score_rejected(self):
-        data, predictions = omission_fixture([0.5, 0.5], [1.2, 1e200])
+        # a deviation whose square would overflow float64 lies outside the domain
         with pytest.raises(InputError) as info:
-            omit_insignificant(data, predictions)
-        assert str(info.value) == "squared deviations overflow float64: |mu - prediction| up to 1e+200"
+            omission_fixture([0.5, 0.5], [1.2, 1e200])
+        assert str(info.value) == "prediction must lie in [-1e+50, 1e+50], got -1e+200"
+
+    def test_spread_near_zero_retains_its_deviation(self):
+        # the z of a deviation over the least subnormal spread is beyond float64: p = 0
+        data, predictions = omission_fixture([5e-324], [1.0])
+        result = omit_insignificant(data, predictions)
+        assert (result.retained_keys.tolist(), result.filtered_rmse) == ([0], 1.0)
 
     def test_zero_sigma_any_deviation_is_significant(self):
         data, predictions = omission_fixture([0.0, 0.0], [0.001, 0.0])
@@ -506,7 +515,7 @@ class TestStrategyComparison:
         monkeypatch.setattr("uncertain_eval.strategies.fit_uncertainty", no_fit)
         obs = obs_from_groups({"a": [2.0, 2.4], "b": [4.0, 3.6]})
         predictions = predictions_of({"a": 2.0, "b": 4.0})
-        with pytest.raises(InputError, match="tau must be finite and >= 0, got -1.0"):
+        with pytest.raises(InputError, match=re.escape("tau must lie in [0, 1e+50], got -1.0")):
             run_strategy_comparison(
                 predictions,
                 observations=obs,
