@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .rng import check_column, check_index, check_index_column, check_real
+from .rng import MAX_MAGNITUDE, check_column, check_index, check_index_column, check_real
 
 
 class Interner:
@@ -76,6 +76,15 @@ def _group(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, position[codes]
 
 
+def _check_ids(users: Sequence[str], items: Sequence[str]) -> None:
+    """The id rule: as many users as items, each a ``str``; the first id that breaks it raises."""
+    if len(users) != len(items):
+        raise InputError(f"users and items differ in length: {len(users)} and {len(items)}")
+    for name, ids in (("user", users), ("item", items)):
+        if kind := next((type(x).__name__ for x in ids if not isinstance(x, str)), None):
+            raise InputError(f"{name} id must be a str, got {kind}")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class KeyTable:
     """The distinct (user, item) pairs of a data set, in canonical order.
@@ -83,9 +92,10 @@ class KeyTable:
     Pairs are sorted by user id, then by item id, both by code point, as
     ``(user, item)`` tuples sort. Columns aligned to the table hold the
     value of pair ``i`` at position ``i``; row-form columns carry a ``pair``
-    array of positions. The constructor checks that order and raises
-    ``InputError`` on the first pair that breaks it; ``intern`` and
-    ``from_codes`` make a canonical table from rows in any order.
+    array of positions. The constructor keeps object arrays of ``str`` ids
+    whose pairs keep that order, else raises ``InputError`` on the first id
+    or pair that breaks it; ``intern`` and ``from_codes`` make a canonical
+    table from rows in any order.
     """
 
     users: np.ndarray
@@ -93,10 +103,7 @@ class KeyTable:
 
     def __post_init__(self) -> None:
         users, items = np.asarray(self.users, object), np.asarray(self.items, object)
-        if len(users) != len(items):
-            raise InputError(
-                f"key table needs one item per user, got {len(users)} users and {len(items)} items"
-            )
+        _check_ids(users, items)
         after = (users[1:] > users[:-1]) | ((users[1:] == users[:-1]) & (items[1:] > items[:-1]))
         if not after.all():
             i = int(after.argmin())
@@ -104,22 +111,27 @@ class KeyTable:
                 f"key table pairs must strictly increase, got {users[i + 1]}/{items[i + 1]} "
                 f"after {users[i]}/{items[i]}"
             )
+        object.__setattr__(self, "users", users)
+        object.__setattr__(self, "items", items)
 
     @classmethod
     def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:
         """Table of the distinct pairs among the rows, and each row's position."""
+        _check_ids(users, items)
         return cls.from_codes(_ranked(users), _ranked(items))
 
     @classmethod
     def from_codes(
         cls, users: tuple[np.ndarray, np.ndarray], items: tuple[np.ndarray, np.ndarray]
     ) -> tuple["KeyTable", np.ndarray]:
-        """``intern`` of rows given as ``Interner.ranked`` users and items."""
+        """``intern`` of rows given as ``Interner.ranked`` users and items, built unchecked."""
         (user_names, user_codes), (item_names, item_codes) = users, items
         width = max(len(item_names), 1)
         cells = user_codes * width + item_codes
         pair_codes, pair = _group(cells, len(user_names) * width)
-        table = cls(user_names[pair_codes // width], item_names[pair_codes % width])
+        table = object.__new__(cls)
+        object.__setattr__(table, "users", user_names[pair_codes // width])
+        object.__setattr__(table, "items", item_names[pair_codes % width])
         return table, pair
 
     def __len__(self) -> int:
@@ -127,9 +139,9 @@ class KeyTable:
 
     def locate(self, other: "KeyTable", missing: str) -> np.ndarray:
         """Position in ``other`` of each pair; the first absent one raises ``<missing> for u/i``."""
-        if other is self:
-            return np.arange(len(self))
-        if np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items):
+        if other is self or (
+            np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items)
+        ):
             return np.arange(len(self))
         table, pair = KeyTable.intern(
             np.concatenate((self.users, other.users)),
@@ -162,10 +174,7 @@ class _Columnar:
     def check_row(cls, *values) -> None:
         """Reject one row's values, in ``COLUMNS`` order, unless each keeps its rule."""
         for (name, rule), value in zip(cls.COLUMNS, values):
-            if rule is None:
-                check_index(value, name)
-            else:
-                check_real(value, name, rule)
+            check_index(value, name) if rule is None else check_real(value, name, rule)
 
     @classmethod
     def _checked(cls, rows: int, *values) -> list[np.ndarray]:
@@ -187,11 +196,6 @@ class _Columnar:
     @classmethod
     def from_ids(cls, users: Sequence[str], items: Sequence[str], *columns):
         """``from_columns`` of the rows' user and item ids, interned into a key table."""
-        if len(users) != len(items):
-            raise InputError(f"users and items differ in length: {len(users)} and {len(items)}")
-        for name, ids in (("user", users), ("item", items)):
-            if kinds := [type(x).__name__ for x in ids if not isinstance(x, str)]:
-                raise InputError(f"{name} id must be a str, got {kinds[0]}")
         return cls.from_columns(*KeyTable.intern(users, items), *columns)
 
 
@@ -358,7 +362,8 @@ class PredictionSet(_Columnar):
 def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> FeedbackDataset:
     """Estimate (mu, sigma) per pair from repeated trials.
 
-    mu is the sample mean and sigma the sample standard deviation with the
+    mu is the sample mean, its rounding clipped into [-1e50, 1e50] where
+    the exact mean lies, and sigma the sample standard deviation with the
     n-1 correction. Pairs observed only once receive sigma ``fallback``;
     None (the default) borrows ``pooled_sigma``, and raises ``InputError``
     when the data contains no multi-trial pair to pool from. Pairs with k
@@ -372,8 +377,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
         raise InputError("cannot fit an empty observation set")
 
     n = len(obs.keys)
-    mu = np.empty(n)
-    sigma = np.zeros(n)
+    mu, sigma = np.empty(n), np.zeros(n)
     n_trials = obs.counts()
     if not n_trials.all():
         i = int(n_trials.argmin())
@@ -381,7 +385,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     # single-trial pairs hold sigma 0 until their fallback
     for pairs, rows in obs.blocks():
         block = obs.value[rows]
-        mu[pairs] = block.mean(axis=1)
+        mu[pairs] = np.clip(block.mean(axis=1), -MAX_MAGNITUDE, MAX_MAGNITUDE)
         if rows.shape[1] >= 2:
             sigma[pairs] = block.std(axis=1, ddof=1)
 
@@ -398,10 +402,7 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
 
 def _pooled(sigma: np.ndarray, multi: np.ndarray) -> float | None:
     """Root mean square of ``sigma`` over the pairs ``multi``, or None without any."""
-    if not multi.any():
-        return None
-    sigma = sigma[multi]
-    return math.sqrt(float(np.mean(sigma * sigma)))
+    return math.sqrt(float(np.mean(np.square(sigma[multi])))) if multi.any() else None
 
 
 def pooled_sigma(data: FeedbackDataset) -> float | None:

@@ -32,11 +32,9 @@ def check_count(value: int, name: str, low: int, high: int | None = None) -> int
 # fourth powers of up to 10**100 such values sum below float64's maximum.
 MAX_MAGNITUDE = 1e50
 
-_REAL_RULES = {  # each takes a float, or (but for "be a number") a float64 column
-    "be a number": lambda x: True,
+_REAL_RULES = {  # each takes a float or a float64 column
     "be finite": lambda x: (-math.inf < x) & (x < math.inf),
     "be finite and >= 0": lambda x: (0 <= x) & (x < math.inf),
-    "be finite and > 0": lambda x: (0 < x) & (x < math.inf),
     "be > 0": lambda x: x > 0,
     "lie in (0, 1)": lambda x: (0 < x) & (x < 1),
     "lie in (0, 1]": lambda x: (0 < x) & (x <= 1),
@@ -85,7 +83,7 @@ def _column(values, name: str, rows: int, row_rule, keeps, dtype) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
-def check_column(values, name: str, rows: int, rule: str = "be finite") -> np.ndarray:
+def check_column(values, name: str, rows: int, rule: str) -> np.ndarray:
     """The one rule of a real column: ``rows`` numbers that keep ``rule``, as float64."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         values = values.astype(float, copy=False)  # float32 reads the bound 1e50 as inf

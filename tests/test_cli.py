@@ -1953,6 +1953,24 @@ class TestDomainCorners:
         rows = feedback.read_text(encoding="utf-8").splitlines()[1:]
         assert max(float(row.split(",")[3]) for row in rows) == 1e50
 
+    @pytest.mark.parametrize("rating, trials", [(1e50, 18), (9.999999999999999e49, 21)])
+    def test_fit_keeps_a_rounded_mean_in_the_domain(self, capsys, tmp_path, rating, trials):
+        # numpy's mean of these trials rounds to 1.0000000000000003e+50; the exact mean
+        # lies in the domain, and so does the fitted mu
+        obs, feedback, pred = (tmp_path / name for name in ("obs.csv", "feedback.csv", "pred.csv"))
+        rows = "".join(f"u,i,{t},{rating!r}\n" for t in range(trials))
+        obs.write_text(OBS_HEADER + rows, encoding="utf-8")
+        pred.write_text(PRED_HEADER + "u,i,1e50\n", encoding="utf-8")
+        for argv in (
+            ["fit", "--obs", obs, "--out", feedback],
+            ["distinguish", "--feedback", feedback, "--s1", "1", "--s2", "2"],
+            ["strategies", "--obs", obs, "--pred", pred, "--tau", "1"],
+        ):
+            code, _, stderr = run_cli(capsys, *map(str, argv))
+            assert code == 0, (argv[0], stderr)
+        (row,) = feedback.read_text(encoding="utf-8").splitlines()[1:]
+        assert row.split(",")[:3] == ["u", "i", "1e+50"]
+
 
 class TestUnwritableOutput:
     """An output that cannot be written exits 2 and names the path."""

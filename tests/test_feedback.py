@@ -17,6 +17,7 @@ from uncertain_eval import (
 )
 from uncertain_eval.cli import _parse_fallback
 from uncertain_eval.feedback import _group
+from uncertain_eval.io import write_feedback
 
 
 def make_obs(groups: dict[str, list[float]]) -> ObservationSet:
@@ -64,7 +65,7 @@ class TestKeyTable:
              "key table pairs must strictly increase, got a/j after a/k"),
             # by code point, "B" sorts before "a"
             (["a", "B"], ["i", "i"], "key table pairs must strictly increase, got B/i after a/i"),
-            (["u", "v"], ["i"], "key table needs one item per user, got 2 users and 1 items"),
+            (["u", "v"], ["i"], "users and items differ in length: 2 and 1"),
         ],
         ids=["repeated", "users unsorted", "items unsorted", "code point", "unequal lengths"],
     )
@@ -78,6 +79,39 @@ class TestKeyTable:
         table = KeyTable(np.array(["B", "a", "a"], object), np.array(["z", "i", "j"], object))
         assert len(table) == 3
         assert len(KeyTable(np.array([], object), np.array([], object))) == 0
+
+    @pytest.mark.parametrize("column", [list, tuple, np.array], ids=["list", "tuple", "str array"])
+    def test_every_form_of_the_columns_writes_the_same(self, tmp_path, column):
+        users, items = ["a", "b", "b"], ["x, y", "x", "y"]
+        path = tmp_path / "feedback.csv"
+        written = []
+        for form in (column, lambda ids: np.array(ids, object)):
+            table = KeyTable(form(users), form(items))
+            assert table.users.dtype == object and table.items.dtype == object
+            data = FeedbackDataset.from_columns(table, [0, 1, 2], [1.0] * 3, [0.5] * 3)
+            write_feedback(path, data)
+            written.append(path.read_text(encoding="utf-8"))
+        rows = ["user_id,item_id,mu,sigma", 'a,"x, y",1.0,0.5', "b,x,1.0,0.5", "b,y,1.0,0.5"]
+        assert written == ["\n".join(rows) + "\n"] * 2
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: KeyTable([1], [2]), "user id must be a str, got int"),
+            (lambda: KeyTable(["u"], np.array([2])), "item id must be a str, got int"),
+            (lambda: KeyTable(["u", "v"], ["i", None]), "item id must be a str, got NoneType"),
+            (lambda: KeyTable.intern([1, 2], ["a", "b"]), "user id must be a str, got int"),
+            (lambda: KeyTable.intern(["u"], [b"i"]), "item id must be a str, got bytes"),
+            (lambda: KeyTable.intern(["u", "v"], ["i"]),
+             "users and items differ in length: 2 and 1"),
+        ],
+        ids=["constructor ints", "constructor int array", "constructor None", "intern ints",
+             "intern bytes", "intern lengths"],
+    )
+    def test_id_that_is_no_str_rejected(self, build, message):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestFitUncertainty:

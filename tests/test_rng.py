@@ -1,6 +1,7 @@
 """The number rules: seeds and counts take a Python or numpy integer, real
 settings also a float, and neither a bool."""
 
+import ast
 import math
 
 import numpy as np
@@ -24,10 +25,10 @@ from uncertain_eval import (
     run_strategy_comparison,
 )
 from uncertain_eval.metrics import check_tau
-from uncertain_eval.rng import check_count, check_real, validate_seed
+from uncertain_eval.rng import _REAL_RULES, check_count, check_real, validate_seed
 from uncertain_eval.strategies import check_strategy_request
 
-from conftest import synthetic_demo
+from conftest import ROOT, synthetic_demo
 from oracles import fit_roundtrip_check, predictor_noise_deviation
 
 IDS = (["u"], ["i"])
@@ -239,6 +240,10 @@ REAL_ENTRY_POINTS = {
         "bin width", lambda v: synthetic_demo().histogram([1.0, 2.0, 2.5], v), 0.3,
         lambda bins: [column.tolist() for column in bins], False,
     ),
+    "histogram value": (
+        "histogram value", lambda v: synthetic_demo().histogram([1.0, v], 0.3), 2.3,
+        lambda bins: [column.tolist() for column in bins], False,
+    ),
     "fit_uncertainty": (
         "fixed sigma fallback", lambda v: fit_uncertainty(SINGLE, v), 0.3,
         lambda data: data.sigma.tolist(), True,
@@ -287,19 +292,20 @@ CHECK_REAL_FAULTS = [
     (np.float64(-math.inf), "be finite", "x must be finite, got -inf"),
     (-0.5, "be finite and >= 0", "x must be finite and >= 0, got -0.5"),
     (math.inf, "be finite and >= 0", "x must be finite and >= 0, got inf"),
-    (0, "be finite and > 0", "x must be finite and > 0, got 0.0"),
-    (math.inf, "be finite and > 0", "x must be finite and > 0, got inf"),
+    (0, "lie in (0, 1e+50]", "x must lie in (0, 1e+50], got 0.0"),
+    (math.inf, "lie in (0, 1e+50]", "x must lie in (0, 1e+50], got inf"),
     (np.int64(-1), "be > 0", "x must be > 0, got -1.0"),
     (math.nan, "be > 0", "x must be > 0, got nan"),
     (1, "lie in (0, 1)", "x must lie in (0, 1), got 1.0"),
     (np.float32(0.0), "lie in (0, 1)", "x must lie in (0, 1), got 0.0"),
     (0, "lie in (0, 1]", "x must lie in (0, 1], got 0.0"),
     (1.5, "lie in (0, 1]", "x must lie in (0, 1], got 1.5"),
-    (np.bool_(True), "be a number", "x must be a number, got bool"),
+    # the type test comes before any rule
+    (np.bool_(True), "be finite", "x must be a number, got bool"),
     # an integer beyond float64 keeps no rule
     (10**400, "be finite", "x must be finite, got inf"),
     (10**400, "be > 0", "x must be > 0, got inf"),
-    (-(10**400), "be a number", "x must be a number, got -inf"),
+    (-(10**400), "lie in [-1e+50, 1e+50]", "x must lie in [-1e+50, 1e+50], got -inf"),
 ]
 
 
@@ -317,12 +323,12 @@ def test_check_real_messages(value, rule, message):
     [
         (-0.0, "be finite"),
         (0, "be finite and >= 0"),
-        (5e-324, "be finite and > 0"),
+        (5e-324, "lie in (0, 1e+50]"),
         (math.inf, "be > 0"),
         (np.float32(0.5), "lie in (0, 1)"),
         (1, "lie in (0, 1]"),
-        (-math.inf, "be a number"),
-        (np.uint64(2**64 - 1), "be a number"),
+        (-1e50, "lie in [-1e+50, 1e+50]"),
+        (np.uint64(2**64 - 1), "be finite"),
     ],
 )
 def test_check_real_returns_a_python_float(value, rule):
@@ -330,5 +336,31 @@ def test_check_real_returns_a_python_float(value, rule):
     assert type(number) is float and number == value
 
 
-def test_nan_is_a_number():
-    assert math.isnan(check_real(math.nan, "x", "be a number"))
+@pytest.mark.parametrize("rule", _REAL_RULES)
+def test_nan_keeps_no_rule(rule):
+    with pytest.raises(InputError) as info:
+        check_real(math.nan, "x", rule)
+    assert str(info.value) == f"x must {rule}, got nan"
+
+
+def _names(path):
+    """Every string constant of the module at ``path``, but the keys of ``_REAL_RULES``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    keys = {
+        id(key)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_REAL_RULES"
+        for key in node.value.keys
+    }
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys
+    }
+
+
+def test_every_rule_has_a_caller():
+    # a rule that no module names is one that nothing can keep or break
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    named = set().union(*map(_names, sources))
+    assert sorted(set(_REAL_RULES) - named) == []
