@@ -24,6 +24,7 @@ from uncertain_eval import (
     InputError,
     PopulationSpec,
     RatingScale,
+    Z_TWO_SIDED_95,
     barrier_distribution,
     draw_trials,
     fit_uncertainty,
@@ -111,7 +112,7 @@ def main() -> None:
         f"population: {truth.N} pairs, {args.trials} trials each\n"
         f"fitted noise floor: mean={floor.mean:.4f} "
         f"std={floor.std:.6f} "
-        f"(95% band half-width {2 * 1.959964 * floor.std:.4f})\n"
+        f"(95% band half-width {2 * Z_TWO_SIDED_95 * floor.std:.4f})\n"
     )
 
     reports = run_strategy_comparison(

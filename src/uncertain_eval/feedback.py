@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .rng import MAX_MAGNITUDE, check_column, check_index, check_index_column, check_real
+from .rng import check_column, check_index, check_index_column, check_real
 
 
 class Interner:
@@ -143,9 +143,9 @@ class KeyTable:
             np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items)
         ):
             return np.arange(len(self))
-        table, pair = KeyTable.intern(
-            np.concatenate((self.users, other.users)),
-            np.concatenate((self.items, other.items)),
+        table, pair = KeyTable.from_codes(
+            _ranked(np.concatenate((self.users, other.users))),
+            _ranked(np.concatenate((self.items, other.items))),
         )
         where = np.full(len(table), -1)
         where[pair[len(self) :]] = np.arange(len(other))
@@ -362,14 +362,16 @@ class PredictionSet(_Columnar):
 def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> FeedbackDataset:
     """Estimate (mu, sigma) per pair from repeated trials.
 
-    mu is the sample mean, its rounding clipped into [-1e50, 1e50] where
-    the exact mean lies, and sigma the sample standard deviation with the
-    n-1 correction. Pairs observed only once receive sigma ``fallback``;
-    None (the default) borrows ``pooled_sigma``, and raises ``InputError``
-    when the data contains no multi-trial pair to pool from. Pairs with k
-    trials are fitted together as the rows of one (pairs x k) matrix, which
-    sums each pair's values in the same order as numpy does for that pair
-    alone.
+    mu is the sample mean, and sigma the sample standard deviation about
+    it with the n-1 correction. A mean that rounding carries outside its
+    trials' [min, max], where the exact mean lies, moves to the nearer
+    bound: 7 trials of 3.3 fit to mu 3.3 and sigma 0.0, and 21 trials of
+    9.999999999999999e49 to that rating and sigma 0.0. Pairs observed
+    only once receive sigma ``fallback``; None (the default) borrows
+    ``pooled_sigma``, and raises ``InputError`` when the data contains no
+    multi-trial pair to pool from. Pairs with k trials are fitted
+    together as the rows of one (pairs x k) matrix, which sums each
+    pair's values in the same order as numpy does for that pair alone.
     """
     if fallback is not None:
         fallback = check_real(fallback, "fixed sigma fallback", "lie in [0, 1e+50]")
@@ -385,9 +387,15 @@ def fit_uncertainty(obs: ObservationSet, fallback: float | None = None) -> Feedb
     # single-trial pairs hold sigma 0 until their fallback
     for pairs, rows in obs.blocks():
         block = obs.value[rows]
-        mu[pairs] = np.clip(block.mean(axis=1), -MAX_MAGNITUDE, MAX_MAGNITUDE)
+        mean = block.mean(axis=1)
+        # the trials' range, down the columns of a (k x pairs) copy: over short rows it is slow
+        trials = block.T.copy()
+        low, high = trials.min(axis=0), trials.max(axis=0)
+        np.copyto(mean, low, where=mean < low)
+        np.copyto(mean, high, where=mean > high)
+        mu[pairs] = mean
         if rows.shape[1] >= 2:
-            sigma[pairs] = block.std(axis=1, ddof=1)
+            sigma[pairs] = block.std(axis=1, ddof=1, mean=mean[:, None])
 
     single = n_trials == 1
     if single.any():

@@ -29,6 +29,15 @@ MAX_POPULATION_PAIRS = 10_000_000
 MAX_OBSERVATION_ROWS = 50_000_000
 
 
+def _check_interval(spec, what: str, lo: str, order: str, hi: str, rule: str) -> None:
+    """The one rule of a bound pair of ``spec``: each bound keeps ``rule``, then ``lo order hi``."""
+    low, high = (check_real(getattr(spec, name), name, rule) for name in (lo, hi))
+    if not (low < high if order == "<" else low <= high):
+        raise InputError(f"{what} needs {lo} {order} {hi}, got [{low}, {high}]")
+    object.__setattr__(spec, lo, low)
+    object.__setattr__(spec, hi, high)
+
+
 @dataclass(frozen=True, slots=True)
 class RatingScale:
     """Bounded rating axis; ``discrete_step`` absent means continuous."""
@@ -38,14 +47,7 @@ class RatingScale:
     discrete_step: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("min_value", "max_value"):
-            value = check_real(getattr(self, name), name, "lie in [-1e+50, 1e+50]")
-            object.__setattr__(self, name, value)
-        if not self.min_value < self.max_value:
-            raise InputError(
-                f"rating scale needs min_value < max_value, got "
-                f"[{self.min_value}, {self.max_value}]"
-            )
+        _check_interval(self, "rating scale", "min_value", "<", "max_value", "lie in [-1e+50, 1e+50]")
         if self.discrete_step is not None:
             step = check_real(self.discrete_step, "discrete_step", "lie in (0, 1e+50]")
             object.__setattr__(self, "discrete_step", step)
@@ -90,22 +92,9 @@ class PopulationSpec:
                 f"n_users * n_items must be <= {MAX_POPULATION_PAIRS}, got "
                 f"{self.n_users} * {self.n_items}"
             )
-        for name in ("sigma_lo", "sigma_hi"):
-            value = check_real(getattr(self, name), name, "lie in [0, 1e+50]")
-            object.__setattr__(self, name, value)
-        if self.sigma_lo > self.sigma_hi:
-            raise InputError(
-                f"sigma prior needs sigma_lo <= sigma_hi, got [{self.sigma_lo}, {self.sigma_hi}]"
-            )
+        _check_interval(self, "sigma prior", "sigma_lo", "<=", "sigma_hi", "lie in [0, 1e+50]")
         object.__setattr__(self, "density", check_real(self.density, "density", "lie in (0, 1]"))
-        for name in ("bias_lo", "bias_hi"):
-            value = check_real(getattr(self, name), name, "lie in [-1e+50, 1e+50]")
-            object.__setattr__(self, name, value)
-        if self.bias_lo > self.bias_hi:
-            raise InputError(
-                f"bias prior needs bias_lo <= bias_hi, got "
-                f"[{self.bias_lo}, {self.bias_hi}]"
-            )
+        _check_interval(self, "bias prior", "bias_lo", "<=", "bias_hi", "lie in [-1e+50, 1e+50]")
         validate_seed(self.seed)
 
     @property

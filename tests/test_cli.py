@@ -1314,6 +1314,8 @@ class TestMalformedInput:
         (["strategies", "--feedback", "{dir}/nope.csv", "--pred", "{dir}/nope.csv",
           "--denoise-threshold", "1"],
          "de-noising needs raw repeated-trial observations"),
+        (["strategies", "--pred", "{dir}/nope.csv", "--tau", "1"],
+         "need --obs and/or --feedback"),
     ]
 
     @pytest.mark.parametrize("argv, message", ARGUMENT_FAULTS)
@@ -1955,8 +1957,8 @@ class TestDomainCorners:
 
     @pytest.mark.parametrize("rating, trials", [(1e50, 18), (9.999999999999999e49, 21)])
     def test_fit_keeps_a_rounded_mean_in_the_domain(self, capsys, tmp_path, rating, trials):
-        # numpy's mean of these trials rounds to 1.0000000000000003e+50; the exact mean
-        # lies in the domain, and so does the fitted mu
+        # numpy's mean of these trials rounds to 1.0000000000000003e+50; the exact mean,
+        # the rating, lies in the domain, and so does the fitted mu
         obs, feedback, pred = (tmp_path / name for name in ("obs.csv", "feedback.csv", "pred.csv"))
         rows = "".join(f"u,i,{t},{rating!r}\n" for t in range(trials))
         obs.write_text(OBS_HEADER + rows, encoding="utf-8")
@@ -1969,7 +1971,22 @@ class TestDomainCorners:
             code, _, stderr = run_cli(capsys, *map(str, argv))
             assert code == 0, (argv[0], stderr)
         (row,) = feedback.read_text(encoding="utf-8").splitlines()[1:]
-        assert row.split(",")[:3] == ["u", "i", "1e+50"]
+        assert row.split(",")[:3] == ["u", "i", repr(rating)]
+
+    @pytest.mark.parametrize(
+        "rating, trials", [(3.3, 7), (0.1, 3), (1e50, 18), (9.999999999999999e49, 21)]
+    )
+    def test_identical_trials_fit_to_no_spread(self, capsys, tmp_path, rating, trials):
+        # numpy's mean of these trials rounds past the rating, and its std would
+        # measure that rounding
+        obs, feedback = tmp_path / "obs.csv", tmp_path / "feedback.csv"
+        rows = "".join(f"u,i,{t},{rating!r}\n" for t in range(trials))
+        obs.write_text(OBS_HEADER + rows, encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "fit", "--obs", str(obs), "--out", str(feedback))
+        assert code == 0, stderr
+        assert json.loads(stdout) == {"n": 1, "pooled_sigma": 0.0}
+        (row,) = feedback.read_text(encoding="utf-8").splitlines()[1:]
+        assert row.split(",") == ["u", "i", repr(rating), "0.0"]
 
 
 class TestUnwritableOutput:

@@ -11,7 +11,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uncertain_eval import (
@@ -71,10 +71,12 @@ def reference_fit(groups, fallback: float | None):
     keys = sorted(groups)
     mu, sigma, n_trials = [], [], []
     for key in keys:
-        values = np.asarray(in_trial_order(groups[key]))
-        mu.append(float(np.mean(values)))
-        sigma.append(float(np.std(values, ddof=1)) if values.size >= 2 else None)
-        n_trials.append(values.size)
+        values = in_trial_order(groups[key])
+        # numpy's rounded mean, moved to the nearer bound where it leaves the trials' range
+        mean = min(max(float(np.mean(values)), min(values)), max(values))
+        mu.append(mean)
+        sigma.append(float(np.std(values, ddof=1, mean=mean)) if len(values) >= 2 else None)
+        n_trials.append(len(values))
     multi = [s * s for s in sigma if s is not None]
     if fallback is not None:
         single = fallback
@@ -158,6 +160,18 @@ fallbacks = st.sampled_from([0.0, None, 0.5])
 class TestFitMatchesReference:
     @given(observation_groups(), fallbacks, st.randoms(use_true_random=False))
     @settings(max_examples=150)
+    # identical trials whose rounded mean leaves their range, and a lone -0.0
+    @example(
+        {
+            ("a", "i"): [(t, 3.3) for t in range(7)],
+            ("a", "j"): [(t, 0.1) for t in range(3)],
+            ("b", "i"): [(t, 1e50) for t in range(18)],
+            ("b", "j"): [(t, 9.999999999999999e49) for t in range(21)],
+            ("c", "i"): [(0, -0.0)],
+        },
+        None,
+        random.Random(0),
+    )
     def test_bit_identical_in_key_order(self, groups, fallback, rnd):
         obs = shuffled_set(groups, rnd)
         try:

@@ -12,6 +12,7 @@ from uncertain_eval import (
     ObservationSet,
     PredictionSet,
     RatingScale,
+    feedback,
     fit_uncertainty,
     pooled_sigma,
 )
@@ -113,6 +114,21 @@ class TestKeyTable:
             build()
         assert str(info.value) == message
 
+    def test_aligning_checks_no_id_again(self, monkeypatch):
+        # both tables hold ids checked when they were built
+        pred = PredictionSet.from_ids(["a", "b"], ["x", "y"], [1.0, 2.0])
+        keys, _ = KeyTable.intern(["b"], ["y"])
+        other, _ = KeyTable.intern(["c"], ["y"])
+
+        def refuse(users, items):
+            raise AssertionError("ids checked again")
+
+        monkeypatch.setattr(feedback, "_check_ids", refuse)
+        assert pred.aligned(keys).tolist() == [2.0]
+        with pytest.raises(InputError) as info:
+            pred.aligned(other)
+        assert str(info.value) == "missing prediction for c/y"
+
 
 class TestFitUncertainty:
     def test_zero_spread_group(self):
@@ -121,6 +137,15 @@ class TestFitUncertainty:
         assert entry.mu == 3.0
         assert entry.sigma == 0.0
         assert entry.n_trials == 5
+
+    @pytest.mark.parametrize(
+        "rating, trials", [(3.3, 7), (0.1, 3), (1e50, 18), (9.999999999999999e49, 21)]
+    )
+    def test_identical_trials_fit_to_the_rating(self, rating, trials):
+        # numpy's mean of these trials rounds past the rating; the fit keeps it in
+        # the trials' range, and measures the spread about it
+        (entry,) = fit_uncertainty(make_obs({"u": [rating] * trials})).entries
+        assert (entry.mu, entry.sigma) == (rating, 0.0)
 
     def test_two_value_group(self):
         (entry,) = fit_uncertainty(make_obs({"u": [2, 4]})).entries
