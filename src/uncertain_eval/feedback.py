@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -76,6 +77,11 @@ def _group(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return distinct, position[codes]
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _check_ids(users: Sequence[str], items: Sequence[str]) -> None:
     """The id rule: as many users as items, each a ``str``; the first id that breaks it raises."""
     if len(users) != len(items):
@@ -92,17 +98,18 @@ class KeyTable:
     Pairs are sorted by user id, then by item id, both by code point, as
     ``(user, item)`` tuples sort. Columns aligned to the table hold the
     value of pair ``i`` at position ``i``; row-form columns carry a ``pair``
-    array of positions. The constructor keeps object arrays of ``str`` ids
-    whose pairs keep that order, else raises ``InputError`` on the first id
-    or pair that breaks it; ``intern`` and ``from_codes`` make a canonical
-    table from rows in any order.
+    array of positions. A table owns read-only object arrays of its ``str``
+    ids, copied from its input. The constructor takes ids whose pairs keep
+    that order, else raises ``InputError`` on the first id or pair that
+    breaks it; ``intern`` and ``from_codes`` make a canonical table from
+    rows in any order.
     """
 
     users: np.ndarray
     items: np.ndarray
 
     def __post_init__(self) -> None:
-        users, items = np.asarray(self.users, object), np.asarray(self.items, object)
+        users, items = np.array(self.users, object), np.array(self.items, object)
         _check_ids(users, items)
         after = (users[1:] > users[:-1]) | ((users[1:] == users[:-1]) & (items[1:] > items[:-1]))
         if not after.all():
@@ -111,8 +118,8 @@ class KeyTable:
                 f"key table pairs must strictly increase, got {users[i + 1]}/{items[i + 1]} "
                 f"after {users[i]}/{items[i]}"
             )
-        object.__setattr__(self, "users", users)
-        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "users", _frozen(users))
+        object.__setattr__(self, "items", _frozen(items))
 
     @classmethod
     def intern(cls, users: Sequence[str], items: Sequence[str]) -> tuple["KeyTable", np.ndarray]:
@@ -130,8 +137,8 @@ class KeyTable:
         cells = user_codes * width + item_codes
         pair_codes, pair = _group(cells, len(user_names) * width)
         table = object.__new__(cls)
-        object.__setattr__(table, "users", user_names[pair_codes // width])
-        object.__setattr__(table, "items", item_names[pair_codes % width])
+        object.__setattr__(table, "users", _frozen(user_names[pair_codes // width]))
+        object.__setattr__(table, "items", _frozen(item_names[pair_codes % width]))
         return table, pair
 
     def __len__(self) -> int:
@@ -143,15 +150,11 @@ class KeyTable:
             np.array_equal(self.users, other.users) and np.array_equal(self.items, other.items)
         ):
             return np.arange(len(self))
-        table, pair = KeyTable.from_codes(
-            _ranked(np.concatenate((self.users, other.users))),
-            _ranked(np.concatenate((self.items, other.items))),
-        )
-        where = np.full(len(table), -1)
-        where[pair[len(self) :]] = np.arange(len(other))
-        where = where[pair[: len(self)]]
-        if (where < 0).any():
-            i = int(np.argmax(where < 0))
+        index = dict(zip(zip(other.users.tolist(), other.items.tolist()), range(len(other))))
+        pairs = zip(self.users.tolist(), self.items.tolist())
+        where = np.fromiter(map(index.get, pairs, repeat(-1)), np.intp, len(self))
+        if (absent := where < 0).any():
+            i = int(absent.argmax())
             raise InputError(f"{missing} for {self.users[i]}/{self.items[i]}")
         return where
 
@@ -197,11 +200,6 @@ class _Columnar:
     def from_ids(cls, users: Sequence[str], items: Sequence[str], *columns):
         """``from_columns`` of the rows' user and item ids, interned into a key table."""
         return cls.from_columns(*KeyTable.intern(users, items), *columns)
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _pair_positions(keys: KeyTable, pair, aligned: str | None = None) -> np.ndarray:

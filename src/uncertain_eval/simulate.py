@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .feedback import FeedbackDataset, KeyTable, ObservationSet, PredictionSet
+from .feedback import FeedbackDataset, KeyTable, ObservationSet, PredictionSet, _group
 from .rng import check_count, check_real, child_rng, validate_seed
 
 # Stream keys so population parameters and trial draws never share bits.
@@ -111,9 +111,11 @@ def check_draw_size(pairs: int, k: int) -> int:
     return k
 
 
-def _pair_ids(n: int, prefix: str) -> list[str]:
+def _ranked_ids(rows: np.ndarray, n: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` among ``n`` as ``from_codes`` takes them: the ids of the distinct rows, and codes."""
+    drawn, codes = _group(rows, n)
     width = len(str(n))
-    return [f"{prefix}{i + 1:0{width}d}" for i in range(n)]
+    return np.array([f"{prefix}{i + 1:0{width}d}" for i in drawn.tolist()], dtype=object), codes
 
 
 def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, PredictionSet]:
@@ -130,10 +132,10 @@ def generate_population(spec: PopulationSpec) -> tuple[FeedbackDataset, Predicti
     sigma = rng.uniform(spec.sigma_lo, spec.sigma_hi, n_pairs)
     bias = rng.uniform(spec.bias_lo, spec.bias_hi, n_pairs)
 
-    # zero-padded ids sort like their numbers, so they are already ranked
-    users = np.array(_pair_ids(spec.n_users, "u"), dtype=object)
-    items = np.array(_pair_ids(spec.n_items, "i"), dtype=object)
-    keys, pair = KeyTable.from_codes((users, chosen // spec.n_items), (items, chosen % spec.n_items))
+    # ids are made only for the drawn users and items; zero-padded, they sort like their numbers
+    users = _ranked_ids(chosen // spec.n_items, spec.n_users, "u")
+    items = _ranked_ids(chosen % spec.n_items, spec.n_items, "i")
+    keys, pair = KeyTable.from_codes(users, items)
     return (
         FeedbackDataset.from_columns(keys, pair, mu, sigma),
         PredictionSet.from_columns(keys, pair, mu + bias),

@@ -58,8 +58,9 @@ class OmissionResult:
 
 
 def _spread(block: np.ndarray) -> np.ndarray:
-    """Row ranges."""
-    return block.max(axis=1) - block.min(axis=1)
+    """Row ranges, down the columns of a (k x rows) copy: over short rows it is slow."""
+    trials = block.T.copy()
+    return trials.max(axis=0) - trials.min(axis=0)
 
 
 def _median(block: np.ndarray) -> np.ndarray:
@@ -207,16 +208,14 @@ def omit_insignificant(
     sigma = data.sigma
     d = data.mu - predictions.aligned(data.keys)
 
-    p = np.ones(data.N, dtype=float)
+    # a pair with sigma 0 has p 0 for a nonzero deviation, else p 1
+    retained = d != 0.0
     positive = sigma > 0
     # the two-sided normal p-value of z is erfc(z / sqrt(2)); numpy has no erfc.
     # Over a spread near 0, z is beyond float64, and p is 0.
     with np.errstate(over="ignore"):
         z = np.abs(d[positive]) / sigma[positive] * math.sqrt(0.5)
-    p[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z))
-    p[~positive] = np.where(d[~positive] != 0.0, 0.0, 1.0)
-
-    retained = p < alpha
+    retained[positive] = np.fromiter(map(math.erfc, z.tolist()), float, count=len(z)) < alpha
     filtered = float(np.sqrt(np.mean(d[retained] ** 2))) if retained.any() else None
     return OmissionResult(
         retained_keys=np.flatnonzero(retained),

@@ -10,15 +10,24 @@ from uncertain_eval import (
     InputError,
     KeyTable,
     ObservationSet,
+    PopulationSpec,
     PredictionSet,
     RatingScale,
     feedback,
     fit_uncertainty,
+    generate_population,
     pooled_sigma,
 )
 from uncertain_eval.cli import _parse_fallback
-from uncertain_eval.feedback import _group
-from uncertain_eval.io import write_feedback
+from uncertain_eval.feedback import Interner, _group
+from uncertain_eval.io import (
+    read_feedback,
+    read_observations,
+    read_predictions,
+    write_feedback,
+    write_observations,
+    write_predictions,
+)
 
 
 def make_obs(groups: dict[str, list[float]]) -> ObservationSet:
@@ -128,6 +137,103 @@ class TestKeyTable:
         with pytest.raises(InputError) as info:
             pred.aligned(other)
         assert str(info.value) == "missing prediction for c/y"
+
+
+short_ids = st.text(alphabet="abB", max_size=2)
+
+
+def _interned(pairs: list[tuple[str, str]]) -> KeyTable:
+    return KeyTable.intern([u for u, _ in pairs], [i for _, i in pairs])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(short_ids, short_ids), unique=True, max_size=8),
+    st.lists(st.tuples(short_ids, short_ids), max_size=4),
+    st.sampled_from(["superset", "permutation", "subset"]),
+    st.randoms(use_true_random=False),
+)
+def test_locate_matches_list_index(pairs, extra, relation, random):
+    # positions of self's pairs in other, or the first of them that other lacks
+    keys = _interned(pairs)
+    mine = list(zip(keys.users.tolist(), keys.items.tolist()))
+    rows = list(pairs)
+    if relation == "superset":
+        rows += extra
+    elif relation == "subset":
+        rows = random.sample(rows, random.randint(0, len(rows)))
+    random.shuffle(rows)
+    other = _interned(rows)
+    theirs = list(zip(other.users.tolist(), other.items.tolist()))
+    absent = [pair for pair in mine if pair not in theirs]
+    if absent:
+        with pytest.raises(InputError) as info:
+            keys.locate(other, "missing prediction")
+        assert str(info.value) == f"missing prediction for {absent[0][0]}/{absent[0][1]}"
+    else:
+        where = keys.locate(other, "missing prediction")
+        assert where.tolist() == [theirs.index(pair) for pair in mine]
+
+
+def _assert_owned(table: KeyTable, *sources) -> None:
+    """``table``'s ids are read-only, share no memory with ``sources``, and outlive their overwrite."""
+    before = table.users.tolist(), table.items.tolist()
+    for column in (table.users, table.items):
+        assert column.dtype == object and not column.flags.writeable
+        for source in sources:
+            assert not (isinstance(source, np.ndarray) and np.shares_memory(column, source))
+    for source in sources:
+        if isinstance(source, np.ndarray):
+            source[...] = 0 if source.dtype.kind == "i" else "c"
+        elif isinstance(source, list):
+            source[:] = ["c"] * len(source)
+    assert (table.users.tolist(), table.items.tolist()) == before
+
+
+class TestOwnership:
+    """Every key table owns read-only copies of its ids, however it is made."""
+
+    @pytest.mark.parametrize(
+        "form",
+        [list, tuple, np.array, lambda ids: np.array(ids, object)],
+        ids=["list", "tuple", "str array", "object array"],
+    )
+    def test_constructor(self, form):
+        users, items = form(["a", "b"]), form(["x", "x"])
+        _assert_owned(KeyTable(users, items), users, items)
+
+    @pytest.mark.parametrize("form", [list, lambda ids: np.array(ids, object)], ids=["list", "array"])
+    def test_intern(self, form):
+        users, items = form(["b", "a", "b"]), form(["x", "y", "x"])
+        _assert_owned(KeyTable.intern(users, items)[0], users, items)
+
+    def test_from_codes(self):
+        ranked = []
+        for names in (["b", "a", "b"], ["x", "y", "x"]):
+            interner = Interner()
+            ranked.append(interner.ranked(interner.codes(names)))
+        table, _ = KeyTable.from_codes(*ranked)
+        _assert_owned(table, *(array for pair in ranked for array in pair))
+
+    @pytest.mark.parametrize(
+        "write, read, cls, columns",
+        [
+            (write_observations, read_observations, ObservationSet, ([0, 0], [1.0, 2.0])),
+            (write_feedback, read_feedback, FeedbackDataset, ([1.0, 2.0], [0.1, 0.2])),
+            (write_predictions, read_predictions, PredictionSet, ([1.0, 2.0],)),
+        ],
+        ids=["observations", "feedback", "predictions"],
+    )
+    def test_readers(self, tmp_path, write, read, cls, columns):
+        write(tmp_path / "data.csv", cls.from_ids(["b", "a"], ["x", "y"], *columns))
+        _assert_owned(read(tmp_path / "data.csv").keys)
+
+    def test_generate_population(self):
+        truth, predictions = generate_population(
+            PopulationSpec(3, 4, RatingScale(1.0, 5.0), 0.1, 0.5, density=0.5)
+        )
+        assert predictions.keys is truth.keys
+        _assert_owned(truth.keys)
 
 
 class TestFitUncertainty:

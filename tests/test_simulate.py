@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncertain_eval import (
     FeedbackDataset,
@@ -12,7 +15,8 @@ from uncertain_eval import (
     draw_trials,
     generate_population,
 )
-from uncertain_eval.simulate import MAX_OBSERVATION_ROWS, MAX_POPULATION_PAIRS
+from uncertain_eval.rng import child_rng
+from uncertain_eval.simulate import _POPULATION_STREAM, MAX_OBSERVATION_ROWS, MAX_POPULATION_PAIRS
 
 from oracles import fit_roundtrip_check
 
@@ -96,6 +100,44 @@ class TestGeneratePopulation:
         assert keys.items.tolist() == truth.keys.items.tolist()
         assert pair.tolist() == list(range(truth.N))
         assert predictions.keys is truth.keys
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 12),
+        st.sampled_from([1.0, 0.5, 0.05, 1e-3]),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_key_table_is_the_one_of_every_formatted_id(self, n_users, n_items, density, seed):
+        # the drawn cells, in draw order, interned over the ids of every user and item
+        truth, _ = generate_population(
+            spec(n_users=n_users, n_items=n_items, density=density, seed=seed)
+        )
+        total = n_users * n_items
+        chosen = np.arange(total)
+        if truth.N < total:
+            rng = child_rng(seed, _POPULATION_STREAM)
+            chosen = np.sort(rng.choice(total, size=truth.N, replace=False))
+        users = [f"u{u:0{len(str(n_users))}d}" for u in range(1, n_users + 1)]
+        items = [f"i{i:0{len(str(n_items))}d}" for i in range(1, n_items + 1)]
+        keys, pair = KeyTable.intern(
+            [users[c // n_items] for c in chosen.tolist()],
+            [items[c % n_items] for c in chosen.tolist()],
+        )
+        assert keys.users.tolist() == truth.keys.users.tolist()
+        assert keys.items.tolist() == truth.keys.items.tolist()
+        assert pair.tolist() == list(range(truth.N))
+
+    def test_sparse_population_makes_only_the_drawn_ids(self):
+        # 2 pairs of a million users: a million formatted ids would take tens of MiB
+        tracemalloc.start()
+        try:
+            truth, _ = generate_population(spec(n_users=1_000_000, n_items=2, density=1e-6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert truth.N == 2
+        assert peak < 5 * 2**20
 
 
 class TestDrawTrials:
